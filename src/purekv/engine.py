@@ -7,14 +7,19 @@ and sparsity start s = st_layer_index (config requires s > e):
     layers 0..e      masked attention (weights materialized); each layer's
                      recent-window accumulator is recorded and the weights
                      are then discarded
-    layers e+1..L-1  streaming attention only; no weight matrix ever exists
+    layers e+1..L-1  streaming attention only, one call for all query heads;
+                     no weight matrix ever exists
     layers 0..s-1    dense causal mask
     layers s..L-1    the configured sparsity pattern's mask
 
 Compression runs once after prefill: layers at or below e are scored with
 their own accumulator, layers above reuse layer e's accumulator, both
 weighted by the layer's own value-row norms. Decode is single-query
-streaming attention over the retained rows at every layer.
+streaming attention over the retained rows at every layer, again one call
+per layer over the head-stacked rows.
+
+Embeddings that enter prefill or decode must be finite; anything else is
+rejected before the session changes.
 
 Positions enter only through causal masking; there is no rotary or learned
 positional encoding, and embeddings are supplied by the caller. The block is
@@ -42,7 +47,6 @@ from .cache import (
 from .errors import ConfigurationError
 from .masks import SparsityPattern, TokenLayout, build_mask
 from .numerics import derive_seed, l2_norm_rows, seeded_gaussian
-from .stats import permutation_pvalue, spearman_rho
 
 _FF_MULT = 2
 _NORM_EPS = 1e-12
@@ -161,6 +165,12 @@ def init_session(model: Model, layout: TokenLayout, policy: PolicyConfig,
     return SessionState(layout=layout, policy=policy, pattern=pattern, tile_size=tile_size)
 
 
+def _require_finite(x: np.ndarray, what: str):
+    """Reject NaN or inf input before it reaches any session state."""
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} must be finite")
+
+
 def _rmsnorm(x: np.ndarray) -> np.ndarray:
     return x / np.sqrt((x * x).mean(axis=1, keepdims=True) + _NORM_EPS)
 
@@ -183,6 +193,22 @@ def _layer_masks(session: SessionState, num_layers: int) -> list[np.ndarray]:
     return [dense_mask if layer < st else sparse_mask for layer in range(num_layers)]
 
 
+def _streaming_heads(q: np.ndarray, kv: KvCacheLayer, mask: np.ndarray, tile_size: int,
+                     config: ModelConfig) -> np.ndarray:
+    """Every query head of a layer in one streaming call.
+
+    q is (l_q, num_q_heads, d_k); query head g * group_size + j reads KV
+    head g. Returns the head outputs side by side, (l_q, num_q_heads * d_v).
+    """
+    l_q = q.shape[0]
+    grouped = q.reshape(l_q, config.num_kv_heads, config.group_size, config.d_k)
+    out = attention.streaming_masked(
+        grouped.transpose(1, 2, 0, 3), np.stack(kv.keys)[:, None],
+        np.stack(kv.values)[:, None], mask, tile_size,
+    )
+    return out.transpose(2, 0, 1, 3).reshape(l_q, -1)
+
+
 def prefill(model: Model, session: SessionState, token_embeddings) -> np.ndarray:
     """Run the whole prompt, populate the cache, and return (l, vocab) logits."""
     c = model.config
@@ -198,6 +224,7 @@ def prefill(model: Model, session: SessionState, token_embeddings) -> np.ndarray
         )
     if session.cache:
         raise ConfigurationError("session already prefilled")
+    _require_finite(x, "embeddings")
 
     l = x.shape[0]
     w, h_count = budget_to_wh(session.policy.budget_fraction, l, session.policy.recent_window_w)
@@ -218,9 +245,9 @@ def prefill(model: Model, session: SessionState, token_embeddings) -> np.ndarray
         session.cache.append(kv)
         mask = layer_masks[layer]
 
-        head_outs = []
         if layer <= clie:
             # Materialized route: weights exist here and nowhere above.
+            head_outs = []
             accumulators = [[] for _ in range(c.num_kv_heads)]
             for q_head in range(c.num_q_heads):
                 g = c.kv_group(q_head)
@@ -233,15 +260,12 @@ def prefill(model: Model, session: SessionState, token_embeddings) -> np.ndarray
             else:
                 c_low = [np.zeros(0) for _ in range(c.num_kv_heads)]
             session.importance.append(ImportanceState(C_low=c_low, w=w, h=h_count, l=l))
+            attended = np.concatenate(head_outs, axis=1)
         else:
-            for q_head in range(c.num_q_heads):
-                g = c.kv_group(q_head)
-                head_outs.append(attention.streaming_masked(
-                    q[:, q_head, :], kv.keys[g], kv.values[g], mask, session.tile_size
-                ))
+            attended = _streaming_heads(q, kv, mask, session.tile_size, c)
             session.importance.append(None)
 
-        x = x + np.concatenate(head_outs, axis=1) @ model.layers[layer].wo
+        x = x + attended @ model.layers[layer].wo
         hidden2 = _rmsnorm(x)
         x = x + np.maximum(hidden2 @ model.layers[layer].w_up, 0.0) @ model.layers[layer].w_down
 
@@ -350,6 +374,7 @@ def decode_step(model: Model, session: SessionState, token_embedding) -> np.ndar
     x = np.asarray(token_embedding, dtype=np.float64).reshape(1, -1)
     if x.shape[1] != c.d_model:
         raise ConfigurationError(f"token embedding must have length {c.d_model}")
+    _require_finite(x, "token embedding")
 
     position = session.prefill_len + session.step_count
     for layer in range(c.num_layers):
@@ -358,14 +383,8 @@ def decode_step(model: Model, session: SessionState, token_embedding) -> np.ndar
         kv = session.cache[layer]
         for g in range(c.num_kv_heads):
             kv.append(g, k[0, g, :], v[0, g, :], position)
-        head_outs = []
-        for q_head in range(c.num_q_heads):
-            g = c.kv_group(q_head)
-            ones = np.ones((1, kv.rows(g)), dtype=bool)
-            head_outs.append(attention.streaming_masked(
-                q[:, q_head, :], kv.keys[g], kv.values[g], ones, session.tile_size
-            ))
-        x = x + np.concatenate(head_outs, axis=1) @ model.layers[layer].wo
+        ones = np.ones((1, kv.rows(0)), dtype=bool)
+        x = x + _streaming_heads(q, kv, ones, session.tile_size, c) @ model.layers[layer].wo
         hidden2 = _rmsnorm(x)
         x = x + np.maximum(hidden2 @ model.layers[layer].w_up, 0.0) @ model.layers[layer].w_down
 
@@ -405,6 +424,8 @@ def validate_cross_layer(model: Model, session: SessionState, analysis_layer: in
     with the ground truth (the layer's own accumulator times the same
     norms). Uses the instrumentation pass, never the production route.
     """
+    # Looked up at call time, so that a wrapper installed on purekv.stats
+    # (as the traced benchmark does) sees these calls.
     from .stats import permutation_pvalue, spearman_rho
 
     c = model.config

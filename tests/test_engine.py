@@ -288,6 +288,100 @@ class TestDecode:
             decode_step(model, session, np.zeros(SMALL.d_model))
 
 
+class TestGroupedQueryHeads:
+    def test_prefill_and_full_decode_match_reference(self):
+        # Three query heads per KV head, two KV heads, d_v != d_k, and a
+        # sparse mask above st, so the batched streaming call skips work.
+        config = ModelConfig(num_layers=4, d_model=30, num_q_heads=6, num_kv_heads=2,
+                             d_k=5, d_v=4, vocab_size=20, seed=21)
+        assert config.group_size == 3
+        layout = TokenLayout(2, 4, 5, 1)
+        pattern = SparsityPattern.spatial_temporal()
+        model = init_model(config)
+        emb = seeded_gaussian(layout.total_len, config.d_model, 22)
+        session = init_session(model, layout, make_policy(kind="full", clie=0, st=2),
+                               pattern, tile_size=3)
+        n = layout.total_len
+        dense, sparse = build_mask(layout, SparsityPattern.dense()), build_mask(layout, pattern)
+        prefill_masks = [dense if i < 2 else sparse for i in range(config.num_layers)]
+        expected, _ = reference_forward(model, emb, prefill_masks)
+        np.testing.assert_allclose(prefill(model, session, emb), expected, atol=1e-9)
+
+        apply_compression(model, session)
+        extra = seeded_gaussian(5, config.d_model, 23)
+        rows = emb
+        for step in range(5):
+            logits = decode_step(model, session, extra[step])
+            rows = np.vstack([rows, extra[step][None, :]])
+            # Decode queries see every earlier row; prefill rows keep their masks.
+            masks = []
+            for mask in prefill_masks:
+                grown = np.tril(np.ones((rows.shape[0],) * 2, dtype=bool))
+                grown[:n, :n] = mask
+                masks.append(grown)
+            expected, _ = reference_forward(model, rows, masks)
+            np.testing.assert_allclose(logits, expected[-1], atol=1e-9)
+
+
+def cache_snapshot(session):
+    return [[(layer.keys[g].copy(), layer.values[g].copy(), layer.positions[g].copy())
+             for g in range(layer.num_heads)] for layer in session.cache]
+
+
+def assert_same_cache(before, after):
+    assert len(before) == len(after)
+    for layer_before, layer_after in zip(before, after):
+        for head_before, head_after in zip(layer_before, layer_after):
+            for a, b in zip(head_before, head_after):
+                np.testing.assert_array_equal(a, b)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_prefill_rejects_before_touching_the_session(self, bad):
+        model = init_model(SMALL)
+        session = init_session(model, LAYOUT, make_policy(budget=0.5), SparsityPattern.dense())
+        emb = embeddings_for(LAYOUT, seed=31)
+        poisoned = emb.copy()
+        poisoned[3, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            prefill(model, session, poisoned)
+        assert session.cache == [] and session.importance == []
+        assert session.prefill_len == 0 and session.w == 0 and session.h == 0
+        assert session.prefill_embeddings is None
+
+        logits = prefill(model, session, emb)
+        fresh = init_session(model, LAYOUT, make_policy(budget=0.5), SparsityPattern.dense())
+        np.testing.assert_array_equal(logits, prefill(model, fresh, emb))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_decode_rejects_before_touching_the_session(self, bad):
+        model = init_model(SMALL)
+        sessions = []
+        for _ in range(2):
+            session = init_session(model, LAYOUT, make_policy(budget=0.5),
+                                   SparsityPattern.spatial())
+            prefill(model, session, embeddings_for(LAYOUT, seed=32))
+            apply_compression(model, session)
+            sessions.append(session)
+        session, clean = sessions
+        extra = seeded_gaussian(2, SMALL.d_model, 33)
+        decode_step(model, session, extra[0])
+        decode_step(model, clean, extra[0])
+        before = cache_snapshot(session)
+
+        poisoned = extra[1].copy()
+        poisoned[0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            decode_step(model, session, poisoned)
+        assert session.step_count == 1
+        assert_same_cache(before, cache_snapshot(session))
+
+        np.testing.assert_array_equal(decode_step(model, session, extra[1]),
+                                      decode_step(model, clean, extra[1]))
+        assert session.step_count == 2
+
+
 class TestValidation:
     def test_self_comparison_gives_perfect_rho(self):
         # At the analysis layer itself the estimate and the truth coincide,
