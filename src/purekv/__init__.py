@@ -6,7 +6,7 @@ and cross-layer reuse, budgeted eviction with simplified baselines, rank
 correlation validation, and a deterministic experiment harness.
 """
 
-from .attention import dense_causal, masked, streaming_masked
+from .attention import masked, streaming_masked
 from .cache import (
     ImportanceState,
     KvCacheLayer,
@@ -48,7 +48,7 @@ from .masks import (
     mask_to_text,
     parse_pattern,
 )
-from .numerics import l2_norm_rows, matmul, row_softmax, seeded_gaussian
+from .numerics import l2_norm_rows, row_softmax, seeded_gaussian
 from .stats import permutation_pvalue, rank, spearman_rho
 
 __all__ = [
@@ -69,7 +69,6 @@ __all__ = [
     "budget_to_wh",
     "build_mask",
     "decode_step",
-    "dense_causal",
     "emit_report",
     "estimate_macs",
     "evict",
@@ -80,7 +79,6 @@ __all__ = [
     "mask_density",
     "mask_to_text",
     "masked",
-    "matmul",
     "parse_pattern",
     "permutation_pvalue",
     "prefill",

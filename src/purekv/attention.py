@@ -1,10 +1,10 @@
-"""Scaled dot-product attention: dense causal, masked, and streaming.
+"""Scaled dot-product attention: masked and streaming.
 
-dense_causal and masked take 2-D matrices, materialize the full weight
-matrix and return it alongside the output. streaming_masked processes keys
-in fixed-size tiles with a running max and running normalizer, never holds
-more than one tile of scores, and returns the output only: callers above it
-structurally cannot read attention weights.
+masked takes 2-D matrices, materializes the weight matrix and returns it
+alongside the output. streaming_masked processes keys in fixed-size tiles
+with a running max and running normalizer, never holds more than one tile of
+scores, and returns the output only: callers above it structurally cannot
+read attention weights.
 
 streaming_masked also broadcasts over leading dimensions, so one call runs
 every query head of a layer: q of shape (Hkv, G, l_q, d_k) against k and v
@@ -51,21 +51,6 @@ def _check_inputs(q, k, v):
             f"leading dimensions {q.shape[:-2]}, {k.shape[:-2]}, {v.shape[:-2]} do not broadcast"
         ) from None
     return q, k, v, lead
-
-
-def dense_causal(q, k, v) -> tuple[np.ndarray, np.ndarray]:
-    """Causal attention with the mask aligned to the right edge.
-
-    Query row i stands at absolute position l_k - l_q + i, so decode-time
-    queries (l_q < l_k) attend to the whole cache. Returns (out, weights).
-    """
-    q, k, v, _ = _check_inputs(q, k, v)
-    l_q, l_k = q.shape[-2], k.shape[-2]
-    if l_q > l_k:
-        raise ConfigurationError(f"dense_causal requires l_q <= l_k, got {l_q} > {l_k}")
-    offset = l_k - l_q
-    mask = np.arange(l_k)[None, :] <= (np.arange(l_q)[:, None] + offset)
-    return masked(q, k, v, mask)
 
 
 def masked(q, k, v, mask) -> tuple[np.ndarray, np.ndarray]:

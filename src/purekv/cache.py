@@ -126,20 +126,24 @@ class PolicyConfig:
 def accumulate_recent_attention(A, w: int) -> np.ndarray:
     """Attention mass the last w query rows put on each non-recent key.
 
-    A must be an (l, l) row-stochastic matrix with causal support. Returns a
-    length l-w vector over keys 0..l-w-1.
+    A holds rows of a row-stochastic attention matrix over l keys with causal
+    support, at least the last w query rows: the full (l, l) matrix or just
+    its (w, l) slab. Only A[-w:] is read. Returns a length l-w vector over
+    keys 0..l-w-1.
     """
     A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ConfigurationError(f"expected a square attention matrix, got {A.shape}")
-    l = A.shape[0]
+    if A.ndim != 2:
+        raise ConfigurationError(f"expected a 2-D attention matrix, got {A.shape}")
+    l = A.shape[1]
     if w < 1:
         raise ConfigurationError(f"recent window must be >= 1, got {w}")
     if w >= l:
         raise ConfigurationError(
             f"recent window w={w} leaves no non-recent segment for l={l}"
         )
-    return A[l - w:, : l - w].sum(axis=0)
+    if A.shape[0] < w:
+        raise ConfigurationError(f"need the last {w} query rows, got {A.shape[0]}")
+    return A[-w:, : l - w].sum(axis=0)
 
 
 def score_low(C, V_low) -> np.ndarray:

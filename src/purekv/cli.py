@@ -57,10 +57,15 @@ def _override_seeds(raw: dict, seed: int) -> dict:
     return raw
 
 
-def _cmd_run(args) -> int:
+def _load_config(args) -> harness.ExperimentConfig:
     config = harness.load_config(args.config)
     if args.seed is not None:
         config = harness.load_config(_override_seeds(config.raw, args.seed))
+    return config
+
+
+def _cmd_run(args) -> int:
+    config = _load_config(args)
     report = harness.run_experiment(config)
     if args.out is None:
         sys.stdout.write(harness.render_report(report, args.format))
@@ -70,9 +75,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    config = harness.load_config(args.config)
-    if args.seed is not None:
-        config = harness.load_config(_override_seeds(config.raw, args.seed))
+    config = _load_config(args)
     model = engine.init_model(config.model)
     embeddings, _ = harness.generate_workload(config.workload, config.model.d_model)
     pattern_text = config.patterns[0] if config.patterns else "dense"
@@ -89,22 +92,8 @@ def _cmd_validate(args) -> int:
     report = engine.validate_cross_layer(
         model, session, n_perm=config.n_perm, seed=config.stats_seed
     )
-    payload = {
-        "analysis_layer": report.analysis_layer,
-        "median_rho": report.median_rho,
-        "median_p": report.median_p,
-        "per_layer": [
-            {
-                "layer": lv.layer,
-                "median_rho": lv.median_rho,
-                "median_p": lv.median_p,
-                "heads": [{"head": hv.head, "rho": hv.rho, "p": hv.pvalue}
-                          for hv in lv.heads],
-            }
-            for lv in report.layers
-        ],
-    }
-    sys.stdout.write(json.dumps(harness._round6(payload), indent=2) + "\n")
+    payload = harness._round6(harness._validation_dict(report))
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     return 0
 
 

@@ -4,11 +4,11 @@ cross-layer cache-compression pipeline.
 Layer wiring during prefill, for estimation layer index e = clie_layer_index
 and sparsity start s = st_layer_index (config requires s > e):
 
-    layers 0..e      masked attention (weights materialized); each layer's
-                     recent-window accumulator is recorded and the weights
-                     are then discarded
-    layers e+1..L-1  streaming attention only, one call for all query heads;
-                     no weight matrix ever exists
+    layers 0..L-1    streaming attention for the layer output, one call for
+                     all query heads; no l x l weight matrix ever exists
+    layers 0..e      additionally, masked attention on the last w query rows
+                     only: each query head's (w, l) slab of weights gives the
+                     layer's recent-window accumulator and is then discarded
     layers 0..s-1    dense causal mask
     layers s..L-1    the configured sparsity pattern's mask
 
@@ -16,7 +16,9 @@ Compression runs once after prefill: layers at or below e are scored with
 their own accumulator, layers above reuse layer e's accumulator, both
 weighted by the layer's own value-row norms. Decode is single-query
 streaming attention over the retained rows at every layer, again one call
-per layer over the head-stacked rows.
+per layer over the head-stacked rows. Prefill, decode and the analysis-only
+instrumentation pass (full weights at every layer) share one block and
+differ only in the attention callable they hand it.
 
 Embeddings that enter prefill or decode must be finite; anything else is
 rejected before the session changes.
@@ -148,18 +150,21 @@ class SessionState:
     step_count: int = 0
 
 
+def check_layer_depth(policy: PolicyConfig, num_layers: int, path: str = "") -> None:
+    """Reject layer indices a model of this depth cannot hold; path prefixes field names."""
+    clie, st = policy.clie_layer_index, policy.st_layer_index
+    if clie >= num_layers:
+        raise ConfigurationError(f"{path}clie_layer_index ({clie}) must be below "
+                                 f"num_layers ({num_layers})")
+    if st > num_layers:
+        raise ConfigurationError(f"{path}st_layer_index ({st}) must be at most "
+                                 f"num_layers ({num_layers})")
+
+
 def init_session(model: Model, layout: TokenLayout, policy: PolicyConfig,
                  pattern: SparsityPattern, tile_size: int = attention.DEFAULT_TILE) -> SessionState:
     """Validate the policy against this model's depth and open a session."""
-    L = model.config.num_layers
-    if policy.clie_layer_index >= L:
-        raise ConfigurationError(
-            f"clie_layer_index ({policy.clie_layer_index}) must be below num_layers ({L})"
-        )
-    if policy.st_layer_index > L:
-        raise ConfigurationError(
-            f"st_layer_index ({policy.st_layer_index}) must be at most num_layers ({L})"
-        )
+    check_layer_depth(policy, model.config.num_layers)
     if tile_size < 1:
         raise ConfigurationError("tile_size must be >= 1")
     return SessionState(layout=layout, policy=policy, pattern=pattern, tile_size=tile_size)
@@ -209,6 +214,30 @@ def _streaming_heads(q: np.ndarray, kv: KvCacheLayer, mask: np.ndarray, tile_siz
     return out.transpose(2, 0, 1, 3).reshape(l_q, -1)
 
 
+def _block(x: np.ndarray, weights: LayerWeights, config: ModelConfig, attend) -> np.ndarray:
+    """One pre-norm layer; attend(q, k, v) returns the head outputs side by side."""
+    q, k, v = _project_heads(_rmsnorm(x), weights, config)
+    x = x + attend(q, k, v) @ weights.wo
+    return x + np.maximum(_rmsnorm(x) @ weights.w_up, 0.0) @ weights.w_down
+
+
+def _recent_accumulators(q: np.ndarray, kv: KvCacheLayer, mask: np.ndarray, w: int,
+                         config: ModelConfig) -> list[np.ndarray]:
+    """Per KV head, the mean over its query heads of the recent-window accumulator.
+
+    Only the last w query rows are materialized: a (w, l) slab per query head.
+    """
+    l = q.shape[0]
+    if w >= l:
+        return [np.zeros(0) for _ in range(config.num_kv_heads)]
+    accumulators = [[] for _ in range(config.num_kv_heads)]
+    for q_head in range(config.num_q_heads):
+        g = config.kv_group(q_head)
+        _, weights = attention.masked(q[l - w:, q_head, :], kv.keys[g], kv.values[g], mask[l - w:])
+        accumulators[g].append(accumulate_recent_attention(weights, w))
+    return [np.mean(acc, axis=0) for acc in accumulators]
+
+
 def prefill(model: Model, session: SessionState, token_embeddings) -> np.ndarray:
     """Run the whole prompt, populate the cache, and return (l, vocab) logits."""
     c = model.config
@@ -234,46 +263,28 @@ def prefill(model: Model, session: SessionState, token_embeddings) -> np.ndarray
     layer_masks = _layer_masks(session, c.num_layers)
     clie = session.policy.clie_layer_index
 
-    x = x.copy()
     for layer in range(c.num_layers):
-        hidden = _rmsnorm(x)
-        q, k, v = _project_heads(hidden, model.layers[layer], c)
-        kv = KvCacheLayer.from_projections(
-            [k[:, g, :].copy() for g in range(c.num_kv_heads)],
-            [v[:, g, :].copy() for g in range(c.num_kv_heads)],
-        )
-        session.cache.append(kv)
         mask = layer_masks[layer]
 
-        if layer <= clie:
-            # Materialized route: weights exist here and nowhere above.
-            head_outs = []
-            accumulators = [[] for _ in range(c.num_kv_heads)]
-            for q_head in range(c.num_q_heads):
-                g = c.kv_group(q_head)
-                out, weights = attention.masked(q[:, q_head, :], kv.keys[g], kv.values[g], mask)
-                head_outs.append(out)
-                if w < l:
-                    accumulators[g].append(accumulate_recent_attention(weights, w))
-            if w < l:
-                c_low = [np.mean(acc, axis=0) for acc in accumulators]
-            else:
-                c_low = [np.zeros(0) for _ in range(c.num_kv_heads)]
-            session.importance.append(ImportanceState(C_low=c_low, w=w, h=h_count, l=l))
-            attended = np.concatenate(head_outs, axis=1)
-        else:
-            attended = _streaming_heads(q, kv, mask, session.tile_size, c)
-            session.importance.append(None)
+        def attend(q, k, v):
+            kv = KvCacheLayer.from_projections(
+                [k[:, g, :].copy() for g in range(c.num_kv_heads)],
+                [v[:, g, :].copy() for g in range(c.num_kv_heads)],
+            )
+            session.cache.append(kv)
+            session.importance.append(
+                ImportanceState(C_low=_recent_accumulators(q, kv, mask, w, c), w=w, h=h_count, l=l)
+                if layer <= clie else None
+            )
+            return _streaming_heads(q, kv, mask, session.tile_size, c)
 
-        x = x + attended @ model.layers[layer].wo
-        hidden2 = _rmsnorm(x)
-        x = x + np.maximum(hidden2 @ model.layers[layer].w_up, 0.0) @ model.layers[layer].w_down
+        x = _block(x, model.layers[layer], c, attend)
 
     return _rmsnorm(x) @ model.w_vocab
 
 
 def _instrumented_stats(model: Model, session: SessionState):
-    """Forward pass with weights materialized at every layer (analysis only).
+    """Forward pass with full weights materialized at every layer (analysis only).
 
     Never called by prefill or decode. Returns, per layer and KV head, the
     recent-window accumulator, the column-sum score, and the value matrix.
@@ -281,33 +292,33 @@ def _instrumented_stats(model: Model, session: SessionState):
     if session.prefill_embeddings is None:
         raise ConfigurationError("instrumentation requires a completed prefill")
     c = model.config
-    x = session.prefill_embeddings.copy()
+    x = session.prefill_embeddings
     l = x.shape[0]
     w = session.w
     layer_masks = _layer_masks(session, c.num_layers)
     stats = []
     for layer in range(c.num_layers):
-        hidden = _rmsnorm(x)
-        q, k, v = _project_heads(hidden, model.layers[layer], c)
         mask = layer_masks[layer]
-        accumulators = [[] for _ in range(c.num_kv_heads)]
-        colsums = [[] for _ in range(c.num_kv_heads)]
-        head_outs = []
-        for q_head in range(c.num_q_heads):
-            g = c.kv_group(q_head)
-            out, weights = attention.masked(q[:, q_head, :], k[:, g, :], v[:, g, :], mask)
-            head_outs.append(out)
-            if w < l:
-                accumulators[g].append(accumulate_recent_attention(weights, w))
-            colsums[g].append(baseline_h2o_score(weights))
-        stats.append({
-            "C": [np.mean(acc, axis=0) if acc else np.zeros(0) for acc in accumulators],
-            "colsum": [np.mean(cs, axis=0) for cs in colsums],
-            "V": [v[:, g, :].copy() for g in range(c.num_kv_heads)],
-        })
-        x = x + np.concatenate(head_outs, axis=1) @ model.layers[layer].wo
-        hidden2 = _rmsnorm(x)
-        x = x + np.maximum(hidden2 @ model.layers[layer].w_up, 0.0) @ model.layers[layer].w_down
+
+        def attend(q, k, v):
+            accumulators = [[] for _ in range(c.num_kv_heads)]
+            colsums = [[] for _ in range(c.num_kv_heads)]
+            head_outs = []
+            for q_head in range(c.num_q_heads):
+                g = c.kv_group(q_head)
+                out, weights = attention.masked(q[:, q_head, :], k[:, g, :], v[:, g, :], mask)
+                head_outs.append(out)
+                if w < l:
+                    accumulators[g].append(accumulate_recent_attention(weights, w))
+                colsums[g].append(baseline_h2o_score(weights))
+            stats.append({
+                "C": [np.mean(acc, axis=0) if acc else np.zeros(0) for acc in accumulators],
+                "colsum": [np.mean(cs, axis=0) for cs in colsums],
+                "V": [v[:, g, :].copy() for g in range(c.num_kv_heads)],
+            })
+            return np.concatenate(head_outs, axis=1)
+
+        x = _block(x, model.layers[layer], c, attend)
     return stats
 
 
@@ -378,15 +389,15 @@ def decode_step(model: Model, session: SessionState, token_embedding) -> np.ndar
 
     position = session.prefill_len + session.step_count
     for layer in range(c.num_layers):
-        hidden = _rmsnorm(x)
-        q, k, v = _project_heads(hidden, model.layers[layer], c)
         kv = session.cache[layer]
-        for g in range(c.num_kv_heads):
-            kv.append(g, k[0, g, :], v[0, g, :], position)
-        ones = np.ones((1, kv.rows(0)), dtype=bool)
-        x = x + _streaming_heads(q, kv, ones, session.tile_size, c) @ model.layers[layer].wo
-        hidden2 = _rmsnorm(x)
-        x = x + np.maximum(hidden2 @ model.layers[layer].w_up, 0.0) @ model.layers[layer].w_down
+
+        def attend(q, k, v):
+            for g in range(c.num_kv_heads):
+                kv.append(g, k[0, g, :], v[0, g, :], position)
+            ones = np.ones((1, kv.rows(0)), dtype=bool)
+            return _streaming_heads(q, kv, ones, session.tile_size, c)
+
+        x = _block(x, model.layers[layer], c, attend)
 
     session.step_count += 1
     return (_rmsnorm(x) @ model.w_vocab)[0]

@@ -22,13 +22,13 @@ independent of the layer wiring.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import engine
-from .cache import PolicyConfig
+from .cache import POLICY_KINDS, PolicyConfig
 from .errors import ConfigurationError
 from .masks import SparsityPattern, TokenLayout, build_mask, mask_density, parse_pattern
 from .numerics import derive_seed, random_u64, seeded_gaussian
@@ -199,23 +199,14 @@ def load_config(source) -> ExperimentConfig:
         raise ConfigurationError(f"config must be a path or dict, got {type(source)}")
 
     model_obj = _need(raw, "config", "model")
-    model = engine.ModelConfig(
-        num_layers=_int_field(model_obj, "config.model", "num_layers", 1),
-        d_model=_int_field(model_obj, "config.model", "d_model", 1),
-        num_q_heads=_int_field(model_obj, "config.model", "num_q_heads", 1),
-        num_kv_heads=_int_field(model_obj, "config.model", "num_kv_heads", 1),
-        d_k=_int_field(model_obj, "config.model", "d_k", 1),
-        d_v=_int_field(model_obj, "config.model", "d_v", 1),
-        vocab_size=_int_field(model_obj, "config.model", "vocab_size", 1),
-        seed=_int_field(model_obj, "config.model", "seed", 0),
-    )
+    model = engine.ModelConfig(**{
+        f.name: _int_field(model_obj, "config.model", f.name, 0 if f.name == "seed" else 1)
+        for f in fields(engine.ModelConfig)
+    })
     layout_obj = _need(raw, "config", "layout")
-    layout = TokenLayout(
-        text_prefix_len=_int_field(layout_obj, "config.layout", "text_prefix_len", 0),
-        num_frames=_int_field(layout_obj, "config.layout", "num_frames", 0),
-        patches_per_frame=_int_field(layout_obj, "config.layout", "patches_per_frame", 0),
-        text_suffix_len=_int_field(layout_obj, "config.layout", "text_suffix_len", 0),
-    )
+    layout = TokenLayout(**{
+        f.name: _int_field(layout_obj, "config.layout", f.name, 0) for f in fields(TokenLayout)
+    })
     workload_obj = _need(raw, "config", "workload")
     workload = WorkloadSpec(
         layout=layout,
@@ -232,7 +223,7 @@ def load_config(source) -> ExperimentConfig:
     exp_obj = _need(raw, "config", "experiment")
     policies = _list_field(exp_obj, "config.experiment", "policies")
     for i, p in enumerate(policies):
-        if p not in ("pure_kv", "h2o_like", "streaming_like", "full"):
+        if p not in POLICY_KINDS:
             raise ConfigurationError(f"config.experiment.policies[{i}]: unknown policy {p!r}")
     patterns = _list_field(exp_obj, "config.experiment", "patterns")
     for i, p in enumerate(patterns):
@@ -274,18 +265,13 @@ def load_config(source) -> ExperimentConfig:
         raw=raw,
     )
     # Fail fast on incoherent layer indices instead of inside the first cell.
-    PolicyConfig(
-        policy_kind="full", budget_fraction=1.0, recent_window_w=recent_window_w,
-        sink_len=sink_len, clie_layer_index=clie, st_layer_index=st,
+    engine.check_layer_depth(
+        PolicyConfig(
+            policy_kind="full", budget_fraction=1.0, recent_window_w=recent_window_w,
+            sink_len=sink_len, clie_layer_index=clie, st_layer_index=st,
+        ),
+        model.num_layers, "config.policy.",
     )
-    if clie >= model.num_layers:
-        raise ConfigurationError(
-            f"config.policy.clie_layer_index: must be below num_layers ({model.num_layers})"
-        )
-    if st > model.num_layers:
-        raise ConfigurationError(
-            f"config.policy.st_layer_index: must be at most num_layers ({model.num_layers})"
-        )
     return config
 
 
@@ -335,7 +321,8 @@ def run_experiment(source) -> dict:
         model, config, "full", dense, 1.0, embeddings, decode_rows
     )
 
-    validation_cache: dict[tuple[str, float], dict] = {}
+    # Validation reads the pattern and the recent window, never the budget.
+    validation_cache: dict[tuple[str, int], dict] = {}
     cells = []
     for policy_kind, pattern_text, budget in _experiment_cells(config):
         pattern = parse_pattern(pattern_text, config.layout)
@@ -362,7 +349,7 @@ def run_experiment(source) -> dict:
 
         validation = None
         if config.validate:
-            key = (pattern.describe(), budget)
+            key = (pattern.describe(), session.w)
             if key not in validation_cache:
                 report = engine.validate_cross_layer(
                     model, session, n_perm=config.n_perm, seed=config.stats_seed
@@ -430,13 +417,14 @@ def _round6(value):
     return value
 
 
-_CSV_COLUMNS = (
+_CSV_CELL_COLUMNS = (
     "policy", "pattern", "budget_fraction", "sequence_len", "recent_window", "top_h",
     "retained_per_head", "compression_ratio", "mask_density",
     "prefill_macs_total", "prefill_macs_attention",
     "decode_macs_total_per_step", "decode_macs_attention_per_step",
-    "output_divergence_vs_full", "salient_recall", "median_rho", "median_p",
+    "output_divergence_vs_full", "salient_recall",
 )
+_CSV_VALIDATION_COLUMNS = ("median_rho", "median_p")
 
 
 def _csv_value(value) -> str:
@@ -459,20 +447,19 @@ def render_report(report: dict, fmt: str) -> str:
         if cell.get("validation"):
             layer_ids = [entry["layer"] for entry in cell["validation"]["per_layer"]]
             break
-    header = list(_CSV_COLUMNS) + [
-        f"layer{i}_{stat}" for i in layer_ids for stat in ("median_rho", "median_p")
+    header = list(_CSV_CELL_COLUMNS + _CSV_VALIDATION_COLUMNS) + [
+        f"layer{i}_{stat}" for i in layer_ids for stat in _CSV_VALIDATION_COLUMNS
     ]
     lines = [",".join(header)]
     for cell in report["cells"]:
-        row = [_csv_value(cell[col]) for col in _CSV_COLUMNS[:15]]
         validation = cell.get("validation")
-        row.append(_csv_value(validation["median_rho"] if validation else None))
-        row.append(_csv_value(validation["median_p"] if validation else None))
+        row = [_csv_value(cell[col]) for col in _CSV_CELL_COLUMNS]
+        row += [_csv_value(validation[col] if validation else None)
+                for col in _CSV_VALIDATION_COLUMNS]
         per_layer = {e["layer"]: e for e in validation["per_layer"]} if validation else {}
         for i in layer_ids:
             entry = per_layer.get(i)
-            row.append(_csv_value(entry["median_rho"] if entry else None))
-            row.append(_csv_value(entry["median_p"] if entry else None))
+            row += [_csv_value(entry[col] if entry else None) for col in _CSV_VALIDATION_COLUMNS]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 

@@ -69,20 +69,6 @@ def _as_matrix(x, name: str) -> np.ndarray:
     return m
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with explicit shape checking."""
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ConfigurationError(
-            f"matmul dimension mismatch: ({a.shape[0]}x{a.shape[1]}) @ ({b.shape[0]}x{b.shape[1]})"
-        )
-    out = a @ b
-    if not np.all(np.isfinite(out)):
-        raise ValueError("matmul produced non-finite entries")
-    return out
-
-
 def row_softmax(m, mask=None) -> np.ndarray:
     """Row-wise softmax, numerically stabilized by per-row max subtraction.
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from purekv.attention import dense_causal, masked, streaming_masked
+from purekv.attention import masked, streaming_masked
 from purekv.errors import ConfigurationError
 from purekv.masks import SparsityPattern, TokenLayout, build_mask
 
@@ -34,53 +34,44 @@ def seeded_inputs(rng, l_q, l_k, d_k=4, d_v=3):
             rng.standard_normal((l_k, d_v)))
 
 
+def causal(n):
+    return np.tril(np.ones((n, n), dtype=bool))
+
+
 class TestDenseCausal:
+    """Square causal attention, run through masked with an explicit np.tril mask."""
+
     def test_single_token_returns_value_row(self):
         q = np.array([[1.0, 2.0]])
         k = np.array([[0.5, -1.0]])
         v = np.array([[3.0, 4.0, 5.0]])
-        out, weights = dense_causal(q, k, v)
+        out, weights = masked(q, k, v, causal(1))
         np.testing.assert_array_equal(out, v)
         np.testing.assert_array_equal(weights, [[1.0]])
 
     def test_identical_keys_give_uniform_weights(self):
-        q = np.array([[1.0, -1.0]])
+        q = np.tile([[1.0, -1.0]], (3, 1))
         k = np.tile([[2.0, 0.5]], (3, 1))
         v = np.arange(6.0).reshape(3, 2)
-        out, weights = dense_causal(q, k, v)
-        np.testing.assert_allclose(weights, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-12)
-        np.testing.assert_allclose(out, v.mean(axis=0, keepdims=True), atol=1e-12)
+        out, weights = masked(q, k, v, causal(3))
+        np.testing.assert_allclose(weights, causal(3) / np.arange(1.0, 4.0)[:, None], atol=1e-12)
+        np.testing.assert_allclose(out[2], v.mean(axis=0), atol=1e-12)
 
     def test_matches_direct_oracle_on_seeded_instance(self):
         rng = np.random.default_rng(11)
         q, k, v = seeded_inputs(rng, 4, 4)
-        out, _ = dense_causal(q, k, v)
-        causal = np.tril(np.ones((4, 4), dtype=bool))
-        np.testing.assert_allclose(out, oracle_attention(q, k, v, causal), atol=1e-12)
-
-    def test_right_aligned_decode_mask(self):
-        rng = np.random.default_rng(12)
-        q, k, v = seeded_inputs(rng, 1, 5)
-        out, weights = dense_causal(q, k, v)
-        assert weights.shape == (1, 5)
-        assert (weights > 0).all()  # a single decode query sees the whole cache
-
-    def test_query_longer_than_keys_rejected(self):
-        rng = np.random.default_rng(13)
-        q, k, v = seeded_inputs(rng, 5, 3)
-        with pytest.raises(ConfigurationError):
-            dense_causal(q, k, v)
+        out, _ = masked(q, k, v, causal(4))
+        np.testing.assert_allclose(out, oracle_attention(q, k, v, causal(4)), atol=1e-12)
 
 
 class TestMasked:
     def test_full_causal_mask_equals_dense(self):
         rng = np.random.default_rng(21)
         q, k, v = seeded_inputs(rng, 6, 6)
-        causal = np.tril(np.ones((6, 6), dtype=bool))
-        out_dense, a_dense = dense_causal(q, k, v)
-        out_masked, a_masked = masked(q, k, v, causal)
-        np.testing.assert_allclose(out_masked, out_dense, atol=1e-12)
-        np.testing.assert_allclose(a_masked, a_dense, atol=1e-12)
+        out, weights = masked(q, k, v, causal(6))
+        np.testing.assert_allclose(out, oracle_attention(q, k, v, causal(6)), atol=1e-12)
+        np.testing.assert_array_equal(weights, np.tril(weights))
+        np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
 
     def test_diagonal_only_mask_copies_values(self):
         rng = np.random.default_rng(22)

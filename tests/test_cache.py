@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from purekv.cache import (
     KvCacheLayer,
@@ -41,6 +43,24 @@ class TestAccumulateRecentAttention:
     def test_window_too_large_raises(self):
         with pytest.raises(ConfigurationError):
             accumulate_recent_attention(uniform_causal(3), 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 40), st.data())
+    def test_recent_slab_equals_full_matrix(self, l, data):
+        """Any trailing slab of at least w rows gives the full matrix's result."""
+        w = data.draw(st.integers(1, l - 1))
+        rows = data.draw(st.integers(w, l))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        a = np.tril(np.random.default_rng(seed).random((l, l))) + np.eye(l)
+        a /= a.sum(axis=1, keepdims=True)
+        full = accumulate_recent_attention(a, w)
+        assert full.shape == (l - w,)
+        np.testing.assert_array_equal(accumulate_recent_attention(a[l - rows:], w), full)
+        with pytest.raises(ConfigurationError):
+            accumulate_recent_attention(a, l)  # w >= l
+        if w > 1:
+            with pytest.raises(ConfigurationError):
+                accumulate_recent_attention(a[l - w + 1:], w)  # fewer than w rows
 
 
 class TestScoring:

@@ -12,11 +12,12 @@ from purekv.engine import (
     decode_step,
     init_model,
     init_session,
+    _instrumented_stats,
     prefill,
     validate_cross_layer,
 )
 from purekv.errors import ConfigurationError
-from purekv.masks import SparsityPattern, TokenLayout, build_mask
+from purekv.masks import SparsityPattern, TokenLayout, build_mask, parse_pattern
 from purekv.numerics import seeded_gaussian
 
 
@@ -138,6 +139,22 @@ class TestPrefill:
         state = session.importance[1]
         state.check_invariants()
         assert all(c.size == LAYOUT.total_len - session.w for c in state.C_low)
+
+    @pytest.mark.parametrize("pattern", ["dense", "local:3", "atrous:2", "spatial", "temporal",
+                                         "spatial_temporal"])
+    def test_recent_window_slab_matches_instrumented_accumulator(self, pattern):
+        """The (w, l) slab on the streamed activations gives the accumulator the
+        full-matrix instrumentation pass computes."""
+        model = init_model(SMALL)
+        policy = make_policy(budget=0.5, clie=2, st=3)
+        session = init_session(model, LAYOUT, policy, parse_pattern(pattern, LAYOUT))
+        prefill(model, session, embeddings_for(LAYOUT, seed=20))
+        assert 0 < session.w < LAYOUT.total_len
+        stats = _instrumented_stats(model, session)
+        for layer in range(policy.clie_layer_index + 1):
+            for g in range(SMALL.num_kv_heads):
+                np.testing.assert_allclose(session.importance[layer].C_low[g],
+                                           stats[layer]["C"][g], rtol=0, atol=1e-12)
 
 
 class TestCompression:
@@ -451,6 +468,31 @@ class TestStreamingCompatibilityContract:
 
         decode_step(model, session, np.zeros(SMALL.d_model))
         assert len(calls) == prefill_calls  # decode is streaming-only
+
+    def test_prefill_materializes_only_the_recent_window(self, monkeypatch):
+        """Audit: every masked() call prefill makes has at most w query rows;
+        only the instrumentation pass (here for h2o_like) passes all l rows."""
+        rows = []
+        real_masked = purekv.attention.masked
+
+        def spy(q, k, v, mask):
+            rows.append(q.shape[0])
+            return real_masked(q, k, v, mask)
+
+        monkeypatch.setattr(purekv.attention, "masked", spy)
+        model = init_model(SMALL)
+        policy = make_policy(kind="h2o_like", budget=0.5, clie=1, st=2)
+        session = init_session(model, LAYOUT, policy, SparsityPattern.spatial_temporal())
+        prefill(model, session, embeddings_for(LAYOUT, seed=19))
+        prefill_rows = list(rows)
+        assert 0 < session.w < LAYOUT.total_len
+        assert len(prefill_rows) == (policy.clie_layer_index + 1) * SMALL.num_q_heads
+        assert all(r <= session.w for r in prefill_rows)
+
+        apply_compression(model, session)
+        assert rows[len(prefill_rows):] == (
+            [LAYOUT.total_len] * SMALL.num_layers * SMALL.num_q_heads
+        )
 
     def test_streaming_interface_returns_no_matrix(self):
         import inspect

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+import purekv.engine
 from purekv.engine import ModelConfig
 from purekv.errors import ConfigurationError
 from purekv.harness import (
@@ -226,6 +227,29 @@ class TestRunExperiment:
         assert cell["validation"] is not None
         layers = [e["layer"] for e in cell["validation"]["per_layer"]]
         assert layers == [2, 3]  # layers above clie_layer_index = 1
+
+    def test_validation_runs_once_per_pattern_and_window(self, monkeypatch):
+        """Validation depends on the pattern and w, never on the budget."""
+        keys = []
+        real_validate = purekv.engine.validate_cross_layer
+
+        def spy(model, session, **kwargs):
+            keys.append((session.pattern.describe(), session.w))
+            return real_validate(model, session, **kwargs)
+
+        monkeypatch.setattr(purekv.engine, "validate_cross_layer", spy)
+        # l = 36, w_config = 4: budgets 1.0, 0.5 and 0.1 give w = 4, 0.05 gives w = 2.
+        report = run_experiment(base_config(
+            policies=["full", "pure_kv", "streaming_like"], patterns=["dense", "temporal"],
+            budgets=[1.0, 0.5, 0.1, 0.05], validate=True, n_perm=199,
+        ))
+        by_key = {}
+        for cell in report["cells"]:
+            by_key.setdefault((cell["pattern"], cell["recent_window"]), []).append(cell)
+        assert len(report["cells"]) == 18
+        assert sorted(keys) == sorted(by_key) and len(keys) == 4
+        for cells in by_key.values():
+            assert all(c["validation"] == cells[0]["validation"] for c in cells)
 
 
 class TestReports:

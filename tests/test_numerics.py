@@ -9,33 +9,10 @@ from purekv.errors import ConfigurationError
 from purekv.numerics import (
     derive_seed,
     l2_norm_rows,
-    matmul,
     random_u64,
     row_softmax,
     seeded_gaussian,
 )
-
-
-class TestMatmul:
-    def test_identity_passthrough(self):
-        m = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        np.testing.assert_array_equal(matmul(np.eye(2), m), m)
-
-    def test_hand_product(self):
-        out = matmul([[1.0, 2.0], [3.0, 4.0]], [[1.0], [1.0]])
-        np.testing.assert_array_equal(out, [[3.0], [7.0]])
-
-    def test_dimension_mismatch_raises(self):
-        with pytest.raises(ConfigurationError, match="mismatch"):
-            matmul(np.zeros((3, 2)), np.zeros((3, 2)))
-
-    def test_associative_on_random_8x8(self):
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            a, b, c = (rng.standard_normal((8, 8)) for _ in range(3))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            np.testing.assert_allclose(left, right, atol=1e-5)
 
 
 class TestRowSoftmax:
