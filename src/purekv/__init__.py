@@ -8,7 +8,6 @@ correlation validation, and a deterministic experiment harness.
 
 from .attention import masked, streaming_masked
 from .cache import (
-    ImportanceState,
     KvCacheLayer,
     PolicyConfig,
     accumulate_recent_attention,
@@ -16,7 +15,6 @@ from .cache import (
     baseline_streaming,
     budget_to_wh,
     evict,
-    score_high,
     score_low,
     select_retained,
 )
@@ -53,7 +51,6 @@ from .stats import permutation_pvalue, rank, spearman_rho
 
 __all__ = [
     "ConfigurationError",
-    "ImportanceState",
     "KvCacheLayer",
     "Model",
     "ModelConfig",
@@ -86,7 +83,6 @@ __all__ = [
     "row_softmax",
     "run_experiment",
     "salient_recall",
-    "score_high",
     "score_low",
     "seeded_gaussian",
     "select_retained",

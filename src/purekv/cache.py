@@ -7,14 +7,15 @@ window w:
     S[j]  = C[j] * ||V row j||          (a layer scored with its own weights)
     S^[j] = C_low[j] * ||V row j||      (a high layer reusing a low layer's C)
 
-select_retained keeps the recent window plus the top-h non-recent entries by
-score, ties broken toward the smaller index. Two simplified baselines are
-provided: column-sum ("heavy hitter") scoring and sink-plus-window retention.
+score_low computes either product. select_retained keeps the recent window
+plus the top-h non-recent entries by score, ties broken toward the smaller
+index. Two simplified baselines are provided: column-sum ("heavy hitter")
+scoring and sink-plus-window retention.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,26 +64,6 @@ class KvCacheLayer:
                 raise ConfigurationError(f"head {h}: keys/values/positions row counts differ")
             if self.positions[h].size > 1 and not np.all(np.diff(self.positions[h]) > 0):
                 raise ConfigurationError(f"head {h}: positions not strictly increasing")
-
-
-@dataclass
-class ImportanceState:
-    """Recent-window attention accumulators for one layer (one vector per KV head)."""
-
-    C_low: list[np.ndarray]
-    w: int
-    h: int
-    l: int
-
-    def check_invariants(self):
-        expected = self.l - self.w if self.l > self.w else 0
-        for head, c in enumerate(self.C_low):
-            if c.size != expected:
-                raise ConfigurationError(
-                    f"head {head}: accumulator length {c.size}, expected {expected}"
-                )
-            if np.any(c < 0):
-                raise ConfigurationError(f"head {head}: negative attention accumulator")
 
 
 @dataclass(frozen=True)
@@ -159,11 +140,6 @@ def score_low(C, V_low) -> np.ndarray:
     return C * l2_norm_rows(V_low[: C.size])
 
 
-def score_high(C_low, V_high) -> np.ndarray:
-    """Weight a lower layer's accumulator by this layer's V-row norms."""
-    return score_low(C_low, V_high)
-
-
 def select_retained(S, w: int, h: int, l: int) -> np.ndarray:
     """Last w positions plus the h top-scoring non-recent positions.
 
@@ -188,13 +164,18 @@ def select_retained(S, w: int, h: int, l: int) -> np.ndarray:
 def evict(layer: KvCacheLayer, retained) -> KvCacheLayer:
     """Drop rows whose positions are not retained; survivors keep their order.
 
-    retained is either one position set applied to every head or a sequence
-    of per-head position sets.
+    retained holds one position set per head.
     """
-    per_head = _retained_per_head(retained, layer.num_heads)
+    if len(retained) != layer.num_heads:
+        raise ConfigurationError(
+            f"got {len(retained)} retained sets for {layer.num_heads} heads"
+        )
     keys, values, positions = [], [], []
     for h in range(layer.num_heads):
-        want = np.unique(np.asarray(per_head[h], dtype=np.int64))
+        want = np.asarray(retained[h], dtype=np.int64)
+        if want.ndim != 1:
+            raise ConfigurationError(f"head {h}: expected a 1-D retained set, got {want.shape}")
+        want = np.unique(want)
         have = layer.positions[h]
         missing = np.setdiff1d(want, have)
         if missing.size:
@@ -206,19 +187,6 @@ def evict(layer: KvCacheLayer, retained) -> KvCacheLayer:
         values.append(layer.values[h][keep])
         positions.append(have[keep])
     return KvCacheLayer(keys, values, positions)
-
-
-def _retained_per_head(retained, num_heads: int) -> list[np.ndarray]:
-    if isinstance(retained, (list, tuple)) and retained and isinstance(
-        retained[0], (list, tuple, np.ndarray)
-    ):
-        if len(retained) != num_heads:
-            raise ConfigurationError(
-                f"got {len(retained)} retained sets for {num_heads} heads"
-            )
-        return [np.asarray(r, dtype=np.int64) for r in retained]
-    one = np.asarray(retained, dtype=np.int64)
-    return [one for _ in range(num_heads)]
 
 
 def baseline_h2o_score(A) -> np.ndarray:

@@ -92,8 +92,7 @@ def _cmd_validate(args) -> int:
     report = engine.validate_cross_layer(
         model, session, n_perm=config.n_perm, seed=config.stats_seed
     )
-    payload = harness._round6(harness._validation_dict(report))
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(json.dumps(harness._round6(report), indent=2) + "\n")
     return 0
 
 

@@ -12,13 +12,16 @@ and sparsity start s = st_layer_index (config requires s > e):
     layers 0..s-1    dense causal mask
     layers s..L-1    the configured sparsity pattern's mask
 
-Compression runs once after prefill: layers at or below e are scored with
-their own accumulator, layers above reuse layer e's accumulator, both
-weighted by the layer's own value-row norms. Decode is single-query
-streaming attention over the retained rows at every layer, again one call
-per layer over the head-stacked rows. Prefill, decode and the analysis-only
-instrumentation pass (full weights at every layer) share one block and
-differ only in the attention callable they hand it.
+Prefill keeps each layer's accumulators in session.importance[layer], one
+vector per KV head, for layers 0..e and None above. Compression runs once
+after prefill: layers at or below e are scored with their own accumulator,
+layers above reuse layer e's accumulator, both weighted by the layer's own
+value-row norms. The retained set is stored only in the cache:
+cache[layer].positions[g] holds the original positions KV head g kept.
+Decode is single-query streaming attention over the retained rows at every
+layer, again one call per layer over the head-stacked rows. Prefill, decode
+and the analysis-only instrumentation pass (full weights at every layer)
+share one block and differ only in the attention callable they hand it.
 
 Embeddings that enter prefill or decode must be finite; anything else is
 rejected before the session changes.
@@ -36,7 +39,6 @@ import numpy as np
 
 from . import attention
 from .cache import (
-    ImportanceState,
     KvCacheLayer,
     PolicyConfig,
     accumulate_recent_attention,
@@ -140,8 +142,7 @@ class SessionState:
     pattern: SparsityPattern
     tile_size: int = attention.DEFAULT_TILE
     cache: list[KvCacheLayer] = field(default_factory=list)
-    importance: list[ImportanceState | None] = field(default_factory=list)
-    retained: list[list[np.ndarray]] | None = None
+    importance: list[list[np.ndarray] | None] = field(default_factory=list)
     prefill_embeddings: np.ndarray | None = None
     prefill_len: int = 0
     w: int = 0
@@ -273,8 +274,7 @@ def prefill(model: Model, session: SessionState, token_embeddings) -> np.ndarray
             )
             session.cache.append(kv)
             session.importance.append(
-                ImportanceState(C_low=_recent_accumulators(q, kv, mask, w, c), w=w, h=h_count, l=l)
-                if layer <= clie else None
+                _recent_accumulators(q, kv, mask, w, c) if layer <= clie else None
             )
             return _streaming_heads(q, kv, mask, session.tile_size, c)
 
@@ -335,9 +335,6 @@ def apply_compression(model: Model, session: SessionState) -> SessionState:
     clie = policy.clie_layer_index
 
     if policy.policy_kind == "full":
-        everything = np.arange(l, dtype=np.int64)
-        session.retained = [[everything.copy() for _ in range(c.num_kv_heads)]
-                            for _ in range(c.num_layers)]
         session.compressed = True
         return session
 
@@ -352,13 +349,13 @@ def apply_compression(model: Model, session: SessionState) -> SessionState:
                 continue
             if policy.policy_kind == "pure_kv":
                 source = layer if layer <= clie else clie
-                importance = session.importance[source]
-                if importance is None or importance.C_low[g].size != l - w:
+                accumulators = session.importance[source]
+                if accumulators is None or accumulators[g].size != l - w:
                     raise ConfigurationError(
                         f"layer {layer}: missing recent-window accumulator for head {g}"
                     )
                 values = session.cache[layer].values[g]
-                scores = importance.C_low[g] * l2_norm_rows(values[: l - w])
+                scores = accumulators[g] * l2_norm_rows(values[: l - w])
                 per_head.append(select_retained(scores, w, h_count, l))
             elif policy.policy_kind == "h2o_like":
                 scores = h2o_stats[layer]["colsum"][g][: l - w]
@@ -372,7 +369,6 @@ def apply_compression(model: Model, session: SessionState) -> SessionState:
     for layer in range(c.num_layers):
         session.cache[layer] = evict(session.cache[layer], retained_all[layer])
         session.cache[layer].check_invariants()
-    session.retained = retained_all
     session.compressed = True
     return session
 
@@ -403,37 +399,16 @@ def decode_step(model: Model, session: SessionState, token_embedding) -> np.ndar
     return (_rmsnorm(x) @ model.w_vocab)[0]
 
 
-@dataclass(frozen=True)
-class HeadValidation:
-    head: int
-    rho: float
-    pvalue: float
-
-
-@dataclass(frozen=True)
-class LayerValidation:
-    layer: int
-    heads: tuple[HeadValidation, ...]
-    median_rho: float
-    median_p: float
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    analysis_layer: int
-    layers: tuple[LayerValidation, ...]
-    median_rho: float
-    median_p: float
-
-
 def validate_cross_layer(model: Model, session: SessionState, analysis_layer: int | None = None,
-                         n_perm: int = 999, seed: int = 0) -> ValidationReport:
+                         n_perm: int = 999, seed: int = 0) -> dict:
     """Rank agreement between reused-accumulator scores and own-layer scores.
 
     For every layer above the analysis layer and every KV head, correlate
     the estimate (analysis layer's accumulator times this layer's V norms)
     with the ground truth (the layer's own accumulator times the same
     norms). Uses the instrumentation pass, never the production route.
+    Returns the report's validation dict: analysis_layer, median_rho,
+    median_p and per_layer entries (layer, median_rho, median_p, heads).
     """
     # Looked up at call time, so that a wrapper installed on purekv.stats
     # (as the traced benchmark does) sees these calls.
@@ -452,30 +427,28 @@ def validate_cross_layer(model: Model, session: SessionState, analysis_layer: in
     stats = _instrumented_stats(model, session)
     c_analysis = stats[analysis]["C"]
 
-    layer_results = []
-    all_rho, all_p = [], []
+    per_layer, all_rho, all_p = [], [], []
     for layer in range(analysis + 1, c.num_layers):
-        head_results = []
+        rhos, ps = [], []
         for g in range(c.num_kv_heads):
             norms = l2_norm_rows(stats[layer]["V"][g][: l - w])
             truth = stats[layer]["C"][g] * norms
             estimate = c_analysis[g] * norms
-            rho = spearman_rho(estimate, truth)
-            p = permutation_pvalue(estimate, truth, n_perm, derive_seed(seed, layer, g))
-            head_results.append(HeadValidation(head=g, rho=rho, pvalue=p))
-            all_rho.append(rho)
-            all_p.append(p)
-        layer_results.append(LayerValidation(
-            layer=layer,
-            heads=tuple(head_results),
-            median_rho=float(np.median([hr.rho for hr in head_results])),
-            median_p=float(np.median([hr.pvalue for hr in head_results])),
-        ))
-    if not layer_results:
+            rhos.append(spearman_rho(estimate, truth))
+            ps.append(permutation_pvalue(estimate, truth, n_perm, derive_seed(seed, layer, g)))
+        per_layer.append({
+            "layer": layer,
+            "median_rho": float(np.median(rhos)),
+            "median_p": float(np.median(ps)),
+            "heads": [{"head": g, "rho": r, "p": p} for g, (r, p) in enumerate(zip(rhos, ps))],
+        })
+        all_rho += rhos
+        all_p += ps
+    if not per_layer:
         raise ConfigurationError("no layers above the analysis layer to validate")
-    return ValidationReport(
-        analysis_layer=analysis,
-        layers=tuple(layer_results),
-        median_rho=float(np.median(all_rho)),
-        median_p=float(np.median(all_p)),
-    )
+    return {
+        "analysis_layer": analysis,
+        "median_rho": float(np.median(all_rho)),
+        "median_p": float(np.median(all_p)),
+        "per_layer": per_layer,
+    }

@@ -242,6 +242,11 @@ def load_config(source) -> ExperimentConfig:
         raise ConfigurationError(
             f"config.experiment.n_perm: expected an integer >= 100, got {n_perm!r}"
         )
+    validate = exp_obj.get("validate", False)
+    if not isinstance(validate, bool):
+        raise ConfigurationError(
+            f"config.experiment.validate: expected true or false, got {validate!r}"
+        )
     stats_seed = exp_obj.get("stats_seed", 0)
     if isinstance(stats_seed, bool) or not isinstance(stats_seed, int):
         raise ConfigurationError("config.experiment.stats_seed: expected an integer")
@@ -259,7 +264,7 @@ def load_config(source) -> ExperimentConfig:
         budgets=tuple(float(b) for b in budgets),
         decode_steps=_int_field(exp_obj, "config.experiment", "decode_steps", 0),
         tile_size=_int_field(exp_obj, "config.experiment", "tile_size", 1),
-        validate=bool(exp_obj.get("validate", False)),
+        validate=validate,
         n_perm=n_perm,
         stats_seed=stats_seed,
         raw=raw,
@@ -337,7 +342,7 @@ def run_experiment(source) -> dict:
         recall = None
         if salient.size:
             per_set = [
-                salient_recall(session.retained[layer][g], salient)
+                salient_recall(session.cache[layer].positions[g], salient)
                 for layer in range(config.model.num_layers)
                 for g in range(config.model.num_kv_heads)
             ]
@@ -351,10 +356,9 @@ def run_experiment(source) -> dict:
         if config.validate:
             key = (pattern.describe(), session.w)
             if key not in validation_cache:
-                report = engine.validate_cross_layer(
+                validation_cache[key] = engine.validate_cross_layer(
                     model, session, n_perm=config.n_perm, seed=config.stats_seed
                 )
-                validation_cache[key] = _validation_dict(report)
             validation = validation_cache[key]
 
         cells.append({
@@ -380,25 +384,6 @@ def run_experiment(source) -> dict:
         "config": config.raw,
         "mac_model": dict(MAC_MODEL_NOTES),
         "cells": cells,
-    }
-
-
-def _validation_dict(report: engine.ValidationReport) -> dict:
-    return {
-        "analysis_layer": report.analysis_layer,
-        "median_rho": report.median_rho,
-        "median_p": report.median_p,
-        "per_layer": [
-            {
-                "layer": lv.layer,
-                "median_rho": lv.median_rho,
-                "median_p": lv.median_p,
-                "heads": [
-                    {"head": hv.head, "rho": hv.rho, "p": hv.pvalue} for hv in lv.heads
-                ],
-            }
-            for lv in report.layers
-        ],
     }
 
 

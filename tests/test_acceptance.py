@@ -22,7 +22,6 @@ from purekv.cache import (
     PolicyConfig,
     accumulate_recent_attention,
     budget_keep_count,
-    score_high,
     score_low,
     select_retained,
 )
@@ -168,7 +167,7 @@ def test_criterion_03_scoring_pipeline_vs_brute_force():
 
             c_low = accumulate_recent_attention(a_low, w)
             got_low = select_retained(score_low(c_low, v_low), w, h, l)
-            got_high = select_retained(score_high(c_low, v_high), w, h, l)
+            got_high = select_retained(score_low(c_low, v_high), w, h, l)
 
             oc = oracle_accumulate(a_low.tolist(), w, l)
             exp_low = brute_force_select(
@@ -354,16 +353,16 @@ def test_criterion_07_cross_layer_validation_regression():
         prefill(model, session, emb)
         report = validate_cross_layer(model, session, n_perm=999, seed=0)
 
-        assert [lv.layer for lv in report.layers] == sorted(PINNED_VALIDATION)
-        for lv in report.layers:
-            heads, median_rho, median_p = PINNED_VALIDATION[lv.layer]
-            for hv, (rho, p) in zip(lv.heads, heads):
-                assert abs(hv.rho - rho) <= 1e-9
-                assert abs(hv.pvalue - p) <= 1e-9
-            assert abs(lv.median_rho - median_rho) <= 1e-9
-            assert abs(lv.median_p - median_p) <= 1e-9
-        assert abs(report.median_rho - PINNED_MEDIAN_RHO) <= 1e-9
-        assert report.median_rho > 0.0
+        assert [lv["layer"] for lv in report["per_layer"]] == sorted(PINNED_VALIDATION)
+        for lv in report["per_layer"]:
+            heads, median_rho, median_p = PINNED_VALIDATION[lv["layer"]]
+            for hv, (rho, p) in zip(lv["heads"], heads):
+                assert abs(hv["rho"] - rho) <= 1e-9
+                assert abs(hv["p"] - p) <= 1e-9
+            assert abs(lv["median_rho"] - median_rho) <= 1e-9
+            assert abs(lv["median_p"] - median_p) <= 1e-9
+        assert abs(report["median_rho"] - PINNED_MEDIAN_RHO) <= 1e-9
+        assert report["median_rho"] > 0.0
 
 
 def test_criterion_08_layer_constraint_enforcement():

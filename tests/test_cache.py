@@ -14,7 +14,6 @@ from purekv.cache import (
     budget_keep_count,
     budget_to_wh,
     evict,
-    score_high,
     score_low,
     select_retained,
 )
@@ -77,17 +76,11 @@ class TestScoring:
         s = score_low(np.ones(3), v)
         assert int(np.argmax(s)) == 2
 
-    def test_high_equals_low_when_values_match(self):
-        rng = np.random.default_rng(5)
-        c = rng.uniform(0, 1, size=6)
-        v = rng.standard_normal((8, 3))
-        np.testing.assert_array_equal(score_low(c, v), score_high(c, v))
-
     def test_seeded_instance_matches_product_oracle(self):
         c = np.abs(seeded_gaussian(1, 5, seed=3)[0])
         v = seeded_gaussian(7, 4, seed=4)
         expected = [c[j] * float(np.sqrt((v[j] ** 2).sum())) for j in range(5)]
-        np.testing.assert_allclose(score_high(c, v), expected, atol=1e-12)
+        np.testing.assert_allclose(score_low(c, v), expected, atol=1e-12)
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ConfigurationError):
@@ -142,19 +135,19 @@ class TestEvict:
 
     def test_retain_all_is_identity(self):
         layer = self.make_layer()
-        out = evict(layer, np.arange(5))
+        out = evict(layer, [np.arange(5)] * 2)
         for h in range(2):
             np.testing.assert_array_equal(out.keys[h], layer.keys[h])
             np.testing.assert_array_equal(out.positions[h], layer.positions[h])
 
     def test_window_only_retention(self):
         layer = self.make_layer(rows=6)
-        out = evict(layer, np.array([4, 5]))
+        out = evict(layer, [np.array([4, 5])] * 2)
         assert out.rows(0) == 2 and out.rows(1) == 2
 
     def test_rows_survive_bit_identically(self):
         layer = self.make_layer()
-        out = evict(layer, np.array([0, 2]))
+        out = evict(layer, [np.array([0, 2])] * 2)
         for h in range(2):
             np.testing.assert_array_equal(out.keys[h], layer.keys[h][[0, 2]])
             np.testing.assert_array_equal(out.values[h], layer.values[h][[0, 2]])
@@ -169,21 +162,57 @@ class TestEvict:
     def test_unknown_position_raises(self):
         layer = self.make_layer()
         with pytest.raises(ConfigurationError, match="not present"):
-            evict(layer, np.array([0, 9]))
+            evict(layer, [np.array([0, 1]), np.array([0, 9])])
 
     def test_positions_stay_increasing_after_eviction(self):
         layer = self.make_layer(rows=8)
-        out = evict(layer, np.array([1, 4, 6]))
+        out = evict(layer, [np.array([1, 4, 6])] * 2)
         out.check_invariants()
         assert out.positions[0].tolist() == [1, 4, 6]
 
     def test_append_after_eviction_extends_positions(self):
         layer = self.make_layer(rows=4)
-        out = evict(layer, np.array([0, 3]))
+        out = evict(layer, [np.array([0, 3])] * 2)
         out.append(0, np.zeros(3), np.zeros(3), position=4)
         assert out.positions[0].tolist() == [0, 3, 4]
         with pytest.raises(ConfigurationError):
             out.append(0, np.zeros(3), np.zeros(3), position=2)
+
+    def test_one_set_per_head_required(self):
+        layer = self.make_layer()
+        with pytest.raises(ConfigurationError, match="1 retained sets for 2 heads"):
+            evict(layer, [np.array([0, 1])])
+        # one flat set of two positions is not a set per head
+        with pytest.raises(ConfigurationError, match="1-D retained set"):
+            evict(layer, np.array([0, 1]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), heads=st.integers(1, 4), rows=st.integers(1, 24))
+    def test_random_per_head_sets(self, data, heads, rows):
+        # Start from positions with gaps, as after an earlier eviction.
+        layer = self.make_layer(rows=rows, heads=heads)
+        layer.positions = [np.arange(rows, dtype=np.int64) * 3 + h for h in range(heads)]
+        sets = [data.draw(st.sets(st.sampled_from(layer.positions[h].tolist())), label=f"head {h}")
+                for h in range(heads)]
+        out = evict(layer, [list(s) for s in sets])
+        for h in range(heads):
+            keep = np.isin(layer.positions[h], sorted(sets[h]))
+            np.testing.assert_array_equal(out.keys[h], layer.keys[h][keep])
+            np.testing.assert_array_equal(out.values[h], layer.values[h][keep])
+            assert out.positions[h].tolist() == sorted(sets[h])
+            assert np.all(np.diff(out.positions[h]) > 0)
+            end = int(layer.positions[h][-1]) + 1
+            out.append(h, np.ones(3), np.ones(3), position=end)
+            assert out.positions[h].tolist() == sorted(sets[h]) + [end]
+            np.testing.assert_array_equal(out.keys[h][-1], np.ones(3))
+        out.check_invariants()
+
+        unknown = data.draw(st.integers(0, 3 * rows + heads).filter(
+            lambda p: p not in layer.positions[0]), label="unknown")
+        with pytest.raises(ConfigurationError, match="not present"):
+            evict(layer, [[unknown]] + [sorted(s) for s in sets[1:]])
+        with pytest.raises(ConfigurationError, match="retained sets"):
+            evict(layer, [sorted(s) for s in sets] + [[]])
 
 
 class TestBaselines:

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from purekv.masks import SparsityPattern, TokenLayout, build_mask, mask_density
 MODEL = ModelConfig(num_layers=4, d_model=32, num_q_heads=4, num_kv_heads=2,
                     d_k=8, d_v=8, vocab_size=40, seed=3)
 LAYOUT = TokenLayout(2, 4, 8, 2)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def base_config(**experiment):
@@ -166,6 +168,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError, match="greater than"):
             load_config(cfg)
 
+    @pytest.mark.parametrize("value", ["false", [0], 1, None])
+    def test_validate_must_be_a_json_boolean(self, value):
+        with pytest.raises(ConfigurationError, match=r"config\.experiment\.validate"):
+            load_config(base_config(validate=value))
+
+    def test_validate_defaults_to_false(self):
+        cfg = base_config()
+        del cfg["experiment"]["validate"]
+        assert load_config(cfg).validate is False
+        assert load_config(base_config(validate=True)).validate is True
+
     def test_missing_file_is_a_configuration_error(self):
         with pytest.raises(ConfigurationError, match="not found"):
             load_config("/nonexistent/purekv.json")
@@ -261,6 +274,12 @@ class TestReports:
         assert render_report(run_experiment(cfg), "csv") == render_report(
             run_experiment(cfg), "csv"
         )
+
+    def test_example_report_matches_benchmark_golden(self):
+        # The benchmark checks the same bytes; here every refactor must keep them.
+        report = run_experiment(str(ROOT / "configs" / "example.json"))
+        golden = (ROOT / "perfbench" / "golden" / "example-grid.report.json").read_text()
+        assert render_report(report, "json") == golden
 
     def test_empty_grid_gives_header_only_csv(self):
         report = run_experiment(base_config(policies=[]))

@@ -95,6 +95,21 @@ class TestSpearmanRho:
             expected = oracle_pearson(oracle_rank(list(x)), oracle_rank(list(y)))
             assert spearman_rho(x, y) == pytest.approx(expected, abs=1e-12)
 
+    def test_matches_scipy_spearmanr_with_ties(self):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(8)
+        checked = 0
+        for _ in range(200):
+            n = int(rng.integers(3, 40))
+            x = rng.integers(0, 6, size=n).astype(float)  # heavy ties
+            y = np.round(rng.standard_normal(n), 1)  # a few ties
+            if len(set(x)) < 2 or len(set(y)) < 2:
+                continue
+            expected = scipy_stats.spearmanr(x, y).statistic
+            assert spearman_rho(x, y) == pytest.approx(expected, abs=1e-12)
+            checked += 1
+        assert checked > 150
+
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(20)
