@@ -1,27 +1,34 @@
 """Desk-scale causal transformer with grouped-query attention and the
 cross-layer cache-compression pipeline.
 
-Layer wiring during prefill, for estimation layer index e = clie_layer_index
+Layer wiring for a prompt, for estimation layer index e = clie_layer_index
 and sparsity start s = st_layer_index (config requires s > e):
 
-    layers 0..L-1    streaming attention for the layer output, one call for
-                     all query heads; no l x l weight matrix ever exists
-    layers 0..e      additionally, masked attention on the last w query rows
-                     only: each query head's (w, l) slab of weights gives the
-                     layer's recent-window accumulator and is then discarded
     layers 0..s-1    dense causal mask
     layers s..L-1    the configured sparsity pattern's mask
 
+_forward is the only loop over layers for a prompt. Three passes run it and
+differ only in the attention callable they hand it:
+
+    prefill          streaming attention, one call per layer for all query
+                     heads; layers 0..e also materialize the last w query
+                     rows only, a (w, l) slab per query head, for the layer's
+                     recent-window accumulator
+    validation       the same streamed pass, keeping every layer's slab
+                     accumulator and value rows
+    h2o_like         masked attention over all l rows at every layer, only
+                     for the heavy-hitter baseline's column sums
+
 Prefill keeps each layer's accumulators in session.importance[layer], one
-vector per KV head, for layers 0..e and None above. Compression runs once
-after prefill: layers at or below e are scored with their own accumulator,
-layers above reuse layer e's accumulator, both weighted by the layer's own
-value-row norms. The retained set is stored only in the cache:
+vector per KV head, for layers 0..e and None above (and everywhere when
+w >= l). Compression runs once after prefill, and only when the budget
+leaves something to evict: layers at or below e are scored with their own
+accumulator, layers above reuse layer e's accumulator, both weighted by the
+layer's own value-row norms. The retained set is stored only in the cache:
 cache[layer].positions[g] holds the original positions KV head g kept.
 Decode is single-query streaming attention over the retained rows at every
-layer, again one call per layer over the head-stacked rows. Prefill, decode
-and the analysis-only instrumentation pass (full weights at every layer)
-share one block and differ only in the attention callable they hand it.
+layer, one call per layer over the head-stacked rows, through the same
+transformer block as the prompt passes.
 
 Embeddings that enter prefill or decode must be finite; anything else is
 rejected before the session changes.
@@ -189,16 +196,6 @@ def _project_heads(h: np.ndarray, weights: LayerWeights, config: ModelConfig):
     return q, k, v
 
 
-def _layer_masks(session: SessionState, num_layers: int) -> list[np.ndarray]:
-    dense_mask = build_mask(session.layout, SparsityPattern.dense())
-    if session.pattern.kind == "dense" or session.policy.st_layer_index >= num_layers:
-        sparse_mask = dense_mask
-    else:
-        sparse_mask = build_mask(session.layout, session.pattern)
-    st = session.policy.st_layer_index
-    return [dense_mask if layer < st else sparse_mask for layer in range(num_layers)]
-
-
 def _streaming_heads(q: np.ndarray, kv: KvCacheLayer, mask: np.ndarray, tile_size: int,
                      config: ModelConfig) -> np.ndarray:
     """Every query head of a layer in one streaming call.
@@ -222,6 +219,31 @@ def _block(x: np.ndarray, weights: LayerWeights, config: ModelConfig, attend) ->
     return x + np.maximum(_rmsnorm(x) @ weights.w_up, 0.0) @ weights.w_down
 
 
+def _forward(model: Model, session: SessionState, x: np.ndarray, attend) -> np.ndarray:
+    """The one loop over layers for a prompt; returns the final hidden states.
+
+    Each layer's projected keys and values arrive wrapped in a KvCacheLayer,
+    and attend(layer, q, kv, mask) returns that layer's head outputs.
+    """
+    c = model.config
+    st = session.policy.st_layer_index
+    dense_mask = sparse_mask = build_mask(session.layout, SparsityPattern.dense())
+    if session.pattern.kind != "dense" and st < c.num_layers:
+        sparse_mask = build_mask(session.layout, session.pattern)
+    for layer in range(c.num_layers):
+        mask = dense_mask if layer < st else sparse_mask
+
+        def attend_heads(q, k, v):
+            kv = KvCacheLayer.from_projections(
+                [k[:, g, :].copy() for g in range(c.num_kv_heads)],
+                [v[:, g, :].copy() for g in range(c.num_kv_heads)],
+            )
+            return attend(layer, q, kv, mask)
+
+        x = _block(x, model.layers[layer], c, attend_heads)
+    return x
+
+
 def _recent_accumulators(q: np.ndarray, kv: KvCacheLayer, mask: np.ndarray, w: int,
                          config: ModelConfig) -> list[np.ndarray]:
     """Per KV head, the mean over its query heads of the recent-window accumulator.
@@ -229,8 +251,6 @@ def _recent_accumulators(q: np.ndarray, kv: KvCacheLayer, mask: np.ndarray, w: i
     Only the last w query rows are materialized: a (w, l) slab per query head.
     """
     l = q.shape[0]
-    if w >= l:
-        return [np.zeros(0) for _ in range(config.num_kv_heads)]
     accumulators = [[] for _ in range(config.num_kv_heads)]
     for q_head in range(config.num_q_heads):
         g = config.kv_group(q_head)
@@ -261,65 +281,40 @@ def prefill(model: Model, session: SessionState, token_embeddings) -> np.ndarray
     session.w, session.h = w, h_count
     session.prefill_len = l
     session.prefill_embeddings = x.copy()
-    layer_masks = _layer_masks(session, c.num_layers)
     clie = session.policy.clie_layer_index
 
-    for layer in range(c.num_layers):
-        mask = layer_masks[layer]
+    def attend(layer, q, kv, mask):
+        session.cache.append(kv)
+        session.importance.append(
+            _recent_accumulators(q, kv, mask, w, c) if layer <= clie and w < l else None
+        )
+        return _streaming_heads(q, kv, mask, session.tile_size, c)
 
-        def attend(q, k, v):
-            kv = KvCacheLayer.from_projections(
-                [k[:, g, :].copy() for g in range(c.num_kv_heads)],
-                [v[:, g, :].copy() for g in range(c.num_kv_heads)],
-            )
-            session.cache.append(kv)
-            session.importance.append(
-                _recent_accumulators(q, kv, mask, w, c) if layer <= clie else None
-            )
-            return _streaming_heads(q, kv, mask, session.tile_size, c)
-
-        x = _block(x, model.layers[layer], c, attend)
-
-    return _rmsnorm(x) @ model.w_vocab
+    return _rmsnorm(_forward(model, session, x, attend)) @ model.w_vocab
 
 
-def _instrumented_stats(model: Model, session: SessionState):
-    """Forward pass with full weights materialized at every layer (analysis only).
+def _instrumented_stats(model: Model, session: SessionState) -> list[list[np.ndarray]]:
+    """The h2o_like pass: full attention weights materialized at every layer.
 
-    Never called by prefill or decode. Returns, per layer and KV head, the
-    recent-window accumulator, the column-sum score, and the value matrix.
+    Never called by prefill, decode or validation. Returns, per layer, each
+    KV head's column-sum score averaged over its query heads.
     """
-    if session.prefill_embeddings is None:
-        raise ConfigurationError("instrumentation requires a completed prefill")
     c = model.config
-    x = session.prefill_embeddings
-    l = x.shape[0]
-    w = session.w
-    layer_masks = _layer_masks(session, c.num_layers)
-    stats = []
-    for layer in range(c.num_layers):
-        mask = layer_masks[layer]
+    colsums = []
 
-        def attend(q, k, v):
-            accumulators = [[] for _ in range(c.num_kv_heads)]
-            colsums = [[] for _ in range(c.num_kv_heads)]
-            head_outs = []
-            for q_head in range(c.num_q_heads):
-                g = c.kv_group(q_head)
-                out, weights = attention.masked(q[:, q_head, :], k[:, g, :], v[:, g, :], mask)
-                head_outs.append(out)
-                if w < l:
-                    accumulators[g].append(accumulate_recent_attention(weights, w))
-                colsums[g].append(baseline_h2o_score(weights))
-            stats.append({
-                "C": [np.mean(acc, axis=0) if acc else np.zeros(0) for acc in accumulators],
-                "colsum": [np.mean(cs, axis=0) for cs in colsums],
-                "V": [v[:, g, :].copy() for g in range(c.num_kv_heads)],
-            })
-            return np.concatenate(head_outs, axis=1)
+    def attend(layer, q, kv, mask):
+        per_head = [[] for _ in range(c.num_kv_heads)]
+        head_outs = []
+        for q_head in range(c.num_q_heads):
+            g = c.kv_group(q_head)
+            out, weights = attention.masked(q[:, q_head, :], kv.keys[g], kv.values[g], mask)
+            head_outs.append(out)
+            per_head[g].append(baseline_h2o_score(weights))
+        colsums.append([np.mean(cs, axis=0) for cs in per_head])
+        return np.concatenate(head_outs, axis=1)
 
-        x = _block(x, model.layers[layer], c, attend)
-    return stats
+    _forward(model, session, session.prefill_embeddings, attend)
+    return colsums
 
 
 def apply_compression(model: Model, session: SessionState) -> SessionState:
@@ -334,19 +329,16 @@ def apply_compression(model: Model, session: SessionState) -> SessionState:
     w, h_count = session.w, session.h
     clie = policy.clie_layer_index
 
-    if policy.policy_kind == "full":
+    if policy.policy_kind == "full" or w + h_count >= l:
         session.compressed = True
         return session
 
-    h2o_stats = _instrumented_stats(model, session) if policy.policy_kind == "h2o_like" else None
+    h2o_colsums = _instrumented_stats(model, session) if policy.policy_kind == "h2o_like" else None
 
     retained_all = []
     for layer in range(c.num_layers):
         per_head = []
         for g in range(c.num_kv_heads):
-            if w >= l:
-                per_head.append(np.arange(l, dtype=np.int64))
-                continue
             if policy.policy_kind == "pure_kv":
                 source = layer if layer <= clie else clie
                 accumulators = session.importance[source]
@@ -358,7 +350,7 @@ def apply_compression(model: Model, session: SessionState) -> SessionState:
                 scores = accumulators[g] * l2_norm_rows(values[: l - w])
                 per_head.append(select_retained(scores, w, h_count, l))
             elif policy.policy_kind == "h2o_like":
-                scores = h2o_stats[layer]["colsum"][g][: l - w]
+                scores = h2o_colsums[layer][g][: l - w]
                 per_head.append(select_retained(scores, w, h_count, l))
             else:  # streaming_like
                 n_keep = w + h_count
@@ -406,7 +398,8 @@ def validate_cross_layer(model: Model, session: SessionState, analysis_layer: in
     For every layer above the analysis layer and every KV head, correlate
     the estimate (analysis layer's accumulator times this layer's V norms)
     with the ground truth (the layer's own accumulator times the same
-    norms). Uses the instrumentation pass, never the production route.
+    norms). Reruns prefill's forward pass on the prompt, recording every
+    layer's recent-window accumulator from its (w, l) slab and its value rows.
     Returns the report's validation dict: analysis_layer, median_rho,
     median_p and per_layer entries (layer, median_rho, median_p, heads).
     """
@@ -418,22 +411,27 @@ def validate_cross_layer(model: Model, session: SessionState, analysis_layer: in
     analysis = session.policy.clie_layer_index if analysis_layer is None else analysis_layer
     if not (0 <= analysis < c.num_layers):
         raise ConfigurationError(f"analysis layer {analysis} out of range")
-    l = session.prefill_len
-    w = session.w
+    if analysis == c.num_layers - 1:
+        raise ConfigurationError("no layers above the analysis layer to validate")
+    l, w = session.prefill_len, session.w
     if l <= w:
-        raise ConfigurationError(
-            f"validation needs l > w, got l={l}, w={w}"
-        )
-    stats = _instrumented_stats(model, session)
-    c_analysis = stats[analysis]["C"]
+        raise ConfigurationError(f"validation needs l > w, got l={l}, w={w}")
+    accumulators, values = [], []
+
+    def attend(layer, q, kv, mask):
+        accumulators.append(_recent_accumulators(q, kv, mask, w, c))
+        values.append(kv.values)
+        return _streaming_heads(q, kv, mask, session.tile_size, c)
+
+    _forward(model, session, session.prefill_embeddings, attend)
 
     per_layer, all_rho, all_p = [], [], []
     for layer in range(analysis + 1, c.num_layers):
         rhos, ps = [], []
         for g in range(c.num_kv_heads):
-            norms = l2_norm_rows(stats[layer]["V"][g][: l - w])
-            truth = stats[layer]["C"][g] * norms
-            estimate = c_analysis[g] * norms
+            norms = l2_norm_rows(values[layer][g][: l - w])
+            truth = accumulators[layer][g] * norms
+            estimate = accumulators[analysis][g] * norms
             rhos.append(spearman_rho(estimate, truth))
             ps.append(permutation_pvalue(estimate, truth, n_perm, derive_seed(seed, layer, g)))
         per_layer.append({
@@ -444,8 +442,6 @@ def validate_cross_layer(model: Model, session: SessionState, analysis_layer: in
         })
         all_rho += rhos
         all_p += ps
-    if not per_layer:
-        raise ConfigurationError("no layers above the analysis layer to validate")
     return {
         "analysis_layer": analysis,
         "median_rho": float(np.median(all_rho)),

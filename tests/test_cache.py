@@ -1,5 +1,8 @@
 """Scoring, selection, eviction, and baselines vs. hand sums and brute force."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -258,6 +261,17 @@ class TestBudget:
     def test_small_window_config_caps_w(self):
         w, h = budget_to_wh(0.05, 40, 8)
         assert (w, h) == (2, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 1000), st.integers(1, 5000), st.integers(1, 64))
+    def test_random_budgets_keep_the_exact_ceiling(self, n, l, w_config):
+        # ceil(budget * l) with the budget read as the decimal it was written as.
+        budget = n / 1000
+        n_keep = max(1, min(l, math.ceil(Fraction(repr(budget)) * l)))
+        assert budget_keep_count(budget, l) == n_keep
+        w, h = budget_to_wh(budget, l, w_config)
+        assert w == min(w_config, n_keep)
+        assert w + h == n_keep
 
 
 def test_retained_sets_serialize_as_json_arrays():

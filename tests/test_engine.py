@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import purekv.attention
 from _oracles import brute_force_select, causal_masks, reference_forward
@@ -12,18 +14,19 @@ from purekv.engine import (
     decode_step,
     init_model,
     init_session,
-    _instrumented_stats,
     prefill,
     validate_cross_layer,
 )
 from purekv.errors import ConfigurationError
 from purekv.masks import SparsityPattern, TokenLayout, build_mask, parse_pattern
 from purekv.numerics import seeded_gaussian
+from purekv.stats import spearman_rho
 
 
 SMALL = ModelConfig(num_layers=4, d_model=32, num_q_heads=4, num_kv_heads=2,
                     d_k=8, d_v=8, vocab_size=40, seed=3)
 LAYOUT = TokenLayout(text_prefix_len=2, num_frames=3, patches_per_frame=4, text_suffix_len=2)
+PATTERNS = ["dense", "local:3", "atrous:2", "spatial", "temporal", "spatial_temporal"]
 
 
 def make_policy(kind="pure_kv", budget=1.0, w=4, sink=2, clie=1, st=2):
@@ -33,6 +36,38 @@ def make_policy(kind="pure_kv", budget=1.0, w=4, sink=2, clie=1, st=2):
 
 def embeddings_for(layout, seed=77):
     return seeded_gaussian(layout.total_len, SMALL.d_model, seed)
+
+
+def layer_masks_for(layout, pattern, st_layer_index, num_layers):
+    """The engine's wiring: dense causal below st_layer_index, the pattern from it up."""
+    dense, sparse = build_mask(layout, SparsityPattern.dense()), build_mask(layout, pattern)
+    return [dense if i < st_layer_index else sparse for i in range(num_layers)]
+
+
+def decode_masks(prefill_masks, size):
+    """Prefill rows keep their masks; each decode row attends to every earlier row."""
+    n = prefill_masks[0].shape[0]
+    masks = []
+    for mask in prefill_masks:
+        grown = np.tril(np.ones((size, size), dtype=bool))
+        grown[:n, :n] = mask
+        masks.append(grown)
+    return masks
+
+
+def oracle_accumulators(records, config, w):
+    """Per layer and KV head, the group mean of A[l-w:, :l-w].sum(0) over its query heads."""
+    group = config.group_size
+    out = []
+    for record in records:
+        attn = record["attention"]
+        l = attn[0].shape[0]
+        out.append([
+            np.mean([attn[q_head][l - w:, : l - w].sum(axis=0)
+                     for q_head in range(g * group, (g + 1) * group)], axis=0)
+            for g in range(config.num_kv_heads)
+        ])
+    return out
 
 
 class TestModelInit:
@@ -114,10 +149,7 @@ class TestPrefill:
         pattern = SparsityPattern.spatial_temporal()
         session = init_session(model, layout, make_policy(clie=2, st=4), pattern)
         logits = prefill(model, session, emb)
-        dense = build_mask(layout, SparsityPattern.dense())
-        sparse = build_mask(layout, pattern)
-        layer_masks = [dense if i < 4 else sparse for i in range(8)]
-        expected, _ = reference_forward(model, emb, layer_masks)
+        expected, _ = reference_forward(model, emb, layer_masks_for(layout, pattern, 4, 8))
         np.testing.assert_allclose(logits, expected, atol=1e-5)
 
     def test_embedding_shape_validated(self):
@@ -142,21 +174,24 @@ class TestPrefill:
                 assert c.size == LAYOUT.total_len - session.w
                 assert np.all(c >= 0)
 
-    @pytest.mark.parametrize("pattern", ["dense", "local:3", "atrous:2", "spatial", "temporal",
-                                         "spatial_temporal"])
+    @pytest.mark.parametrize("pattern", PATTERNS)
     def test_recent_window_slab_matches_instrumented_accumulator(self, pattern):
-        """The (w, l) slab on the streamed activations gives the accumulator the
-        full-matrix instrumentation pass computes."""
+        """The (w, l) slab on the streamed activations gives the accumulator an
+        instrumented reference forward (weights materialized at every layer) gives."""
         model = init_model(SMALL)
         policy = make_policy(budget=0.5, clie=2, st=3)
-        session = init_session(model, LAYOUT, policy, parse_pattern(pattern, LAYOUT))
-        prefill(model, session, embeddings_for(LAYOUT, seed=20))
+        parsed = parse_pattern(pattern, LAYOUT)
+        session = init_session(model, LAYOUT, policy, parsed)
+        emb = embeddings_for(LAYOUT, seed=20)
+        prefill(model, session, emb)
         assert 0 < session.w < LAYOUT.total_len
-        stats = _instrumented_stats(model, session)
+        masks = layer_masks_for(LAYOUT, parsed, policy.st_layer_index, SMALL.num_layers)
+        _, records = reference_forward(model, emb, masks, collect_attention=True)
+        expected = oracle_accumulators(records, SMALL, session.w)
         for layer in range(policy.clie_layer_index + 1):
             for g in range(SMALL.num_kv_heads):
                 np.testing.assert_allclose(session.importance[layer][g],
-                                           stats[layer]["C"][g], rtol=0, atol=1e-12)
+                                           expected[layer][g], rtol=0, atol=1e-12)
 
 
 class TestCompression:
@@ -193,16 +228,7 @@ class TestCompression:
         _, records = reference_forward(
             model, emb, causal_masks(SMALL.num_layers, l), collect_attention=True
         )
-        group = SMALL.num_q_heads // SMALL.num_kv_heads
-        c_per_layer = []
-        for layer in range(SMALL.num_layers):
-            per_head = []
-            for g in range(SMALL.num_kv_heads):
-                acc = np.zeros(l - w)
-                for q_head in range(g * group, (g + 1) * group):
-                    acc += records[layer]["attention"][q_head][l - w:, : l - w].sum(axis=0)
-                per_head.append(acc / group)
-            c_per_layer.append(per_head)
+        c_per_layer = oracle_accumulators(records, SMALL, w)
         apply_compression(model, session)
         for layer in range(SMALL.num_layers):
             source = layer if layer <= policy.clie_layer_index else policy.clie_layer_index
@@ -311,9 +337,7 @@ class TestGroupedQueryHeads:
         emb = seeded_gaussian(layout.total_len, config.d_model, 22)
         session = init_session(model, layout, make_policy(kind="full", clie=0, st=2),
                                pattern, tile_size=3)
-        n = layout.total_len
-        dense, sparse = build_mask(layout, SparsityPattern.dense()), build_mask(layout, pattern)
-        prefill_masks = [dense if i < 2 else sparse for i in range(config.num_layers)]
+        prefill_masks = layer_masks_for(layout, pattern, 2, config.num_layers)
         expected, _ = reference_forward(model, emb, prefill_masks)
         np.testing.assert_allclose(prefill(model, session, emb), expected, atol=1e-9)
 
@@ -323,13 +347,42 @@ class TestGroupedQueryHeads:
         for step in range(5):
             logits = decode_step(model, session, extra[step])
             rows = np.vstack([rows, extra[step][None, :]])
-            # Decode queries see every earlier row; prefill rows keep their masks.
-            masks = []
-            for mask in prefill_masks:
-                grown = np.tril(np.ones((rows.shape[0],) * 2, dtype=bool))
-                grown[:n, :n] = mask
-                masks.append(grown)
-            expected, _ = reference_forward(model, rows, masks)
+            expected, _ = reference_forward(model, rows, decode_masks(prefill_masks, len(rows)))
+            np.testing.assert_allclose(logits, expected[-1], atol=1e-9)
+
+
+class TestFullCacheIdentity:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_full_prefill_and_decode_match_reference(self, data):
+        # Random GQA shapes (d_v may differ from d_k), patterns and sparsity
+        # start; decode rows attend to every earlier row.
+        kv_heads, group = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        d_k, d_v = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        num_layers = data.draw(st.integers(1, 4))
+        config = ModelConfig(num_layers=num_layers, d_model=kv_heads * group * d_k,
+                             num_q_heads=kv_heads * group, num_kv_heads=kv_heads,
+                             d_k=d_k, d_v=d_v, vocab_size=11, seed=data.draw(st.integers(0, 99)))
+        layout = TokenLayout(data.draw(st.integers(0, 3)), data.draw(st.integers(1, 3)),
+                             data.draw(st.integers(1, 4)), data.draw(st.integers(0, 2)))
+        pattern = parse_pattern(data.draw(st.sampled_from(PATTERNS)), layout)
+        sparse_from = data.draw(st.integers(1, num_layers))
+        steps = data.draw(st.integers(0, 4))
+        model = init_model(config)
+        session = init_session(model, layout, make_policy(kind="full", clie=sparse_from - 1,
+                                                          st=sparse_from),
+                               pattern, tile_size=data.draw(st.integers(1, 8)))
+        n = layout.total_len
+        rows = seeded_gaussian(n + steps, config.d_model, data.draw(st.integers(0, 99)))
+        prefill_masks = layer_masks_for(layout, pattern, sparse_from, num_layers)
+        expected, _ = reference_forward(model, rows[:n], prefill_masks)
+        np.testing.assert_allclose(prefill(model, session, rows[:n]), expected, atol=1e-9)
+
+        apply_compression(model, session)
+        for step in range(1, steps + 1):
+            logits = decode_step(model, session, rows[n + step - 1])
+            expected, _ = reference_forward(model, rows[:n + step],
+                                            decode_masks(prefill_masks, n + step))
             np.testing.assert_allclose(logits, expected[-1], atol=1e-9)
 
 
@@ -393,23 +446,36 @@ class TestNonFiniteInput:
 
 
 class TestValidation:
-    def test_self_comparison_gives_perfect_rho(self):
-        # At the analysis layer itself the estimate and the truth coincide,
-        # so correlating them is exactly 1; the report starts one layer up.
+    def test_reported_rho_matches_reference_forward_scores(self):
+        # Estimate: the analysis layer's accumulator times this layer's value
+        # norms; truth: this layer's own accumulator times the same norms.
         model = init_model(SMALL)
-        session = init_session(model, LAYOUT, make_policy(clie=1, st=2),
-                               SparsityPattern.dense())
-        prefill(model, session, embeddings_for(LAYOUT, seed=16))
-        report = validate_cross_layer(model, session, analysis_layer=1, n_perm=199, seed=1)
-        assert report["analysis_layer"] == 1
-        assert [lv["layer"] for lv in report["per_layer"]] == [2, 3]
-        same_layer = validate_cross_layer(model, session, analysis_layer=2, n_perm=199, seed=1)
-        # layer 3 scored from layer 3's own accumulator == ground truth
-        emb = session.prefill_embeddings
-        assert same_layer["per_layer"][0]["layer"] == 3
+        policy = make_policy(clie=1, st=2)
+        pattern = SparsityPattern.spatial_temporal()
+        session = init_session(model, LAYOUT, policy, pattern)
+        emb = embeddings_for(LAYOUT, seed=16)
+        prefill(model, session, emb)
+        l, w = LAYOUT.total_len, session.w
+        masks = layer_masks_for(LAYOUT, pattern, policy.st_layer_index, SMALL.num_layers)
+        _, records = reference_forward(model, emb, masks, collect_attention=True)
+        accumulators = oracle_accumulators(records, SMALL, w)
+        for analysis in (1, 2):
+            report = validate_cross_layer(model, session, analysis_layer=analysis,
+                                          n_perm=199, seed=1)
+            assert report["analysis_layer"] == analysis
+            assert ([entry["layer"] for entry in report["per_layer"]]
+                    == list(range(analysis + 1, SMALL.num_layers)))
+            for entry in report["per_layer"]:
+                layer = entry["layer"]
+                assert [head["head"] for head in entry["heads"]] == list(range(SMALL.num_kv_heads))
+                for head in entry["heads"]:
+                    g = head["head"]
+                    norms = np.sqrt((records[layer]["values"][g][: l - w] ** 2).sum(axis=1))
+                    estimate = accumulators[analysis][g] * norms
+                    truth = accumulators[layer][g] * norms
+                    assert head["rho"] == pytest.approx(spearman_rho(estimate, truth), abs=1e-12)
 
     def test_identical_score_vectors_correlate_perfectly(self):
-        from purekv.stats import spearman_rho
         scores = np.array([0.3, 0.9, 0.1, 0.5])
         assert spearman_rho(scores, scores) == pytest.approx(1.0, abs=1e-12)
 
@@ -486,6 +552,47 @@ class TestStreamingCompatibilityContract:
         assert rows[len(prefill_rows):] == (
             [LAYOUT.total_len] * SMALL.num_layers * SMALL.num_q_heads
         )
+
+    def test_validation_materializes_only_the_recent_window(self, monkeypatch):
+        """Audit: validation reads each layer's (w, l) slab, never all l rows."""
+        model = init_model(SMALL)
+        session = init_session(model, LAYOUT, make_policy(budget=0.5, clie=1, st=2),
+                               SparsityPattern.spatial_temporal())
+        prefill(model, session, embeddings_for(LAYOUT, seed=24))
+        assert 0 < session.w < LAYOUT.total_len
+        rows = []
+        real_masked = purekv.attention.masked
+
+        def spy(q, k, v, mask):
+            rows.append(q.shape[0])
+            return real_masked(q, k, v, mask)
+
+        monkeypatch.setattr(purekv.attention, "masked", spy)
+        validate_cross_layer(model, session, n_perm=199, seed=0)
+        assert len(rows) == SMALL.num_layers * SMALL.num_q_heads
+        assert all(r <= session.w for r in rows)
+
+    def test_h2o_at_full_budget_skips_the_instrumented_pass(self, monkeypatch):
+        """Audit: with nothing to evict, h2o_like materializes no weights and
+        leaves the cache as prefill wrote it."""
+        model = init_model(SMALL)
+        session = init_session(model, LAYOUT, make_policy(kind="h2o_like", budget=1.0),
+                               SparsityPattern.spatial())
+        prefill(model, session, embeddings_for(LAYOUT, seed=25))
+        assert session.w < LAYOUT.total_len
+        before = cache_snapshot(session)
+        calls = []
+        real_masked = purekv.attention.masked
+
+        def spy(q, k, v, mask):
+            calls.append(q.shape)
+            return real_masked(q, k, v, mask)
+
+        monkeypatch.setattr(purekv.attention, "masked", spy)
+        apply_compression(model, session)
+        assert calls == []
+        assert session.compressed
+        assert_same_cache(before, cache_snapshot(session))
 
     def test_streaming_interface_returns_no_matrix(self):
         import inspect
