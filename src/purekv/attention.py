@@ -1,10 +1,12 @@
-"""Scaled dot-product attention: masked and streaming.
+"""Scaled dot-product attention: masked, streaming and decode.
 
 masked takes 2-D matrices, materializes the weight matrix and returns it
 alongside the output. streaming_masked processes keys in fixed-size tiles
 with a running max and running normalizer, never holds more than one tile of
 scores, and returns the output only: callers above it structurally cannot
-read attention weights.
+read attention weights. decode is the unmasked, untiled case for one new
+token: every query head's single softmax row is built and consumed inside
+the call, and only the output leaves it.
 
 streaming_masked also broadcasts over leading dimensions, so one call runs
 every query head of a layer: q of shape (Hkv, G, l_q, d_k) against k and v
@@ -115,6 +117,22 @@ def streaming_masked(q, k, v, mask, tile_size: int = DEFAULT_TILE) -> np.ndarray
                              + weights @ v[..., start:stop, :])
         m[..., rows] = new_m
     return acc / s[..., None]
+
+
+def decode(q, k, v) -> np.ndarray:
+    """Unmasked attention of a few query rows over all keys; output only.
+
+    For one decode step q is (Hkv, G, d_k), the G query heads that share
+    each KV head, and k, v are that head's cached rows, (Hkv, n, d_k) and
+    (Hkv, n, d_v); the result is (Hkv, G, d_v). Leading dimensions
+    broadcast as in streaming_masked. The softmax subtracts each row's max.
+    """
+    q, k, v, _ = _check_inputs(q, k, v)
+    if k.shape[-2] == 0:
+        raise ValueError("decode attention needs at least one key")
+    scores = q @ np.swapaxes(k, -1, -2) * (1.0 / np.sqrt(q.shape[-1]))
+    weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return (weights @ v) / weights.sum(axis=-1, keepdims=True)
 
 
 def _tile_blocks(mask: np.ndarray, tile_size: int):

@@ -11,6 +11,15 @@ score_low computes either product. select_retained keeps the recent window
 plus the top-h non-recent entries by score, ties broken toward the smaller
 index. Two simplified baselines are provided: column-sum ("heavy hitter")
 scoring and sink-plus-window retention.
+
+Storage: KvCacheLayer holds one layer's rows in head-stacked buffers,
+(Hkv, capacity, d) for keys and values and (Hkv, capacity) for positions,
+with a committed row count per head. Appending writes in place and doubles
+the capacity when the buffers are full, so a decode step copies nothing but
+its new rows; evict builds new buffers sized to what it keeps; truncate
+rolls heads back to earlier counts, which makes a failed decode step
+undoable. Readers see only committed rows, through per-head views or the
+stacked views of stacked().
 """
 
 from __future__ import annotations
@@ -25,44 +34,125 @@ from .numerics import l2_norm_rows
 POLICY_KINDS = ("pure_kv", "h2o_like", "streaming_like", "full")
 
 
-@dataclass
 class KvCacheLayer:
-    """Per-KV-head key/value rows plus the original token position of each row."""
+    """One layer's KV rows in preallocated, head-stacked buffers.
 
-    keys: list[np.ndarray]
-    values: list[np.ndarray]
-    positions: list[np.ndarray]
+    The buffers are keys (Hkv, capacity, d_k), values (Hkv, capacity, d_v)
+    and positions (Hkv, capacity); head g has committed the first rows(g)
+    rows of its slot. keys[g], values[g] and positions[g] are views of
+    exactly those rows, so nothing past the committed length is ever seen.
+    append writes one row past a head's committed length and commits it,
+    doubling the capacity when the buffers are full; truncate rolls heads
+    back to earlier lengths.
+    """
+
+    def __init__(self, keys, values, positions):
+        """Copy head g's keys[g], values[g] and positions[g] into fresh buffers.
+
+        Each argument is indexed by head: a list of per-head arrays, or a
+        stacked array. Heads may hold different numbers of rows.
+        """
+        lengths = [len(p) for p in positions]
+        if not lengths or not (len(keys) == len(values) == len(lengths)):
+            raise ConfigurationError(
+                f"got {len(keys)} key, {len(values)} value and {len(lengths)} position "
+                "sets; need the same positive number of heads for each"
+            )
+        for h, n in enumerate(lengths):
+            if not (len(keys[h]) == len(values[h]) == n):
+                raise ConfigurationError(f"head {h}: keys/values/positions row counts differ")
+        heads, capacity = len(lengths), max(lengths)
+        self._keys = np.empty((heads, capacity, np.shape(keys[0])[-1]))
+        self._values = np.empty((heads, capacity, np.shape(values[0])[-1]))
+        self._positions = np.empty((heads, capacity), dtype=np.int64)
+        for h, n in enumerate(lengths):
+            self._keys[h, :n] = keys[h]
+            self._values[h, :n] = values[h]
+            self._positions[h, :n] = positions[h]
+        self._lengths = lengths
 
     @classmethod
-    def from_projections(cls, keys_per_head: list[np.ndarray],
-                         values_per_head: list[np.ndarray]) -> "KvCacheLayer":
-        n = keys_per_head[0].shape[0]
-        positions = [np.arange(n, dtype=np.int64) for _ in keys_per_head]
-        return cls(list(keys_per_head), list(values_per_head), positions)
+    def from_projections(cls, keys: np.ndarray, values: np.ndarray) -> "KvCacheLayer":
+        """A prompt's projected (l, Hkv, d) keys and values, at positions 0..l-1."""
+        l, heads = keys.shape[:2]
+        positions = np.broadcast_to(np.arange(l, dtype=np.int64), (heads, l))
+        return cls(keys.transpose(1, 0, 2), values.transpose(1, 0, 2), positions)
 
     @property
     def num_heads(self) -> int:
-        return len(self.keys)
+        return len(self._lengths)
+
+    @property
+    def capacity(self) -> int:
+        return self._positions.shape[1]
+
+    @property
+    def lengths(self) -> tuple[int, ...]:
+        """Committed row count of every head."""
+        return tuple(self._lengths)
 
     def rows(self, head: int) -> int:
-        return self.keys[head].shape[0]
+        return self._lengths[head]
+
+    @property
+    def keys(self) -> list[np.ndarray]:
+        return [self._keys[h, :n] for h, n in enumerate(self._lengths)]
+
+    @property
+    def values(self) -> list[np.ndarray]:
+        return [self._values[h, :n] for h, n in enumerate(self._lengths)]
+
+    @property
+    def positions(self) -> list[np.ndarray]:
+        return [self._positions[h, :n] for h, n in enumerate(self._lengths)]
+
+    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every head's committed (keys, values) as (Hkv, n, d) views.
+
+        Needs every head to hold the same n rows, as they do in a session.
+        """
+        n = self._lengths[0]
+        if any(m != n for m in self._lengths):
+            raise ConfigurationError(f"heads hold different row counts {self._lengths}")
+        return self._keys[:, :n], self._values[:, :n]
 
     def append(self, head: int, key_row: np.ndarray, value_row: np.ndarray, position: int):
-        if self.positions[head].size and position <= self.positions[head][-1]:
+        n = self._lengths[head]
+        if n and position <= self._positions[head, n - 1]:
             raise ConfigurationError(
                 f"appended position {position} does not extend head {head}"
             )
-        self.keys[head] = np.concatenate([self.keys[head], key_row.reshape(1, -1)])
-        self.values[head] = np.concatenate([self.values[head], value_row.reshape(1, -1)])
-        self.positions[head] = np.concatenate(
-            [self.positions[head], np.array([position], dtype=np.int64)]
-        )
+        if n == self.capacity:
+            self._grow()
+        self._keys[head, n] = key_row
+        self._values[head, n] = value_row
+        self._positions[head, n] = position
+        self._lengths[head] = n + 1
+
+    def _grow(self):
+        """Double the capacity, keeping every committed row."""
+        capacity = max(1, 2 * self.capacity)
+        for name in ("_keys", "_values", "_positions"):
+            old = getattr(self, name)
+            new = np.empty((old.shape[0], capacity) + old.shape[2:], dtype=old.dtype)
+            new[:, : old.shape[1]] = old
+            setattr(self, name, new)
+
+    def truncate(self, lengths):
+        """Roll every head back to an earlier committed length."""
+        lengths = [int(n) for n in lengths]
+        if len(lengths) != self.num_heads or any(
+                not 0 <= n <= m for n, m in zip(lengths, self._lengths)):
+            raise ConfigurationError(
+                f"cannot truncate committed lengths {self._lengths} to {lengths}"
+            )
+        self._lengths = lengths
 
     def check_invariants(self):
-        for h in range(self.num_heads):
-            if not (self.keys[h].shape[0] == self.values[h].shape[0] == self.positions[h].size):
-                raise ConfigurationError(f"head {h}: keys/values/positions row counts differ")
-            if self.positions[h].size > 1 and not np.all(np.diff(self.positions[h]) > 0):
+        for h, n in enumerate(self._lengths):
+            if not 0 <= n <= self.capacity:
+                raise ConfigurationError(f"head {h}: {n} committed rows exceed the buffers")
+            if n > 1 and not np.all(np.diff(self._positions[h, :n]) > 0):
                 raise ConfigurationError(f"head {h}: positions not strictly increasing")
 
 
@@ -170,22 +260,19 @@ def evict(layer: KvCacheLayer, retained) -> KvCacheLayer:
         raise ConfigurationError(
             f"got {len(retained)} retained sets for {layer.num_heads} heads"
         )
-    keys, values, positions = [], [], []
+    keys, values, positions = layer.keys, layer.values, layer.positions
     for h in range(layer.num_heads):
         want = np.asarray(retained[h], dtype=np.int64)
         if want.ndim != 1:
             raise ConfigurationError(f"head {h}: expected a 1-D retained set, got {want.shape}")
         want = np.unique(want)
-        have = layer.positions[h]
-        missing = np.setdiff1d(want, have)
+        missing = np.setdiff1d(want, positions[h])
         if missing.size:
             raise ConfigurationError(
                 f"head {h}: retained positions {missing.tolist()} not present in cache"
             )
-        keep = np.isin(have, want)
-        keys.append(layer.keys[h][keep])
-        values.append(layer.values[h][keep])
-        positions.append(have[keep])
+        keep = np.isin(positions[h], want)
+        keys[h], values[h], positions[h] = keys[h][keep], values[h][keep], positions[h][keep]
     return KvCacheLayer(keys, values, positions)
 
 

@@ -26,9 +26,17 @@ leaves something to evict: layers at or below e are scored with their own
 accumulator, layers above reuse layer e's accumulator, both weighted by the
 layer's own value-row norms. The retained set is stored only in the cache:
 cache[layer].positions[g] holds the original positions KV head g kept.
-Decode is single-query streaming attention over the retained rows at every
-layer, one call per layer over the head-stacked rows, through the same
-transformer block as the prompt passes.
+
+Decode runs the same transformer block as the prompt passes. At each layer
+it appends the new token's key and value row to every KV head, past the
+committed rows of the layer's preallocated (Hkv, capacity, d) buffers, and
+makes one attention.decode call: the (Hkv, group_size, d_k) query against
+the (Hkv, n, d) stacked views, no mask and no key tiles. A step is all or
+nothing: if any layer raises, every layer is truncated back to the lengths
+it had before the step, and step_count is unchanged. Decode never calls
+masked, and its one softmax row per query head lives only inside the
+kernel, so decode stays streaming-compatible: no caller can read its
+attention weights.
 
 Embeddings that enter prefill or decode must be finite; anything else is
 rejected before the session changes.
@@ -205,9 +213,9 @@ def _streaming_heads(q: np.ndarray, kv: KvCacheLayer, mask: np.ndarray, tile_siz
     """
     l_q = q.shape[0]
     grouped = q.reshape(l_q, config.num_kv_heads, config.group_size, config.d_k)
+    keys, values = kv.stacked()
     out = attention.streaming_masked(
-        grouped.transpose(1, 2, 0, 3), np.stack(kv.keys)[:, None],
-        np.stack(kv.values)[:, None], mask, tile_size,
+        grouped.transpose(1, 2, 0, 3), keys[:, None], values[:, None], mask, tile_size,
     )
     return out.transpose(2, 0, 1, 3).reshape(l_q, -1)
 
@@ -234,11 +242,7 @@ def _forward(model: Model, session: SessionState, x: np.ndarray, attend) -> np.n
         mask = dense_mask if layer < st else sparse_mask
 
         def attend_heads(q, k, v):
-            kv = KvCacheLayer.from_projections(
-                [k[:, g, :].copy() for g in range(c.num_kv_heads)],
-                [v[:, g, :].copy() for g in range(c.num_kv_heads)],
-            )
-            return attend(layer, q, kv, mask)
+            return attend(layer, q, KvCacheLayer.from_projections(k, v), mask)
 
         x = _block(x, model.layers[layer], c, attend_heads)
     return x
@@ -251,10 +255,11 @@ def _recent_accumulators(q: np.ndarray, kv: KvCacheLayer, mask: np.ndarray, w: i
     Only the last w query rows are materialized: a (w, l) slab per query head.
     """
     l = q.shape[0]
+    keys, values = kv.stacked()
     accumulators = [[] for _ in range(config.num_kv_heads)]
     for q_head in range(config.num_q_heads):
         g = config.kv_group(q_head)
-        _, weights = attention.masked(q[l - w:, q_head, :], kv.keys[g], kv.values[g], mask[l - w:])
+        _, weights = attention.masked(q[l - w:, q_head, :], keys[g], values[g], mask[l - w:])
         accumulators[g].append(accumulate_recent_attention(weights, w))
     return [np.mean(acc, axis=0) for acc in accumulators]
 
@@ -303,11 +308,12 @@ def _instrumented_stats(model: Model, session: SessionState) -> list[list[np.nda
     colsums = []
 
     def attend(layer, q, kv, mask):
+        keys, values = kv.stacked()
         per_head = [[] for _ in range(c.num_kv_heads)]
         head_outs = []
         for q_head in range(c.num_q_heads):
             g = c.kv_group(q_head)
-            out, weights = attention.masked(q[:, q_head, :], kv.keys[g], kv.values[g], mask)
+            out, weights = attention.masked(q[:, q_head, :], keys[g], values[g], mask)
             head_outs.append(out)
             per_head[g].append(baseline_h2o_score(weights))
         colsums.append([np.mean(cs, axis=0) for cs in per_head])
@@ -376,16 +382,24 @@ def decode_step(model: Model, session: SessionState, token_embedding) -> np.ndar
     _require_finite(x, "token embedding")
 
     position = session.prefill_len + session.step_count
-    for layer in range(c.num_layers):
-        kv = session.cache[layer]
+    committed = [kv.lengths for kv in session.cache]
+    try:
+        for layer in range(c.num_layers):
+            kv = session.cache[layer]
 
-        def attend(q, k, v):
-            for g in range(c.num_kv_heads):
-                kv.append(g, k[0, g, :], v[0, g, :], position)
-            ones = np.ones((1, kv.rows(0)), dtype=bool)
-            return _streaming_heads(q, kv, ones, session.tile_size, c)
+            def attend(q, k, v):
+                for g in range(c.num_kv_heads):
+                    kv.append(g, k[0, g, :], v[0, g, :], position)
+                keys, values = kv.stacked()
+                grouped = q.reshape(c.num_kv_heads, c.group_size, c.d_k)
+                return attention.decode(grouped, keys, values).reshape(1, -1)
 
-        x = _block(x, model.layers[layer], c, attend)
+            x = _block(x, model.layers[layer], c, attend)
+    except BaseException:
+        # All or nothing: the rows this step appended are dropped again.
+        for kv, lengths in zip(session.cache, committed):
+            kv.truncate(lengths)
+        raise
 
     session.step_count += 1
     return (_rmsnorm(x) @ model.w_vocab)[0]

@@ -6,7 +6,8 @@ well defined when importance scores tie (e.g. zero-norm value rows).
 
 The permutation test is one-sided (large rho = agreement) and fully
 deterministic: permutation i is derived from (seed, i) with a counter RNG, so
-results never depend on evaluation order.
+results never depend on evaluation order. It runs over blocks of
+_PERM_BLOCK permutations, so memory stays O(_PERM_BLOCK * n) for any n_perm.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .errors import ConfigurationError
 from .numerics import random_u64
 
 _PERM_TAG = 0x5045524D  # stream offset so permutations never reuse other draws
+_PERM_BLOCK = 64  # permutations drawn, sorted and scored together
 
 
 def rank(values) -> np.ndarray:
@@ -63,11 +65,15 @@ def permutation_pvalue(x, y, n_perm: int, seed: int) -> float:
     observed = float((rxc * ryc).sum() / norm)
 
     # Ranks of a permuted vector are the permuted ranks, so permute ryc
-    # directly. Each permutation is the argsort of its own n counter words.
-    words = random_u64(seed, _PERM_TAG, n_perm * n).reshape(n_perm, n)
-    idx = np.argsort(words, axis=1, kind="stable")
-    rho_perm = (ryc[idx] @ rxc) / norm
-    count = int((rho_perm >= observed).sum())
+    # directly. Permutation i is the argsort of counter words
+    # [i * n, (i + 1) * n), so a block needs no other block's words.
+    count = 0
+    for first in range(0, n_perm, _PERM_BLOCK):
+        block = min(_PERM_BLOCK, n_perm - first)
+        words = random_u64(seed, _PERM_TAG + first * n, block * n).reshape(block, n)
+        idx = np.argsort(words, axis=1, kind="stable")
+        rho_perm = (ryc[idx] @ rxc) / norm
+        count += int((rho_perm >= observed).sum())
     return (1 + count) / (1 + n_perm)
 
 

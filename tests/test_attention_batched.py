@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from purekv.attention import _tile_blocks, masked, streaming_masked
+from purekv.attention import _tile_blocks, decode, masked, streaming_masked
 from purekv.errors import ConfigurationError
 
 MASK_KINDS = ("random", "causal", "band")
@@ -132,3 +132,27 @@ class TestTileBlocks:
         expected = {(r, s) for r in range(l_q) for s in range(0, l_k, tile)
                     if mask[r, s:s + tile].any()}
         assert visited == expected
+
+
+class TestDecodeKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_per_query_head_masked(self, data):
+        hkv, group = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        n, d_k = data.draw(st.integers(1, 64)), data.draw(st.integers(1, 8))
+        d_v = data.draw(st.integers(1, 8).filter(lambda d: d != d_k))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        scale = data.draw(st.sampled_from([0.1, 1.0, 10.0]))  # 10 makes peaked softmaxes
+        q = scale * rng.standard_normal((hkv, group, d_k))
+        k, v = rng.standard_normal((hkv, n, d_k)), rng.standard_normal((hkv, n, d_v))
+        got = decode(q, k, v)
+        assert got.shape == (hkv, group, d_v)
+        everything = np.ones((1, n), dtype=bool)
+        for g in range(hkv):
+            for j in range(group):
+                expected, _ = masked(q[g, j][None], k[g], v[g], everything)
+                assert np.max(np.abs(got[g, j] - expected[0])) <= 1e-12
+
+    def test_needs_a_key(self):
+        with pytest.raises(ValueError, match="at least one key"):
+            decode(np.ones((2, 1, 3)), np.ones((2, 0, 3)), np.ones((2, 0, 4)))

@@ -131,10 +131,12 @@ class TestSelectRetained:
 
 
 class TestEvict:
-    def make_layer(self, rows=5, heads=2):
+    def make_layer(self, rows=5, heads=2, positions=None):
         keys = [seeded_gaussian(rows, 3, seed=10 + h) for h in range(heads)]
         values = [seeded_gaussian(rows, 3, seed=20 + h) for h in range(heads)]
-        return KvCacheLayer.from_projections(keys, values)
+        if positions is None:
+            positions = [np.arange(rows, dtype=np.int64)] * heads
+        return KvCacheLayer(keys, values, positions)
 
     def test_retain_all_is_identity(self):
         layer = self.make_layer()
@@ -193,8 +195,8 @@ class TestEvict:
     @given(data=st.data(), heads=st.integers(1, 4), rows=st.integers(1, 24))
     def test_random_per_head_sets(self, data, heads, rows):
         # Start from positions with gaps, as after an earlier eviction.
-        layer = self.make_layer(rows=rows, heads=heads)
-        layer.positions = [np.arange(rows, dtype=np.int64) * 3 + h for h in range(heads)]
+        layer = self.make_layer(rows=rows, heads=heads, positions=[
+            np.arange(rows, dtype=np.int64) * 3 + h for h in range(heads)])
         sets = [data.draw(st.sets(st.sampled_from(layer.positions[h].tolist())), label=f"head {h}")
                 for h in range(heads)]
         out = evict(layer, [list(s) for s in sets])
@@ -216,6 +218,92 @@ class TestEvict:
             evict(layer, [[unknown]] + [sorted(s) for s in sets[1:]])
         with pytest.raises(ConfigurationError, match="retained sets"):
             evict(layer, [sorted(s) for s in sets] + [[]])
+
+
+class TestStackedBuffers:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), heads=st.integers(1, 3), rows=st.integers(0, 3))
+    def test_matches_per_head_concatenation(self, data, heads, rows):
+        # Appends (one head or all heads), evictions and rollbacks against a
+        # per-head concatenate oracle, through at least 3 capacity doublings.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        keys = [rng.standard_normal((rows, 3)) for _ in range(heads)]
+        values = [rng.standard_normal((rows, 2)) for _ in range(heads)]
+        positions = [np.arange(rows, dtype=np.int64) * 2 + h for h in range(heads)]
+        layer = KvCacheLayer(keys, values, positions)
+        doublings = 0
+
+        def append(h):
+            nonlocal doublings
+            position = 0
+            if positions[h].size:
+                position = int(positions[h][-1]) + data.draw(st.integers(1, 3))
+            k, v = rng.standard_normal(3), rng.standard_normal(2)
+            before = layer.capacity
+            layer.append(h, k, v, position)
+            doublings += layer.capacity > before
+            keys[h] = np.concatenate([keys[h], k[None]])
+            values[h] = np.concatenate([values[h], v[None]])
+            positions[h] = np.concatenate([positions[h], [position]])
+
+        def keep(h, rows):
+            keys[h], values[h], positions[h] = keys[h][rows], values[h][rows], positions[h][rows]
+
+        def check():
+            layer.check_invariants()
+            assert layer.num_heads == heads
+            assert layer.lengths == tuple(p.size for p in positions)
+            for h in range(heads):
+                assert layer.rows(h) == positions[h].size <= layer.capacity
+                # array_equal also compares shapes: no row past the committed length shows.
+                assert np.array_equal(layer.keys[h], keys[h])
+                assert np.array_equal(layer.values[h], values[h])
+                assert np.array_equal(layer.positions[h], positions[h])
+            if len(set(layer.lengths)) == 1:
+                stacked_keys, stacked_values = layer.stacked()
+                assert np.array_equal(stacked_keys, np.stack(keys))
+                assert np.array_equal(stacked_values, np.stack(values))
+            else:
+                with pytest.raises(ConfigurationError, match="different row counts"):
+                    layer.stacked()
+
+        ops = data.draw(st.lists(st.sampled_from(["head", "step", "evict", "truncate"]),
+                                 max_size=40), label="ops")
+        for op in ops:
+            if op == "head":
+                append(data.draw(st.integers(0, heads - 1)))
+            elif op == "step":
+                for h in range(heads):
+                    append(h)
+            elif op == "evict":
+                sets = [sorted(data.draw(st.sets(st.sampled_from(p.tolist()))) if p.size else [])
+                        for p in positions]
+                layer = evict(layer, sets)
+                for h in range(heads):
+                    keep(h, np.isin(positions[h], sets[h]))
+            else:
+                cut = [data.draw(st.integers(0, p.size)) for p in positions]
+                layer.truncate(cut)
+                for h in range(heads):
+                    keep(h, slice(0, cut[h]))
+            check()
+        while doublings < 3:
+            for h in range(heads):
+                append(h)
+            check()
+
+    def test_truncate_only_rolls_back(self):
+        layer = KvCacheLayer([np.ones((2, 3))], [np.ones((2, 3))], [np.array([0, 1])])
+        with pytest.raises(ConfigurationError, match="cannot truncate"):
+            layer.truncate([3])
+        with pytest.raises(ConfigurationError, match="cannot truncate"):
+            layer.truncate([1, 1])
+
+    def test_heads_need_matching_row_counts(self):
+        with pytest.raises(ConfigurationError, match="row counts differ"):
+            KvCacheLayer([np.ones((2, 3))], [np.ones((1, 3))], [np.array([0, 1])])
+        with pytest.raises(ConfigurationError, match="same positive number of heads"):
+            KvCacheLayer([], [], [])
 
 
 class TestBaselines:

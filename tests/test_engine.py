@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import purekv.attention
+import purekv.engine
 from _oracles import brute_force_select, causal_masks, reference_forward
 from purekv.cache import PolicyConfig, baseline_streaming
 from purekv.engine import (
@@ -443,6 +444,51 @@ class TestNonFiniteInput:
         np.testing.assert_array_equal(decode_step(model, session, extra[1]),
                                       decode_step(model, clean, extra[1]))
         assert session.step_count == 2
+
+
+class TestAllOrNothingDecode:
+    def test_failure_at_a_middle_layer_leaves_the_session_unchanged(self, monkeypatch):
+        # Layers 0..2 finish and layer 3 appends its row before the step
+        # raises; a retry must match a session that never failed.
+        model = init_model(SMALL)
+        sessions = []
+        for _ in range(2):
+            session = init_session(model, LAYOUT, make_policy(budget=0.5),
+                                   SparsityPattern.spatial())
+            prefill(model, session, embeddings_for(LAYOUT, seed=34))
+            apply_compression(model, session)
+            sessions.append(session)
+        session, clean = sessions
+        extra = seeded_gaussian(2, SMALL.d_model, 35)
+        decode_step(model, session, extra[0])
+        decode_step(model, clean, extra[0])
+        before = cache_snapshot(session)
+
+        real_block = purekv.engine._block
+        layers_run = []
+
+        def block_failing_at_layer_3(x, weights, config, attend):
+            if len(layers_run) < 3:
+                layers_run.append(True)
+                return real_block(x, weights, config, attend)
+
+            def attend_then_fail(q, k, v):
+                attend(q, k, v)
+                raise RuntimeError("injected failure at layer 3")
+
+            return real_block(x, weights, config, attend_then_fail)
+
+        monkeypatch.setattr(purekv.engine, "_block", block_failing_at_layer_3)
+        with pytest.raises(RuntimeError, match="injected"):
+            decode_step(model, session, extra[1])
+        monkeypatch.undo()
+        assert session.step_count == 1
+        assert_same_cache(before, cache_snapshot(session))
+
+        np.testing.assert_array_equal(decode_step(model, session, extra[1]),
+                                      decode_step(model, clean, extra[1]))
+        assert session.step_count == 2
+        assert_same_cache(cache_snapshot(clean), cache_snapshot(session))
 
 
 class TestValidation:

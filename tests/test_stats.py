@@ -8,7 +8,8 @@ import pytest
 
 from purekv.errors import ConfigurationError
 from purekv.numerics import seeded_gaussian
-from purekv.stats import permutation_pvalue, rank, spearman_rho
+from purekv.numerics import random_u64
+from purekv.stats import _PERM_BLOCK, _PERM_TAG, permutation_pvalue, rank, spearman_rho
 
 
 def oracle_rank(values):
@@ -155,6 +156,21 @@ class TestPermutationPvalue:
         p = permutation_pvalue(x, y, n_perm=999, seed=50)
         assert p > 0.01
         assert p == pytest.approx(0.964, abs=1e-12)
+
+    @pytest.mark.parametrize("n_perm", [100, 2 * _PERM_BLOCK + 1, 4 * _PERM_BLOCK + 57, 999])
+    def test_blocks_match_the_whole_matrix_formula(self, n_perm):
+        assert n_perm % _PERM_BLOCK
+        for n, seed in ((3, 1), (17, 2), (64, 3), (301, 4)):
+            x = np.round(seeded_gaussian(1, n, seed=60 + seed)[0], 1)  # some ties
+            y = x + 2.0 * seeded_gaussian(1, n, seed=70 + seed)[0]
+            rx, ry = rank(x), rank(y)
+            rxc, ryc = rx - rx.mean(), ry - ry.mean()
+            norm = np.sqrt((rxc * rxc).sum() * (ryc * ryc).sum())
+            observed = float((rxc * ryc).sum() / norm)
+            words = random_u64(seed, _PERM_TAG, n_perm * n).reshape(n_perm, n)
+            idx = np.argsort(words, axis=1, kind="stable")
+            count = int(((ryc[idx] @ rxc) / norm >= observed).sum())
+            assert permutation_pvalue(x, y, n_perm, seed) == (1 + count) / (1 + n_perm)
 
     def test_add_one_floor(self):
         x = seeded_gaussian(1, 10, seed=42)[0]
