@@ -71,13 +71,6 @@ class KvCacheLayer:
             self._positions[h, :n] = positions[h]
         self._lengths = lengths
 
-    @classmethod
-    def from_projections(cls, keys: np.ndarray, values: np.ndarray) -> "KvCacheLayer":
-        """A prompt's projected (l, Hkv, d) keys and values, at positions 0..l-1."""
-        l, heads = keys.shape[:2]
-        positions = np.broadcast_to(np.arange(l, dtype=np.int64), (heads, l))
-        return cls(keys.transpose(1, 0, 2), values.transpose(1, 0, 2), positions)
-
     @property
     def num_heads(self) -> int:
         return len(self._lengths)

@@ -7,8 +7,15 @@ and sparsity start s = st_layer_index (config requires s > e):
     layers 0..s-1    dense causal mask
     layers s..L-1    the configured sparsity pattern's mask
 
-_forward is the only loop over layers for a prompt. Three passes run it and
-differ only in the attention callable they hand it:
+Head layout: _project_heads gives q as (Hkv, G, n, d_k), k and v as
+(Hkv, n, d), where query head g * G + j is q[g, j] and reads KV head g;
+every attention call takes that layout, and _block turns the
+(Hkv, G, n, d_v) head outputs back into (n, Hq * d_v). No other code
+reshapes or transposes head axes.
+
+_forward is the only loop over layers for a prompt. It hands each layer's
+projections to attend(layer, q, k, v, mask), which returns the layer's head
+outputs. Three passes run it and differ only in that callable:
 
     prefill          streaming attention, one call per layer for all query
                      heads; layers 0..e also materialize the last w query
@@ -19,13 +26,16 @@ differ only in the attention callable they hand it:
     h2o_like         masked attention over all l rows at every layer, only
                      for the heavy-hitter baseline's column sums
 
-Prefill keeps each layer's accumulators in session.importance[layer], one
-vector per KV head, for layers 0..e and None above (and everywhere when
-w >= l). Compression runs once after prefill, and only when the budget
-leaves something to evict: layers at or below e are scored with their own
-accumulator, layers above reuse layer e's accumulator, both weighted by the
-layer's own value-row norms. The retained set is stored only in the cache:
-cache[layer].positions[g] holds the original positions KV head g kept.
+Only prefill builds a KV cache; the other two passes read the projections
+as they are. Prefill is all or nothing: the session changes only after
+every layer has run. It keeps each layer's accumulators in
+session.importance[layer], one vector per KV head, for layers 0..e and None
+above (and everywhere when w >= l). Compression runs once after prefill,
+and only when the budget leaves something to evict: layers at or below e
+are scored with their own accumulator, layers above reuse layer e's
+accumulator, both weighted by the layer's own value-row norms. The retained
+set is stored only in the cache: cache[layer].positions[g] holds the
+original positions KV head g kept.
 
 Decode runs the same transformer block as the prompt passes. At each layer
 it appends the new token's key and value row to every KV head, past the
@@ -103,9 +113,6 @@ class ModelConfig:
     @property
     def group_size(self) -> int:
         return self.num_q_heads // self.num_kv_heads
-
-    def kv_group(self, q_head: int) -> int:
-        return q_head // self.group_size
 
 
 @dataclass(frozen=True)
@@ -197,41 +204,28 @@ def _rmsnorm(x: np.ndarray) -> np.ndarray:
 
 
 def _project_heads(h: np.ndarray, weights: LayerWeights, config: ModelConfig):
+    """q as (Hkv, G, n, d_k), k and v as (Hkv, n, d): query head g * G + j is q[g, j]."""
+    c = config
     n = h.shape[0]
-    q = (h @ weights.wq).reshape(n, config.num_q_heads, config.d_k)
-    k = (h @ weights.wk).reshape(n, config.num_kv_heads, config.d_k)
-    v = (h @ weights.wv).reshape(n, config.num_kv_heads, config.d_v)
+    q = (h @ weights.wq).reshape(n, c.num_kv_heads, c.group_size, c.d_k).transpose(1, 2, 0, 3)
+    k = (h @ weights.wk).reshape(n, c.num_kv_heads, c.d_k).transpose(1, 0, 2)
+    v = (h @ weights.wv).reshape(n, c.num_kv_heads, c.d_v).transpose(1, 0, 2)
     return q, k, v
 
 
-def _streaming_heads(q: np.ndarray, kv: KvCacheLayer, mask: np.ndarray, tile_size: int,
-                     config: ModelConfig) -> np.ndarray:
-    """Every query head of a layer in one streaming call.
-
-    q is (l_q, num_q_heads, d_k); query head g * group_size + j reads KV
-    head g. Returns the head outputs side by side, (l_q, num_q_heads * d_v).
-    """
-    l_q = q.shape[0]
-    grouped = q.reshape(l_q, config.num_kv_heads, config.group_size, config.d_k)
-    keys, values = kv.stacked()
-    out = attention.streaming_masked(
-        grouped.transpose(1, 2, 0, 3), keys[:, None], values[:, None], mask, tile_size,
-    )
-    return out.transpose(2, 0, 1, 3).reshape(l_q, -1)
-
-
 def _block(x: np.ndarray, weights: LayerWeights, config: ModelConfig, attend) -> np.ndarray:
-    """One pre-norm layer; attend(q, k, v) returns the head outputs side by side."""
+    """One pre-norm layer; attend(q, k, v) returns the (Hkv, G, n, d_v) head outputs."""
     q, k, v = _project_heads(_rmsnorm(x), weights, config)
-    x = x + attend(q, k, v) @ weights.wo
+    heads = attend(q, k, v).transpose(2, 0, 1, 3).reshape(x.shape[0], -1)
+    x = x + heads @ weights.wo
     return x + np.maximum(_rmsnorm(x) @ weights.w_up, 0.0) @ weights.w_down
 
 
 def _forward(model: Model, session: SessionState, x: np.ndarray, attend) -> np.ndarray:
     """The one loop over layers for a prompt; returns the final hidden states.
 
-    Each layer's projected keys and values arrive wrapped in a KvCacheLayer,
-    and attend(layer, q, kv, mask) returns that layer's head outputs.
+    attend(layer, q, k, v, mask) gets each layer's projected heads and
+    returns that layer's head outputs.
     """
     c = model.config
     st = session.policy.st_layer_index
@@ -240,28 +234,25 @@ def _forward(model: Model, session: SessionState, x: np.ndarray, attend) -> np.n
         sparse_mask = build_mask(session.layout, session.pattern)
     for layer in range(c.num_layers):
         mask = dense_mask if layer < st else sparse_mask
-
-        def attend_heads(q, k, v):
-            return attend(layer, q, KvCacheLayer.from_projections(k, v), mask)
-
-        x = _block(x, model.layers[layer], c, attend_heads)
+        x = _block(x, model.layers[layer], c, lambda q, k, v: attend(layer, q, k, v, mask))
     return x
 
 
-def _recent_accumulators(q: np.ndarray, kv: KvCacheLayer, mask: np.ndarray, w: int,
-                         config: ModelConfig) -> list[np.ndarray]:
+def _recent_accumulators(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray,
+                         w: int) -> list[np.ndarray]:
     """Per KV head, the mean over its query heads of the recent-window accumulator.
 
     Only the last w query rows are materialized: a (w, l) slab per query head.
     """
-    l = q.shape[0]
-    keys, values = kv.stacked()
-    accumulators = [[] for _ in range(config.num_kv_heads)]
-    for q_head in range(config.num_q_heads):
-        g = config.kv_group(q_head)
-        _, weights = attention.masked(q[l - w:, q_head, :], keys[g], values[g], mask[l - w:])
-        accumulators[g].append(accumulate_recent_attention(weights, w))
-    return [np.mean(acc, axis=0) for acc in accumulators]
+    l = k.shape[1]
+    accumulators = []
+    for g, group in enumerate(q):
+        per_head = []
+        for q_head in group:
+            _, weights = attention.masked(q_head[l - w:], k[g], v[g], mask[l - w:])
+            per_head.append(accumulate_recent_attention(weights, w))
+        accumulators.append(np.mean(per_head, axis=0))
+    return accumulators
 
 
 def prefill(model: Model, session: SessionState, token_embeddings) -> np.ndarray:
@@ -283,19 +274,21 @@ def prefill(model: Model, session: SessionState, token_embeddings) -> np.ndarray
 
     l = x.shape[0]
     w, h_count = budget_to_wh(session.policy.budget_fraction, l, session.policy.recent_window_w)
-    session.w, session.h = w, h_count
-    session.prefill_len = l
-    session.prefill_embeddings = x.copy()
     clie = session.policy.clie_layer_index
+    cache, importance = [], []
 
-    def attend(layer, q, kv, mask):
-        session.cache.append(kv)
-        session.importance.append(
-            _recent_accumulators(q, kv, mask, w, c) if layer <= clie and w < l else None
-        )
-        return _streaming_heads(q, kv, mask, session.tile_size, c)
+    def attend(layer, q, k, v, mask):
+        cache.append(KvCacheLayer(k, v, np.broadcast_to(np.arange(l), k.shape[:2])))
+        estimating = layer <= clie and w < l
+        importance.append(_recent_accumulators(q, k, v, mask, w) if estimating else None)
+        return attention.streaming_masked(q, k[:, None], v[:, None], mask, session.tile_size)
 
-    return _rmsnorm(_forward(model, session, x, attend)) @ model.w_vocab
+    logits = _rmsnorm(_forward(model, session, x, attend)) @ model.w_vocab
+    # All or nothing: the session changes only once every layer has run.
+    session.cache, session.importance = cache, importance
+    session.w, session.h, session.prefill_len = w, h_count, l
+    session.prefill_embeddings = x.copy()
+    return logits
 
 
 def _instrumented_stats(model: Model, session: SessionState) -> list[list[np.ndarray]]:
@@ -304,20 +297,16 @@ def _instrumented_stats(model: Model, session: SessionState) -> list[list[np.nda
     Never called by prefill, decode or validation. Returns, per layer, each
     KV head's column-sum score averaged over its query heads.
     """
-    c = model.config
     colsums = []
 
-    def attend(layer, q, kv, mask):
-        keys, values = kv.stacked()
-        per_head = [[] for _ in range(c.num_kv_heads)]
-        head_outs = []
-        for q_head in range(c.num_q_heads):
-            g = c.kv_group(q_head)
-            out, weights = attention.masked(q[:, q_head, :], keys[g], values[g], mask)
-            head_outs.append(out)
+    def attend(layer, q, k, v, mask):
+        out = np.empty(q.shape[:3] + v.shape[2:])
+        per_head = [[] for _ in k]
+        for g, j in np.ndindex(q.shape[:2]):
+            out[g, j], weights = attention.masked(q[g, j], k[g], v[g], mask)
             per_head[g].append(baseline_h2o_score(weights))
         colsums.append([np.mean(cs, axis=0) for cs in per_head])
-        return np.concatenate(head_outs, axis=1)
+        return out
 
     _forward(model, session, session.prefill_embeddings, attend)
     return colsums
@@ -389,10 +378,9 @@ def decode_step(model: Model, session: SessionState, token_embedding) -> np.ndar
 
             def attend(q, k, v):
                 for g in range(c.num_kv_heads):
-                    kv.append(g, k[0, g, :], v[0, g, :], position)
+                    kv.append(g, k[g, 0], v[g, 0], position)
                 keys, values = kv.stacked()
-                grouped = q.reshape(c.num_kv_heads, c.group_size, c.d_k)
-                return attention.decode(grouped, keys, values).reshape(1, -1)
+                return attention.decode(q[:, :, 0], keys, values)[:, :, None]
 
             x = _block(x, model.layers[layer], c, attend)
     except BaseException:
@@ -421,6 +409,8 @@ def validate_cross_layer(model: Model, session: SessionState, analysis_layer: in
     # (as the traced benchmark does) sees these calls.
     from .stats import permutation_pvalue, spearman_rho
 
+    if not session.cache:
+        raise ConfigurationError("validate_cross_layer requires a completed prefill")
     c = model.config
     analysis = session.policy.clie_layer_index if analysis_layer is None else analysis_layer
     if not (0 <= analysis < c.num_layers):
@@ -432,10 +422,10 @@ def validate_cross_layer(model: Model, session: SessionState, analysis_layer: in
         raise ConfigurationError(f"validation needs l > w, got l={l}, w={w}")
     accumulators, values = [], []
 
-    def attend(layer, q, kv, mask):
-        accumulators.append(_recent_accumulators(q, kv, mask, w, c))
-        values.append(kv.values)
-        return _streaming_heads(q, kv, mask, session.tile_size, c)
+    def attend(layer, q, k, v, mask):
+        accumulators.append(_recent_accumulators(q, k, v, mask, w))
+        values.append(v)
+        return attention.streaming_masked(q, k[:, None], v[:, None], mask, session.tile_size)
 
     _forward(model, session, session.prefill_embeddings, attend)
 

@@ -28,17 +28,10 @@ def rank(values) -> np.ndarray:
         raise ConfigurationError("rank expects a non-empty 1-D vector")
     if np.isnan(values).any():
         raise ValueError("rank is undefined for NaN inputs")
-    n = values.size
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    ranks = np.empty(n, dtype=np.float64)
-    start = 0
-    for stop in range(1, n + 1):
-        if stop == n or sorted_vals[stop] != sorted_vals[start]:
-            # positions start..stop-1 hold equal values: average rank
-            ranks[order[start:stop]] = (start + stop + 1) / 2.0
-            start = stop
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    # Equal values fill sorted positions stop-count..stop-1: ranks stop-count+1..stop.
+    stops = np.cumsum(counts)
+    return ((stops - counts + stops + 1) / 2.0)[inverse]
 
 
 def spearman_rho(x, y) -> float:

@@ -81,11 +81,20 @@ class TestModelInit:
             logits.append(prefill(model, session, emb))
         np.testing.assert_array_equal(logits[0], logits[1])
 
-    def test_gqa_grouping_four_per_group(self):
-        config = ModelConfig(num_layers=2, d_model=64, num_q_heads=8, num_kv_heads=2,
-                             d_k=8, d_v=8, vocab_size=10, seed=0)
+    def test_project_heads_groups_four_query_heads_per_kv_head(self):
+        config = ModelConfig(num_layers=1, d_model=64, num_q_heads=8, num_kv_heads=2,
+                             d_k=8, d_v=6, vocab_size=10, seed=0)
+        weights = init_model(config).layers[0]
+        h = seeded_gaussian(5, config.d_model, 9)
+        q, k, v = purekv.engine._project_heads(h, weights, config)
         assert config.group_size == 4
-        assert [config.kv_group(h) for h in range(8)] == [0, 0, 0, 0, 1, 1, 1, 1]
+        assert (q.shape, k.shape, v.shape) == ((2, 4, 5, 8), (2, 5, 8), (2, 5, 6))
+        for g in range(2):
+            for j in range(4):
+                head = 4 * g + j
+                np.testing.assert_array_equal(q[g, j], (h @ weights.wq)[:, 8 * head: 8 * head + 8])
+            np.testing.assert_array_equal(k[g], (h @ weights.wk)[:, 8 * g: 8 * g + 8])
+            np.testing.assert_array_equal(v[g], (h @ weights.wv)[:, 6 * g: 6 * g + 6])
 
     def test_head_divisibility_enforced(self):
         with pytest.raises(ConfigurationError, match="divisible"):
@@ -446,6 +455,25 @@ class TestNonFiniteInput:
         assert session.step_count == 2
 
 
+def fail_at_layer_3(monkeypatch):
+    """Let engine._block run layers 0..2, then attend at layer 3 and raise."""
+    real_block = purekv.engine._block
+    layers_run = []
+
+    def block_failing_at_layer_3(x, weights, config, attend):
+        if len(layers_run) < 3:
+            layers_run.append(True)
+            return real_block(x, weights, config, attend)
+
+        def attend_then_fail(q, k, v):
+            attend(q, k, v)
+            raise RuntimeError("injected failure at layer 3")
+
+        return real_block(x, weights, config, attend_then_fail)
+
+    monkeypatch.setattr(purekv.engine, "_block", block_failing_at_layer_3)
+
+
 class TestAllOrNothingDecode:
     def test_failure_at_a_middle_layer_leaves_the_session_unchanged(self, monkeypatch):
         # Layers 0..2 finish and layer 3 appends its row before the step
@@ -464,21 +492,7 @@ class TestAllOrNothingDecode:
         decode_step(model, clean, extra[0])
         before = cache_snapshot(session)
 
-        real_block = purekv.engine._block
-        layers_run = []
-
-        def block_failing_at_layer_3(x, weights, config, attend):
-            if len(layers_run) < 3:
-                layers_run.append(True)
-                return real_block(x, weights, config, attend)
-
-            def attend_then_fail(q, k, v):
-                attend(q, k, v)
-                raise RuntimeError("injected failure at layer 3")
-
-            return real_block(x, weights, config, attend_then_fail)
-
-        monkeypatch.setattr(purekv.engine, "_block", block_failing_at_layer_3)
+        fail_at_layer_3(monkeypatch)
         with pytest.raises(RuntimeError, match="injected"):
             decode_step(model, session, extra[1])
         monkeypatch.undo()
@@ -488,6 +502,30 @@ class TestAllOrNothingDecode:
         np.testing.assert_array_equal(decode_step(model, session, extra[1]),
                                       decode_step(model, clean, extra[1]))
         assert session.step_count == 2
+        assert_same_cache(cache_snapshot(clean), cache_snapshot(session))
+
+
+class TestAllOrNothingPrefill:
+    def test_failure_at_a_middle_layer_leaves_the_session_fresh(self, monkeypatch):
+        # Layers 0..2 finish and layer 3 attends before prefill raises; the
+        # session must still equal a fresh one, and a retry must succeed.
+        model = init_model(SMALL)
+        emb = embeddings_for(LAYOUT, seed=36)
+
+        def fresh():
+            return init_session(model, LAYOUT, make_policy(budget=0.5), SparsityPattern.spatial())
+
+        session, clean = fresh(), fresh()
+        fail_at_layer_3(monkeypatch)
+        with pytest.raises(RuntimeError, match="injected"):
+            prefill(model, session, emb)
+        monkeypatch.undo()
+        assert session == fresh()
+
+        np.testing.assert_array_equal(prefill(model, session, emb), prefill(model, clean, emb))
+        assert_same_cache(cache_snapshot(clean), cache_snapshot(session))
+        apply_compression(model, session)
+        apply_compression(model, clean)
         assert_same_cache(cache_snapshot(clean), cache_snapshot(session))
 
 
@@ -538,6 +576,13 @@ class TestValidation:
         prefill(model, session, emb)
         report = validate_cross_layer(model, session, n_perm=199, seed=2)
         assert report["median_rho"] > 0
+
+    def test_requires_a_prefilled_session_before_any_other_check(self):
+        model = init_model(SMALL)
+        session = init_session(model, LAYOUT, make_policy(), SparsityPattern.dense())
+        for analysis in (None, SMALL.num_layers - 1, SMALL.num_layers):
+            with pytest.raises(ConfigurationError, match="requires a completed prefill"):
+                validate_cross_layer(model, session, analysis_layer=analysis, n_perm=199, seed=0)
 
     def test_requires_nonrecent_segment(self):
         model = init_model(SMALL)

@@ -93,6 +93,7 @@ class TestSpearmanRho:
             y = rng.integers(0, 6, size=n).astype(float)
             if len(set(x)) < 2 or len(set(y)) < 2:
                 continue
+            np.testing.assert_array_equal(rank(x), oracle_rank(list(x)))
             expected = oracle_pearson(oracle_rank(list(x)), oracle_rank(list(y)))
             assert spearman_rho(x, y) == pytest.approx(expected, abs=1e-12)
 
@@ -108,8 +109,13 @@ class TestSpearmanRho:
                 continue
             expected = scipy_stats.spearmanr(x, y).statistic
             assert spearman_rho(x, y) == pytest.approx(expected, abs=1e-12)
+            np.testing.assert_array_equal(rank(x), scipy_stats.rankdata(x))
+            np.testing.assert_array_equal(rank(y), scipy_stats.rankdata(y))
             checked += 1
         assert checked > 150
+        signed_zeros = np.array([0.0, -0.0, 1.0, -0.0, -1.0])  # -0.0 == 0.0: one tie
+        np.testing.assert_array_equal(rank(signed_zeros), [3.0, 3.0, 5.0, 3.0, 1.0])
+        np.testing.assert_array_equal(rank(signed_zeros), scipy_stats.rankdata(signed_zeros))
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(3)
