@@ -9,18 +9,19 @@ window w:
 
 score_low computes either product. select_retained keeps the recent window
 plus the top-h non-recent entries by score, ties broken toward the smaller
-index. Two simplified baselines are provided: column-sum ("heavy hitter")
-scoring and sink-plus-window retention.
+index. Both work along the last axis, on one head's vector or on a layer's
+(Hkv, l - w) table. Two simplified baselines are provided: column-sum
+("heavy hitter") scoring and sink-plus-window retention.
 
 Storage: KvCacheLayer holds one layer's rows in head-stacked buffers,
 (Hkv, capacity, d) for keys and values and (Hkv, capacity) for positions,
-with a committed row count per head. Appending writes in place and doubles
+with a committed row count per head. It is built from stacked (Hkv, n, ·)
+arrays, so its heads start equal. Appending writes in place and doubles
 the capacity when the buffers are full, so a decode step copies nothing but
-its new rows; evict builds new buffers sized to what it keeps; truncate
-rolls heads back to earlier counts, which makes a failed decode step
-undoable. Readers see only committed rows, through per-head views or the
-stacked views of stacked().
-"""
+its new rows; evict gathers an (Hkv, m) table of retained positions into
+new buffers; truncate(n) rolls every head back to n rows, which makes a
+failed decode step undoable. Readers see only committed rows, through
+per-head views or the stacked views of stacked()."""
 
 from __future__ import annotations
 
@@ -42,34 +43,23 @@ class KvCacheLayer:
     rows of its slot. keys[g], values[g] and positions[g] are views of
     exactly those rows, so nothing past the committed length is ever seen.
     append writes one row past a head's committed length and commits it,
-    doubling the capacity when the buffers are full; truncate rolls heads
-    back to earlier lengths.
+    doubling the capacity when the buffers are full; truncate rolls every
+    head back to one earlier count.
     """
 
     def __init__(self, keys, values, positions):
-        """Copy head g's keys[g], values[g] and positions[g] into fresh buffers.
-
-        Each argument is indexed by head: a list of per-head arrays, or a
-        stacked array. Heads may hold different numbers of rows.
-        """
-        lengths = [len(p) for p in positions]
-        if not lengths or not (len(keys) == len(values) == len(lengths)):
+        """Copy stacked keys (Hkv, n, d_k), values (Hkv, n, d_v) and positions (Hkv, n)."""
+        self._keys = np.array(keys, dtype=np.float64)
+        self._values = np.array(values, dtype=np.float64)
+        self._positions = np.array(positions, dtype=np.int64)
+        shapes = self._keys.shape, self._values.shape, self._positions.shape
+        if (self._keys.ndim != 3 or self._values.ndim != 3 or not self._keys.shape[0]
+                or not self._keys.shape[:2] == self._values.shape[:2] == self._positions.shape):
             raise ConfigurationError(
-                f"got {len(keys)} key, {len(values)} value and {len(lengths)} position "
-                "sets; need the same positive number of heads for each"
+                f"need keys (Hkv, n, d_k), values (Hkv, n, d_v) and positions (Hkv, n) "
+                f"for the same Hkv >= 1 heads and n rows, got shapes {shapes}"
             )
-        for h, n in enumerate(lengths):
-            if not (len(keys[h]) == len(values[h]) == n):
-                raise ConfigurationError(f"head {h}: keys/values/positions row counts differ")
-        heads, capacity = len(lengths), max(lengths)
-        self._keys = np.empty((heads, capacity, np.shape(keys[0])[-1]))
-        self._values = np.empty((heads, capacity, np.shape(values[0])[-1]))
-        self._positions = np.empty((heads, capacity), dtype=np.int64)
-        for h, n in enumerate(lengths):
-            self._keys[h, :n] = keys[h]
-            self._values[h, :n] = values[h]
-            self._positions[h, :n] = positions[h]
-        self._lengths = lengths
+        self._lengths = [self._positions.shape[1]] * len(self._positions)
 
     @property
     def num_heads(self) -> int:
@@ -78,11 +68,6 @@ class KvCacheLayer:
     @property
     def capacity(self) -> int:
         return self._positions.shape[1]
-
-    @property
-    def lengths(self) -> tuple[int, ...]:
-        """Committed row count of every head."""
-        return tuple(self._lengths)
 
     def rows(self, head: int) -> int:
         return self._lengths[head]
@@ -99,15 +84,15 @@ class KvCacheLayer:
     def positions(self) -> list[np.ndarray]:
         return [self._positions[h, :n] for h, n in enumerate(self._lengths)]
 
-    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every head's committed (keys, values) as (Hkv, n, d) views.
+    def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every head's committed (keys, values, positions) as (Hkv, n, ·) views.
 
         Needs every head to hold the same n rows, as they do in a session.
         """
         n = self._lengths[0]
         if any(m != n for m in self._lengths):
             raise ConfigurationError(f"heads hold different row counts {self._lengths}")
-        return self._keys[:, :n], self._values[:, :n]
+        return self._keys[:, :n], self._values[:, :n], self._positions[:, :n]
 
     def append(self, head: int, key_row: np.ndarray, value_row: np.ndarray, position: int):
         n = self._lengths[head]
@@ -131,15 +116,11 @@ class KvCacheLayer:
             new[:, : old.shape[1]] = old
             setattr(self, name, new)
 
-    def truncate(self, lengths):
-        """Roll every head back to an earlier committed length."""
-        lengths = [int(n) for n in lengths]
-        if len(lengths) != self.num_heads or any(
-                not 0 <= n <= m for n, m in zip(lengths, self._lengths)):
-            raise ConfigurationError(
-                f"cannot truncate committed lengths {self._lengths} to {lengths}"
-            )
-        self._lengths = lengths
+    def truncate(self, n: int):
+        """Roll every head back to its first n committed rows."""
+        if not 0 <= n <= min(self._lengths):
+            raise ConfigurationError(f"cannot truncate committed lengths {self._lengths} to {n}")
+        self._lengths = [n] * self.num_heads
 
     def check_invariants(self):
         for h, n in enumerate(self._lengths):
@@ -211,62 +192,73 @@ def accumulate_recent_attention(A, w: int) -> np.ndarray:
 
 
 def score_low(C, V_low) -> np.ndarray:
-    """Weight a layer's own accumulator by its V-row norms."""
+    """Weight a layer's own accumulator by its V-row norms.
+
+    C is one head's accumulator (m,) with V_low (n, d_v), or a table of them
+    (Hkv, m) with V_low (Hkv, n, d_v); n >= m, and only V_low's first m rows
+    are read.
+    """
     C = np.asarray(C, dtype=np.float64)
     V_low = np.asarray(V_low, dtype=np.float64)
-    if C.ndim != 1:
-        raise ConfigurationError("score_low expects a 1-D accumulator")
-    if V_low.shape[0] < C.size:
+    if C.ndim not in (1, 2) or V_low.ndim != C.ndim + 1 or V_low.shape[:-2] != C.shape[:-1]:
         raise ConfigurationError(
-            f"V has {V_low.shape[0]} rows but the accumulator covers {C.size} keys"
+            f"score_low expects C (m,) with V (n, d) or C (Hkv, m) with V (Hkv, n, d), "
+            f"got {C.shape} and {V_low.shape}"
         )
-    return C * l2_norm_rows(V_low[: C.size])
+    m = C.shape[-1]
+    if V_low.shape[-2] < m:
+        raise ConfigurationError(
+            f"V has {V_low.shape[-2]} rows but the accumulator covers {m} keys"
+        )
+    rows = V_low[..., :m, :].reshape(-1, V_low.shape[-1])
+    return C * l2_norm_rows(rows).reshape(C.shape)
 
 
 def select_retained(S, w: int, h: int, l: int) -> np.ndarray:
     """Last w positions plus the h top-scoring non-recent positions.
 
-    Ties break toward the smaller index. Returns sorted original positions,
-    exactly min(l, w + h) of them.
+    S holds scores over the l - w non-recent positions along its last axis:
+    one head's (l - w,) vector or an (Hkv, l - w) table. Ties break toward
+    the smaller index. Returns sorted original positions along the last
+    axis, exactly min(l, w + h) of them per head.
     """
     S = np.asarray(S, dtype=np.float64)
-    if S.ndim != 1 or S.size != l - w:
+    if S.shape[-1:] != (l - w,):
         raise ConfigurationError(
-            f"score length {S.size} does not match l - w = {l - w}"
+            f"score shape {S.shape} does not end in l - w = {l - w}"
         )
     if h > l - w:
         raise ConfigurationError(f"h={h} exceeds the non-recent segment length {l - w}")
     if h < 0:
         raise ConfigurationError("h must be >= 0")
     # Stable sort on -S keeps the original (ascending-index) order inside ties.
-    top = np.argsort(-S, kind="stable")[:h]
-    recent = np.arange(l - w, l, dtype=np.int64)
-    return np.sort(np.concatenate([top.astype(np.int64), recent]))
+    top = np.argsort(-S, axis=-1, kind="stable")[..., :h]
+    recent = np.broadcast_to(np.arange(l - w, l, dtype=np.int64), S.shape[:-1] + (w,))
+    return np.sort(np.concatenate([top.astype(np.int64), recent], axis=-1), axis=-1)
 
 
 def evict(layer: KvCacheLayer, retained) -> KvCacheLayer:
-    """Drop rows whose positions are not retained; survivors keep their order.
+    """Keep the rows at the positions head g lists in retained[g].
 
-    retained holds one position set per head.
+    retained is an (Hkv, m) table of positions, distinct within a row and
+    all present in the cache; every head keeps its m rows in their order.
     """
-    if len(retained) != layer.num_heads:
+    want = np.asarray(retained, dtype=np.int64)
+    if want.ndim != 2 or len(want) != layer.num_heads:
         raise ConfigurationError(
-            f"got {len(retained)} retained sets for {layer.num_heads} heads"
+            f"expected a ({layer.num_heads}, m) retained table, got shape {want.shape}"
         )
-    keys, values, positions = layer.keys, layer.values, layer.positions
-    for h in range(layer.num_heads):
-        want = np.asarray(retained[h], dtype=np.int64)
-        if want.ndim != 1:
-            raise ConfigurationError(f"head {h}: expected a 1-D retained set, got {want.shape}")
-        want = np.unique(want)
-        missing = np.setdiff1d(want, positions[h])
-        if missing.size:
-            raise ConfigurationError(
-                f"head {h}: retained positions {missing.tolist()} not present in cache"
-            )
-        keep = np.isin(positions[h], want)
-        keys[h], values[h], positions[h] = keys[h][keep], values[h][keep], positions[h][keep]
-    return KvCacheLayer(keys, values, positions)
+    keys, values, positions = layer.stacked()
+    keep = np.array([np.isin(p, s) for p, s in zip(positions, want)])
+    short = np.flatnonzero(keep.sum(axis=1) != want.shape[1])
+    if short.size:
+        g = int(short[0])
+        raise ConfigurationError(
+            f"head {g}: retained positions {want[g].tolist()} repeat or are not present in cache"
+        )
+    return KvCacheLayer(keys[keep].reshape(want.shape + keys.shape[2:]),
+                        values[keep].reshape(want.shape + values.shape[2:]),
+                        positions[keep].reshape(want.shape))
 
 
 def baseline_h2o_score(A) -> np.ndarray:

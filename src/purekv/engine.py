@@ -29,24 +29,29 @@ outputs. Three passes run it and differ only in that callable:
 Only prefill builds a KV cache; the other two passes read the projections
 as they are. Prefill is all or nothing: the session changes only after
 every layer has run. It keeps each layer's accumulators in
-session.importance[layer], one vector per KV head, for layers 0..e and None
+session.importance[layer], an (Hkv, l - w) array, for layers 0..e and None
 above (and everywhere when w >= l). Compression runs once after prefill,
-and only when the budget leaves something to evict: layers at or below e
-are scored with their own accumulator, layers above reuse layer e's
-accumulator, both weighted by the layer's own value-row norms. The retained
+and only when the budget leaves something to evict. Each layer is scored,
+selected and evicted as one table: score_low weights the layer's own
+accumulator (layers at or below e) or layer e's (layers above) by the
+layer's value-row norms, select_retained turns those (Hkv, l - w) scores
+into an (Hkv, w + h) table of positions, and evict gathers it. The retained
 set is stored only in the cache: cache[layer].positions[g] holds the
 original positions KV head g kept.
+
+session.phase is "new", then "prefilled", then "compressed"; every entry
+point checks it first and raises before changing anything.
 
 Decode runs the same transformer block as the prompt passes. At each layer
 it appends the new token's key and value row to every KV head, past the
 committed rows of the layer's preallocated (Hkv, capacity, d) buffers, and
 makes one attention.decode call: the (Hkv, group_size, d_k) query against
 the (Hkv, n, d) stacked views, no mask and no key tiles. A step is all or
-nothing: if any layer raises, every layer is truncated back to the lengths
-it had before the step, and step_count is unchanged. Decode never calls
-masked, and its one softmax row per query head lives only inside the
-kernel, so decode stays streaming-compatible: no caller can read its
-attention weights.
+nothing: if any layer raises, every layer is truncated back to the one row
+count its heads held before the step, and step_count is unchanged. Decode
+never calls masked, and its one softmax row per query head lives only
+inside the kernel, so decode stays streaming-compatible: no caller can read
+its attention weights.
 
 Embeddings that enter prefill or decode must be finite; anything else is
 rejected before the session changes.
@@ -71,6 +76,7 @@ from .cache import (
     baseline_streaming,
     budget_to_wh,
     evict,
+    score_low,
     select_retained,
 )
 from .errors import ConfigurationError
@@ -164,12 +170,12 @@ class SessionState:
     pattern: SparsityPattern
     tile_size: int = attention.DEFAULT_TILE
     cache: list[KvCacheLayer] = field(default_factory=list)
-    importance: list[list[np.ndarray] | None] = field(default_factory=list)
+    importance: list[np.ndarray | None] = field(default_factory=list)
     prefill_embeddings: np.ndarray | None = None
     prefill_len: int = 0
     w: int = 0
     h: int = 0
-    compressed: bool = False
+    phase: str = "new"  # "new", then "prefilled", then "compressed"
     step_count: int = 0
 
 
@@ -238,25 +244,36 @@ def _forward(model: Model, session: SessionState, x: np.ndarray, attend) -> np.n
     return x
 
 
+def _masked_heads(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray, score):
+    """masked attention one query head at a time, scoring each head's weights.
+
+    Returns the (Hkv, G, n, d_v) head outputs and the (Hkv, ·) table of
+    score(weights), averaged over each KV head's G query heads.
+    """
+    out = np.empty(q.shape[:3] + v.shape[2:])
+    scores = []
+    for g, j in np.ndindex(q.shape[:2]):
+        out[g, j], weights = attention.masked(q[g, j], k[g], v[g], mask)
+        scores.append(score(weights))
+    return out, np.reshape(scores, q.shape[:2] + (-1,)).mean(axis=1)
+
+
 def _recent_accumulators(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray,
-                         w: int) -> list[np.ndarray]:
-    """Per KV head, the mean over its query heads of the recent-window accumulator.
+                         w: int) -> np.ndarray:
+    """The (Hkv, l - w) recent-window accumulators, averaged over query heads.
 
     Only the last w query rows are materialized: a (w, l) slab per query head.
     """
     l = k.shape[1]
-    accumulators = []
-    for g, group in enumerate(q):
-        per_head = []
-        for q_head in group:
-            _, weights = attention.masked(q_head[l - w:], k[g], v[g], mask[l - w:])
-            per_head.append(accumulate_recent_attention(weights, w))
-        accumulators.append(np.mean(per_head, axis=0))
+    _, accumulators = _masked_heads(q[:, :, l - w:], k, v, mask[l - w:],
+                                    lambda weights: accumulate_recent_attention(weights, w))
     return accumulators
 
 
 def prefill(model: Model, session: SessionState, token_embeddings) -> np.ndarray:
     """Run the whole prompt, populate the cache, and return (l, vocab) logits."""
+    if session.phase != "new":
+        raise ConfigurationError("session already prefilled")
     c = model.config
     x = np.asarray(token_embeddings, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != c.d_model:
@@ -268,8 +285,6 @@ def prefill(model: Model, session: SessionState, token_embeddings) -> np.ndarray
             f"embeddings rows ({x.shape[0]}) must match layout total_len "
             f"({session.layout.total_len})"
         )
-    if session.cache:
-        raise ConfigurationError("session already prefilled")
     _require_finite(x, "embeddings")
 
     l = x.shape[0]
@@ -288,24 +303,22 @@ def prefill(model: Model, session: SessionState, token_embeddings) -> np.ndarray
     session.cache, session.importance = cache, importance
     session.w, session.h, session.prefill_len = w, h_count, l
     session.prefill_embeddings = x.copy()
+    session.phase = "prefilled"
     return logits
 
 
-def _instrumented_stats(model: Model, session: SessionState) -> list[list[np.ndarray]]:
+def _instrumented_stats(model: Model, session: SessionState) -> list[np.ndarray]:
     """The h2o_like pass: full attention weights materialized at every layer.
 
-    Never called by prefill, decode or validation. Returns, per layer, each
-    KV head's column-sum score averaged over its query heads.
+    Never called by prefill, decode or validation. Returns, per layer, the
+    (Hkv, l) table of column-sum scores averaged over each KV head's query
+    heads.
     """
     colsums = []
 
     def attend(layer, q, k, v, mask):
-        out = np.empty(q.shape[:3] + v.shape[2:])
-        per_head = [[] for _ in k]
-        for g, j in np.ndindex(q.shape[:2]):
-            out[g, j], weights = attention.masked(q[g, j], k[g], v[g], mask)
-            per_head[g].append(baseline_h2o_score(weights))
-        colsums.append([np.mean(cs, axis=0) for cs in per_head])
+        out, scores = _masked_heads(q, k, v, mask, baseline_h2o_score)
+        colsums.append(scores)
         return out
 
     _forward(model, session, session.prefill_embeddings, attend)
@@ -314,55 +327,44 @@ def _instrumented_stats(model: Model, session: SessionState) -> list[list[np.nda
 
 def apply_compression(model: Model, session: SessionState) -> SessionState:
     """Score, select, and evict once at the end of prefill."""
-    if not session.cache:
+    if session.phase == "new":
         raise ConfigurationError("apply_compression requires a completed prefill")
-    if session.compressed:
+    if session.phase == "compressed":
         raise ConfigurationError("compression already applied")
-    c = model.config
     policy = session.policy
-    l = session.prefill_len
-    w, h_count = session.w, session.h
-    clie = policy.clie_layer_index
+    kind = policy.policy_kind
+    l, w, h_count = session.prefill_len, session.w, session.h
 
-    if policy.policy_kind == "full" or w + h_count >= l:
-        session.compressed = True
+    if kind == "full" or w + h_count >= l:
+        session.phase = "compressed"
         return session
 
-    h2o_colsums = _instrumented_stats(model, session) if policy.policy_kind == "h2o_like" else None
-
-    retained_all = []
-    for layer in range(c.num_layers):
-        per_head = []
-        for g in range(c.num_kv_heads):
-            if policy.policy_kind == "pure_kv":
-                source = layer if layer <= clie else clie
-                accumulators = session.importance[source]
-                if accumulators is None or accumulators[g].size != l - w:
-                    raise ConfigurationError(
-                        f"layer {layer}: missing recent-window accumulator for head {g}"
-                    )
-                values = session.cache[layer].values[g]
-                scores = accumulators[g] * l2_norm_rows(values[: l - w])
-                per_head.append(select_retained(scores, w, h_count, l))
-            elif policy.policy_kind == "h2o_like":
-                scores = h2o_colsums[layer][g][: l - w]
-                per_head.append(select_retained(scores, w, h_count, l))
-            else:  # streaming_like
-                n_keep = w + h_count
-                sink = min(policy.sink_len, n_keep)
-                per_head.append(baseline_streaming(l, sink, n_keep - sink))
-        retained_all.append(per_head)
-
-    for layer in range(c.num_layers):
-        session.cache[layer] = evict(session.cache[layer], retained_all[layer])
-        session.cache[layer].check_invariants()
-    session.compressed = True
+    if kind == "h2o_like":
+        colsums = _instrumented_stats(model, session)
+    elif kind == "streaming_like":
+        sink = min(policy.sink_len, w + h_count)
+        streaming = baseline_streaming(l, sink, w + h_count - sink)
+    cache = []
+    for layer, kv in enumerate(session.cache):
+        if kind == "pure_kv":
+            accumulators = session.importance[min(layer, policy.clie_layer_index)]
+            _, values, _ = kv.stacked()
+            retained = select_retained(score_low(accumulators, values), w, h_count, l)
+        elif kind == "h2o_like":
+            retained = select_retained(colsums[layer][:, : l - w], w, h_count, l)
+        else:
+            retained = np.broadcast_to(streaming, (kv.num_heads, streaming.size))
+        cache.append(evict(kv, retained))
+        cache[-1].check_invariants()
+    # All or nothing: the session changes only once every layer is evicted.
+    session.cache = cache
+    session.phase = "compressed"
     return session
 
 
 def decode_step(model: Model, session: SessionState, token_embedding) -> np.ndarray:
     """One autoregressive step over the retained cache; returns (vocab,) logits."""
-    if not session.compressed:
+    if session.phase != "compressed":
         raise ConfigurationError("decode requires apply_compression (or the full policy) first")
     c = model.config
     x = np.asarray(token_embedding, dtype=np.float64).reshape(1, -1)
@@ -371,7 +373,7 @@ def decode_step(model: Model, session: SessionState, token_embedding) -> np.ndar
     _require_finite(x, "token embedding")
 
     position = session.prefill_len + session.step_count
-    committed = [kv.lengths for kv in session.cache]
+    committed = [kv.rows(0) for kv in session.cache]
     try:
         for layer in range(c.num_layers):
             kv = session.cache[layer]
@@ -379,14 +381,14 @@ def decode_step(model: Model, session: SessionState, token_embedding) -> np.ndar
             def attend(q, k, v):
                 for g in range(c.num_kv_heads):
                     kv.append(g, k[g, 0], v[g, 0], position)
-                keys, values = kv.stacked()
+                keys, values, _ = kv.stacked()
                 return attention.decode(q[:, :, 0], keys, values)[:, :, None]
 
             x = _block(x, model.layers[layer], c, attend)
     except BaseException:
         # All or nothing: the rows this step appended are dropped again.
-        for kv, lengths in zip(session.cache, committed):
-            kv.truncate(lengths)
+        for kv, n in zip(session.cache, committed):
+            kv.truncate(n)
         raise
 
     session.step_count += 1
@@ -409,7 +411,7 @@ def validate_cross_layer(model: Model, session: SessionState, analysis_layer: in
     # (as the traced benchmark does) sees these calls.
     from .stats import permutation_pvalue, spearman_rho
 
-    if not session.cache:
+    if session.phase == "new":
         raise ConfigurationError("validate_cross_layer requires a completed prefill")
     c = model.config
     analysis = session.policy.clie_layer_index if analysis_layer is None else analysis_layer

@@ -165,14 +165,13 @@ def _video_rule(pattern: SparsityPattern, q: np.ndarray, k: np.ndarray,
         return (q - k) < pattern.window
     if pattern.kind == "atrous":
         return ((q - k) % pattern.stride) == 0
-    if pattern.kind == "spatial":
-        return (fk == 0) | (fk == fq)
-    if pattern.kind == "temporal":
-        return (fk == 0) | ((fk == fq - 1) & (pk == pq)) | (k == q)
-    # spatial_temporal: union of the two rules
-    spatial = (fk == 0) | (fk == fq)
-    temporal = (fk == 0) | ((fk == fq - 1) & (pk == pq)) | (k == q)
-    return spatial | temporal
+    # spatial_temporal is the union of the spatial and temporal rules.
+    allowed = fk == 0
+    if pattern.kind in ("spatial", "spatial_temporal"):
+        allowed = allowed | (fk == fq)
+    if pattern.kind in ("temporal", "spatial_temporal"):
+        allowed = allowed | ((fk == fq - 1) & (pk == pq)) | (k == q)
+    return allowed
 
 
 def build_mask(layout: TokenLayout, pattern: SparsityPattern) -> np.ndarray:

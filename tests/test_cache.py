@@ -89,6 +89,20 @@ class TestScoring:
         with pytest.raises(ConfigurationError):
             score_low(np.ones(5), np.zeros((3, 2)))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 20), st.integers(0, 5), st.integers(0, 2**32 - 1))
+    def test_table_matches_each_head(self, heads, m, extra, seed):
+        """A (Hkv, m) accumulator table scores like each head's own vector."""
+        rng = np.random.default_rng(seed)
+        c = rng.uniform(0, 1, size=(heads, m))
+        v = rng.standard_normal((heads, m + extra, 3))
+        table = score_low(c, v)
+        assert table.shape == (heads, m)
+        for g in range(heads):
+            np.testing.assert_array_equal(table[g], score_low(c[g], v[g]))
+        with pytest.raises(ConfigurationError):
+            score_low(c, v[0])  # a table needs one V per head
+
     def test_scale_covariance_in_v(self):
         rng = np.random.default_rng(6)
         c = rng.uniform(0, 1, size=10)
@@ -130,13 +144,28 @@ class TestSelectRetained:
             assert np.all(np.diff(retained) > 0)
 
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4), st.integers(2, 30), st.data())
+    def test_table_with_ties_matches_each_row(self, heads, l, data):
+        """Small integer scores tie often; a table selects as its rows do."""
+        w = data.draw(st.integers(1, l - 1), label="w")
+        h = data.draw(st.integers(0, l - w), label="h")
+        scores = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, 3), min_size=l - w, max_size=l - w),
+            min_size=heads, max_size=heads), label="scores"), dtype=np.float64)
+        table = select_retained(scores, w, h, l)
+        assert table.shape == (heads, w + h)
+        for g in range(heads):
+            np.testing.assert_array_equal(table[g], select_retained(scores[g], w, h, l))
+
+
 class TestEvict:
     def make_layer(self, rows=5, heads=2, positions=None):
         keys = [seeded_gaussian(rows, 3, seed=10 + h) for h in range(heads)]
         values = [seeded_gaussian(rows, 3, seed=20 + h) for h in range(heads)]
         if positions is None:
             positions = [np.arange(rows, dtype=np.int64)] * heads
-        return KvCacheLayer(keys, values, positions)
+        return KvCacheLayer(keys, values, positions)  # per-head lists stack into tables
 
     def test_retain_all_is_identity(self):
         layer = self.make_layer()
@@ -185,11 +214,13 @@ class TestEvict:
 
     def test_one_set_per_head_required(self):
         layer = self.make_layer()
-        with pytest.raises(ConfigurationError, match="1 retained sets for 2 heads"):
+        with pytest.raises(ConfigurationError, match=r"\(2, m\) retained table, got shape \(1, 2\)"):
             evict(layer, [np.array([0, 1])])
-        # one flat set of two positions is not a set per head
-        with pytest.raises(ConfigurationError, match="1-D retained set"):
+        # one flat set of two positions is not a table with a row per head
+        with pytest.raises(ConfigurationError, match="retained table"):
             evict(layer, np.array([0, 1]))
+        with pytest.raises(ConfigurationError, match="repeat"):
+            evict(layer, [[0, 0], [1, 2]])
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), heads=st.integers(1, 4), rows=st.integers(1, 24))
@@ -197,40 +228,43 @@ class TestEvict:
         # Start from positions with gaps, as after an earlier eviction.
         layer = self.make_layer(rows=rows, heads=heads, positions=[
             np.arange(rows, dtype=np.int64) * 3 + h for h in range(heads)])
-        sets = [data.draw(st.sets(st.sampled_from(layer.positions[h].tolist())), label=f"head {h}")
+        m = data.draw(st.integers(0, rows), label="rows kept")
+        sets = [data.draw(st.lists(st.sampled_from(layer.positions[h].tolist()),
+                                   min_size=m, max_size=m, unique=True), label=f"head {h}")
                 for h in range(heads)]
-        out = evict(layer, [list(s) for s in sets])
+        out = evict(layer, sets)
         for h in range(heads):
-            keep = np.isin(layer.positions[h], sorted(sets[h]))
+            keep = np.isin(layer.positions[h], sets[h])
             np.testing.assert_array_equal(out.keys[h], layer.keys[h][keep])
             np.testing.assert_array_equal(out.values[h], layer.values[h][keep])
             assert out.positions[h].tolist() == sorted(sets[h])
-            assert np.all(np.diff(out.positions[h]) > 0)
             end = int(layer.positions[h][-1]) + 1
             out.append(h, np.ones(3), np.ones(3), position=end)
             assert out.positions[h].tolist() == sorted(sets[h]) + [end]
             np.testing.assert_array_equal(out.keys[h][-1], np.ones(3))
         out.check_invariants()
 
-        unknown = data.draw(st.integers(0, 3 * rows + heads).filter(
-            lambda p: p not in layer.positions[0]), label="unknown")
-        with pytest.raises(ConfigurationError, match="not present"):
-            evict(layer, [[unknown]] + [sorted(s) for s in sets[1:]])
-        with pytest.raises(ConfigurationError, match="retained sets"):
-            evict(layer, [sorted(s) for s in sets] + [[]])
+        if m:
+            unknown = data.draw(st.integers(-2, 3 * rows + heads).filter(
+                lambda p: p not in layer.positions[0]), label="unknown")
+            with pytest.raises(ConfigurationError, match="not present"):
+                evict(layer, [[unknown] + sets[0][1:]] + sets[1:])
+        with pytest.raises(ConfigurationError, match="retained table"):
+            evict(layer, sets + sets[:1])
 
 
 class TestStackedBuffers:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), heads=st.integers(1, 3), rows=st.integers(0, 3))
     def test_matches_per_head_concatenation(self, data, heads, rows):
-        # Appends (one head or all heads), evictions and rollbacks against a
-        # per-head concatenate oracle, through at least 3 capacity doublings.
+        # Appends (one head or all heads), evictions of equal heads and
+        # rollbacks against a per-head concatenate oracle, through at least 3
+        # capacity doublings.
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         keys = [rng.standard_normal((rows, 3)) for _ in range(heads)]
         values = [rng.standard_normal((rows, 2)) for _ in range(heads)]
         positions = [np.arange(rows, dtype=np.int64) * 2 + h for h in range(heads)]
-        layer = KvCacheLayer(keys, values, positions)
+        layer = KvCacheLayer(np.stack(keys), np.stack(values), np.stack(positions))
         doublings = 0
 
         def append(h):
@@ -252,17 +286,16 @@ class TestStackedBuffers:
         def check():
             layer.check_invariants()
             assert layer.num_heads == heads
-            assert layer.lengths == tuple(p.size for p in positions)
             for h in range(heads):
                 assert layer.rows(h) == positions[h].size <= layer.capacity
                 # array_equal also compares shapes: no row past the committed length shows.
                 assert np.array_equal(layer.keys[h], keys[h])
                 assert np.array_equal(layer.values[h], values[h])
                 assert np.array_equal(layer.positions[h], positions[h])
-            if len(set(layer.lengths)) == 1:
-                stacked_keys, stacked_values = layer.stacked()
-                assert np.array_equal(stacked_keys, np.stack(keys))
-                assert np.array_equal(stacked_values, np.stack(values))
+            if len({p.size for p in positions}) == 1:
+                stacked = layer.stacked()
+                for got, want in zip(stacked, (keys, values, positions)):
+                    assert np.array_equal(got, np.stack(want))
             else:
                 with pytest.raises(ConfigurationError, match="different row counts"):
                     layer.stacked()
@@ -270,22 +303,24 @@ class TestStackedBuffers:
         ops = data.draw(st.lists(st.sampled_from(["head", "step", "evict", "truncate"]),
                                  max_size=40), label="ops")
         for op in ops:
+            counts = [p.size for p in positions]
             if op == "head":
                 append(data.draw(st.integers(0, heads - 1)))
             elif op == "step":
                 for h in range(heads):
                     append(h)
-            elif op == "evict":
-                sets = [sorted(data.draw(st.sets(st.sampled_from(p.tolist()))) if p.size else [])
-                        for p in positions]
+            elif op == "evict" and len(set(counts)) == 1:
+                m = data.draw(st.integers(0, counts[0]))
+                sets = [data.draw(st.lists(st.sampled_from(p.tolist()), min_size=m, max_size=m,
+                                           unique=True)) if m else [] for p in positions]
                 layer = evict(layer, sets)
                 for h in range(heads):
                     keep(h, np.isin(positions[h], sets[h]))
-            else:
-                cut = [data.draw(st.integers(0, p.size)) for p in positions]
+            elif op == "truncate":
+                cut = data.draw(st.integers(0, min(counts)))
                 layer.truncate(cut)
                 for h in range(heads):
-                    keep(h, slice(0, cut[h]))
+                    keep(h, slice(0, cut))
             check()
         while doublings < 3:
             for h in range(heads):
@@ -293,17 +328,24 @@ class TestStackedBuffers:
             check()
 
     def test_truncate_only_rolls_back(self):
-        layer = KvCacheLayer([np.ones((2, 3))], [np.ones((2, 3))], [np.array([0, 1])])
+        layer = KvCacheLayer(np.ones((2, 2, 3)), np.ones((2, 2, 3)), [[0, 1], [0, 1]])
+        layer.append(0, np.ones(3), np.ones(3), position=2)
         with pytest.raises(ConfigurationError, match="cannot truncate"):
-            layer.truncate([3])
+            layer.truncate(3)  # head 1 holds only 2 rows
         with pytest.raises(ConfigurationError, match="cannot truncate"):
-            layer.truncate([1, 1])
+            layer.truncate(-1)
+        layer.truncate(2)
+        assert [layer.rows(h) for h in range(2)] == [2, 2]
 
     def test_heads_need_matching_row_counts(self):
-        with pytest.raises(ConfigurationError, match="row counts differ"):
-            KvCacheLayer([np.ones((2, 3))], [np.ones((1, 3))], [np.array([0, 1])])
-        with pytest.raises(ConfigurationError, match="same positive number of heads"):
-            KvCacheLayer([], [], [])
+        with pytest.raises(ConfigurationError, match="got shapes"):
+            KvCacheLayer(np.ones((1, 2, 3)), np.ones((1, 1, 3)), [[0, 1]])
+        with pytest.raises(ConfigurationError, match="got shapes"):
+            KvCacheLayer(np.ones((2, 2, 3)), np.ones((2, 2, 3)), [[0, 1]])
+        with pytest.raises(ConfigurationError, match="got shapes"):
+            KvCacheLayer(np.ones((2, 3)), np.ones((2, 3)), [0, 1])  # one head, not stacked
+        with pytest.raises(ConfigurationError, match="got shapes"):
+            KvCacheLayer(np.ones((0, 2, 3)), np.ones((0, 2, 3)), np.zeros((0, 2)))
 
 
 class TestBaselines:

@@ -112,6 +112,12 @@ class TestValidateCommand:
                 assert 0.0 < head["p"] <= 1.0
 
 
+    def test_example_matches_golden(self, capsys):
+        assert main(["validate", "--config", str(EXAMPLE_CONFIG)]) == 0
+        golden = (REPO / "tests" / "golden" / "example.validate.json").read_text()
+        assert capsys.readouterr().out == golden
+
+
 class TestInstalledEntryPoint:
     def test_module_invocation_round_trip(self, tmp_path):
         cfg = small_config(tmp_path)

@@ -179,10 +179,8 @@ class TestPrefill:
         assert session.importance[2] is None
         assert session.importance[3] is None
         for accumulators in session.importance[:2]:
-            assert len(accumulators) == SMALL.num_kv_heads
-            for c in accumulators:
-                assert c.size == LAYOUT.total_len - session.w
-                assert np.all(c >= 0)
+            assert accumulators.shape == (SMALL.num_kv_heads, LAYOUT.total_len - session.w)
+            assert np.all(accumulators >= 0)
 
     @pytest.mark.parametrize("pattern", PATTERNS)
     def test_recent_window_slab_matches_instrumented_accumulator(self, pattern):
@@ -529,6 +527,79 @@ class TestAllOrNothingPrefill:
         assert_same_cache(cache_snapshot(clean), cache_snapshot(session))
 
 
+def session_in(model, phase):
+    session = init_session(model, LAYOUT, make_policy(budget=0.5), SparsityPattern.dense())
+    if phase != "new":
+        prefill(model, session, embeddings_for(LAYOUT))
+    if phase == "compressed":
+        apply_compression(model, session)
+    assert session.phase == phase
+    return session
+
+
+def session_snapshot(session):
+    embeddings = session.prefill_embeddings
+    return [session.phase, session.step_count, session.w, session.h, session.prefill_len,
+            None if embeddings is None else embeddings.copy(),
+            [None if a is None else a.copy() for a in session.importance],
+            cache_snapshot(session)]
+
+
+class TestSessionPhase:
+    def test_phases_in_order(self):
+        model = init_model(SMALL)
+        session = session_in(model, "new")
+        prefill(model, session, embeddings_for(LAYOUT))
+        assert session.phase == "prefilled"
+        validate_cross_layer(model, session, n_perm=199)
+        assert session.phase == "prefilled"
+        apply_compression(model, session)
+        assert session.phase == "compressed"
+        decode_step(model, session, np.ones(SMALL.d_model))
+        assert session.phase == "compressed" and session.step_count == 1
+        validate_cross_layer(model, session, n_perm=199)
+
+    @pytest.mark.parametrize("entry, phase, message", [
+        ("prefill", "prefilled", "already prefilled"),
+        ("prefill", "compressed", "already prefilled"),
+        ("apply_compression", "new", "requires a completed prefill"),
+        ("apply_compression", "compressed", "already applied"),
+        ("decode_step", "new", "requires apply_compression"),
+        ("decode_step", "prefilled", "requires apply_compression"),
+        ("validate_cross_layer", "new", "requires a completed prefill"),
+    ])
+    def test_wrong_phase_raises_and_changes_nothing(self, entry, phase, message):
+        model = init_model(SMALL)
+        session = session_in(model, phase)
+        before = session_snapshot(session)
+        args = {"prefill": (embeddings_for(LAYOUT),),
+                "decode_step": (np.ones(SMALL.d_model),)}.get(entry, ())
+        with pytest.raises(ConfigurationError, match=message):
+            getattr(purekv.engine, entry)(model, session, *args)
+        np.testing.assert_equal(session_snapshot(session), before)
+
+    def test_failed_compression_leaves_the_session_prefilled(self, monkeypatch):
+        model = init_model(SMALL)
+        session, clean = session_in(model, "prefilled"), session_in(model, "prefilled")
+        before = session_snapshot(session)
+        real_evict, calls = purekv.engine.evict, []
+
+        def evict_until_layer_2(kv, retained):
+            calls.append(1)
+            if len(calls) == 3:
+                raise RuntimeError("injected")
+            return real_evict(kv, retained)
+
+        monkeypatch.setattr(purekv.engine, "evict", evict_until_layer_2)
+        with pytest.raises(RuntimeError, match="injected"):
+            apply_compression(model, session)
+        monkeypatch.undo()
+        np.testing.assert_equal(session_snapshot(session), before)
+        apply_compression(model, session)
+        apply_compression(model, clean)
+        np.testing.assert_equal(session_snapshot(session), session_snapshot(clean))
+
+
 class TestValidation:
     def test_reported_rho_matches_reference_forward_scores(self):
         # Estimate: the analysis layer's accumulator times this layer's value
@@ -682,7 +753,7 @@ class TestStreamingCompatibilityContract:
         monkeypatch.setattr(purekv.attention, "masked", spy)
         apply_compression(model, session)
         assert calls == []
-        assert session.compressed
+        assert session.phase == "compressed"
         assert_same_cache(before, cache_snapshot(session))
 
     def test_streaming_interface_returns_no_matrix(self):

@@ -265,6 +265,11 @@ class TestRunExperiment:
             assert all(c["validation"] == cells[0]["validation"] for c in cells)
 
 
+@pytest.fixture(scope="module")
+def example_report():
+    return run_experiment(str(ROOT / "configs" / "example.json"))
+
+
 class TestReports:
     def test_byte_identical_across_runs(self):
         cfg = base_config(validate=True, n_perm=199)
@@ -275,11 +280,14 @@ class TestReports:
             run_experiment(cfg), "csv"
         )
 
-    def test_example_report_matches_benchmark_golden(self):
+    def test_example_report_matches_benchmark_golden(self, example_report):
         # The benchmark checks the same bytes; here every refactor must keep them.
-        report = run_experiment(str(ROOT / "configs" / "example.json"))
         golden = (ROOT / "perfbench" / "golden" / "example-grid.report.json").read_text()
-        assert render_report(report, "json") == golden
+        assert render_report(example_report, "json") == golden
+
+    def test_example_report_matches_csv_golden(self, example_report):
+        golden = (ROOT / "tests" / "golden" / "example.report.csv").read_text()
+        assert render_report(example_report, "csv") == golden
 
     def test_empty_grid_gives_header_only_csv(self):
         report = run_experiment(base_config(policies=[]))
