@@ -1,20 +1,20 @@
 """Scaled dot-product attention: masked, streaming and decode.
 
-masked takes 2-D matrices, materializes the weight matrix and returns it
-alongside the output. streaming_masked processes keys in fixed-size tiles
-with a running max and running normalizer, never holds more than one tile of
-scores, and returns the output only: callers above it structurally cannot
-read attention weights. decode is the unmasked, untiled case for one new
-token: every query head's single softmax row is built and consumed inside
-the call, and only the output leaves it.
+masked materializes the weight matrix and returns it alongside the output.
+streaming_masked processes keys in fixed-size tiles with a running max and
+running normalizer, never holds more than one tile of scores, and returns
+the output only: callers above it structurally cannot read attention
+weights. decode is the unmasked, untiled case for one new token: every query
+head's single softmax row is built and consumed inside the call, and only
+the output leaves it.
 
-streaming_masked also broadcasts over leading dimensions, so one call runs
-every query head of a layer: q of shape (Hkv, G, l_q, d_k) against k and v
-of shape (Hkv, 1, l_k, d), all sharing one (l_q, l_k) mask. For each key
-tile it scores only the query rows with at least one allowed key in that
-tile (a slice when those rows are contiguous, as under a causal mask); a
-skipped row's update would be exactly s*1 + 0 and acc*1 + 0, so skipping
-changes no result.
+All three broadcast over leading dimensions, so one call runs every query
+head of a layer: q of shape (Hkv, G, l_q, d_k) against k and v of shape
+(Hkv, 1, l_k, d), with masked and streaming_masked sharing one (l_q, l_k)
+mask across all of them. For each key tile streaming_masked scores only the
+query rows with at least one allowed key in that tile (a slice when those
+rows are contiguous, as under a causal mask); a skipped row's update would
+be exactly s*1 + 0 and acc*1 + 0, so skipping changes no result.
 """
 
 from __future__ import annotations
@@ -59,17 +59,17 @@ def masked(q, k, v, mask) -> tuple[np.ndarray, np.ndarray]:
     """Attention restricted to mask (True = allowed). Returns (out, weights).
 
     Masked weights are exactly zero; each allowed row renormalizes to 1.
+    Leading dimensions of q, k and v broadcast; mask is (l_q, l_k) and is
+    shared by all of them, and weights is (..., l_q, l_k).
     """
-    q, k, v, lead = _check_inputs(q, k, v)
-    if lead:
-        raise ConfigurationError("masked attention takes 2-D matrices")
+    q, k, v, _ = _check_inputs(q, k, v)
     mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (q.shape[0], k.shape[0]):
+    if mask.shape != (q.shape[-2], k.shape[-2]):
         raise ConfigurationError(
-            f"mask shape {mask.shape} does not match (l_q, l_k)=({q.shape[0]}, {k.shape[0]})"
+            f"mask shape {mask.shape} does not match (l_q, l_k)=({q.shape[-2]}, {k.shape[-2]})"
         )
-    scale = 1.0 / np.sqrt(q.shape[1])
-    weights = row_softmax(q @ k.T * scale, mask)
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    weights = row_softmax(q @ np.swapaxes(k, -1, -2) * scale, mask)
     return weights @ v, weights
 
 

@@ -25,7 +25,9 @@ per-head views or the stacked views of stacked()."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -173,22 +175,22 @@ def accumulate_recent_attention(A, w: int) -> np.ndarray:
 
     A holds rows of a row-stochastic attention matrix over l keys with causal
     support, at least the last w query rows: the full (l, l) matrix or just
-    its (w, l) slab. Only A[-w:] is read. Returns a length l-w vector over
-    keys 0..l-w-1.
+    its (w, l) slab, or a stack of them, (..., rows, l). Only the last w rows
+    are read. Returns the (..., l-w) sums over keys 0..l-w-1.
     """
     A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2:
-        raise ConfigurationError(f"expected a 2-D attention matrix, got {A.shape}")
-    l = A.shape[1]
+    if A.ndim < 2:
+        raise ConfigurationError(f"expected an attention matrix or a stack of them, got {A.shape}")
+    l = A.shape[-1]
     if w < 1:
         raise ConfigurationError(f"recent window must be >= 1, got {w}")
     if w >= l:
         raise ConfigurationError(
             f"recent window w={w} leaves no non-recent segment for l={l}"
         )
-    if A.shape[0] < w:
-        raise ConfigurationError(f"need the last {w} query rows, got {A.shape[0]}")
-    return A[-w:, : l - w].sum(axis=0)
+    if A.shape[-2] < w:
+        raise ConfigurationError(f"need the last {w} query rows, got {A.shape[-2]}")
+    return A[..., -w:, : l - w].sum(axis=-2)
 
 
 def score_low(C, V_low) -> np.ndarray:
@@ -285,10 +287,10 @@ def baseline_streaming(l: int, sink: int, window: int) -> np.ndarray:
 
 
 def budget_keep_count(budget_fraction: float, l: int) -> int:
-    """ceil(budget * l), snapping near-integer products to the integer.
+    """ceil(budget * l), with the budget read as the shortest decimal that prints it.
 
-    Decimal budgets are not exact doubles; without the snap, 0.35 * 40 can
-    land epsilon above 14 and ceil would overshoot the budget by one row.
+    Decimal budgets are not exact doubles: in floating point 0.35 * 40 lands
+    epsilon above 14, and ceil would overshoot the budget by one row.
     """
     if not (0.0 < budget_fraction <= 1.0):
         raise ConfigurationError(
@@ -296,13 +298,7 @@ def budget_keep_count(budget_fraction: float, l: int) -> int:
         )
     if l < 1:
         raise ConfigurationError("l must be >= 1")
-    product = budget_fraction * l
-    nearest = round(product)
-    if abs(product - nearest) < 1e-9 * max(1.0, abs(product)):
-        n_keep = int(nearest)
-    else:
-        n_keep = int(np.ceil(product))
-    return max(1, min(n_keep, l))
+    return max(1, min(l, math.ceil(Fraction(repr(float(budget_fraction))) * l)))
 
 
 def budget_to_wh(budget_fraction: float, l: int, w_config: int) -> tuple[int, int]:

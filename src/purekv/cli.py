@@ -14,7 +14,6 @@ import json
 import sys
 
 from . import engine, harness
-from .cache import PolicyConfig
 from .errors import ConfigurationError
 from .masks import TokenLayout, build_mask, mask_to_text, parse_pattern
 
@@ -79,14 +78,9 @@ def _cmd_validate(args) -> int:
     model = engine.init_model(config.model)
     embeddings, _ = harness.generate_workload(config.workload, config.model.d_model)
     pattern_text = config.patterns[0] if config.patterns else "dense"
-    policy = PolicyConfig(
-        policy_kind="pure_kv", budget_fraction=1.0,
-        recent_window_w=config.recent_window_w, sink_len=config.sink_len,
-        clie_layer_index=config.clie_layer_index, st_layer_index=config.st_layer_index,
-    )
     session = engine.init_session(
-        model, config.layout, policy, parse_pattern(pattern_text, config.layout),
-        config.tile_size,
+        model, config.layout, config.policy("pure_kv", 1.0),
+        parse_pattern(pattern_text, config.layout), config.tile_size,
     )
     engine.prefill(model, session, embeddings)
     report = engine.validate_cross_layer(

@@ -19,12 +19,12 @@ outputs. Three passes run it and differ only in that callable:
 
     prefill          streaming attention, one call per layer for all query
                      heads; layers 0..e also materialize the last w query
-                     rows only, a (w, l) slab per query head, for the layer's
-                     recent-window accumulator
+                     rows only, one masked call giving a (w, l) slab per
+                     query head, for the layer's recent-window accumulator
     validation       the same streamed pass, keeping every layer's slab
                      accumulator and value rows
-    h2o_like         masked attention over all l rows at every layer, only
-                     for the heavy-hitter baseline's column sums
+    h2o_like         masked attention over all l rows at every layer, per
+                     query head, only for the heavy-hitter column sums
 
 Only prefill builds a KV cache; the other two passes read the projections
 as they are. Prefill is all or nothing: the session changes only after
@@ -67,7 +67,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import attention
+from . import attention, stats
 from .cache import (
     KvCacheLayer,
     PolicyConfig,
@@ -244,30 +244,15 @@ def _forward(model: Model, session: SessionState, x: np.ndarray, attend) -> np.n
     return x
 
 
-def _masked_heads(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray, score):
-    """masked attention one query head at a time, scoring each head's weights.
-
-    Returns the (Hkv, G, n, d_v) head outputs and the (Hkv, ·) table of
-    score(weights), averaged over each KV head's G query heads.
-    """
-    out = np.empty(q.shape[:3] + v.shape[2:])
-    scores = []
-    for g, j in np.ndindex(q.shape[:2]):
-        out[g, j], weights = attention.masked(q[g, j], k[g], v[g], mask)
-        scores.append(score(weights))
-    return out, np.reshape(scores, q.shape[:2] + (-1,)).mean(axis=1)
-
-
 def _recent_accumulators(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray,
                          w: int) -> np.ndarray:
     """The (Hkv, l - w) recent-window accumulators, averaged over query heads.
 
-    Only the last w query rows are materialized: a (w, l) slab per query head.
+    Only the last w query rows are materialized: one (Hkv, G, w, l) slab.
     """
     l = k.shape[1]
-    _, accumulators = _masked_heads(q[:, :, l - w:], k, v, mask[l - w:],
-                                    lambda weights: accumulate_recent_attention(weights, w))
-    return accumulators
+    _, weights = attention.masked(q[:, :, l - w:], k[:, None], v[:, None], mask[l - w:])
+    return accumulate_recent_attention(weights, w).mean(axis=1)
 
 
 def prefill(model: Model, session: SessionState, token_embeddings) -> np.ndarray:
@@ -317,8 +302,13 @@ def _instrumented_stats(model: Model, session: SessionState) -> list[np.ndarray]
     colsums = []
 
     def attend(layer, q, k, v, mask):
-        out, scores = _masked_heads(q, k, v, mask, baseline_h2o_score)
-        colsums.append(scores)
+        # One query head at a time: an (Hq, l, l) batch measured twice as slow.
+        out = np.empty(q.shape[:3] + v.shape[2:])
+        scores = np.empty(q.shape[:2] + (k.shape[1],))
+        for g, j in np.ndindex(q.shape[:2]):
+            out[g, j], weights = attention.masked(q[g, j], k[g], v[g], mask)
+            scores[g, j] = baseline_h2o_score(weights)
+        colsums.append(scores.mean(axis=1))
         return out
 
     _forward(model, session, session.prefill_embeddings, attend)
@@ -407,10 +397,6 @@ def validate_cross_layer(model: Model, session: SessionState, analysis_layer: in
     Returns the report's validation dict: analysis_layer, median_rho,
     median_p and per_layer entries (layer, median_rho, median_p, heads).
     """
-    # Looked up at call time, so that a wrapper installed on purekv.stats
-    # (as the traced benchmark does) sees these calls.
-    from .stats import permutation_pvalue, spearman_rho
-
     if session.phase == "new":
         raise ConfigurationError("validate_cross_layer requires a completed prefill")
     c = model.config
@@ -438,8 +424,9 @@ def validate_cross_layer(model: Model, session: SessionState, analysis_layer: in
             norms = l2_norm_rows(values[layer][g][: l - w])
             truth = accumulators[layer][g] * norms
             estimate = accumulators[analysis][g] * norms
-            rhos.append(spearman_rho(estimate, truth))
-            ps.append(permutation_pvalue(estimate, truth, n_perm, derive_seed(seed, layer, g)))
+            rhos.append(stats.spearman_rho(estimate, truth))
+            ps.append(stats.permutation_pvalue(estimate, truth, n_perm,
+                                               derive_seed(seed, layer, g)))
         per_layer.append({
             "layer": layer,
             "median_rho": float(np.median(rhos)),

@@ -182,6 +182,13 @@ class ExperimentConfig:
     stats_seed: int
     raw: dict
 
+    def policy(self, kind: str, budget: float) -> PolicyConfig:
+        """The policy block with this kind and budget, as one cell runs it."""
+        return PolicyConfig(policy_kind=kind, budget_fraction=budget,
+                            recent_window_w=self.recent_window_w, sink_len=self.sink_len,
+                            clie_layer_index=self.clie_layer_index,
+                            st_layer_index=self.st_layer_index)
+
 
 def load_config(source) -> ExperimentConfig:
     """Parse a config document (path or dict); errors name the JSON path."""
@@ -270,13 +277,7 @@ def load_config(source) -> ExperimentConfig:
         raw=raw,
     )
     # Fail fast on incoherent layer indices instead of inside the first cell.
-    engine.check_layer_depth(
-        PolicyConfig(
-            policy_kind="full", budget_fraction=1.0, recent_window_w=recent_window_w,
-            sink_len=sink_len, clie_layer_index=clie, st_layer_index=st,
-        ),
-        model.num_layers, "config.policy.",
-    )
+    engine.check_layer_depth(config.policy("full", 1.0), model.num_layers, "config.policy.")
     return config
 
 
@@ -292,15 +293,8 @@ def _experiment_cells(config: ExperimentConfig):
 
 def _run_cell(model, config: ExperimentConfig, policy_kind: str, pattern: SparsityPattern,
               budget: float, embeddings, decode_rows):
-    policy = PolicyConfig(
-        policy_kind=policy_kind,
-        budget_fraction=budget,
-        recent_window_w=config.recent_window_w,
-        sink_len=config.sink_len,
-        clie_layer_index=config.clie_layer_index,
-        st_layer_index=config.st_layer_index,
-    )
-    session = engine.init_session(model, config.layout, policy, pattern, config.tile_size)
+    session = engine.init_session(model, config.layout, config.policy(policy_kind, budget),
+                                  pattern, config.tile_size)
     engine.prefill(model, session, embeddings)
     engine.apply_compression(model, session)
     retained_counts = {

@@ -62,27 +62,23 @@ def seeded_gaussian(rows: int, cols: int, seed: int) -> np.ndarray:
     return z.reshape(rows, cols)
 
 
-def _as_matrix(x, name: str) -> np.ndarray:
-    m = np.asarray(x, dtype=np.float64)
-    if m.ndim != 2:
-        raise ConfigurationError(f"{name} must be a 2-D matrix, got ndim={m.ndim}")
-    return m
-
-
 def row_softmax(m, mask=None) -> np.ndarray:
-    """Row-wise softmax, numerically stabilized by per-row max subtraction.
+    """Softmax along the last axis, stabilized by per-row max subtraction.
 
-    mask (True = keep) uses -inf semantics: masked logits are excluded from
-    the row max and their weights are exactly 0. A fully masked row raises.
+    m is a matrix or a stack of them; mask (True = keep), one matrix shared by
+    the stack, uses -inf semantics: masked logits are excluded from the row
+    max and their weights are exactly 0. A fully masked row raises.
     """
-    m = _as_matrix(m, "m")
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim < 2:
+        raise ConfigurationError(f"m must be a matrix or a stack of them, got ndim={m.ndim}")
     if not np.all(np.isfinite(m)):
         raise ValueError("row_softmax requires finite inputs")
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape != m.shape:
+        if mask.shape != m.shape[-2:]:
             raise ConfigurationError(
-                f"mask shape {mask.shape} does not match matrix shape {m.shape}"
+                f"mask shape {mask.shape} does not match matrix shape {m.shape[-2:]}"
             )
         empty = ~mask.any(axis=1)
         if empty.any():
@@ -91,14 +87,16 @@ def row_softmax(m, mask=None) -> np.ndarray:
         scores = np.where(mask, m, -np.inf)
     else:
         scores = m
-    row_max = scores.max(axis=1, keepdims=True)
+    row_max = scores.max(axis=-1, keepdims=True)
     weights = np.exp(scores - row_max)
-    return weights / weights.sum(axis=1, keepdims=True)
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def l2_norm_rows(v) -> np.ndarray:
     """Per-row Euclidean norms, length v.rows."""
-    v = _as_matrix(v, "v")
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 2:
+        raise ConfigurationError(f"v must be a 2-D matrix, got ndim={v.ndim}")
     if v.shape[0] == 0:
         raise ConfigurationError("l2_norm_rows requires a non-empty matrix")
     norms = np.sqrt((v * v).sum(axis=1))

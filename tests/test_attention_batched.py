@@ -1,4 +1,4 @@
-"""Head-batched streaming attention: property tests against per-head routes."""
+"""Head-batched attention: property tests against per-head routes."""
 
 import numpy as np
 import pytest
@@ -59,12 +59,16 @@ class TestBatchedStreaming:
         q, k, v, mask, tile = case["q"], case["k"], case["v"], case["mask"], case["tile"]
         got = streaming_masked(q, k, v, mask, tile_size=tile)
         assert got.shape == (case["hkv"], case["group"], case["l_q"], case["d_v"])
+        batched_out, batched_weights = masked(q, k, v, mask)
+        assert batched_weights.shape == (case["hkv"], case["group"], case["l_q"], case["l_k"])
         for g in range(case["hkv"]):
             for j in range(case["group"]):
-                expected, _ = masked(q[g, j], k[g, 0], v[g, 0], mask)
+                expected, weights = masked(q[g, j], k[g, 0], v[g, 0], mask)
                 assert np.max(np.abs(got[g, j] - expected)) <= 1e-10
                 per_head = streaming_masked(q[g, j], k[g, 0], v[g, 0], mask, tile_size=tile)
                 assert np.max(np.abs(got[g, j] - per_head)) <= 1e-12
+                assert np.max(np.abs(batched_out[g, j] - expected)) <= 1e-12
+                assert np.max(np.abs(batched_weights[g, j] - weights)) <= 1e-12
 
     def test_mask_families_reach_tiles_without_keys(self):
         # The strategy must reach the skipped-row path, not only full blocks.
@@ -106,14 +110,17 @@ class TestBatchedStreaming:
             streaming_masked(q, k, v, mask)
 
     def test_leading_dims_must_broadcast(self):
-        with pytest.raises(ConfigurationError, match="broadcast"):
-            streaming_masked(np.ones((2, 3, 4)), np.ones((3, 3, 4)), np.ones((3, 3, 4)),
-                             np.ones((3, 3), dtype=bool))
+        for route in (streaming_masked, masked):
+            with pytest.raises(ConfigurationError, match="broadcast"):
+                route(np.ones((2, 3, 4)), np.ones((3, 3, 4)), np.ones((3, 3, 4)),
+                      np.ones((3, 3), dtype=bool))
 
-    def test_materialized_route_stays_2d(self):
-        with pytest.raises(ConfigurationError, match="2-D"):
-            masked(np.ones((2, 3, 4)), np.ones((2, 3, 4)), np.ones((2, 3, 4)),
-                   np.ones((3, 3), dtype=bool))
+    def test_one_mask_is_shared_by_every_head(self):
+        q = k = v = np.ones((2, 3, 4))
+        for route in (streaming_masked, masked):
+            for shape in ((2, 3, 3), (3, 2)):
+                with pytest.raises(ConfigurationError, match="mask shape"):
+                    route(q, k, v, np.ones(shape, dtype=bool))
 
 
 class TestTileBlocks:

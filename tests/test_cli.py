@@ -78,6 +78,11 @@ class TestRunCommand:
         assert base != overridden
         assert json.loads(overridden)["config"]["model"]["seed"] == 99
 
+    def test_seed_override_matches_golden(self, capsys):
+        assert main(["run", "--config", str(EXAMPLE_CONFIG), "--seed", "5"]) == 0
+        golden = (REPO / "tests" / "golden" / "example.seed5.report.json").read_text()
+        assert capsys.readouterr().out == golden
+
     def test_missing_config_exits_one(self, capsys):
         assert main(["run", "--config", "/no/such/config.json"]) == 1
         assert "configuration error" in capsys.readouterr().err

@@ -666,7 +666,7 @@ class TestValidation:
 
 class TestStreamingCompatibilityContract:
     def test_no_materialized_attention_above_clie(self, monkeypatch):
-        """Audit: the production path calls masked() only for layers <= clie,
+        """Audit: the production path calls masked() once per layer <= clie,
         and decode never calls it at all."""
         calls = []
         real_masked = purekv.attention.masked
@@ -681,7 +681,8 @@ class TestStreamingCompatibilityContract:
         session = init_session(model, LAYOUT, policy, SparsityPattern.spatial())
         prefill(model, session, embeddings_for(LAYOUT, seed=18))
         prefill_calls = len(calls)
-        assert prefill_calls == (policy.clie_layer_index + 1) * SMALL.num_q_heads
+        assert prefill_calls == policy.clie_layer_index + 1
+        assert all(shape[:2] == (SMALL.num_kv_heads, SMALL.group_size) for shape in calls)
 
         apply_compression(model, session)
         compression_calls = len(calls) - prefill_calls
@@ -692,12 +693,13 @@ class TestStreamingCompatibilityContract:
 
     def test_prefill_materializes_only_the_recent_window(self, monkeypatch):
         """Audit: every masked() call prefill makes has at most w query rows;
-        only the instrumentation pass (here for h2o_like) passes all l rows."""
+        only the instrumentation pass (here for h2o_like) passes all l rows,
+        one query head at a time."""
         rows = []
         real_masked = purekv.attention.masked
 
         def spy(q, k, v, mask):
-            rows.append(q.shape[0])
+            rows.append(q.shape[-2])
             return real_masked(q, k, v, mask)
 
         monkeypatch.setattr(purekv.attention, "masked", spy)
@@ -707,7 +709,7 @@ class TestStreamingCompatibilityContract:
         prefill(model, session, embeddings_for(LAYOUT, seed=19))
         prefill_rows = list(rows)
         assert 0 < session.w < LAYOUT.total_len
-        assert len(prefill_rows) == (policy.clie_layer_index + 1) * SMALL.num_q_heads
+        assert len(prefill_rows) == policy.clie_layer_index + 1
         assert all(r <= session.w for r in prefill_rows)
 
         apply_compression(model, session)
@@ -726,12 +728,12 @@ class TestStreamingCompatibilityContract:
         real_masked = purekv.attention.masked
 
         def spy(q, k, v, mask):
-            rows.append(q.shape[0])
+            rows.append(q.shape[-2])
             return real_masked(q, k, v, mask)
 
         monkeypatch.setattr(purekv.attention, "masked", spy)
         validate_cross_layer(model, session, n_perm=199, seed=0)
-        assert len(rows) == SMALL.num_layers * SMALL.num_q_heads
+        assert len(rows) == SMALL.num_layers
         assert all(r <= session.w for r in rows)
 
     def test_h2o_at_full_budget_skips_the_instrumented_pass(self, monkeypatch):
