@@ -1,20 +1,23 @@
 """Scaled dot-product attention: masked, streaming and decode.
 
 masked materializes the weight matrix and returns it alongside the output.
-streaming_masked processes keys in fixed-size tiles with a running max and
-running normalizer, never holds more than one tile of scores, and returns
-the output only: callers above it structurally cannot read attention
-weights. decode is the unmasked, untiled case for one new token: every query
-head's single softmax row is built and consumed inside the call, and only
-the output leaves it.
+streaming_masked walks the queries in tiles of rows and returns the output
+only: callers above it structurally cannot read attention weights. decode is
+the unmasked, untiled case for one new token: every query head's single
+softmax row is built and consumed inside the call, and only the output
+leaves it.
 
 All three broadcast over leading dimensions, so one call runs every query
 head of a layer: q of shape (Hkv, G, l_q, d_k) against k and v of shape
 (Hkv, 1, l_k, d), with masked and streaming_masked sharing one (l_q, l_k)
-mask across all of them. For each key tile streaming_masked scores only the
-query rows with at least one allowed key in that tile (a slice when those
-rows are contiguous, as under a causal mask); a skipped row's update would
-be exactly s*1 + 0 and acc*1 + 0, so skipping changes no result.
+mask across all of them. For each tile of query rows streaming_masked
+gathers the union of keys those rows may attend to (a slice when it is
+contiguous, as under causal and dense masks), scores that one block, masks
+it only when some pair in it is not allowed, and normalizes each row
+exactly with its own max subtracted. Every row sees all of its keys in its
+tile's block, so one softmax per block is exact, and at most one block of
+scores per head is held at a time (query chunking, Rabe & Staats, arXiv
+2112.05682).
 """
 
 from __future__ import annotations
@@ -74,14 +77,14 @@ def masked(q, k, v, mask) -> tuple[np.ndarray, np.ndarray]:
 
 
 def streaming_masked(q, k, v, mask, tile_size: int = DEFAULT_TILE) -> np.ndarray:
-    """Tiled online-softmax attention; the weight matrix is never built.
+    """Attention over tiles of query rows; the weight matrix is never built.
 
-    Keys are consumed in tiles of tile_size. Per query row we carry the
-    running max m, running normalizer s, and the weighted value accumulator;
-    finished tiles are rescaled by exp(m_old - m_new) when the max moves.
+    Queries are consumed in tiles of tile_size rows (experiment.tile_size
+    in a config counts query rows too). Each tile scores one (..., T, U)
+    block against the U keys that any of its rows may attend to, so every
+    row sees all of its keys at once and is normalized exactly.
     Leading dimensions of q, k and v broadcast; mask is (l_q, l_k) and is
-    shared by all of them. A key tile only visits the query rows it has an
-    allowed pair with.
+    shared by all of them.
     """
     q, k, v, lead = _check_inputs(q, k, v)
     mask = np.asarray(mask, dtype=bool)
@@ -98,25 +101,29 @@ def streaming_masked(q, k, v, mask, tile_size: int = DEFAULT_TILE) -> np.ndarray
         raise ValueError(f"streaming_masked: row {row} is fully masked")
 
     scale = 1.0 / np.sqrt(q.shape[-1])
-    m = np.full(lead + (l_q,), -np.inf)
-    s = np.zeros(lead + (l_q,))
-    acc = np.zeros(lead + (l_q, v.shape[-1]))
-    k_t = np.swapaxes(k, -1, -2)
-    for start, rows in _tile_blocks(mask, tile_size):
-        stop = min(start + tile_size, l_k)
-        scores = q[..., rows, :] @ k_t[..., start:stop] * scale
-        scores = np.where(mask[rows, start:stop], scores, -np.inf)
-        # Every visited row has an allowed key in this tile, so new_m is
-        # finite and a first visit gets correction exp(-inf) = 0.
-        m_rows = m[..., rows]
-        new_m = np.maximum(m_rows, scores.max(axis=-1))
-        correction = np.exp(m_rows - new_m)
-        weights = np.exp(scores - new_m[..., None])
-        s[..., rows] = s[..., rows] * correction + weights.sum(axis=-1)
-        acc[..., rows, :] = (acc[..., rows, :] * correction[..., None]
-                             + weights @ v[..., start:stop, :])
-        m[..., rows] = new_m
-    return acc / s[..., None]
+    out = np.empty(lead + (l_q, v.shape[-1]))
+    for start in range(0, l_q, tile_size):
+        rows = slice(start, start + tile_size)
+        keys = _tile_keys(mask[rows])
+        allowed = mask[rows, keys]
+        scores = q[..., rows, :] @ np.swapaxes(k[..., keys, :], -1, -2) * scale
+        if not allowed.all():
+            scores = np.where(allowed, scores, -np.inf)
+        weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        out[..., rows, :] = (weights @ v[..., keys, :]) / weights.sum(axis=-1, keepdims=True)
+    return out
+
+
+def _tile_keys(block: np.ndarray):
+    """The keys that some row of a mask block may attend to.
+
+    A slice when they are contiguous (as under causal and dense masks), else
+    an index array.
+    """
+    keys = np.flatnonzero(block.any(axis=0))
+    if keys.size and keys[-1] - keys[0] + 1 == keys.size:
+        return slice(int(keys[0]), int(keys[-1]) + 1)
+    return keys
 
 
 def decode(q, k, v) -> np.ndarray:
@@ -133,23 +140,3 @@ def decode(q, k, v) -> np.ndarray:
     scores = q @ np.swapaxes(k, -1, -2) * (1.0 / np.sqrt(q.shape[-1]))
     weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
     return (weights @ v) / weights.sum(axis=-1, keepdims=True)
-
-
-def _tile_blocks(mask: np.ndarray, tile_size: int):
-    """(start, rows) for each key tile with at least one allowed pair.
-
-    rows selects the query rows with an allowed key in the tile: a slice when
-    they are contiguous, else an index array.
-    """
-    l_q = mask.shape[0]
-    if mask.size == 0:
-        return
-    starts = np.arange(0, mask.shape[1], tile_size)
-    live = np.logical_or.reduceat(mask, starts, axis=1)
-    n_live = live.sum(axis=0)
-    first = live.argmax(axis=0)
-    end = l_q - live[::-1].argmax(axis=0)
-    for t, (lo, hi, count) in enumerate(zip(first.tolist(), end.tolist(), n_live.tolist())):
-        if count:
-            rows = slice(lo, hi) if hi - lo == count else np.flatnonzero(live[:, t])
-            yield t * tile_size, rows

@@ -5,14 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from purekv.attention import _tile_blocks, decode, masked, streaming_masked
+from purekv.attention import _tile_keys, decode, masked, streaming_masked
 from purekv.errors import ConfigurationError
+from purekv.masks import SparsityPattern, TokenLayout, build_mask
 
-MASK_KINDS = ("random", "causal", "band")
+MASK_KINDS = ("random", "causal", "band", "spatial_temporal")
 
 
 def draw_mask(rng, kind, l_q, l_k):
-    """A (l_q, l_k) mask of the given family with at least one allowed key per row."""
+    """A (l_q, l_k) mask of the given family with at least one allowed key per row.
+
+    spatial_temporal takes the last l_q rows of the pattern's mask over a
+    drawn layout of l_k tokens, so a tile of query rows in a late frame may
+    attend to the prefix, the first frame and its own and the previous frame
+    but not the frames between: a key union that is not contiguous.
+    """
+    if kind == "spatial_temporal":
+        prefix = int(rng.integers(0, min(3, l_k) + 1))
+        patches = int(rng.integers(1, 5))
+        frames = (l_k - prefix) // patches
+        layout = TokenLayout(prefix, frames, patches, l_k - prefix - frames * patches)
+        return build_mask(layout, SparsityPattern.spatial_temporal())[l_k - l_q:]
     rows = np.arange(l_q)[:, None] + (l_k - l_q)
     cols = np.arange(l_k)[None, :]
     if kind == "random":
@@ -47,9 +60,9 @@ def batched_cases(draw):
     return case
 
 
-def has_row_without_keys_in_a_tile(mask, tile):
-    starts = np.arange(0, mask.shape[1], tile)
-    return not np.logical_or.reduceat(mask, starts, axis=1).all()
+def tile_gathers(mask, tile):
+    """_tile_keys of every tile of query rows."""
+    return [_tile_keys(mask[start:start + tile]) for start in range(0, len(mask), tile)]
 
 
 class TestBatchedStreaming:
@@ -61,27 +74,42 @@ class TestBatchedStreaming:
         assert got.shape == (case["hkv"], case["group"], case["l_q"], case["d_v"])
         batched_out, batched_weights = masked(q, k, v, mask)
         assert batched_weights.shape == (case["hkv"], case["group"], case["l_q"], case["l_k"])
+        assert np.max(np.abs(got - batched_out)) <= 1e-12
         for g in range(case["hkv"]):
             for j in range(case["group"]):
                 expected, weights = masked(q[g, j], k[g, 0], v[g, 0], mask)
-                assert np.max(np.abs(got[g, j] - expected)) <= 1e-10
+                assert np.max(np.abs(got[g, j] - expected)) <= 1e-12
                 per_head = streaming_masked(q[g, j], k[g, 0], v[g, 0], mask, tile_size=tile)
                 assert np.max(np.abs(got[g, j] - per_head)) <= 1e-12
                 assert np.max(np.abs(batched_out[g, j] - expected)) <= 1e-12
                 assert np.max(np.abs(batched_weights[g, j] - weights)) <= 1e-12
 
-    def test_mask_families_reach_tiles_without_keys(self):
-        # The strategy must reach the skipped-row path, not only full blocks.
-        rng = np.random.default_rng(5)
-        for kind in ("causal", "band"):
-            mask = draw_mask(rng, kind, 20, 24)
-            assert has_row_without_keys_in_a_tile(mask, 4)
+    @settings(max_examples=100, deadline=None)
+    @given(batched_cases(), st.integers(0, 8))
+    def test_one_row_tiles_and_one_block_match_masked(self, case, extra):
+        q, k, v, mask = case["q"], case["k"], case["v"], case["mask"]
+        expected, _ = masked(q, k, v, mask)
+        for tile in (1, case["l_q"] + extra):
+            got = streaming_masked(q, k, v, mask, tile_size=tile)
+            assert np.max(np.abs(got - expected)) <= 1e-12
 
-    def test_rows_skipped_in_a_tile_keep_their_outputs(self):
-        # Tile 0 visits rows 0 and 2 (not contiguous); tile 1 visits row 1 only.
+    def test_mask_kinds_reach_partial_blocks_and_gathers(self):
+        # The strategy must reach blocks that need np.where and key unions
+        # gathered by index array, not only full blocks and slices.
+        rng = np.random.default_rng(5)
+        for kind in ("causal", "band", "spatial_temporal"):
+            mask = draw_mask(rng, kind, 20, 24)
+            assert any(not mask[start:start + 4, keys].all()
+                       for start, keys in zip(range(0, 20, 4), tile_gathers(mask, 4)))
+        mask = draw_mask(np.random.default_rng(6), "spatial_temporal", 32, 40)
+        assert any(not isinstance(keys, slice) for keys in tile_gathers(mask, 4))
+
+    def test_noncontiguous_key_union_matches_masked(self):
+        # One tile of rows 0-2 gathers keys [0, 1, 2, 5, 6]: an index array.
         mask = np.zeros((3, 8), dtype=bool)
         mask[0, :2] = mask[2, 1:3] = True
         mask[1, 5:7] = True
+        assert not isinstance(_tile_keys(mask), slice)
         rng = np.random.default_rng(7)
         q = rng.standard_normal((2, 2, 3, 4))
         k, v = rng.standard_normal((2, 1, 8, 4)), rng.standard_normal((2, 1, 8, 3))
@@ -102,12 +130,24 @@ class TestBatchedStreaming:
                 got[index], streaming_masked(q[index], k, v, mask, tile_size=2)
             )
 
+    def test_no_query_rows_give_an_empty_output(self):
+        for l_k in (0, 5):
+            got = streaming_masked(np.ones((2, 3, 0, 4)), np.ones((2, 1, l_k, 4)),
+                                   np.ones((2, 1, l_k, 3)), np.ones((0, l_k), dtype=bool))
+            assert got.shape == (2, 3, 0, 3)
+
     def test_empty_row_raises_for_batched_inputs(self):
         q = np.ones((2, 1, 2, 3))
         k = v = np.ones((2, 1, 2, 3))
         mask = np.array([[True, False], [False, False]])
         with pytest.raises(ValueError, match="row 1"):
             streaming_masked(q, k, v, mask)
+        mask = np.tril(np.ones((5, 5), dtype=bool))
+        mask[3] = False
+        for tile in (1, 2, 16):
+            with pytest.raises(ValueError, match="row 3 is fully masked"):
+                streaming_masked(np.ones((2, 1, 5, 3)), np.ones((2, 1, 5, 3)),
+                                 np.ones((2, 1, 5, 3)), mask, tile_size=tile)
 
     def test_leading_dims_must_broadcast(self):
         for route in (streaming_masked, masked):
@@ -123,22 +163,21 @@ class TestBatchedStreaming:
                     route(q, k, v, np.ones(shape, dtype=bool))
 
 
-class TestTileBlocks:
+class TestTileKeys:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 64),
            st.sampled_from(MASK_KINDS), st.integers(0, 2**32 - 1))
-    def test_visits_exactly_the_non_empty_row_tiles(self, l_q, l_k, tile, kind, seed):
+    def test_gathers_exactly_the_keys_its_rows_may_attend_to(self, l_q, l_k, tile, kind, seed):
         l_q = min(l_q, l_k)
         mask = draw_mask(np.random.default_rng(seed), kind, l_q, l_k)
-        visited = set()
-        for start, rows in _tile_blocks(mask, tile):
-            assert mask[rows, start:start + tile].any(axis=1).all()
+        for start, keys in zip(range(0, l_q, tile), tile_gathers(mask, tile)):
+            block = mask[start:start + tile]
+            gathered = np.zeros(l_k, dtype=bool)
+            gathered[keys] = True
+            assert not (block & ~gathered).any()
+            assert block[:, gathered].any(axis=0).all()
             if kind == "causal":
-                assert isinstance(rows, slice)
-            visited |= {(int(r), start) for r in np.arange(l_q)[rows]}
-        expected = {(r, s) for r in range(l_q) for s in range(0, l_k, tile)
-                    if mask[r, s:s + tile].any()}
-        assert visited == expected
+                assert isinstance(keys, slice)
 
 
 class TestDecodeKernel:
