@@ -1,23 +1,24 @@
-"""Scaled dot-product attention: masked, streaming and decode.
+"""Scaled dot-product attention: masked, streaming, column mass and decode.
 
 masked materializes the weight matrix and returns it alongside the output.
 streaming_masked walks the queries in tiles of rows and returns the output
-only: callers above it structurally cannot read attention weights. decode is
-the unmasked, untiled case for one new token: every query head's single
-softmax row is built and consumed inside the call, and only the output
-leaves it.
+only: callers above it structurally cannot read attention weights.
+column_mass runs the same tile loop and also returns each key's column sum
+of weights, all the h2o_like baseline needs, so no (l, l) matrix is built.
+decode is the unmasked, untiled case for one new token: each query head's
+softmax row is built and consumed inside the call.
 
-All three broadcast over leading dimensions, so one call runs every query
+All four broadcast over leading dimensions, so one call runs every query
 head of a layer: q of shape (Hkv, G, l_q, d_k) against k and v of shape
-(Hkv, 1, l_k, d), with masked and streaming_masked sharing one (l_q, l_k)
-mask across all of them. For each tile of query rows streaming_masked
-gathers the union of keys those rows may attend to (a slice when it is
-contiguous, as under causal and dense masks), scores that one block, masks
-it only when some pair in it is not allowed, and normalizes each row
-exactly with its own max subtracted. Every row sees all of its keys in its
-tile's block, so one softmax per block is exact, and at most one block of
-scores per head is held at a time (query chunking, Rabe & Staats, arXiv
-2112.05682).
+(Hkv, 1, l_k, d), the masked kernels sharing one (l_q, l_k) mask. For each
+tile of query rows the tile loop gathers the union of keys those rows may
+attend to (a slice when it is contiguous, as under causal and dense masks),
+scores that one block, adds a 0/-inf bias only from the first column some
+row may not see, and normalizes each row exactly with its own max
+subtracted. Every row sees all of its keys in its tile's block, so one
+softmax per block is exact and its column sums are final, and at most one
+block of scores per head is held at a time (query chunking, Rabe & Staats,
+arXiv 2112.05682).
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ from .numerics import row_softmax
 DEFAULT_TILE = 16
 
 
-def _check_inputs(q, k, v):
-    """q, k, v as float64, plus the shape their leading dimensions broadcast to.
+def _check_inputs(q, k, v, mask=None):
+    """q, k, v as float64, the shape their leading dimensions broadcast to, and mask.
 
     The last two dimensions are (rows, features): q's and k's features must
-    match, as must k's and v's rows.
+    match, as must k's and v's rows. A mask, when given, must be (l_q, l_k).
     """
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
@@ -55,7 +56,12 @@ def _check_inputs(q, k, v):
         raise ConfigurationError(
             f"leading dimensions {q.shape[:-2]}, {k.shape[:-2]}, {v.shape[:-2]} do not broadcast"
         ) from None
-    return q, k, v, lead
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (q.shape[-2], k.shape[-2]):
+            raise ConfigurationError(f"mask shape {mask.shape} does not match "
+                                     f"(l_q, l_k)=({q.shape[-2]}, {k.shape[-2]})")
+    return q, k, v, lead, mask
 
 
 def masked(q, k, v, mask) -> tuple[np.ndarray, np.ndarray]:
@@ -65,12 +71,7 @@ def masked(q, k, v, mask) -> tuple[np.ndarray, np.ndarray]:
     Leading dimensions of q, k and v broadcast; mask is (l_q, l_k) and is
     shared by all of them, and weights is (..., l_q, l_k).
     """
-    q, k, v, _ = _check_inputs(q, k, v)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (q.shape[-2], k.shape[-2]):
-        raise ConfigurationError(
-            f"mask shape {mask.shape} does not match (l_q, l_k)=({q.shape[-2]}, {k.shape[-2]})"
-        )
+    q, k, v, _, mask = _check_inputs(q, k, v, mask)
     scale = 1.0 / np.sqrt(q.shape[-1])
     weights = row_softmax(q @ np.swapaxes(k, -1, -2) * scale, mask)
     return weights @ v, weights
@@ -86,32 +87,46 @@ def streaming_masked(q, k, v, mask, tile_size: int = DEFAULT_TILE) -> np.ndarray
     Leading dimensions of q, k and v broadcast; mask is (l_q, l_k) and is
     shared by all of them.
     """
-    q, k, v, lead = _check_inputs(q, k, v)
-    mask = np.asarray(mask, dtype=bool)
-    l_q, l_k = q.shape[-2], k.shape[-2]
-    if mask.shape != (l_q, l_k):
-        raise ConfigurationError(
-            f"mask shape {mask.shape} does not match (l_q, l_k)=({l_q}, {l_k})"
-        )
+    return _query_tiles(q, k, v, mask, tile_size, mass=False)[0]
+
+
+def column_mass(q, k, v, mask, tile_size: int = DEFAULT_TILE) -> tuple[np.ndarray, np.ndarray]:
+    """streaming_masked's output, bit for bit, and each key's column mass.
+
+    mass is (..., l_k): the sum over query rows of each key's normalized weight.
+    """
+    return _query_tiles(q, k, v, mask, tile_size, mass=True)
+
+
+def _query_tiles(q, k, v, mask, tile_size: int, mass: bool):
+    """The tile loop behind streaming_masked and column_mass; mass is None unless asked."""
+    q, k, v, lead, mask = _check_inputs(q, k, v, mask)
     if tile_size < 1:
         raise ConfigurationError(f"tile_size must be >= 1, got {tile_size}")
     empty = ~mask.any(axis=1)
     if empty.any():
-        row = int(np.flatnonzero(empty)[0])
-        raise ValueError(f"streaming_masked: row {row} is fully masked")
+        raise ValueError(f"row {int(np.flatnonzero(empty)[0])} is fully masked")
 
     scale = 1.0 / np.sqrt(q.shape[-1])
-    out = np.empty(lead + (l_q, v.shape[-1]))
-    for start in range(0, l_q, tile_size):
+    out = np.empty(lead + (q.shape[-2], v.shape[-1]))
+    colsums = np.zeros(lead + (k.shape[-2],)) if mass else None
+    for start in range(0, q.shape[-2], tile_size):
         rows = slice(start, start + tile_size)
         keys = _tile_keys(mask[rows])
         allowed = mask[rows, keys]
-        scores = q[..., rows, :] @ np.swapaxes(k[..., keys, :], -1, -2) * scale
-        if not allowed.all():
-            scores = np.where(allowed, scores, -np.inf)
-        weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        out[..., rows, :] = (weights @ v[..., keys, :]) / weights.sum(axis=-1, keepdims=True)
-    return out
+        scores = q[..., rows, :] @ np.swapaxes(k[..., keys, :], -1, -2)
+        scores *= scale
+        first = int(np.argmin(allowed.all(axis=0)))
+        if not allowed[:, first].all():
+            scores[..., first:] += np.where(allowed[:, first:], 0.0, -np.inf)
+        scores -= scores.max(axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        sums = scores.sum(axis=-1, keepdims=True)
+        out[..., rows, :] = (scores @ v[..., keys, :]) / sums
+        if mass:
+            scores /= sums
+            colsums[..., keys] += scores.sum(axis=-2)
+    return out, colsums
 
 
 def _tile_keys(block: np.ndarray):
@@ -134,7 +149,7 @@ def decode(q, k, v) -> np.ndarray:
     (Hkv, n, d_v); the result is (Hkv, G, d_v). Leading dimensions
     broadcast as in streaming_masked. The softmax subtracts each row's max.
     """
-    q, k, v, _ = _check_inputs(q, k, v)
+    q, k, v, _, _ = _check_inputs(q, k, v)
     if k.shape[-2] == 0:
         raise ValueError("decode attention needs at least one key")
     scores = q @ np.swapaxes(k, -1, -2) * (1.0 / np.sqrt(q.shape[-1]))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from purekv.attention import _tile_keys, decode, masked, streaming_masked
+from purekv.attention import _tile_keys, column_mass, decode, masked, streaming_masked
 from purekv.errors import ConfigurationError
 from purekv.masks import SparsityPattern, TokenLayout, build_mask
 
@@ -65,6 +65,23 @@ def tile_gathers(mask, tile):
     return [_tile_keys(mask[start:start + tile]) for start in range(0, len(mask), tile)]
 
 
+def assert_column_mass(q, k, v, mask, tile):
+    """column_mass against streaming_masked and per-head materialized weights.
+
+    Its output must equal streaming_masked's bit for bit, and its column sums
+    must match each query head's masked weights summed over rows, both per
+    head and averaged over the G query heads that share a KV head.
+    """
+    out, mass = column_mass(q, k, v, mask, tile_size=tile)
+    np.testing.assert_array_equal(out, streaming_masked(q, k, v, mask, tile_size=tile))
+    expected = np.empty(q.shape[:2] + (k.shape[-2],))
+    for g, j in np.ndindex(q.shape[:2]):
+        expected[g, j] = masked(q[g, j], k[g, 0], v[g, 0], mask)[1].sum(axis=0)
+    assert mass.shape == expected.shape
+    assert np.max(np.abs(mass - expected)) <= 1e-12
+    assert np.max(np.abs(mass.mean(axis=1) - expected.mean(axis=1))) <= 1e-12
+
+
 class TestBatchedStreaming:
     @settings(max_examples=150, deadline=None)
     @given(batched_cases())
@@ -118,6 +135,10 @@ class TestBatchedStreaming:
             for j in range(2):
                 expected, _ = masked(q[g, j], k[g, 0], v[g, 0], mask)
                 np.testing.assert_allclose(got[g, j], expected, atol=1e-12)
+        assert_column_mass(q, k, v, mask, 4)
+        _, mass = column_mass(q, k, v, mask, tile_size=4)
+        np.testing.assert_array_equal(mass[..., [3, 4, 7]], 0.0)  # keys no row may see
+        np.testing.assert_allclose(mass.sum(axis=-1), 3.0, atol=1e-12)
 
     def test_shared_keys_broadcast_against_2d_queries(self):
         rng = np.random.default_rng(8)
@@ -132,35 +153,59 @@ class TestBatchedStreaming:
 
     def test_no_query_rows_give_an_empty_output(self):
         for l_k in (0, 5):
-            got = streaming_masked(np.ones((2, 3, 0, 4)), np.ones((2, 1, l_k, 4)),
-                                   np.ones((2, 1, l_k, 3)), np.ones((0, l_k), dtype=bool))
-            assert got.shape == (2, 3, 0, 3)
+            args = (np.ones((2, 3, 0, 4)), np.ones((2, 1, l_k, 4)),
+                    np.ones((2, 1, l_k, 3)), np.ones((0, l_k), dtype=bool))
+            assert streaming_masked(*args).shape == (2, 3, 0, 3)
+            out, mass = column_mass(*args)
+            assert out.shape == (2, 3, 0, 3)
+            np.testing.assert_array_equal(mass, np.zeros((2, 3, l_k)))
 
     def test_empty_row_raises_for_batched_inputs(self):
         q = np.ones((2, 1, 2, 3))
         k = v = np.ones((2, 1, 2, 3))
         mask = np.array([[True, False], [False, False]])
-        with pytest.raises(ValueError, match="row 1"):
-            streaming_masked(q, k, v, mask)
+        for route in (streaming_masked, column_mass):
+            with pytest.raises(ValueError, match="row 1"):
+                route(q, k, v, mask)
         mask = np.tril(np.ones((5, 5), dtype=bool))
         mask[3] = False
         for tile in (1, 2, 16):
-            with pytest.raises(ValueError, match="row 3 is fully masked"):
-                streaming_masked(np.ones((2, 1, 5, 3)), np.ones((2, 1, 5, 3)),
-                                 np.ones((2, 1, 5, 3)), mask, tile_size=tile)
+            for route in (streaming_masked, column_mass):
+                with pytest.raises(ValueError, match="row 3 is fully masked"):
+                    route(np.ones((2, 1, 5, 3)), np.ones((2, 1, 5, 3)),
+                          np.ones((2, 1, 5, 3)), mask, tile_size=tile)
 
     def test_leading_dims_must_broadcast(self):
-        for route in (streaming_masked, masked):
+        for route in (streaming_masked, column_mass, masked):
             with pytest.raises(ConfigurationError, match="broadcast"):
                 route(np.ones((2, 3, 4)), np.ones((3, 3, 4)), np.ones((3, 3, 4)),
                       np.ones((3, 3), dtype=bool))
 
     def test_one_mask_is_shared_by_every_head(self):
         q = k = v = np.ones((2, 3, 4))
-        for route in (streaming_masked, masked):
+        for route in (streaming_masked, column_mass, masked):
             for shape in ((2, 3, 3), (3, 2)):
                 with pytest.raises(ConfigurationError, match="mask shape"):
                     route(q, k, v, np.ones(shape, dtype=bool))
+
+
+class TestColumnMass:
+    @settings(max_examples=100, deadline=None)
+    @given(batched_cases(), st.integers(0, 8))
+    def test_matches_streaming_output_and_masked_column_sums(self, case, extra):
+        for tile in (case["tile"], 1, case["l_q"] + extra):
+            assert_column_mass(case["q"], case["k"], case["v"], case["mask"], tile)
+
+    @pytest.mark.parametrize("kind", MASK_KINDS)
+    def test_every_mask_kind_and_tile_size(self, kind):
+        mask = draw_mask(np.random.default_rng(6), kind, 32, 40)
+        if kind == "spatial_temporal":
+            assert any(not isinstance(keys, slice) for keys in tile_gathers(mask, 4))
+        rng = np.random.default_rng(10)
+        q = rng.standard_normal((2, 3, 32, 4))
+        k, v = rng.standard_normal((2, 1, 40, 4)), rng.standard_normal((2, 1, 40, 5))
+        for tile in (1, 4, 16, 32, 100):
+            assert_column_mass(q, k, v, mask, tile)
 
 
 class TestTileKeys:

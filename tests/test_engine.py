@@ -693,16 +693,21 @@ class TestStreamingCompatibilityContract:
 
     def test_prefill_materializes_only_the_recent_window(self, monkeypatch):
         """Audit: every masked() call prefill makes has at most w query rows;
-        only the instrumentation pass (here for h2o_like) passes all l rows,
-        one query head at a time."""
-        rows = []
-        real_masked = purekv.attention.masked
+        the h2o_like pass makes none and streams its column sums through one
+        column_mass() call per layer for all query heads."""
+        rows, mass_calls = [], []
+        real_masked, real_mass = purekv.attention.masked, purekv.attention.column_mass
 
         def spy(q, k, v, mask):
             rows.append(q.shape[-2])
             return real_masked(q, k, v, mask)
 
+        def mass_spy(q, k, v, mask, tile_size):
+            mass_calls.append(q.shape)
+            return real_mass(q, k, v, mask, tile_size)
+
         monkeypatch.setattr(purekv.attention, "masked", spy)
+        monkeypatch.setattr(purekv.attention, "column_mass", mass_spy)
         model = init_model(SMALL)
         policy = make_policy(kind="h2o_like", budget=0.5, clie=1, st=2)
         session = init_session(model, LAYOUT, policy, SparsityPattern.spatial_temporal())
@@ -711,11 +716,13 @@ class TestStreamingCompatibilityContract:
         assert 0 < session.w < LAYOUT.total_len
         assert len(prefill_rows) == policy.clie_layer_index + 1
         assert all(r <= session.w for r in prefill_rows)
+        assert mass_calls == []
 
         apply_compression(model, session)
-        assert rows[len(prefill_rows):] == (
-            [LAYOUT.total_len] * SMALL.num_layers * SMALL.num_q_heads
-        )
+        assert rows == prefill_rows
+        assert mass_calls == [
+            (SMALL.num_kv_heads, SMALL.group_size, LAYOUT.total_len, SMALL.d_k)
+        ] * SMALL.num_layers
 
     def test_validation_materializes_only_the_recent_window(self, monkeypatch):
         """Audit: validation reads each layer's (w, l) slab, never all l rows."""

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import purekv.stats
 from purekv.errors import ConfigurationError
 from purekv.numerics import seeded_gaussian
 from purekv.numerics import random_u64
@@ -177,6 +178,31 @@ class TestPermutationPvalue:
             idx = np.argsort(words, axis=1, kind="stable")
             count = int(((ryc[idx] @ rxc) / norm >= observed).sum())
             assert permutation_pvalue(x, y, n_perm, seed) == (1 + count) / (1 + n_perm)
+
+    def test_tied_words_fall_back_to_the_stable_order(self, monkeypatch):
+        # Distinct words sort to one permutation under any sort kind; only
+        # tied words make the kind matter, and they must keep stable order.
+        real = purekv.stats.random_u64
+
+        def tied(seed, start, count):
+            return real(seed, start, count) >> np.uint64(60)  # 16 values: ties in every row
+
+        monkeypatch.setattr(purekv.stats, "random_u64", tied)
+        n, n_perm, seed = 40, 2 * _PERM_BLOCK + 7, 5
+        x = seeded_gaussian(1, n, seed=80)[0]
+        y = seeded_gaussian(1, n, seed=81)[0]
+        words = tied(seed, _PERM_TAG, n_perm * n).reshape(n_perm, n)
+        rx, ry = rank(x), rank(y)
+        rxc, ryc = rx - rx.mean(), ry - ry.mean()
+        norm = np.sqrt((rxc * rxc).sum() * (ryc * ryc).sum())
+        observed = float((rxc * ryc).sum() / norm)
+
+        def count(kind):
+            idx = np.argsort(words, axis=1, kind=kind)
+            return int(((ryc[idx] @ rxc) / norm >= observed).sum())
+
+        assert count(None) != count("stable")  # the sort kind changes the answer here
+        assert permutation_pvalue(x, y, n_perm, seed) == (1 + count("stable")) / (1 + n_perm)
 
     def test_add_one_floor(self):
         x = seeded_gaussian(1, 10, seed=42)[0]
