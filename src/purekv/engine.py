@@ -13,36 +13,31 @@ every attention call takes that layout, and _block turns the
 (Hkv, G, n, d_v) head outputs back into (n, Hq * d_v). No other code
 reshapes or transposes head axes.
 
-_forward is the only loop over layers for a prompt. It hands each layer's
-projections to attend(layer, q, k, v, mask), which returns the layer's head
-outputs. Three passes run it and differ only in that callable:
+_forward is the only loop over layers for a prompt; attend(layer, q, k, v,
+mask) returns each layer's head outputs. Its one caller, prompt_pass, makes
+one streaming_masked call per layer for all query heads (column_mass through
+_instrumented_stats when h2o_like column sums are asked for) and, at the
+lowest layers, one masked call on the last w_max query rows, whose
+(w_max, l) slab gives every window's recent-window accumulators. The
+PromptPass it returns is never written, so a grid runs one per pattern.
+prefill, all or nothing, adopts a pass that covers the session or runs one
+for it alone: it copies every layer's K/V into the session's cache and keeps
+session.importance[layer], an (Hkv, l - w) accumulator table, for layers
+0..e and None above (everywhere when w >= l). Compression reads only what
+prefill stored; validation reads a pass, and runs one only if given none.
 
-    prefill          streaming attention, one call per layer for all query
-                     heads; layers 0..e also materialize the last w query
-                     rows only, one masked call giving a (w, l) slab per
-                     query head, for the layer's recent-window accumulator
-    validation       the same streamed pass, keeping every layer's slab
-                     accumulator and value rows
-    h2o_like         one column_mass call per layer for all query heads: the
-                     streamed output plus each key's column sum of weights
-
-Only prefill builds a KV cache; the other two passes read the projections
-as they are. Prefill is all or nothing: the session changes only after
-every layer has run. It keeps each layer's accumulators in
-session.importance[layer], an (Hkv, l - w) array, for layers 0..e and None
-above (and everywhere when w >= l). Compression runs once after prefill,
-and only when the budget leaves something to evict. Each layer is scored,
-selected and evicted as one table: score_low weights the layer's own
-accumulator (layers at or below e) or layer e's (layers above) by the
-layer's value-row norms, select_retained turns those (Hkv, l - w) scores
-into an (Hkv, w + h) table of positions, and evict gathers it. The retained
-set is stored only in the cache: cache[layer].positions[g] holds the
+Compression runs once after prefill, only when the budget leaves something
+to evict. Each layer is scored, selected and evicted as one table:
+score_low weights the layer's own accumulator (layers at or below e) or
+layer e's (above) by the layer's value-row norms, select_retained turns
+those (Hkv, l - w) scores into an (Hkv, w + h) table of positions, and evict
+gathers it into the cache, where cache[layer].positions[g] holds the
 original positions KV head g kept.
 
 session.phase is "new", then "prefilled", then "compressed"; every entry
 point checks it first and raises before changing anything.
 
-Decode runs the same transformer block as the prompt passes. At each layer
+Decode runs the same transformer block as the prompt pass. At each layer
 it appends the new token's key and value row to every KV head, past the
 committed rows of the layer's preallocated (Hkv, capacity, d) buffers, and
 makes one attention.decode call: the (Hkv, group_size, d_k) query against
@@ -171,6 +166,7 @@ class SessionState:
     tile_size: int = attention.DEFAULT_TILE
     cache: list[KvCacheLayer] = field(default_factory=list)
     importance: list[np.ndarray | None] = field(default_factory=list)
+    colsums: list[np.ndarray] | None = None
     prefill_embeddings: np.ndarray | None = None
     prefill_len: int = 0
     w: int = 0
@@ -227,87 +223,116 @@ def _block(x: np.ndarray, weights: LayerWeights, config: ModelConfig, attend) ->
     return x + np.maximum(_rmsnorm(x) @ weights.w_up, 0.0) @ weights.w_down
 
 
-def _forward(model: Model, session: SessionState, x: np.ndarray, attend) -> np.ndarray:
+def _forward(model: Model, layout: TokenLayout, pattern: SparsityPattern, st: int,
+             x: np.ndarray, attend) -> np.ndarray:
     """The one loop over layers for a prompt; returns the final hidden states.
 
     attend(layer, q, k, v, mask) gets each layer's projected heads and
     returns that layer's head outputs.
     """
     c = model.config
-    st = session.policy.st_layer_index
-    dense_mask = sparse_mask = build_mask(session.layout, SparsityPattern.dense())
-    if session.pattern.kind != "dense" and st < c.num_layers:
-        sparse_mask = build_mask(session.layout, session.pattern)
+    dense_mask = sparse_mask = build_mask(layout, SparsityPattern.dense())
+    if pattern.kind != "dense" and st < c.num_layers:
+        sparse_mask = build_mask(layout, pattern)
     for layer in range(c.num_layers):
         mask = dense_mask if layer < st else sparse_mask
         x = _block(x, model.layers[layer], c, lambda q, k, v: attend(layer, q, k, v, mask))
     return x
 
 
-def _recent_accumulators(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray,
-                         w: int) -> np.ndarray:
-    """The (Hkv, l - w) recent-window accumulators, averaged over query heads.
+@dataclass(frozen=True)
+class PromptPass:
+    """One forward over a prompt, shared by every session it covers; never written.
 
-    Only the last w query rows are materialized: one (Hkv, G, w, l) slab.
+    wiring is (layout, pattern, st_layer_index, tile_size). keys[layer] and
+    values[layer] are (Hkv, l, d). accumulators[w] lists the (Hkv, l - w)
+    recent-window accumulators of layers 0..layers-1, or is None when w >= l;
+    colsums lists every layer's (Hkv, l) column sums, or is None.
     """
-    l = k.shape[1]
-    _, weights = attention.masked(q[:, :, l - w:], k[:, None], v[:, None], mask[l - w:])
-    return accumulate_recent_attention(weights, w).mean(axis=1)
+
+    model: Model
+    wiring: tuple[TokenLayout, SparsityPattern, int, int]
+    layers: int
+    embeddings: np.ndarray
+    logits: np.ndarray
+    keys: list[np.ndarray]
+    values: list[np.ndarray]
+    accumulators: dict[int, list[np.ndarray] | None]
+    colsums: list[np.ndarray] | None
 
 
-def prefill(model: Model, session: SessionState, token_embeddings) -> np.ndarray:
-    """Run the whole prompt, populate the cache, and return (l, vocab) logits."""
-    if session.phase != "new":
-        raise ConfigurationError("session already prefilled")
-    c = model.config
-    x = np.asarray(token_embeddings, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != c.d_model:
-        raise ConfigurationError(
-            f"embeddings must be (tokens, {c.d_model}), got {x.shape}"
-        )
-    if x.shape[0] != session.layout.total_len:
-        raise ConfigurationError(
-            f"embeddings rows ({x.shape[0]}) must match layout total_len "
-            f"({session.layout.total_len})"
-        )
+def prompt_pass(model: Model, layout: TokenLayout, pattern: SparsityPattern, st_layer_index: int,
+                token_embeddings, windows, layers: int, column_sums: bool = False,
+                tile_size: int = attention.DEFAULT_TILE) -> PromptPass:
+    """Run the prompt once: logits, every layer's K/V and the statistics asked for.
+    Layers 0..layers-1 take every window's accumulators from one (max w, l) slab."""
+    x = np.array(token_embeddings, dtype=np.float64)
+    if x.shape != (layout.total_len, model.config.d_model):
+        raise ConfigurationError(f"embeddings must be (layout rows, d_model) = "
+                                 f"{(layout.total_len, model.config.d_model)}, got {x.shape}")
     _require_finite(x, "embeddings")
-
     l = x.shape[0]
-    w, h_count = budget_to_wh(session.policy.budget_fraction, l, session.policy.recent_window_w)
-    clie = session.policy.clie_layer_index
-    cache, importance = [], []
+    accumulators = {w: [] if w < l else None for w in windows}
+    first = l - max((w for w in windows if w < l), default=0)
+    keys, values, colsums = [], [], []
 
     def attend(layer, q, k, v, mask):
-        cache.append(KvCacheLayer(k, v, np.broadcast_to(np.arange(l), k.shape[:2])))
-        estimating = layer <= clie and w < l
-        importance.append(_recent_accumulators(q, k, v, mask, w) if estimating else None)
-        return attention.streaming_masked(q, k[:, None], v[:, None], mask, session.tile_size)
-
-    logits = _rmsnorm(_forward(model, session, x, attend)) @ model.w_vocab
-    # All or nothing: the session changes only once every layer has run.
-    session.cache, session.importance = cache, importance
-    session.w, session.h, session.prefill_len = w, h_count, l
-    session.prefill_embeddings = x.copy()
-    session.phase = "prefilled"
-    return logits
-
-
-def _instrumented_stats(model: Model, session: SessionState) -> list[np.ndarray]:
-    """The h2o_like pass: heavy-hitter column sums streamed at every layer.
-
-    Never called by prefill, decode or validation. Returns, per layer, the
-    (Hkv, l) table of each key's weight summed over all l query rows by one
-    column_mass call, averaged over each KV head's query heads.
-    """
-    colsums = []
-
-    def attend(layer, q, k, v, mask):
-        out, mass = attention.column_mass(q, k[:, None], v[:, None], mask, session.tile_size)
-        colsums.append(mass.mean(axis=1))
+        keys.append(k)
+        values.append(v)
+        if layer < layers and first < l:
+            _, weights = attention.masked(q[:, :, first:], k[:, None], v[:, None], mask[first:])
+            for w, table in accumulators.items():
+                if table is not None:
+                    table.append(accumulate_recent_attention(weights, w).mean(axis=1))
+        if not column_sums:
+            return attention.streaming_masked(q, k[:, None], v[:, None], mask, tile_size)
+        out, mass = _instrumented_stats(q, k, v, mask, tile_size)
+        colsums.append(mass)
         return out
 
-    _forward(model, session, session.prefill_embeddings, attend)
-    return colsums
+    logits = _rmsnorm(_forward(model, layout, pattern, st_layer_index, x, attend)) @ model.w_vocab
+    return PromptPass(model, (layout, pattern, st_layer_index, tile_size), layers, x, logits,
+                      keys, values, accumulators, colsums if column_sums else None)
+
+
+def _instrumented_stats(q, k, v, mask, tile_size: int):
+    """One layer's h2o_like step: the streamed output and the (Hkv, l) column sums
+    of one column_mass call, averaged over each KV head's query heads."""
+    out, mass = attention.column_mass(q, k[:, None], v[:, None], mask, tile_size)
+    return out, mass.mean(axis=1)
+
+
+def _check_covers(prompt, model, session, w: int, layers: int, colsums: bool = False):
+    """Raise unless prompt ran this session's wiring and holds what it reads."""
+    wiring = (session.layout, session.pattern, session.policy.st_layer_index, session.tile_size)
+    if (prompt.model is not model or prompt.wiring != wiring or w not in prompt.accumulators
+            or prompt.layers < layers or (colsums and prompt.colsums is None)):
+        raise ConfigurationError(
+            f"prompt pass does not cover this session's model, layout, pattern, st_layer_index, "
+            f"tile_size, window {w}, layers 0..{layers - 1}{' or column sums' if colsums else ''}")
+
+
+def prefill(model: Model, session: SessionState, prompt) -> np.ndarray:
+    """Fill the session from a PromptPass that covers it, or from embeddings through a
+    pass of its own: copies of its K/V, accumulators at layers 0..clie and (l, vocab) logits."""
+    if session.phase != "new":
+        raise ConfigurationError("session already prefilled")
+    policy, l = session.policy, session.layout.total_len
+    clie, h2o = policy.clie_layer_index, policy.policy_kind == "h2o_like"
+    w, h_count = budget_to_wh(policy.budget_fraction, l, policy.recent_window_w)
+    if not isinstance(prompt, PromptPass):
+        prompt = prompt_pass(model, session.layout, session.pattern, policy.st_layer_index,
+                             prompt, (w,), clie + 1, h2o, session.tile_size)
+    _check_covers(prompt, model, session, w, clie + 1, h2o)
+    session.cache, session.importance = (
+        [KvCacheLayer(k, v, np.broadcast_to(np.arange(l), k.shape[:2]))
+         for k, v in zip(prompt.keys, prompt.values)],
+        [prompt.accumulators[w][layer].copy() if prompt.accumulators[w] and layer <= clie
+         else None for layer in range(model.config.num_layers)])
+    session.colsums = prompt.colsums if h2o else None
+    session.w, session.h, session.prefill_len = w, h_count, l
+    session.prefill_embeddings, session.phase = prompt.embeddings, "prefilled"
+    return prompt.logits.copy()
 
 
 def apply_compression(model: Model, session: SessionState) -> SessionState:
@@ -316,17 +341,13 @@ def apply_compression(model: Model, session: SessionState) -> SessionState:
         raise ConfigurationError("apply_compression requires a completed prefill")
     if session.phase == "compressed":
         raise ConfigurationError("compression already applied")
-    policy = session.policy
-    kind = policy.policy_kind
+    policy, kind = session.policy, session.policy.policy_kind
     l, w, h_count = session.prefill_len, session.w, session.h
-
     if kind == "full" or w + h_count >= l:
         session.phase = "compressed"
         return session
 
-    if kind == "h2o_like":
-        colsums = _instrumented_stats(model, session)
-    elif kind == "streaming_like":
+    if kind == "streaming_like":
         sink = min(policy.sink_len, w + h_count)
         streaming = baseline_streaming(l, sink, w + h_count - sink)
     cache = []
@@ -336,7 +357,7 @@ def apply_compression(model: Model, session: SessionState) -> SessionState:
             _, values, _ = kv.stacked()
             retained = select_retained(score_low(accumulators, values), w, h_count, l)
         elif kind == "h2o_like":
-            retained = select_retained(colsums[layer][:, : l - w], w, h_count, l)
+            retained = select_retained(session.colsums[layer][:, : l - w], w, h_count, l)
         else:
             retained = np.broadcast_to(streaming, (kv.num_heads, streaming.size))
         cache.append(evict(kv, retained))
@@ -381,14 +402,16 @@ def decode_step(model: Model, session: SessionState, token_embedding) -> np.ndar
 
 
 def validate_cross_layer(model: Model, session: SessionState, analysis_layer: int | None = None,
-                         n_perm: int = 999, seed: int = 0) -> dict:
+                         n_perm: int = 999, seed: int = 0,
+                         prompt: PromptPass | None = None) -> dict:
     """Rank agreement between reused-accumulator scores and own-layer scores.
 
     For every layer above the analysis layer and every KV head, correlate
     the estimate (analysis layer's accumulator times this layer's V norms)
     with the ground truth (the layer's own accumulator times the same
-    norms). Reruns prefill's forward pass on the prompt, recording every
-    layer's recent-window accumulator from its (w, l) slab and its value rows.
+    norms). Reads every layer's recent-window accumulator and value rows
+    from prompt, a pass over the session's prompt that covers it on every
+    layer, or reruns the prompt pass when prompt is None.
     Returns the report's validation dict: analysis_layer, median_rho,
     median_p and per_layer entries (layer, median_rho, median_p, heads).
     """
@@ -403,14 +426,14 @@ def validate_cross_layer(model: Model, session: SessionState, analysis_layer: in
     l, w = session.prefill_len, session.w
     if l <= w:
         raise ConfigurationError(f"validation needs l > w, got l={l}, w={w}")
-    accumulators, values = [], []
-
-    def attend(layer, q, k, v, mask):
-        accumulators.append(_recent_accumulators(q, k, v, mask, w))
-        values.append(v)
-        return attention.streaming_masked(q, k[:, None], v[:, None], mask, session.tile_size)
-
-    _forward(model, session, session.prefill_embeddings, attend)
+    if prompt is None:
+        prompt = prompt_pass(model, session.layout, session.pattern, session.policy.st_layer_index,
+                             session.prefill_embeddings, (w,), c.num_layers,
+                             tile_size=session.tile_size)
+    _check_covers(prompt, model, session, w, c.num_layers)
+    if not np.array_equal(prompt.embeddings, session.prefill_embeddings):
+        raise ConfigurationError("prompt pass ran on other embeddings than the session's")
+    accumulators, values = prompt.accumulators[w], prompt.values
 
     per_layer, all_rho, all_p = [], [], []
     for layer in range(analysis + 1, c.num_layers):

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import engine
-from .cache import POLICY_KINDS, PolicyConfig
+from .cache import POLICY_KINDS, PolicyConfig, budget_to_wh
 from .errors import ConfigurationError
 from .masks import SparsityPattern, TokenLayout, build_mask, mask_density, parse_pattern
 from .numerics import derive_seed, random_u64, seeded_gaussian
@@ -292,16 +292,12 @@ def _experiment_cells(config: ExperimentConfig):
 
 
 def _run_cell(model, config: ExperimentConfig, policy_kind: str, pattern: SparsityPattern,
-              budget: float, embeddings, decode_rows):
+              budget: float, prompt: engine.PromptPass, decode_rows):
     session = engine.init_session(model, config.layout, config.policy(policy_kind, budget),
                                   pattern, config.tile_size)
-    engine.prefill(model, session, embeddings)
+    engine.prefill(model, session, prompt)
     engine.apply_compression(model, session)
-    retained_counts = {
-        session.cache[layer].rows(g)
-        for layer in range(config.model.num_layers)
-        for g in range(config.model.num_kv_heads)
-    }
+    retained_counts = {kv.rows(g) for kv in session.cache for g in range(kv.num_heads)}
     if len(retained_counts) != 1:
         raise AssertionError(f"retained counts differ across heads: {retained_counts}")
     logits = [engine.decode_step(model, session, row) for row in decode_rows]
@@ -315,18 +311,30 @@ def run_experiment(source) -> dict:
     embeddings, salient = generate_workload(config.workload, config.model.d_model)
     decode_rows = decode_embeddings(config.workload, config.model.d_model, config.decode_steps)
 
+    # One prompt pass per pattern serves the reference and every cell on it;
+    # the prefill MACs and the mask density are the pattern's too.
+    windows = {budget_to_wh(b, config.layout.total_len, config.recent_window_w)[0]
+               for b in config.budgets + (1.0,)}
+    layers = config.model.num_layers if config.validate else config.clie_layer_index + 1
     dense = SparsityPattern.dense()
-    _, _, reference_logits = _run_cell(
-        model, config, "full", dense, 1.0, embeddings, decode_rows
-    )
+    per_pattern = {pattern: (
+        engine.prompt_pass(model, config.layout, pattern, config.st_layer_index, embeddings,
+                           windows, layers, "h2o_like" in config.policies, config.tile_size),
+        estimate_macs(config.layout, pattern, config.model, "prefill"),
+        mask_density(build_mask(config.layout, pattern)),
+    ) for pattern in dict.fromkeys([dense] + [parse_pattern(text, config.layout)
+                                              for text in config.patterns])}
+    _, _, reference_logits = _run_cell(model, config, "full", dense, 1.0, per_pattern[dense][0],
+                                       decode_rows)
 
     # Validation reads the pattern and the recent window, never the budget.
     validation_cache: dict[tuple[str, int], dict] = {}
     cells = []
     for policy_kind, pattern_text, budget in _experiment_cells(config):
         pattern = parse_pattern(pattern_text, config.layout)
+        prompt, prefill_macs, density = per_pattern[pattern]
         session, retained_count, logits = _run_cell(
-            model, config, policy_kind, pattern, budget, embeddings, decode_rows
+            model, config, policy_kind, pattern, budget, prompt, decode_rows
         )
         l = session.prefill_len
         divergence = 0.0
@@ -335,14 +343,9 @@ def run_experiment(source) -> dict:
 
         recall = None
         if salient.size:
-            per_set = [
-                salient_recall(session.cache[layer].positions[g], salient)
-                for layer in range(config.model.num_layers)
-                for g in range(config.model.num_kv_heads)
-            ]
-            recall = float(np.mean(per_set))
+            recall = float(np.mean([salient_recall(kv.positions[g], salient)
+                                    for kv in session.cache for g in range(kv.num_heads)]))
 
-        prefill_macs = estimate_macs(config.layout, pattern, config.model, "prefill")
         decode_macs = estimate_macs(config.layout, pattern, config.model, "decode",
                                     retained_count=retained_count)
 
@@ -351,8 +354,7 @@ def run_experiment(source) -> dict:
             key = (pattern.describe(), session.w)
             if key not in validation_cache:
                 validation_cache[key] = engine.validate_cross_layer(
-                    model, session, n_perm=config.n_perm, seed=config.stats_seed
-                )
+                    model, session, n_perm=config.n_perm, seed=config.stats_seed, prompt=prompt)
             validation = validation_cache[key]
 
         cells.append({
@@ -364,7 +366,7 @@ def run_experiment(source) -> dict:
             "top_h": session.h,
             "retained_per_head": retained_count,
             "compression_ratio": float(l / retained_count),
-            "mask_density": mask_density(build_mask(config.layout, pattern)),
+            "mask_density": density,
             "prefill_macs_total": prefill_macs.total,
             "prefill_macs_attention": prefill_macs.attention,
             "decode_macs_total_per_step": decode_macs.total,

@@ -18,22 +18,24 @@ from .errors import ConfigurationError
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
-def _finalize(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer over a uint64 array (wrapping arithmetic)."""
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+def _finalize(z):
+    """SplitMix64 finalizer (wrapping arithmetic); works in place on a uint64 array."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def random_u64(seed: int, start: int, count: int) -> np.ndarray:
     """Words [start, start+count) of the SplitMix64 stream keyed by seed."""
-    counters = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        state = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + counters * _GOLDEN
-        return _finalize(state & _U64)
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= _GOLDEN
+    z += np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    return _finalize(z)
 
 
 def derive_seed(seed: int, *parts: int) -> int:

@@ -122,6 +122,15 @@ class TestValidateCommand:
         golden = (REPO / "tests" / "golden" / "example.validate.json").read_text()
         assert capsys.readouterr().out == golden
 
+    def test_prefill_and_validation_share_one_forward(self, tmp_path, capsys, monkeypatch):
+        import purekv.engine
+        forwards = []
+        real_forward = purekv.engine._forward
+        monkeypatch.setattr(purekv.engine, "_forward",
+                            lambda *args: forwards.append(1) or real_forward(*args))
+        assert main(["validate", "--config", str(small_config(tmp_path, n_perm=199))]) == 0
+        assert len(forwards) == 1
+
 
 class TestInstalledEntryPoint:
     def test_module_invocation_round_trip(self, tmp_path):

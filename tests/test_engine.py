@@ -1,5 +1,7 @@
 """Engine wiring: prefill/compress/decode vs. cache-free reference forwards."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from purekv.engine import (
     init_model,
     init_session,
     prefill,
+    prompt_pass,
     validate_cross_layer,
 )
 from purekv.errors import ConfigurationError
@@ -693,8 +696,9 @@ class TestStreamingCompatibilityContract:
 
     def test_prefill_materializes_only_the_recent_window(self, monkeypatch):
         """Audit: every masked() call prefill makes has at most w query rows;
-        the h2o_like pass makes none and streams its column sums through one
-        column_mass() call per layer for all query heads."""
+        an h2o_like prefill streams its column sums through one column_mass()
+        call per layer for all query heads, and compression then calls
+        neither kernel."""
         rows, mass_calls = [], []
         real_masked, real_mass = purekv.attention.masked, purekv.attention.column_mass
 
@@ -716,13 +720,13 @@ class TestStreamingCompatibilityContract:
         assert 0 < session.w < LAYOUT.total_len
         assert len(prefill_rows) == policy.clie_layer_index + 1
         assert all(r <= session.w for r in prefill_rows)
-        assert mass_calls == []
-
-        apply_compression(model, session)
-        assert rows == prefill_rows
         assert mass_calls == [
             (SMALL.num_kv_heads, SMALL.group_size, LAYOUT.total_len, SMALL.d_k)
         ] * SMALL.num_layers
+
+        apply_compression(model, session)
+        assert rows == prefill_rows
+        assert len(mass_calls) == SMALL.num_layers
 
     def test_validation_materializes_only_the_recent_window(self, monkeypatch):
         """Audit: validation reads each layer's (w, l) slab, never all l rows."""
@@ -775,3 +779,174 @@ class TestStreamingCompatibilityContract:
             rng.standard_normal((2, 2)), np.tril(np.ones((2, 2), dtype=bool))
         )
         assert isinstance(out, np.ndarray) and out.shape == (2, 2)
+
+
+def adopted_state(session, logits):
+    """Everything prefill leaves in a session, with the cache's committed buffers."""
+    cache = [tuple(a.copy() for a in layer.stacked()) for layer in session.cache]
+    return [session.phase, session.w, session.h, session.prefill_len, logits, cache,
+            [None if a is None else a.copy() for a in session.importance],
+            None if session.colsums is None else [a.copy() for a in session.colsums]]
+
+
+class TestPromptPass:
+    @pytest.fixture(scope="class")
+    def example(self):
+        from purekv.harness import generate_workload, load_config
+        config = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "example.json"))
+        model = init_model(config.model)
+        embeddings, _ = generate_workload(config.workload, config.model.d_model)
+        return config, model, embeddings
+
+    def test_shared_pass_prefill_equals_prefill_from_embeddings(self, example):
+        """Every (policy, budget) of the example grid on both patterns: a session
+        adopting the pattern's shared pass (every window, every layer, column
+        sums) ends bit for bit where a prefill from embeddings does."""
+        config, model, embeddings = example
+        l = config.layout.total_len
+        windows = {purekv.engine.budget_to_wh(b, l, config.recent_window_w)[0]
+                   for b in config.budgets + (1.0,)}
+        assert len(windows) > 1  # the shared slab serves windows shorter than itself
+        for text in config.patterns:
+            pattern = parse_pattern(text, config.layout)
+            shared = prompt_pass(model, config.layout, pattern, config.st_layer_index, embeddings,
+                                 windows, config.model.num_layers, True, config.tile_size)
+            for kind in config.policies:
+                for budget in (1.0,) if kind == "full" else config.budgets:
+                    states = []
+                    for source in (shared, embeddings):
+                        session = init_session(model, config.layout, config.policy(kind, budget),
+                                               pattern, config.tile_size)
+                        states.append(adopted_state(session, prefill(model, session, source)))
+                    np.testing.assert_equal(states[0], states[1])
+
+    def test_sessions_own_their_cache_and_logits(self):
+        model = init_model(SMALL)
+        shared = prompt_pass(model, LAYOUT, SparsityPattern.dense(), 2, embeddings_for(LAYOUT),
+                             (4,), 2)
+        sessions = [init_session(model, LAYOUT, make_policy(budget=0.5), SparsityPattern.dense())
+                    for _ in range(2)]
+        logits = [prefill(model, session, shared) for session in sessions]
+        logits[0][:] = 0.0
+        np.testing.assert_array_equal(logits[1], shared.logits)
+        apply_compression(model, sessions[0])
+        decode_step(model, sessions[0], np.ones(SMALL.d_model))
+        assert sessions[1].cache[0].rows(0) == LAYOUT.total_len
+        np.testing.assert_array_equal(sessions[1].cache[0].keys[0], shared.keys[0][0])
+
+    @pytest.mark.parametrize("change, kind, message", [
+        ("model", "pure_kv", "model"),
+        ("layout", "pure_kv", "layout"),
+        ("pattern", "pure_kv", "pattern"),
+        ("st_layer_index", "pure_kv", "st_layer_index"),
+        ("tile_size", "pure_kv", "tile_size"),
+        ("window", "pure_kv", "window 4"),
+        ("clie_layer_index", "pure_kv", "layers 0..2"),
+        ("column_sums", "h2o_like", "column sums"),
+    ])
+    def test_a_pass_that_does_not_cover_the_session_is_rejected(self, change, kind, message):
+        """The session is still new after the rejection, and prefills from a pass that covers it."""
+        model = init_model(SMALL)
+        policy = make_policy(kind=kind, budget=0.5, clie=2 if change == "clie_layer_index" else 1,
+                             st=3)
+        session = init_session(model, LAYOUT, policy, SparsityPattern.spatial(), tile_size=4)
+        args = dict(model=model, layout=LAYOUT, pattern=SparsityPattern.spatial(),
+                    st_layer_index=3, token_embeddings=embeddings_for(LAYOUT), windows=(4,),
+                    layers=2, column_sums=kind == "h2o_like", tile_size=4)
+        bad = dict(args)
+        if change == "model":
+            bad["model"] = init_model(SMALL)
+        elif change == "layout":
+            bad["layout"] = TokenLayout(2, 4, 3, 2)  # as many tokens, other frames
+            assert bad["layout"].total_len == LAYOUT.total_len
+        elif change == "pattern":
+            bad["pattern"] = SparsityPattern.temporal()
+        elif change in ("st_layer_index", "tile_size"):
+            bad[change] = 2
+        elif change == "window":
+            bad["windows"] = (3, 5)
+        elif change == "column_sums":
+            bad["column_sums"] = False
+        before = session_snapshot(session)
+        with pytest.raises(ConfigurationError, match=message):
+            prefill(model, session, prompt_pass(**bad))
+        assert session.phase == "new"
+        np.testing.assert_equal(session_snapshot(session), before)
+        if change == "clie_layer_index":
+            args["layers"] = 3
+        prefill(model, session, prompt_pass(**args))
+        assert session.phase == "prefilled"
+
+    def test_prefill_from_embeddings_runs_no_more_than_its_session_needs(self, monkeypatch):
+        """Column sums only for h2o_like, accumulators only up to clie and only
+        for the session's own window, and no K/V kept past the cache."""
+        model = init_model(SMALL)
+        passes = []
+        real_pass = purekv.engine.prompt_pass
+
+        def spy(*args):
+            passes.append(real_pass(*args))
+            return passes[-1]
+
+        monkeypatch.setattr(purekv.engine, "prompt_pass", spy)
+        for kind in ("pure_kv", "h2o_like", "streaming_like", "full"):
+            session = init_session(model, LAYOUT, make_policy(kind=kind, budget=0.5, clie=1, st=2),
+                                   SparsityPattern.spatial())
+            prefill(model, session, embeddings_for(LAYOUT))
+            made = passes[-1]
+            assert (made.colsums is not None) == (kind == "h2o_like")
+            assert list(made.accumulators) == [session.w] and made.layers == 2
+            assert len(made.accumulators[session.w]) == 2
+            assert session.importance[2:] == [None, None]
+            assert (session.colsums is not None) == (kind == "h2o_like")
+
+    def test_prefill_from_embeddings_keeps_no_pass(self, monkeypatch):
+        """Once prefill returns, nothing holds its private pass, so its K/V
+        exist only as the session's cache."""
+        import weakref
+        refs = []
+        real_pass = purekv.engine.prompt_pass
+
+        def spy(*args):
+            made = real_pass(*args)
+            refs.append(weakref.ref(made))
+            return made
+
+        monkeypatch.setattr(purekv.engine, "prompt_pass", spy)
+        model = init_model(SMALL)
+        session = init_session(model, LAYOUT, make_policy(kind="h2o_like", budget=0.5),
+                               SparsityPattern.spatial())
+        prefill(model, session, embeddings_for(LAYOUT))
+        assert len(refs) == 1 and refs[0]() is None
+
+    def test_validation_reads_the_pass_and_runs_no_forward(self, monkeypatch):
+        model = init_model(SMALL)
+        policy = make_policy(budget=0.5, clie=1, st=2)
+        emb = embeddings_for(LAYOUT, seed=26)
+        session = init_session(model, LAYOUT, policy, SparsityPattern.spatial_temporal())
+        prefill(model, session, emb)
+        expected = validate_cross_layer(model, session, n_perm=199, seed=3)
+
+        shared = prompt_pass(model, LAYOUT, SparsityPattern.spatial_temporal(), 2, emb,
+                             (session.w,), SMALL.num_layers)
+        adopted = init_session(model, LAYOUT, policy, SparsityPattern.spatial_temporal())
+        prefill(model, adopted, shared)
+        forwards = []
+        real_forward = purekv.engine._forward
+        monkeypatch.setattr(purekv.engine, "_forward",
+                            lambda *args: forwards.append(1) or real_forward(*args))
+        assert validate_cross_layer(model, adopted, n_perm=199, seed=3, prompt=shared) == expected
+        assert forwards == []
+
+    def test_validation_rejects_a_pass_it_cannot_read(self):
+        model = init_model(SMALL)
+        emb = embeddings_for(LAYOUT, seed=27)
+        session = init_session(model, LAYOUT, make_policy(budget=0.5), SparsityPattern.dense())
+        partial = prompt_pass(model, LAYOUT, SparsityPattern.dense(), 2, emb, (4,), 2)
+        prefill(model, session, partial)
+        with pytest.raises(ConfigurationError, match="layers 0..3"):
+            validate_cross_layer(model, session, n_perm=199, prompt=partial)
+        other = prompt_pass(model, LAYOUT, SparsityPattern.dense(), 2,
+                            embeddings_for(LAYOUT, seed=28), (4,), SMALL.num_layers)
+        with pytest.raises(ConfigurationError, match="other embeddings"):
+            validate_cross_layer(model, session, n_perm=199, prompt=other)

@@ -265,6 +265,65 @@ class TestRunExperiment:
             assert all(c["validation"] == cells[0]["validation"] for c in cells)
 
 
+def count_forwards(monkeypatch, *entries):
+    """Count engine._forward calls, in all and inside each named engine entry."""
+    counts = {"all": 0, **{name: 0 for name in entries}}
+    inside = []
+    real_forward = purekv.engine._forward
+
+    def forward(*args):
+        counts["all"] += 1
+        for name in inside:
+            counts[name] += 1
+        return real_forward(*args)
+
+    def spying(name, real):
+        def entry(*args, **kwargs):
+            inside.append(name)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                inside.pop()
+        return entry
+
+    monkeypatch.setattr(purekv.engine, "_forward", forward)
+    for name in entries:
+        monkeypatch.setattr(purekv.engine, name, spying(name, getattr(purekv.engine, name)))
+    return counts
+
+
+class TestSharedPromptPass:
+    def test_example_grid_runs_one_forward_per_pattern(self, monkeypatch):
+        """Two patterns, 38 cells and the reference: two forwards, none of
+        them inside compression or validation."""
+        counts = count_forwards(monkeypatch, "apply_compression", "validate_cross_layer")
+        report = run_experiment(str(ROOT / "configs" / "example.json"))
+        assert len(report["cells"]) == 38
+        assert {c["pattern"] for c in report["cells"]} == {"dense", "spatial_temporal"}
+        assert counts == {"all": 2, "apply_compression": 0, "validate_cross_layer": 0}
+
+    def test_a_grid_without_the_dense_pattern_adds_the_reference_pass(self, monkeypatch):
+        counts = count_forwards(monkeypatch)
+        run_experiment(base_config(policies=["pure_kv", "h2o_like"], patterns=["temporal"],
+                                   budgets=[0.5, 0.1], validate=True, n_perm=199))
+        assert counts == {"all": 2}
+
+    def test_masks_are_built_once_per_pattern(self, monkeypatch):
+        import purekv.harness
+        built = []
+        real_build = purekv.harness.build_mask
+
+        def spy(layout, pattern):
+            built.append(pattern.describe())
+            return real_build(layout, pattern)
+
+        monkeypatch.setattr(purekv.harness, "build_mask", spy)
+        run_experiment(base_config(policies=["pure_kv", "streaming_like"],
+                                   patterns=["dense", "spatial"], budgets=[0.5, 0.2, 0.1]))
+        # estimate_macs and mask_density each read one mask per pattern.
+        assert sorted(built) == ["dense", "dense", "spatial", "spatial"]
+
+
 @pytest.fixture(scope="module")
 def example_report():
     return run_experiment(str(ROOT / "configs" / "example.json"))

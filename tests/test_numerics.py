@@ -113,3 +113,15 @@ class TestSeedDerivation:
         all_words = random_u64(3, 0, 16)
         tail = random_u64(3, 8, 8)
         np.testing.assert_array_equal(all_words[8:], tail)
+
+    def test_u64_words_are_pinned(self):
+        # Seed 0's first word is SplitMix64's published first output; the
+        # others pin the stream as it stood before random_u64 worked in place.
+        assert int(random_u64(0, 0, 1)[0]) == 0xE220A8397B1DCDAF
+        assert random_u64(1234, 0, 4).tolist() == [
+            13478418381427711195, 10936887474700444964,
+            3728693401281897946, 5648149391703318579,
+        ]
+        assert random_u64(2**64 - 1, 5, 3).tolist() == [
+            15212506146343009075, 17388166129998380965, 4638043754431676516,
+        ]
