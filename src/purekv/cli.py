@@ -79,15 +79,11 @@ def _cmd_validate(args) -> int:
     model = engine.init_model(config.model)
     embeddings, _ = harness.generate_workload(config.workload, config.model.d_model)
     pattern = parse_pattern(config.patterns[0] if config.patterns else "dense", config.layout)
-    # One prompt pass with every layer's accumulators feeds prefill and validation.
     w, _ = budget_to_wh(1.0, config.layout.total_len, config.recent_window_w)
     prompt = engine.prompt_pass(model, config.layout, pattern, config.st_layer_index, embeddings,
                                 (w,), config.model.num_layers, tile_size=config.tile_size)
-    session = engine.init_session(model, config.layout, config.policy("pure_kv", 1.0), pattern,
-                                  config.tile_size)
-    engine.prefill(model, session, prompt)
-    report = engine.validate_cross_layer(model, session, n_perm=config.n_perm,
-                                         seed=config.stats_seed, prompt=prompt)
+    report = engine.validate_cross_layer(prompt, w, config.clie_layer_index, config.n_perm,
+                                         config.stats_seed)
     sys.stdout.write(json.dumps(harness._round6(report), indent=2) + "\n")
     return 0
 

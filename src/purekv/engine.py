@@ -18,13 +18,14 @@ mask) returns each layer's head outputs. Its one caller, prompt_pass, makes
 one streaming_masked call per layer for all query heads (column_mass through
 _instrumented_stats when h2o_like column sums are asked for) and, at the
 lowest layers, one masked call on the last w_max query rows, whose
-(w_max, l) slab gives every window's recent-window accumulators. The
-PromptPass it returns is never written, so a grid runs one per pattern.
-prefill, all or nothing, adopts a pass that covers the session or runs one
-for it alone: it copies every layer's K/V into the session's cache and keeps
-session.importance[layer], an (Hkv, l - w) accumulator table, for layers
-0..e and None above (everywhere when w >= l). Compression reads only what
-prefill stored; validation reads a pass, and runs one only if given none.
+(w_max, l) slab gives every window's recent-window accumulators. Every
+array of the PromptPass it returns is read-only, so a grid runs one per
+pattern. prefill, all or nothing, adopts a pass that covers the session or
+runs one for it alone: it copies every layer's K/V into the session's cache
+and keeps session.importance[layer], an (Hkv, l - w) accumulator table, for
+layers 0..e and None above (everywhere when w >= l). Compression reads only
+what prefill stored. Validation needs no session: it reads one window's
+accumulators and every layer's value rows from a pass covering every layer.
 
 Compression runs once after prefill, only when the budget leaves something
 to evict. Each layer is scored, selected and evicted as one table:
@@ -34,8 +35,8 @@ those (Hkv, l - w) scores into an (Hkv, w + h) table of positions, and evict
 gathers it into the cache, where cache[layer].positions[g] holds the
 original positions KV head g kept.
 
-session.phase is "new", then "prefilled", then "compressed"; every entry
-point checks it first and raises before changing anything.
+session.phase is "new", then "prefilled", then "compressed"; every session
+entry point checks it first and raises before changing anything.
 
 Decode runs the same transformer block as the prompt pass. At each layer
 it appends the new token's key and value row to every KV head, past the
@@ -76,7 +77,8 @@ from .cache import (
 )
 from .errors import ConfigurationError
 from .masks import SparsityPattern, TokenLayout, build_mask
-from .numerics import derive_seed, l2_norm_rows, seeded_gaussian
+from .numerics import derive_seed, seeded_gaussian
+from .numerics import l2_norm_rows  # noqa: F401  a traced benchmark site wraps engine.l2_norm_rows
 
 _FF_MULT = 2
 _NORM_EPS = 1e-12
@@ -167,7 +169,6 @@ class SessionState:
     cache: list[KvCacheLayer] = field(default_factory=list)
     importance: list[np.ndarray | None] = field(default_factory=list)
     colsums: list[np.ndarray] | None = None
-    prefill_embeddings: np.ndarray | None = None
     prefill_len: int = 0
     w: int = 0
     h: int = 0
@@ -242,7 +243,7 @@ def _forward(model: Model, layout: TokenLayout, pattern: SparsityPattern, st: in
 
 @dataclass(frozen=True)
 class PromptPass:
-    """One forward over a prompt, shared by every session it covers; never written.
+    """One forward over a prompt, shared by every session it covers; its arrays are read-only.
 
     wiring is (layout, pattern, st_layer_index, tile_size). keys[layer] and
     values[layer] are (Hkv, l, d). accumulators[w] lists the (Hkv, l - w)
@@ -291,6 +292,9 @@ def prompt_pass(model: Model, layout: TokenLayout, pattern: SparsityPattern, st_
         return out
 
     logits = _rmsnorm(_forward(model, layout, pattern, st_layer_index, x, attend)) @ model.w_vocab
+    for array in [x, logits, *keys, *values, *colsums,
+                  *(a for table in accumulators.values() for a in table or ())]:
+        array.flags.writeable = False
     return PromptPass(model, (layout, pattern, st_layer_index, tile_size), layers, x, logits,
                       keys, values, accumulators, colsums if column_sums else None)
 
@@ -302,36 +306,29 @@ def _instrumented_stats(q, k, v, mask, tile_size: int):
     return out, mass.mean(axis=1)
 
 
-def _check_covers(prompt, model, session, w: int, layers: int, colsums: bool = False):
-    """Raise unless prompt ran this session's wiring and holds what it reads."""
-    wiring = (session.layout, session.pattern, session.policy.st_layer_index, session.tile_size)
-    if (prompt.model is not model or prompt.wiring != wiring or w not in prompt.accumulators
-            or prompt.layers < layers or (colsums and prompt.colsums is None)):
-        raise ConfigurationError(
-            f"prompt pass does not cover this session's model, layout, pattern, st_layer_index, "
-            f"tile_size, window {w}, layers 0..{layers - 1}{' or column sums' if colsums else ''}")
-
-
 def prefill(model: Model, session: SessionState, prompt) -> np.ndarray:
-    """Fill the session from a PromptPass that covers it, or from embeddings through a
-    pass of its own: copies of its K/V, accumulators at layers 0..clie and (l, vocab) logits."""
+    """Fill the session from a PromptPass that covers it, or from embeddings through a pass
+    of its own: copies of its K/V, its accumulators at layers 0..clie, a copy of its logits."""
     if session.phase != "new":
         raise ConfigurationError("session already prefilled")
     policy, l = session.policy, session.layout.total_len
     clie, h2o = policy.clie_layer_index, policy.policy_kind == "h2o_like"
     w, h_count = budget_to_wh(policy.budget_fraction, l, policy.recent_window_w)
+    wiring = (session.layout, session.pattern, policy.st_layer_index, session.tile_size)
     if not isinstance(prompt, PromptPass):
-        prompt = prompt_pass(model, session.layout, session.pattern, policy.st_layer_index,
-                             prompt, (w,), clie + 1, h2o, session.tile_size)
-    _check_covers(prompt, model, session, w, clie + 1, h2o)
+        prompt = prompt_pass(model, *wiring[:3], prompt, (w,), clie + 1, h2o, session.tile_size)
+    if (prompt.model is not model or prompt.wiring != wiring or w not in prompt.accumulators
+            or prompt.layers <= clie or (h2o and prompt.colsums is None)):
+        raise ConfigurationError(
+            f"prompt pass does not cover this session's model, layout, pattern, st_layer_index, "
+            f"tile_size, window {w}, layers 0..{clie}{' or column sums' if h2o else ''}")
     session.cache, session.importance = (
         [KvCacheLayer(k, v, np.broadcast_to(np.arange(l), k.shape[:2]))
          for k, v in zip(prompt.keys, prompt.values)],
-        [prompt.accumulators[w][layer].copy() if prompt.accumulators[w] and layer <= clie
+        [prompt.accumulators[w][layer] if prompt.accumulators[w] and layer <= clie
          else None for layer in range(model.config.num_layers)])
     session.colsums = prompt.colsums if h2o else None
-    session.w, session.h, session.prefill_len = w, h_count, l
-    session.prefill_embeddings, session.phase = prompt.embeddings, "prefilled"
+    session.w, session.h, session.prefill_len, session.phase = w, h_count, l, "prefilled"
     return prompt.logits.copy()
 
 
@@ -401,49 +398,39 @@ def decode_step(model: Model, session: SessionState, token_embedding) -> np.ndar
     return (_rmsnorm(x) @ model.w_vocab)[0]
 
 
-def validate_cross_layer(model: Model, session: SessionState, analysis_layer: int | None = None,
-                         n_perm: int = 999, seed: int = 0,
-                         prompt: PromptPass | None = None) -> dict:
+def validate_cross_layer(prompt: PromptPass, w: int, analysis_layer: int, n_perm: int = 999,
+                         seed: int = 0) -> dict:
     """Rank agreement between reused-accumulator scores and own-layer scores.
 
-    For every layer above the analysis layer and every KV head, correlate
-    the estimate (analysis layer's accumulator times this layer's V norms)
-    with the ground truth (the layer's own accumulator times the same
-    norms). Reads every layer's recent-window accumulator and value rows
-    from prompt, a pass over the session's prompt that covers it on every
-    layer, or reruns the prompt pass when prompt is None.
-    Returns the report's validation dict: analysis_layer, median_rho,
-    median_p and per_layer entries (layer, median_rho, median_p, heads).
+    For every layer above the analysis layer, score_low weights two
+    (Hkv, l - w) accumulator tables by this layer's value-row norms: the
+    analysis layer's (the estimate) and the layer's own (the ground truth),
+    and each KV head's two rows are correlated. Reads window w's
+    accumulators and every layer's value rows from prompt, which must hold
+    them on every layer. Returns the report's validation dict:
+    analysis_layer, median_rho, median_p and per_layer entries (layer,
+    median_rho, median_p, heads).
     """
-    if session.phase == "new":
-        raise ConfigurationError("validate_cross_layer requires a completed prefill")
-    c = model.config
-    analysis = session.policy.clie_layer_index if analysis_layer is None else analysis_layer
-    if not (0 <= analysis < c.num_layers):
-        raise ConfigurationError(f"analysis layer {analysis} out of range")
-    if analysis == c.num_layers - 1:
-        raise ConfigurationError("no layers above the analysis layer to validate")
-    l, w = session.prefill_len, session.w
+    num_layers, l = prompt.model.config.num_layers, len(prompt.embeddings)
+    if prompt.layers < num_layers or w not in prompt.accumulators:
+        raise ConfigurationError(f"validation needs a prompt pass with window {w}'s "
+                                 f"accumulators on layers 0..{num_layers - 1}")
     if l <= w:
         raise ConfigurationError(f"validation needs l > w, got l={l}, w={w}")
-    if prompt is None:
-        prompt = prompt_pass(model, session.layout, session.pattern, session.policy.st_layer_index,
-                             session.prefill_embeddings, (w,), c.num_layers,
-                             tile_size=session.tile_size)
-    _check_covers(prompt, model, session, w, c.num_layers)
-    if not np.array_equal(prompt.embeddings, session.prefill_embeddings):
-        raise ConfigurationError("prompt pass ran on other embeddings than the session's")
-    accumulators, values = prompt.accumulators[w], prompt.values
+    if not 0 <= analysis_layer < num_layers:
+        raise ConfigurationError(f"analysis layer {analysis_layer} out of range")
+    if analysis_layer == num_layers - 1:
+        raise ConfigurationError("no layers above the analysis layer to validate")
+    accumulators = prompt.accumulators[w]
 
     per_layer, all_rho, all_p = [], [], []
-    for layer in range(analysis + 1, c.num_layers):
+    for layer in range(analysis_layer + 1, num_layers):
+        truth = score_low(accumulators[layer], prompt.values[layer])
+        estimate = score_low(accumulators[analysis_layer], prompt.values[layer])
         rhos, ps = [], []
-        for g in range(c.num_kv_heads):
-            norms = l2_norm_rows(values[layer][g][: l - w])
-            truth = accumulators[layer][g] * norms
-            estimate = accumulators[analysis][g] * norms
-            rhos.append(stats.spearman_rho(estimate, truth))
-            ps.append(stats.permutation_pvalue(estimate, truth, n_perm,
+        for g in range(len(truth)):
+            rhos.append(stats.spearman_rho(estimate[g], truth[g]))
+            ps.append(stats.permutation_pvalue(estimate[g], truth[g], n_perm,
                                                derive_seed(seed, layer, g)))
         per_layer.append({
             "layer": layer,
@@ -454,7 +441,7 @@ def validate_cross_layer(model: Model, session: SessionState, analysis_layer: in
         all_rho += rhos
         all_p += ps
     return {
-        "analysis_layer": analysis,
+        "analysis_layer": analysis_layer,
         "median_rho": float(np.median(all_rho)),
         "median_p": float(np.median(all_p)),
         "per_layer": per_layer,

@@ -354,7 +354,7 @@ def run_experiment(source) -> dict:
             key = (pattern.describe(), session.w)
             if key not in validation_cache:
                 validation_cache[key] = engine.validate_cross_layer(
-                    model, session, n_perm=config.n_perm, seed=config.stats_seed, prompt=prompt)
+                    prompt, session.w, config.clie_layer_index, config.n_perm, config.stats_seed)
             validation = validation_cache[key]
 
         cells.append({

@@ -32,6 +32,7 @@ from purekv.engine import (
     init_model,
     init_session,
     prefill,
+    prompt_pass,
     validate_cross_layer,
 )
 from purekv.errors import ConfigurationError
@@ -346,12 +347,12 @@ def test_criterion_07_cross_layer_validation_regression():
                              d_k=8, d_v=8, vocab_size=64, seed=7)
         layout = TokenLayout(8, 8, 16, 4)
         spec = WorkloadSpec(layout=layout, num_salient=8, salient_gain=4.0, seed=1234)
-        policy = PolicyConfig("pure_kv", 0.2, 16, 4, 2, 4)
         model = init_model(config)
         emb, _ = generate_workload(spec, config.d_model)
-        session = init_session(model, layout, policy, SparsityPattern.spatial_temporal(), 16)
-        prefill(model, session, emb)
-        report = validate_cross_layer(model, session, n_perm=999, seed=0)
+        # st_layer_index 4, recent window 16, every layer, tile 16; analysis layer 2.
+        prompt = prompt_pass(model, layout, SparsityPattern.spatial_temporal(), 4, emb, (16,),
+                             config.num_layers, tile_size=16)
+        report = validate_cross_layer(prompt, 16, 2, n_perm=999, seed=0)
 
         assert [lv["layer"] for lv in report["per_layer"]] == sorted(PINNED_VALIDATION)
         for lv in report["per_layer"]:

@@ -122,14 +122,22 @@ class TestValidateCommand:
         golden = (REPO / "tests" / "golden" / "example.validate.json").read_text()
         assert capsys.readouterr().out == golden
 
-    def test_prefill_and_validation_share_one_forward(self, tmp_path, capsys, monkeypatch):
+    def test_seed_override_matches_golden(self, capsys):
+        assert main(["validate", "--config", str(EXAMPLE_CONFIG), "--seed", "5"]) == 0
+        golden = (REPO / "tests" / "golden" / "example.seed5.validate.json").read_text()
+        assert capsys.readouterr().out == golden
+
+    def test_runs_one_forward_and_opens_no_session(self, tmp_path, capsys, monkeypatch):
         import purekv.engine
-        forwards = []
-        real_forward = purekv.engine._forward
-        monkeypatch.setattr(purekv.engine, "_forward",
-                            lambda *args: forwards.append(1) or real_forward(*args))
+        calls = []
+
+        def spying(name, real):
+            return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+        for name in ("_forward", "init_session", "prefill"):
+            monkeypatch.setattr(purekv.engine, name, spying(name, getattr(purekv.engine, name)))
         assert main(["validate", "--config", str(small_config(tmp_path, n_perm=199))]) == 0
-        assert len(forwards) == 1
+        assert calls == ["_forward"]
 
 
 class TestInstalledEntryPoint:

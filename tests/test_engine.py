@@ -422,7 +422,6 @@ class TestNonFiniteInput:
             prefill(model, session, poisoned)
         assert session.cache == [] and session.importance == []
         assert session.prefill_len == 0 and session.w == 0 and session.h == 0
-        assert session.prefill_embeddings is None
 
         logits = prefill(model, session, emb)
         fresh = init_session(model, LAYOUT, make_policy(budget=0.5), SparsityPattern.dense())
@@ -541,9 +540,7 @@ def session_in(model, phase):
 
 
 def session_snapshot(session):
-    embeddings = session.prefill_embeddings
     return [session.phase, session.step_count, session.w, session.h, session.prefill_len,
-            None if embeddings is None else embeddings.copy(),
             [None if a is None else a.copy() for a in session.importance],
             cache_snapshot(session)]
 
@@ -554,13 +551,10 @@ class TestSessionPhase:
         session = session_in(model, "new")
         prefill(model, session, embeddings_for(LAYOUT))
         assert session.phase == "prefilled"
-        validate_cross_layer(model, session, n_perm=199)
-        assert session.phase == "prefilled"
         apply_compression(model, session)
         assert session.phase == "compressed"
         decode_step(model, session, np.ones(SMALL.d_model))
         assert session.phase == "compressed" and session.step_count == 1
-        validate_cross_layer(model, session, n_perm=199)
 
     @pytest.mark.parametrize("entry, phase, message", [
         ("prefill", "prefilled", "already prefilled"),
@@ -569,7 +563,6 @@ class TestSessionPhase:
         ("apply_compression", "compressed", "already applied"),
         ("decode_step", "new", "requires apply_compression"),
         ("decode_step", "prefilled", "requires apply_compression"),
-        ("validate_cross_layer", "new", "requires a completed prefill"),
     ])
     def test_wrong_phase_raises_and_changes_nothing(self, entry, phase, message):
         model = init_model(SMALL)
@@ -608,18 +601,15 @@ class TestValidation:
         # Estimate: the analysis layer's accumulator times this layer's value
         # norms; truth: this layer's own accumulator times the same norms.
         model = init_model(SMALL)
-        policy = make_policy(clie=1, st=2)
         pattern = SparsityPattern.spatial_temporal()
-        session = init_session(model, LAYOUT, policy, pattern)
         emb = embeddings_for(LAYOUT, seed=16)
-        prefill(model, session, emb)
-        l, w = LAYOUT.total_len, session.w
-        masks = layer_masks_for(LAYOUT, pattern, policy.st_layer_index, SMALL.num_layers)
+        l, w = LAYOUT.total_len, 4
+        prompt = prompt_pass(model, LAYOUT, pattern, 2, emb, (w,), SMALL.num_layers)
+        masks = layer_masks_for(LAYOUT, pattern, 2, SMALL.num_layers)
         _, records = reference_forward(model, emb, masks, collect_attention=True)
         accumulators = oracle_accumulators(records, SMALL, w)
         for analysis in (1, 2):
-            report = validate_cross_layer(model, session, analysis_layer=analysis,
-                                          n_perm=199, seed=1)
+            report = validate_cross_layer(prompt, w, analysis, n_perm=199, seed=1)
             assert report["analysis_layer"] == analysis
             assert ([entry["layer"] for entry in report["per_layer"]]
                     == list(range(analysis + 1, SMALL.num_layers)))
@@ -645,26 +635,29 @@ class TestValidation:
         spec = WorkloadSpec(layout=layout, num_salient=4, salient_gain=4.0, seed=22)
         emb, _ = generate_workload(spec, config.d_model)
         model = init_model(config)
-        session = init_session(model, layout, make_policy(clie=1, st=2, w=6),
-                               SparsityPattern.spatial_temporal())
-        prefill(model, session, emb)
-        report = validate_cross_layer(model, session, n_perm=199, seed=2)
+        prompt = prompt_pass(model, layout, SparsityPattern.spatial_temporal(), 2, emb, (6,),
+                             config.num_layers)
+        report = validate_cross_layer(prompt, 6, 1, n_perm=199, seed=2)
         assert report["median_rho"] > 0
 
-    def test_requires_a_prefilled_session_before_any_other_check(self):
+    def test_rejects_an_analysis_layer_with_no_layer_above(self, monkeypatch):
+        """Raised before any statistic is computed."""
         model = init_model(SMALL)
-        session = init_session(model, LAYOUT, make_policy(), SparsityPattern.dense())
-        for analysis in (None, SMALL.num_layers - 1, SMALL.num_layers):
-            with pytest.raises(ConfigurationError, match="requires a completed prefill"):
-                validate_cross_layer(model, session, analysis_layer=analysis, n_perm=199, seed=0)
+        prompt = prompt_pass(model, LAYOUT, SparsityPattern.dense(), 2, embeddings_for(LAYOUT),
+                             (4,), SMALL.num_layers)
+        monkeypatch.setattr(purekv.stats, "spearman_rho", None)
+        for analysis, message in ((SMALL.num_layers - 1, "no layers above"),
+                                  (SMALL.num_layers, "out of range"), (-1, "out of range")):
+            with pytest.raises(ConfigurationError, match=message):
+                validate_cross_layer(prompt, 4, analysis, n_perm=199, seed=0)
 
     def test_requires_nonrecent_segment(self):
         model = init_model(SMALL)
         tiny = TokenLayout(0, 1, 3, 0)
-        session = init_session(model, tiny, make_policy(w=8), SparsityPattern.dense())
-        prefill(model, session, embeddings_for(tiny, seed=17))
+        prompt = prompt_pass(model, tiny, SparsityPattern.dense(), 2,
+                             embeddings_for(tiny, seed=17), (8,), SMALL.num_layers)
         with pytest.raises(ConfigurationError, match="l > w"):
-            validate_cross_layer(model, session, n_perm=199, seed=0)
+            validate_cross_layer(prompt, 8, 1, n_perm=199, seed=0)
 
 
 class TestStreamingCompatibilityContract:
@@ -729,12 +722,10 @@ class TestStreamingCompatibilityContract:
         assert len(mass_calls) == SMALL.num_layers
 
     def test_validation_materializes_only_the_recent_window(self, monkeypatch):
-        """Audit: validation reads each layer's (w, l) slab, never all l rows."""
+        """Audit: a pass over every layer reads each layer's (w_max, l) slab,
+        never all l rows, and validating it calls no attention kernel."""
         model = init_model(SMALL)
-        session = init_session(model, LAYOUT, make_policy(budget=0.5, clie=1, st=2),
-                               SparsityPattern.spatial_temporal())
-        prefill(model, session, embeddings_for(LAYOUT, seed=24))
-        assert 0 < session.w < LAYOUT.total_len
+        windows = (2, 4)
         rows = []
         real_masked = purekv.attention.masked
 
@@ -743,9 +734,19 @@ class TestStreamingCompatibilityContract:
             return real_masked(q, k, v, mask)
 
         monkeypatch.setattr(purekv.attention, "masked", spy)
-        validate_cross_layer(model, session, n_perm=199, seed=0)
+        prompt = prompt_pass(model, LAYOUT, SparsityPattern.spatial_temporal(), 2,
+                             embeddings_for(LAYOUT, seed=24), windows, SMALL.num_layers)
         assert len(rows) == SMALL.num_layers
-        assert all(r <= session.w for r in rows)
+        assert all(r <= max(windows) for r in rows)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("validation ran attention or a forward")
+
+        for name in ("masked", "streaming_masked", "column_mass", "decode"):
+            monkeypatch.setattr(purekv.attention, name, forbidden)
+        monkeypatch.setattr(purekv.engine, "_forward", forbidden)
+        for w in windows:
+            validate_cross_layer(prompt, w, 1, n_perm=199, seed=0)
 
     def test_h2o_at_full_budget_skips_the_instrumented_pass(self, monkeypatch):
         """Audit: with nothing to evict, h2o_like materializes no weights and
@@ -920,33 +921,78 @@ class TestPromptPass:
         assert len(refs) == 1 and refs[0]() is None
 
     def test_validation_reads_the_pass_and_runs_no_forward(self, monkeypatch):
+        """Sessions that adopt, compress and decode from a pass leave it as it
+        was: validating it afterwards equals validating a fresh pass."""
         model = init_model(SMALL)
-        policy = make_policy(budget=0.5, clie=1, st=2)
         emb = embeddings_for(LAYOUT, seed=26)
-        session = init_session(model, LAYOUT, policy, SparsityPattern.spatial_temporal())
-        prefill(model, session, emb)
-        expected = validate_cross_layer(model, session, n_perm=199, seed=3)
 
-        shared = prompt_pass(model, LAYOUT, SparsityPattern.spatial_temporal(), 2, emb,
-                             (session.w,), SMALL.num_layers)
-        adopted = init_session(model, LAYOUT, policy, SparsityPattern.spatial_temporal())
-        prefill(model, adopted, shared)
+        def make_pass():
+            return prompt_pass(model, LAYOUT, SparsityPattern.spatial_temporal(), 2, emb, (4,),
+                               SMALL.num_layers, True)
+
+        expected = validate_cross_layer(make_pass(), 4, 1, n_perm=199, seed=3)
+        shared = make_pass()
+        for kind in ("pure_kv", "h2o_like"):
+            session = init_session(model, LAYOUT, make_policy(kind=kind, budget=0.5, clie=1, st=2),
+                                   SparsityPattern.spatial_temporal())
+            prefill(model, session, shared)
+            apply_compression(model, session)
+            decode_step(model, session, np.ones(SMALL.d_model))
         forwards = []
         real_forward = purekv.engine._forward
         monkeypatch.setattr(purekv.engine, "_forward",
                             lambda *args: forwards.append(1) or real_forward(*args))
-        assert validate_cross_layer(model, adopted, n_perm=199, seed=3, prompt=shared) == expected
+        assert validate_cross_layer(shared, 4, 1, n_perm=199, seed=3) == expected
         assert forwards == []
 
     def test_validation_rejects_a_pass_it_cannot_read(self):
         model = init_model(SMALL)
         emb = embeddings_for(LAYOUT, seed=27)
-        session = init_session(model, LAYOUT, make_policy(budget=0.5), SparsityPattern.dense())
         partial = prompt_pass(model, LAYOUT, SparsityPattern.dense(), 2, emb, (4,), 2)
-        prefill(model, session, partial)
         with pytest.raises(ConfigurationError, match="layers 0..3"):
-            validate_cross_layer(model, session, n_perm=199, prompt=partial)
-        other = prompt_pass(model, LAYOUT, SparsityPattern.dense(), 2,
-                            embeddings_for(LAYOUT, seed=28), (4,), SMALL.num_layers)
-        with pytest.raises(ConfigurationError, match="other embeddings"):
-            validate_cross_layer(model, session, n_perm=199, prompt=other)
+            validate_cross_layer(partial, 4, 1, n_perm=199)
+        full = prompt_pass(model, LAYOUT, SparsityPattern.dense(), 2, emb, (4,), SMALL.num_layers)
+        with pytest.raises(ConfigurationError, match="window 3"):
+            validate_cross_layer(full, 3, 1, n_perm=199)
+
+    def test_a_shared_pass_cannot_be_written_through_a_session(self, example):
+        """Writing a session's view of the pass raises, and a sibling session
+        still keeps what it would keep from a pass of its own."""
+        config, model, embeddings = example
+        l, dense = config.layout.total_len, SparsityPattern.dense()
+        windows = {purekv.engine.budget_to_wh(b, l, config.recent_window_w)[0]
+                   for b in config.budgets + (1.0,)}
+        shared = prompt_pass(model, config.layout, dense, config.st_layer_index, embeddings,
+                             windows, config.model.num_layers, True, config.tile_size)
+        sessions = []
+        for source in (shared, shared, embeddings):
+            sessions.append(init_session(model, config.layout, config.policy("h2o_like", 0.2),
+                                         dense, config.tile_size))
+            prefill(model, sessions[-1], source)
+        a, b, own = sessions
+        for array in (a.colsums[5], a.importance[0], shared.keys[5], shared.values[5],
+                      shared.embeddings, shared.logits, shared.accumulators[a.w][0]):
+            with pytest.raises(ValueError, match="read-only"):
+                array[:] = 0
+        for session in (b, own):
+            apply_compression(model, session)
+        for layer in range(config.model.num_layers):
+            np.testing.assert_array_equal(b.cache[layer].stacked()[2],
+                                          own.cache[layer].stacked()[2])
+
+
+class TestValidationWindows:
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.integers(1, 20), min_size=1, max_size=4), st.integers(1, 13),
+           st.integers(0, 2))
+    def test_other_windows_in_the_pass_do_not_change_the_result(self, others, w, analysis):
+        """Validating window w is bit-identical whatever other windows the pass holds."""
+        model = init_model(SMALL)
+        emb = embeddings_for(LAYOUT, seed=29)
+
+        def validate(windows):
+            prompt = prompt_pass(model, LAYOUT, SparsityPattern.spatial_temporal(), 2, emb,
+                                 windows, SMALL.num_layers)
+            return validate_cross_layer(prompt, w, analysis, n_perm=100, seed=4)
+
+        assert validate((w,)) == validate(tuple(others) + (w,))

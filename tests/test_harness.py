@@ -246,9 +246,9 @@ class TestRunExperiment:
         keys = []
         real_validate = purekv.engine.validate_cross_layer
 
-        def spy(model, session, **kwargs):
-            keys.append((session.pattern.describe(), session.w))
-            return real_validate(model, session, **kwargs)
+        def spy(prompt, w, *args):
+            keys.append((prompt.wiring[1].describe(), w))
+            return real_validate(prompt, w, *args)
 
         monkeypatch.setattr(purekv.engine, "validate_cross_layer", spy)
         # l = 36, w_config = 4: budgets 1.0, 0.5 and 0.1 give w = 4, 0.05 gives w = 2.
