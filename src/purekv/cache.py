@@ -15,13 +15,13 @@ index. Both work along the last axis, on one head's vector or on a layer's
 
 Storage: KvCacheLayer holds one layer's rows in head-stacked buffers,
 (Hkv, capacity, d) for keys and values and (Hkv, capacity) for positions,
-with a committed row count per head. It is built from stacked (Hkv, n, ·)
-arrays, so its heads start equal. Appending writes in place and doubles
-the capacity when the buffers are full, so a decode step copies nothing but
-its new rows; evict gathers an (Hkv, m) table of retained positions into
-new buffers; truncate(n) rolls every head back to n rows, which makes a
-failed decode step undoable. Readers see only committed rows, through
-per-head views or the stacked views of stacked()."""
+with a committed row count per head. evict builds one from an (Hkv, m)
+table of retained rows of a prompt pass's (Hkv, l, d) keys and values, so
+its heads start equal and no dropped row is ever copied. Appending writes in
+place and doubles the capacity when the buffers are full, so a decode step
+copies nothing but its new rows; truncate(n) rolls every head back to n
+rows, which makes a failed decode step undoable. Readers see only committed
+rows, through per-head views or the stacked views of stacked()."""
 
 from __future__ import annotations
 
@@ -239,28 +239,29 @@ def select_retained(S, w: int, h: int, l: int) -> np.ndarray:
     return np.sort(np.concatenate([top.astype(np.int64), recent], axis=-1), axis=-1)
 
 
-def evict(layer: KvCacheLayer, retained) -> KvCacheLayer:
-    """Keep the rows at the positions head g lists in retained[g].
+def evict(keys, values, retained) -> KvCacheLayer:
+    """A cache of the rows each KV head g lists in retained[g].
 
-    retained is an (Hkv, m) table of positions, distinct within a row and
-    all present in the cache; every head keeps its m rows in their order.
+    keys (Hkv, l, d_k) and values (Hkv, l, d_v) hold a prompt's rows, row i
+    at position i; retained is an (Hkv, m) table of rows, strictly
+    increasing along each head's row and inside [0, l).
     """
     want = np.asarray(retained, dtype=np.int64)
-    if want.ndim != 2 or len(want) != layer.num_heads:
+    if want.ndim != 2 or len(want) != len(keys):
         raise ConfigurationError(
-            f"expected a ({layer.num_heads}, m) retained table, got shape {want.shape}"
+            f"expected a ({len(keys)}, m) retained table, got shape {want.shape}"
         )
-    keys, values, positions = layer.stacked()
-    keep = np.array([np.isin(p, s) for p, s in zip(positions, want)])
-    short = np.flatnonzero(keep.sum(axis=1) != want.shape[1])
-    if short.size:
-        g = int(short[0])
+    l = keys.shape[1]
+    bad = np.flatnonzero((want < 0).any(axis=1) | (want >= l).any(axis=1)
+                         | (np.diff(want, axis=1) <= 0).any(axis=1))
+    if bad.size:
+        g = int(bad[0])
         raise ConfigurationError(
-            f"head {g}: retained positions {want[g].tolist()} repeat or are not present in cache"
+            f"head {g}: retained rows {want[g].tolist()} are not strictly increasing in [0, {l})"
         )
-    return KvCacheLayer(keys[keep].reshape(want.shape + keys.shape[2:]),
-                        values[keep].reshape(want.shape + values.shape[2:]),
-                        positions[keep].reshape(want.shape))
+    rows = want[:, :, None]
+    return KvCacheLayer(np.take_along_axis(keys, rows, axis=1),
+                        np.take_along_axis(values, rows, axis=1), want)
 
 
 def baseline_h2o_score(A) -> np.ndarray:

@@ -21,19 +21,19 @@ lowest layers, one masked call on the last w_max query rows, whose
 (w_max, l) slab gives every window's recent-window accumulators. Every
 array of the PromptPass it returns is read-only, so a grid runs one per
 pattern. prefill, all or nothing, adopts a pass that covers the session or
-runs one for it alone: it copies every layer's K/V into the session's cache
-and keeps session.importance[layer], an (Hkv, l - w) accumulator table, for
-layers 0..e and None above (everywhere when w >= l). Compression reads only
-what prefill stored. Validation needs no session: it reads one window's
-accumulators and every layer's value rows from a pass covering every layer.
+runs one for it alone, and keeps it as session.prompt; it copies nothing.
+Validation needs no session: it reads one window's accumulators and every
+layer's value rows from a pass covering every layer.
 
-Compression runs once after prefill, only when the budget leaves something
-to evict. Each layer is scored, selected and evicted as one table:
-score_low weights the layer's own accumulator (layers at or below e) or
-layer e's (above) by the layer's value-row norms, select_retained turns
-those (Hkv, l - w) scores into an (Hkv, w + h) table of positions, and evict
-gathers it into the cache, where cache[layer].positions[g] holds the
-original positions KV head g kept.
+Compression runs once after prefill and builds every layer's cache from
+session.prompt, which it then drops, so a private pass is freed. Each layer
+is scored, selected and evicted as one table: score_low weights the layer's
+own accumulator (layers at or below e) or layer e's (above) by the layer's
+value-row norms, select_retained turns those (Hkv, l - w) scores into an
+(Hkv, w + h) table of positions, and evict gathers those rows of the pass's
+K/V into the cache, where cache[layer].positions[g] holds the original
+positions KV head g kept. The full policy, and any budget that keeps every
+row, retains all l positions through the same evict.
 
 session.phase is "new", then "prefilled", then "compressed"; every session
 entry point checks it first and raises before changing anything.
@@ -167,8 +167,7 @@ class SessionState:
     pattern: SparsityPattern
     tile_size: int = attention.DEFAULT_TILE
     cache: list[KvCacheLayer] = field(default_factory=list)
-    importance: list[np.ndarray | None] = field(default_factory=list)
-    colsums: list[np.ndarray] | None = None
+    prompt: PromptPass | None = None  # from prefill until compression
     prefill_len: int = 0
     w: int = 0
     h: int = 0
@@ -254,7 +253,6 @@ class PromptPass:
     model: Model
     wiring: tuple[TokenLayout, SparsityPattern, int, int]
     layers: int
-    embeddings: np.ndarray
     logits: np.ndarray
     keys: list[np.ndarray]
     values: list[np.ndarray]
@@ -267,7 +265,7 @@ def prompt_pass(model: Model, layout: TokenLayout, pattern: SparsityPattern, st_
                 tile_size: int = attention.DEFAULT_TILE) -> PromptPass:
     """Run the prompt once: logits, every layer's K/V and the statistics asked for.
     Layers 0..layers-1 take every window's accumulators from one (max w, l) slab."""
-    x = np.array(token_embeddings, dtype=np.float64)
+    x = np.asarray(token_embeddings, dtype=np.float64)
     if x.shape != (layout.total_len, model.config.d_model):
         raise ConfigurationError(f"embeddings must be (layout rows, d_model) = "
                                  f"{(layout.total_len, model.config.d_model)}, got {x.shape}")
@@ -292,10 +290,10 @@ def prompt_pass(model: Model, layout: TokenLayout, pattern: SparsityPattern, st_
         return out
 
     logits = _rmsnorm(_forward(model, layout, pattern, st_layer_index, x, attend)) @ model.w_vocab
-    for array in [x, logits, *keys, *values, *colsums,
+    for array in [logits, *keys, *values, *colsums,
                   *(a for table in accumulators.values() for a in table or ())]:
         array.flags.writeable = False
-    return PromptPass(model, (layout, pattern, st_layer_index, tile_size), layers, x, logits,
+    return PromptPass(model, (layout, pattern, st_layer_index, tile_size), layers, logits,
                       keys, values, accumulators, colsums if column_sums else None)
 
 
@@ -307,8 +305,8 @@ def _instrumented_stats(q, k, v, mask, tile_size: int):
 
 
 def prefill(model: Model, session: SessionState, prompt) -> np.ndarray:
-    """Fill the session from a PromptPass that covers it, or from embeddings through a pass
-    of its own: copies of its K/V, its accumulators at layers 0..clie, a copy of its logits."""
+    """Adopt a PromptPass that covers the session, or run one of its own from embeddings;
+    returns a copy of its logits. Compression builds the cache from the pass."""
     if session.phase != "new":
         raise ConfigurationError("session already prefilled")
     policy, l = session.policy, session.layout.total_len
@@ -322,46 +320,35 @@ def prefill(model: Model, session: SessionState, prompt) -> np.ndarray:
         raise ConfigurationError(
             f"prompt pass does not cover this session's model, layout, pattern, st_layer_index, "
             f"tile_size, window {w}, layers 0..{clie}{' or column sums' if h2o else ''}")
-    session.cache, session.importance = (
-        [KvCacheLayer(k, v, np.broadcast_to(np.arange(l), k.shape[:2]))
-         for k, v in zip(prompt.keys, prompt.values)],
-        [prompt.accumulators[w][layer] if prompt.accumulators[w] and layer <= clie
-         else None for layer in range(model.config.num_layers)])
-    session.colsums = prompt.colsums if h2o else None
+    session.prompt = prompt
     session.w, session.h, session.prefill_len, session.phase = w, h_count, l, "prefilled"
     return prompt.logits.copy()
 
 
 def apply_compression(model: Model, session: SessionState) -> SessionState:
-    """Score, select, and evict once at the end of prefill."""
+    """Score, select, and evict once at the end of prefill, building the cache from the pass."""
     if session.phase == "new":
         raise ConfigurationError("apply_compression requires a completed prefill")
     if session.phase == "compressed":
         raise ConfigurationError("compression already applied")
-    policy, kind = session.policy, session.policy.policy_kind
+    policy, kind, prompt = session.policy, session.policy.policy_kind, session.prompt
     l, w, h_count = session.prefill_len, session.w, session.h
-    if kind == "full" or w + h_count >= l:
-        session.phase = "compressed"
-        return session
-
-    if kind == "streaming_like":
-        sink = min(policy.sink_len, w + h_count)
-        streaming = baseline_streaming(l, sink, w + h_count - sink)
+    sink = min(policy.sink_len, w + h_count)
+    keep = (np.arange(l) if kind == "full" or w + h_count >= l else
+            baseline_streaming(l, sink, w + h_count - sink) if kind == "streaming_like" else None)
     cache = []
-    for layer, kv in enumerate(session.cache):
-        if kind == "pure_kv":
-            accumulators = session.importance[min(layer, policy.clie_layer_index)]
-            _, values, _ = kv.stacked()
+    for layer, (keys, values) in enumerate(zip(prompt.keys, prompt.values)):
+        if keep is not None:
+            retained = np.broadcast_to(keep, (len(keys), keep.size))
+        elif kind == "pure_kv":
+            accumulators = prompt.accumulators[w][min(layer, policy.clie_layer_index)]
             retained = select_retained(score_low(accumulators, values), w, h_count, l)
-        elif kind == "h2o_like":
-            retained = select_retained(session.colsums[layer][:, : l - w], w, h_count, l)
         else:
-            retained = np.broadcast_to(streaming, (kv.num_heads, streaming.size))
-        cache.append(evict(kv, retained))
+            retained = select_retained(prompt.colsums[layer][:, : l - w], w, h_count, l)
+        cache.append(evict(keys, values, retained))
         cache[-1].check_invariants()
     # All or nothing: the session changes only once every layer is evicted.
-    session.cache = cache
-    session.phase = "compressed"
+    session.cache, session.prompt, session.phase = cache, None, "compressed"
     return session
 
 
@@ -411,12 +398,12 @@ def validate_cross_layer(prompt: PromptPass, w: int, analysis_layer: int, n_perm
     analysis_layer, median_rho, median_p and per_layer entries (layer,
     median_rho, median_p, heads).
     """
-    num_layers, l = prompt.model.config.num_layers, len(prompt.embeddings)
+    num_layers, l = prompt.model.config.num_layers, prompt.wiring[0].total_len
     if prompt.layers < num_layers or w not in prompt.accumulators:
         raise ConfigurationError(f"validation needs a prompt pass with window {w}'s "
                                  f"accumulators on layers 0..{num_layers - 1}")
-    if l <= w:
-        raise ConfigurationError(f"validation needs l > w, got l={l}, w={w}")
+    if l - w < 3:  # the permutation test needs at least 3 non-recent keys
+        raise ConfigurationError(f"validation needs l > w + 2, got l={l}, w={w}")
     if not 0 <= analysis_layer < num_layers:
         raise ConfigurationError(f"analysis layer {analysis_layer} out of range")
     if analysis_layer == num_layers - 1:

@@ -140,8 +140,9 @@ def _need(obj: dict, path: str, key: str):
     return obj[key]
 
 
-def _int_field(obj: dict, path: str, key: str, minimum: int | None = None) -> int:
-    value = _need(obj, path, key)
+def _int_field(obj: dict, path: str, key: str, minimum: int | None = None,
+               default: int | None = None) -> int:
+    value = obj.get(key, default) if default is not None else _need(obj, path, key)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigurationError(f"{path}.{key}: expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
@@ -244,19 +245,11 @@ def load_config(source) -> ExperimentConfig:
                 f"config.experiment.budgets[{i}]: expected a fraction in (0, 1], got {b!r}"
             )
 
-    n_perm = exp_obj.get("n_perm", 999)
-    if isinstance(n_perm, bool) or not isinstance(n_perm, int) or n_perm < 100:
-        raise ConfigurationError(
-            f"config.experiment.n_perm: expected an integer >= 100, got {n_perm!r}"
-        )
     validate = exp_obj.get("validate", False)
     if not isinstance(validate, bool):
         raise ConfigurationError(
             f"config.experiment.validate: expected true or false, got {validate!r}"
         )
-    stats_seed = exp_obj.get("stats_seed", 0)
-    if isinstance(stats_seed, bool) or not isinstance(stats_seed, int):
-        raise ConfigurationError("config.experiment.stats_seed: expected an integer")
 
     config = ExperimentConfig(
         model=model,
@@ -272,8 +265,8 @@ def load_config(source) -> ExperimentConfig:
         decode_steps=_int_field(exp_obj, "config.experiment", "decode_steps", 0),
         tile_size=_int_field(exp_obj, "config.experiment", "tile_size", 1),
         validate=validate,
-        n_perm=n_perm,
-        stats_seed=stats_seed,
+        n_perm=_int_field(exp_obj, "config.experiment", "n_perm", 100, default=999),
+        stats_seed=_int_field(exp_obj, "config.experiment", "stats_seed", default=0),
         raw=raw,
     )
     # Fail fast on incoherent layer indices instead of inside the first cell.

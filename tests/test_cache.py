@@ -160,97 +160,111 @@ class TestSelectRetained:
 
 
 class TestEvict:
-    def make_layer(self, rows=5, heads=2, positions=None):
-        keys = [seeded_gaussian(rows, 3, seed=10 + h) for h in range(heads)]
-        values = [seeded_gaussian(rows, 3, seed=20 + h) for h in range(heads)]
-        if positions is None:
-            positions = [np.arange(rows, dtype=np.int64)] * heads
-        return KvCacheLayer(keys, values, positions)  # per-head lists stack into tables
+    def make_pass(self, rows=5, heads=2, d_v=3):
+        """A prompt pass's stacked (Hkv, rows, 3) keys and (Hkv, rows, d_v) values."""
+        keys = np.stack([seeded_gaussian(rows, 3, seed=10 + h) for h in range(heads)])
+        values = np.stack([seeded_gaussian(rows, d_v, seed=20 + h) for h in range(heads)])
+        return keys, values
 
     def test_retain_all_is_identity(self):
-        layer = self.make_layer()
-        out = evict(layer, [np.arange(5)] * 2)
+        keys, values = self.make_pass()
+        out = evict(keys, values, [np.arange(5)] * 2)
         for h in range(2):
-            np.testing.assert_array_equal(out.keys[h], layer.keys[h])
-            np.testing.assert_array_equal(out.positions[h], layer.positions[h])
+            np.testing.assert_array_equal(out.keys[h], keys[h])
+            np.testing.assert_array_equal(out.values[h], values[h])
+            np.testing.assert_array_equal(out.positions[h], np.arange(5))
 
     def test_window_only_retention(self):
-        layer = self.make_layer(rows=6)
-        out = evict(layer, [np.array([4, 5])] * 2)
+        out = evict(*self.make_pass(rows=6), [np.array([4, 5])] * 2)
         assert out.rows(0) == 2 and out.rows(1) == 2
 
     def test_rows_survive_bit_identically(self):
-        layer = self.make_layer()
-        out = evict(layer, [np.array([0, 2])] * 2)
+        keys, values = self.make_pass()
+        out = evict(keys, values, [np.array([0, 2])] * 2)
         for h in range(2):
-            np.testing.assert_array_equal(out.keys[h], layer.keys[h][[0, 2]])
-            np.testing.assert_array_equal(out.values[h], layer.values[h][[0, 2]])
+            np.testing.assert_array_equal(out.keys[h], keys[h][[0, 2]])
+            np.testing.assert_array_equal(out.values[h], values[h][[0, 2]])
             assert out.positions[h].tolist() == [0, 2]
 
     def test_per_head_retained_sets(self):
-        layer = self.make_layer()
-        out = evict(layer, [np.array([0, 1]), np.array([3, 4])])
+        out = evict(*self.make_pass(), [np.array([0, 1]), np.array([3, 4])])
         assert out.positions[0].tolist() == [0, 1]
         assert out.positions[1].tolist() == [3, 4]
 
     def test_unknown_position_raises(self):
-        layer = self.make_layer()
-        with pytest.raises(ConfigurationError, match="not present"):
-            evict(layer, [np.array([0, 1]), np.array([0, 9])])
+        for row in (5, 9, -1):
+            with pytest.raises(ConfigurationError, match=r"head 1: .* in \[0, 5\)"):
+                evict(*self.make_pass(), [np.array([0, 1]), np.array([0, row])])
+
+    def test_the_cache_owns_its_rows(self):
+        keys, values = self.make_pass()
+        out = evict(keys, values, [np.array([1, 3])] * 2)
+        keys[:], values[:] = 0.0, 0.0
+        assert np.all(out.keys[0] != 0.0) and np.all(out.values[1] != 0.0)
 
     def test_positions_stay_increasing_after_eviction(self):
-        layer = self.make_layer(rows=8)
-        out = evict(layer, [np.array([1, 4, 6])] * 2)
+        out = evict(*self.make_pass(rows=8), [np.array([1, 4, 6])] * 2)
         out.check_invariants()
         assert out.positions[0].tolist() == [1, 4, 6]
 
     def test_append_after_eviction_extends_positions(self):
-        layer = self.make_layer(rows=4)
-        out = evict(layer, [np.array([0, 3])] * 2)
+        out = evict(*self.make_pass(rows=4), [np.array([0, 3])] * 2)
         out.append(0, np.zeros(3), np.zeros(3), position=4)
         assert out.positions[0].tolist() == [0, 3, 4]
         with pytest.raises(ConfigurationError):
             out.append(0, np.zeros(3), np.zeros(3), position=2)
 
     def test_one_set_per_head_required(self):
-        layer = self.make_layer()
+        keys, values = self.make_pass()
         with pytest.raises(ConfigurationError, match=r"\(2, m\) retained table, got shape \(1, 2\)"):
-            evict(layer, [np.array([0, 1])])
+            evict(keys, values, [np.array([0, 1])])
         # one flat set of two positions is not a table with a row per head
         with pytest.raises(ConfigurationError, match="retained table"):
-            evict(layer, np.array([0, 1]))
-        with pytest.raises(ConfigurationError, match="repeat"):
-            evict(layer, [[0, 0], [1, 2]])
+            evict(keys, values, np.array([0, 1]))
+        with pytest.raises(ConfigurationError, match="strictly increasing"):
+            evict(keys, values, [[0, 0], [1, 2]])
+        with pytest.raises(ConfigurationError, match="strictly increasing"):
+            evict(keys, values, [[0, 1], [2, 1]])
 
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), heads=st.integers(1, 4), rows=st.integers(1, 24))
-    def test_random_per_head_sets(self, data, heads, rows):
-        # Start from positions with gaps, as after an earlier eviction.
-        layer = self.make_layer(rows=rows, heads=heads, positions=[
-            np.arange(rows, dtype=np.int64) * 3 + h for h in range(heads)])
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), heads=st.integers(1, 4), rows=st.integers(1, 24),
+           d_v=st.integers(1, 4))
+    def test_random_per_head_sets(self, data, heads, rows, d_v):
+        """Every head's rows equal keys[g][retained[g]]; repeated, unsorted,
+        out-of-range and wrong-shape tables are rejected."""
+        keys, values = self.make_pass(rows, heads, d_v)
         m = data.draw(st.integers(0, rows), label="rows kept")
-        sets = [data.draw(st.lists(st.sampled_from(layer.positions[h].tolist()),
-                                   min_size=m, max_size=m, unique=True), label=f"head {h}")
-                for h in range(heads)]
-        out = evict(layer, sets)
-        for h in range(heads):
-            keep = np.isin(layer.positions[h], sets[h])
-            np.testing.assert_array_equal(out.keys[h], layer.keys[h][keep])
-            np.testing.assert_array_equal(out.values[h], layer.values[h][keep])
-            assert out.positions[h].tolist() == sorted(sets[h])
-            end = int(layer.positions[h][-1]) + 1
-            out.append(h, np.ones(3), np.ones(3), position=end)
-            assert out.positions[h].tolist() == sorted(sets[h]) + [end]
-            np.testing.assert_array_equal(out.keys[h][-1], np.ones(3))
+        table = np.array([sorted(data.draw(st.lists(st.integers(0, rows - 1), min_size=m,
+                                                    max_size=m, unique=True), label=f"head {g}"))
+                          for g in range(heads)], dtype=np.int64).reshape(heads, m)
+        out = evict(keys, values, table)
+        for g in range(heads):
+            np.testing.assert_array_equal(out.keys[g], keys[g][table[g]])
+            np.testing.assert_array_equal(out.values[g], values[g][table[g]])
+            np.testing.assert_array_equal(out.positions[g], table[g])
+            end = rows if m == 0 else int(table[g, -1]) + 1
+            out.append(g, np.ones(3), np.ones(d_v), position=end)
+            assert out.positions[g].tolist() == table[g].tolist() + [end]
         out.check_invariants()
 
+        g = data.draw(st.integers(0, heads - 1), label="bad head")
+        bad_tables = [table[:, ::-1]] if m > 1 else []  # unsorted
+        if m > 1:
+            repeated = table.copy()
+            repeated[g, 1] = repeated[g, 0]
+            bad_tables.append(repeated)
         if m:
-            unknown = data.draw(st.integers(-2, 3 * rows + heads).filter(
-                lambda p: p not in layer.positions[0]), label="unknown")
-            with pytest.raises(ConfigurationError, match="not present"):
-                evict(layer, [[unknown] + sets[0][1:]] + sets[1:])
-        with pytest.raises(ConfigurationError, match="retained table"):
-            evict(layer, sets + sets[:1])
+            outside = table.copy()
+            outside[g, data.draw(st.sampled_from([0, m - 1]))] = data.draw(
+                st.sampled_from([-1, rows, rows + 5]))
+            bad_tables.append(outside)
+        for bad in bad_tables:
+            with pytest.raises(ConfigurationError, match="strictly increasing"):
+                evict(keys, values, bad)
+        for bad in (np.concatenate([table, table[:1]]), table[None], table.ravel()):
+            if bad.shape != table.shape:
+                with pytest.raises(ConfigurationError, match="retained table"):
+                    evict(keys, values, bad)
 
 
 class TestStackedBuffers:
@@ -310,12 +324,17 @@ class TestStackedBuffers:
                 for h in range(heads):
                     append(h)
             elif op == "evict" and len(set(counts)) == 1:
+                # Gather rows of the oracle's stacked arrays, as compression
+                # gathers a prompt pass's rows: row i becomes position i.
                 m = data.draw(st.integers(0, counts[0]))
-                sets = [data.draw(st.lists(st.sampled_from(p.tolist()), min_size=m, max_size=m,
-                                           unique=True)) if m else [] for p in positions]
-                layer = evict(layer, sets)
+                table = np.array([sorted(data.draw(st.lists(st.integers(0, counts[0] - 1),
+                                                            min_size=m, max_size=m, unique=True)))
+                                  if m else [] for _ in range(heads)],
+                                 dtype=np.int64).reshape(heads, m)
+                layer = evict(np.stack(keys), np.stack(values), table)
                 for h in range(heads):
-                    keep(h, np.isin(positions[h], sets[h]))
+                    keep(h, table[h])
+                    positions[h] = table[h]
             elif op == "truncate":
                 cut = data.draw(st.integers(0, min(counts)))
                 layer.truncate(cut)

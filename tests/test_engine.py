@@ -174,14 +174,14 @@ class TestPrefill:
             prefill(model, session, np.zeros((LAYOUT.total_len, 5)))
 
     def test_importance_recorded_only_at_or_below_clie(self):
+        """The pass a session runs for itself holds accumulators for layers 0..clie only."""
         model = init_model(SMALL)
         session = init_session(model, LAYOUT, make_policy(clie=1, st=3), SparsityPattern.dense())
         prefill(model, session, embeddings_for(LAYOUT))
-        assert session.importance[0] is not None
-        assert session.importance[1] is not None
-        assert session.importance[2] is None
-        assert session.importance[3] is None
-        for accumulators in session.importance[:2]:
+        assert session.prompt.layers == 2
+        assert list(session.prompt.accumulators) == [session.w]
+        assert len(session.prompt.accumulators[session.w]) == 2
+        for accumulators in session.prompt.accumulators[session.w]:
             assert accumulators.shape == (SMALL.num_kv_heads, LAYOUT.total_len - session.w)
             assert np.all(accumulators >= 0)
 
@@ -201,19 +201,17 @@ class TestPrefill:
         expected = oracle_accumulators(records, SMALL, session.w)
         for layer in range(policy.clie_layer_index + 1):
             for g in range(SMALL.num_kv_heads):
-                np.testing.assert_allclose(session.importance[layer][g],
+                np.testing.assert_allclose(session.prompt.accumulators[session.w][layer][g],
                                            expected[layer][g], rtol=0, atol=1e-12)
 
 
 class TestCompression:
     def test_budget_one_leaves_caches_unchanged(self):
+        """At budget one every layer's cache holds every row of the prompt pass."""
         model = init_model(SMALL)
         session = init_session(model, LAYOUT, make_policy(budget=1.0), SparsityPattern.dense())
         prefill(model, session, embeddings_for(LAYOUT))
-        before = [layer.keys[0].copy() for layer in session.cache]
-        apply_compression(model, session)
-        for layer, keys in zip(session.cache, before):
-            np.testing.assert_array_equal(layer.keys[0], keys)
+        assert_compression_keeps_every_row(session, session.prompt)
 
     def test_budget_exactness_at_l_200(self):
         layout = TokenLayout(4, 12, 16, 4)
@@ -397,6 +395,18 @@ class TestFullCacheIdentity:
             np.testing.assert_allclose(logits, expected[-1], atol=1e-9)
 
 
+def assert_compression_keeps_every_row(session, prompt):
+    """Compress the session and check that its cache is the pass's K/V, row for row."""
+    apply_compression(prompt.model, session)
+    assert len(session.cache) == len(prompt.keys)
+    for layer, kv in enumerate(session.cache):
+        keys, values, positions = kv.stacked()
+        np.testing.assert_array_equal(keys, prompt.keys[layer])
+        np.testing.assert_array_equal(values, prompt.values[layer])
+        np.testing.assert_array_equal(positions,
+                                      np.broadcast_to(np.arange(session.prefill_len), keys.shape[:2]))
+
+
 def cache_snapshot(session):
     return [[(layer.keys[g].copy(), layer.values[g].copy(), layer.positions[g].copy())
              for g in range(layer.num_heads)] for layer in session.cache]
@@ -420,7 +430,7 @@ class TestNonFiniteInput:
         poisoned[3, 5] = bad
         with pytest.raises(ValueError, match="finite"):
             prefill(model, session, poisoned)
-        assert session.cache == [] and session.importance == []
+        assert session.cache == [] and session.prompt is None
         assert session.prefill_len == 0 and session.w == 0 and session.h == 0
 
         logits = prefill(model, session, emb)
@@ -540,9 +550,9 @@ def session_in(model, phase):
 
 
 def session_snapshot(session):
+    """The session's fields, with the pass it holds by identity and its cache by value."""
     return [session.phase, session.step_count, session.w, session.h, session.prefill_len,
-            [None if a is None else a.copy() for a in session.importance],
-            cache_snapshot(session)]
+            id(session.prompt), cache_snapshot(session)]
 
 
 class TestSessionPhase:
@@ -580,11 +590,11 @@ class TestSessionPhase:
         before = session_snapshot(session)
         real_evict, calls = purekv.engine.evict, []
 
-        def evict_until_layer_2(kv, retained):
+        def evict_until_layer_2(keys, values, retained):
             calls.append(1)
             if len(calls) == 3:
                 raise RuntimeError("injected")
-            return real_evict(kv, retained)
+            return real_evict(keys, values, retained)
 
         monkeypatch.setattr(purekv.engine, "evict", evict_until_layer_2)
         with pytest.raises(RuntimeError, match="injected"):
@@ -658,6 +668,27 @@ class TestValidation:
                              embeddings_for(tiny, seed=17), (8,), SMALL.num_layers)
         with pytest.raises(ConfigurationError, match="l > w"):
             validate_cross_layer(prompt, 8, 1, n_perm=199, seed=0)
+
+    def test_rejects_fewer_than_three_nonrecent_keys_before_scoring(self, monkeypatch):
+        """At l - w of 1 or 2 the permutation test is undefined; validation
+        raises before it scores a layer or computes a statistic."""
+        model = init_model(SMALL)
+        l = LAYOUT.total_len
+        windows = (l - 1, l - 2, l - 3)
+        prompt = prompt_pass(model, LAYOUT, SparsityPattern.dense(), 2, embeddings_for(LAYOUT),
+                             windows, SMALL.num_layers)
+        calls = []
+        for owner, name in ((purekv.engine, "score_low"), (purekv.stats, "spearman_rho"),
+                            (purekv.stats, "permutation_pvalue")):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, real=real, name=name, **k:
+                                calls.append(name) or real(*a, **k))
+        for w in windows[:2]:
+            with pytest.raises(ConfigurationError, match=f"l > w \\+ 2, got l={l}, w={w}"):
+                validate_cross_layer(prompt, w, 1, n_perm=100, seed=0)
+        assert calls == []
+        validate_cross_layer(prompt, l - 3, 1, n_perm=100, seed=0)
+        assert {"score_low", "spearman_rho", "permutation_pvalue"} <= set(calls)
 
 
 class TestStreamingCompatibilityContract:
@@ -749,14 +780,14 @@ class TestStreamingCompatibilityContract:
             validate_cross_layer(prompt, w, 1, n_perm=199, seed=0)
 
     def test_h2o_at_full_budget_skips_the_instrumented_pass(self, monkeypatch):
-        """Audit: with nothing to evict, h2o_like materializes no weights and
-        leaves the cache as prefill wrote it."""
+        """Audit: with nothing to evict, h2o_like compression materializes no
+        weights and keeps every row of the pass."""
         model = init_model(SMALL)
         session = init_session(model, LAYOUT, make_policy(kind="h2o_like", budget=1.0),
                                SparsityPattern.spatial())
         prefill(model, session, embeddings_for(LAYOUT, seed=25))
         assert session.w < LAYOUT.total_len
-        before = cache_snapshot(session)
+        prompt = session.prompt
         calls = []
         real_masked = purekv.attention.masked
 
@@ -765,10 +796,9 @@ class TestStreamingCompatibilityContract:
             return real_masked(q, k, v, mask)
 
         monkeypatch.setattr(purekv.attention, "masked", spy)
-        apply_compression(model, session)
+        assert_compression_keeps_every_row(session, prompt)
         assert calls == []
         assert session.phase == "compressed"
-        assert_same_cache(before, cache_snapshot(session))
 
     def test_streaming_interface_returns_no_matrix(self):
         import inspect
@@ -783,11 +813,10 @@ class TestStreamingCompatibilityContract:
 
 
 def adopted_state(session, logits):
-    """Everything prefill leaves in a session, with the cache's committed buffers."""
+    """Everything prefill and compression leave in a session, with the cache's committed buffers."""
     cache = [tuple(a.copy() for a in layer.stacked()) for layer in session.cache]
     return [session.phase, session.w, session.h, session.prefill_len, logits, cache,
-            [None if a is None else a.copy() for a in session.importance],
-            None if session.colsums is None else [a.copy() for a in session.colsums]]
+            session.prompt is None]
 
 
 class TestPromptPass:
@@ -802,7 +831,7 @@ class TestPromptPass:
     def test_shared_pass_prefill_equals_prefill_from_embeddings(self, example):
         """Every (policy, budget) of the example grid on both patterns: a session
         adopting the pattern's shared pass (every window, every layer, column
-        sums) ends bit for bit where a prefill from embeddings does."""
+        sums) compresses bit for bit to what a pass of its own gives."""
         config, model, embeddings = example
         l = config.layout.total_len
         windows = {purekv.engine.budget_to_wh(b, l, config.recent_window_w)[0]
@@ -818,7 +847,9 @@ class TestPromptPass:
                     for source in (shared, embeddings):
                         session = init_session(model, config.layout, config.policy(kind, budget),
                                                pattern, config.tile_size)
-                        states.append(adopted_state(session, prefill(model, session, source)))
+                        logits = prefill(model, session, source)
+                        apply_compression(model, session)
+                        states.append(adopted_state(session, logits))
                     np.testing.assert_equal(states[0], states[1])
 
     def test_sessions_own_their_cache_and_logits(self):
@@ -830,10 +861,36 @@ class TestPromptPass:
         logits = [prefill(model, session, shared) for session in sessions]
         logits[0][:] = 0.0
         np.testing.assert_array_equal(logits[1], shared.logits)
-        apply_compression(model, sessions[0])
+        for session in sessions:
+            apply_compression(model, session)
+        before = cache_snapshot(sessions[1])
         decode_step(model, sessions[0], np.ones(SMALL.d_model))
-        assert sessions[1].cache[0].rows(0) == LAYOUT.total_len
-        np.testing.assert_array_equal(sessions[1].cache[0].keys[0], shared.keys[0][0])
+        sessions[0].cache[0].keys[0][:] = 0.0
+        assert_same_cache(before, cache_snapshot(sessions[1]))
+        kept = sessions[1].cache[0]
+        assert kept.rows(0) == sessions[0].cache[0].rows(0) - 1 < LAYOUT.total_len
+        np.testing.assert_array_equal(kept.keys[0], shared.keys[0][0][kept.positions[0]])
+
+    def test_prefill_from_a_shared_pass_copies_nothing(self, monkeypatch):
+        """The session holds the shared pass itself and builds no cache layer
+        until compression, which then builds one per layer."""
+        model = init_model(SMALL)
+        shared = prompt_pass(model, LAYOUT, SparsityPattern.dense(), 2, embeddings_for(LAYOUT),
+                             (4,), 2)
+        session = init_session(model, LAYOUT, make_policy(budget=0.5), SparsityPattern.dense())
+        built = []
+        real_init = purekv.cache.KvCacheLayer.__init__
+
+        def counting_init(self, *args):
+            built.append(1)
+            real_init(self, *args)
+
+        monkeypatch.setattr(purekv.cache.KvCacheLayer, "__init__", counting_init)
+        prefill(model, session, shared)
+        assert session.prompt is shared and session.cache == [] and built == []
+        apply_compression(model, session)
+        assert len(built) == len(session.cache) == SMALL.num_layers
+        assert session.prompt is None
 
     @pytest.mark.parametrize("change, kind, message", [
         ("model", "pure_kv", "model"),
@@ -880,7 +937,7 @@ class TestPromptPass:
 
     def test_prefill_from_embeddings_runs_no_more_than_its_session_needs(self, monkeypatch):
         """Column sums only for h2o_like, accumulators only up to clie and only
-        for the session's own window, and no K/V kept past the cache."""
+        for the session's own window; the session keeps that pass until compression."""
         model = init_model(SMALL)
         passes = []
         real_pass = purekv.engine.prompt_pass
@@ -898,12 +955,12 @@ class TestPromptPass:
             assert (made.colsums is not None) == (kind == "h2o_like")
             assert list(made.accumulators) == [session.w] and made.layers == 2
             assert len(made.accumulators[session.w]) == 2
-            assert session.importance[2:] == [None, None]
-            assert (session.colsums is not None) == (kind == "h2o_like")
+            assert session.prompt is made
 
     def test_prefill_from_embeddings_keeps_no_pass(self, monkeypatch):
-        """Once prefill returns, nothing holds its private pass, so its K/V
-        exist only as the session's cache."""
+        """The session holds its private pass until compression; once
+        apply_compression returns, nothing does, so the retained rows exist
+        only as the session's cache."""
         import weakref
         refs = []
         real_pass = purekv.engine.prompt_pass
@@ -915,10 +972,14 @@ class TestPromptPass:
 
         monkeypatch.setattr(purekv.engine, "prompt_pass", spy)
         model = init_model(SMALL)
-        session = init_session(model, LAYOUT, make_policy(kind="h2o_like", budget=0.5),
-                               SparsityPattern.spatial())
-        prefill(model, session, embeddings_for(LAYOUT))
-        assert len(refs) == 1 and refs[0]() is None
+        for kind in ("pure_kv", "h2o_like", "streaming_like", "full"):
+            session = init_session(model, LAYOUT, make_policy(kind=kind, budget=0.5),
+                                   SparsityPattern.spatial())
+            prefill(model, session, embeddings_for(LAYOUT))
+            assert refs[-1]() is session.prompt
+            apply_compression(model, session)
+            assert session.prompt is None and refs[-1]() is None
+        assert len(refs) == 4
 
     def test_validation_reads_the_pass_and_runs_no_forward(self, monkeypatch):
         """Sessions that adopt, compress and decode from a pass leave it as it
@@ -956,8 +1017,9 @@ class TestPromptPass:
             validate_cross_layer(full, 3, 1, n_perm=199)
 
     def test_a_shared_pass_cannot_be_written_through_a_session(self, example):
-        """Writing a session's view of the pass raises, and a sibling session
-        still keeps what it would keep from a pass of its own."""
+        """Writing the pass a session holds raises, and a sibling session still
+        keeps what it would keep from a pass of its own. The caller's
+        embeddings are read, not copied, and stay writable."""
         config, model, embeddings = example
         l, dense = config.layout.total_len, SparsityPattern.dense()
         windows = {purekv.engine.budget_to_wh(b, l, config.recent_window_w)[0]
@@ -970,8 +1032,9 @@ class TestPromptPass:
                                          dense, config.tile_size))
             prefill(model, sessions[-1], source)
         a, b, own = sessions
-        for array in (a.colsums[5], a.importance[0], shared.keys[5], shared.values[5],
-                      shared.embeddings, shared.logits, shared.accumulators[a.w][0]):
+        assert a.prompt is shared and embeddings.flags.writeable
+        for array in (shared.colsums[5], shared.keys[5], shared.values[5], shared.logits,
+                      shared.accumulators[a.w][0]):
             with pytest.raises(ValueError, match="read-only"):
                 array[:] = 0
         for session in (b, own):

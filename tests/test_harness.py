@@ -179,6 +179,22 @@ class TestConfigParsing:
         assert load_config(cfg).validate is False
         assert load_config(base_config(validate=True)).validate is True
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_perm", 99, r"config\.experiment\.n_perm: must be >= 100, got 99"),
+        ("n_perm", True, r"config\.experiment\.n_perm: expected an integer"),
+        ("stats_seed", "x", r"config\.experiment\.stats_seed: expected an integer, got 'x'"),
+        ("stats_seed", None, r"config\.experiment\.stats_seed: expected an integer"),
+    ])
+    def test_optional_statistics_fields_name_their_path(self, field, value, message):
+        with pytest.raises(ConfigurationError, match=message):
+            load_config(base_config(**{field: value}))
+
+    def test_optional_statistics_fields_default(self):
+        config = load_config(base_config())
+        assert (config.n_perm, config.stats_seed) == (999, 0)
+        config = load_config(base_config(n_perm=100, stats_seed=-3))
+        assert (config.n_perm, config.stats_seed) == (100, -3)
+
     def test_missing_file_is_a_configuration_error(self):
         with pytest.raises(ConfigurationError, match="not found"):
             load_config("/nonexistent/purekv.json")
