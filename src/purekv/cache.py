@@ -17,9 +17,11 @@ Storage: KvCacheLayer holds one layer's rows in head-stacked buffers,
 (Hkv, capacity, d) for keys and values and (Hkv, capacity) for positions,
 with a committed row count per head. evict builds one from an (Hkv, m)
 table of retained rows of a prompt pass's (Hkv, l, d) keys and values, so
-its heads start equal and no dropped row is ever copied. Appending writes in
-place and doubles the capacity when the buffers are full, so a decode step
-copies nothing but its new rows; truncate(n) rolls every head back to n
+its heads start equal, no dropped row is ever copied, and each kept row is
+copied once: the cache adopts the gathered buffers, while the public
+constructor copies what it is given, so no cache aliases a caller's array.
+Appending writes in place and doubles the capacity when the buffers are
+full, so a decode step copies nothing but its new rows; truncate(n) rolls every head back to n
 rows, which makes a failed decode step undoable. Readers see only committed
 rows, through per-head views or the stacked views of stacked()."""
 
@@ -51,9 +53,19 @@ class KvCacheLayer:
 
     def __init__(self, keys, values, positions):
         """Copy stacked keys (Hkv, n, d_k), values (Hkv, n, d_v) and positions (Hkv, n)."""
-        self._keys = np.array(keys, dtype=np.float64)
-        self._values = np.array(values, dtype=np.float64)
-        self._positions = np.array(positions, dtype=np.int64)
+        self._own(np.array(keys, dtype=np.float64), np.array(values, dtype=np.float64),
+                  np.array(positions, dtype=np.int64))
+
+    @classmethod
+    def _adopt(cls, keys, values, positions) -> KvCacheLayer:
+        """A cache built on fresh float64 keys and values and int64 positions that
+        nothing else holds, without copying them again."""
+        layer = cls.__new__(cls)
+        layer._own(keys, values, positions)
+        return layer
+
+    def _own(self, keys, values, positions):
+        self._keys, self._values, self._positions = keys, values, positions
         shapes = self._keys.shape, self._values.shape, self._positions.shape
         if (self._keys.ndim != 3 or self._values.ndim != 3 or not self._keys.shape[0]
                 or not self._keys.shape[:2] == self._values.shape[:2] == self._positions.shape):
@@ -246,7 +258,7 @@ def evict(keys, values, retained) -> KvCacheLayer:
     at position i; retained is an (Hkv, m) table of rows, strictly
     increasing along each head's row and inside [0, l).
     """
-    want = np.asarray(retained, dtype=np.int64)
+    want = np.array(retained, dtype=np.int64)  # a copy, so the cache owns its positions
     if want.ndim != 2 or len(want) != len(keys):
         raise ConfigurationError(
             f"expected a ({len(keys)}, m) retained table, got shape {want.shape}"
@@ -259,9 +271,11 @@ def evict(keys, values, retained) -> KvCacheLayer:
         raise ConfigurationError(
             f"head {g}: retained rows {want[g].tolist()} are not strictly increasing in [0, {l})"
         )
+    # The gathers are fresh arrays, so the cache adopts them instead of copying.
     rows = want[:, :, None]
-    return KvCacheLayer(np.take_along_axis(keys, rows, axis=1),
-                        np.take_along_axis(values, rows, axis=1), want)
+    keys = np.take_along_axis(np.asarray(keys, dtype=np.float64), rows, axis=1)
+    values = np.take_along_axis(np.asarray(values, dtype=np.float64), rows, axis=1)
+    return KvCacheLayer._adopt(keys, values, want)
 
 
 def baseline_h2o_score(A) -> np.ndarray:

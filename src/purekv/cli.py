@@ -82,8 +82,8 @@ def _cmd_validate(args) -> int:
     w, _ = budget_to_wh(1.0, config.layout.total_len, config.recent_window_w)
     prompt = engine.prompt_pass(model, config.layout, pattern, config.st_layer_index, embeddings,
                                 (w,), config.model.num_layers, tile_size=config.tile_size)
-    report = engine.validate_cross_layer(prompt, w, config.clie_layer_index, config.n_perm,
-                                         config.stats_seed)
+    [report] = engine.validate_cross_layer([prompt], w, config.clie_layer_index, config.n_perm,
+                                           config.stats_seed)
     sys.stdout.write(json.dumps(harness._round6(report), indent=2) + "\n")
     return 0
 

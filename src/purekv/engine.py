@@ -23,7 +23,9 @@ array of the PromptPass it returns is read-only, so a grid runs one per
 pattern. prefill, all or nothing, adopts a pass that covers the session or
 runs one for it alone, and keeps it as session.prompt; it copies nothing.
 Validation needs no session: it reads one window's accumulators and every
-layer's value rows from a pass covering every layer.
+layer's value rows from each of a sequence of passes covering every layer
+(one per pattern, say), and scores a KV head of every pass against one
+draw of permutations.
 
 Compression runs once after prefill and builds every layer's cache from
 session.prompt, which it then drops, so a private pass is freed. Each layer
@@ -47,10 +49,14 @@ nothing: if any layer raises, every layer is truncated back to the one row
 count its heads held before the step, and step_count is unchanged. Decode
 never calls masked, and its one softmax row per query head lives only
 inside the kernel, so decode stays streaming-compatible: no caller can read
-its attention weights.
+its attention weights. Decode reads only the cache's rows, with no mask and
+no positional encoding, so two sessions whose caches hold the same rows
+decode to bit-identical logits; the harness uses that to decode each
+distinct cache of a grid once.
 
-Embeddings that enter prefill or decode must be finite; anything else is
-rejected before the session changes.
+Embeddings that enter prefill or decode must be finite, and small enough
+that RMSNorm's sum of squares of each row stays finite; anything else is
+rejected with a ValueError before the session changes.
 
 Positions enter only through causal masking; there is no rotary or learned
 positional encoding, and embeddings are supplied by the caller. The block is
@@ -196,9 +202,15 @@ def init_session(model: Model, layout: TokenLayout, policy: PolicyConfig,
 
 
 def _require_finite(x: np.ndarray, what: str):
-    """Reject NaN or inf input before it reaches any session state."""
+    """Reject NaN or inf input, and rows whose squares _rmsnorm could not sum
+    (about 1e154 and up), before they reach any session state."""
     if not np.isfinite(x).all():
         raise ValueError(f"{what} must be finite")
+    with np.errstate(over="ignore"):
+        sums = (x * x).sum(axis=1)
+    if not np.isfinite(sums).all():
+        raise ValueError(f"{what} must be small enough that RMSNorm's sum of squares stays "
+                         f"finite, got max |x| = {np.abs(x).max():.3g}")
 
 
 def _rmsnorm(x: np.ndarray) -> np.ndarray:
@@ -385,51 +397,61 @@ def decode_step(model: Model, session: SessionState, token_embedding) -> np.ndar
     return (_rmsnorm(x) @ model.w_vocab)[0]
 
 
-def validate_cross_layer(prompt: PromptPass, w: int, analysis_layer: int, n_perm: int = 999,
-                         seed: int = 0) -> dict:
+def validate_cross_layer(prompts, w: int, analysis_layer: int, n_perm: int = 999,
+                         seed: int = 0) -> list[dict]:
     """Rank agreement between reused-accumulator scores and own-layer scores.
 
     For every layer above the analysis layer, score_low weights two
     (Hkv, l - w) accumulator tables by this layer's value-row norms: the
     analysis layer's (the estimate) and the layer's own (the ground truth),
     and each KV head's two rows are correlated. Reads window w's
-    accumulators and every layer's value rows from prompt, which must hold
-    them on every layer. Returns the report's validation dict:
+    accumulators and every layer's value rows from each of prompts, a
+    sequence of passes over one model and layout (one per pattern, say)
+    that hold them on every layer. A KV head's permutation seed depends only
+    on the layer and head, so one permutation_pvalue call scores that head
+    for every pass. Returns one report validation dict per pass:
     analysis_layer, median_rho, median_p and per_layer entries (layer,
     median_rho, median_p, heads).
     """
-    num_layers, l = prompt.model.config.num_layers, prompt.wiring[0].total_len
-    if prompt.layers < num_layers or w not in prompt.accumulators:
-        raise ConfigurationError(f"validation needs a prompt pass with window {w}'s "
-                                 f"accumulators on layers 0..{num_layers - 1}")
+    prompts = list(prompts)
+    if not prompts:
+        raise ConfigurationError("validation needs at least one prompt pass")
+    model, layout = prompts[0].model, prompts[0].wiring[0]
+    num_layers, l = model.config.num_layers, layout.total_len
+    for prompt in prompts:
+        if prompt.model is not model or prompt.wiring[0] != layout:
+            raise ConfigurationError("validated prompt passes must share one model and layout")
+        if prompt.layers < num_layers or w not in prompt.accumulators:
+            raise ConfigurationError(f"validation needs a prompt pass with window {w}'s "
+                                     f"accumulators on layers 0..{num_layers - 1}")
     if l - w < 3:  # the permutation test needs at least 3 non-recent keys
         raise ConfigurationError(f"validation needs l > w + 2, got l={l}, w={w}")
     if not 0 <= analysis_layer < num_layers:
         raise ConfigurationError(f"analysis layer {analysis_layer} out of range")
     if analysis_layer == num_layers - 1:
         raise ConfigurationError("no layers above the analysis layer to validate")
-    accumulators = prompt.accumulators[w]
 
-    per_layer, all_rho, all_p = [], [], []
+    per_layer = [[] for _ in prompts]
     for layer in range(analysis_layer + 1, num_layers):
-        truth = score_low(accumulators[layer], prompt.values[layer])
-        estimate = score_low(accumulators[analysis_layer], prompt.values[layer])
-        rhos, ps = [], []
-        for g in range(len(truth)):
-            rhos.append(stats.spearman_rho(estimate[g], truth[g]))
-            ps.append(stats.permutation_pvalue(estimate[g], truth[g], n_perm,
-                                               derive_seed(seed, layer, g)))
-        per_layer.append({
-            "layer": layer,
-            "median_rho": float(np.median(rhos)),
-            "median_p": float(np.median(ps)),
-            "heads": [{"head": g, "rho": r, "p": p} for g, (r, p) in enumerate(zip(rhos, ps))],
-        })
-        all_rho += rhos
-        all_p += ps
-    return {
-        "analysis_layer": analysis_layer,
-        "median_rho": float(np.median(all_rho)),
-        "median_p": float(np.median(all_p)),
-        "per_layer": per_layer,
-    }
+        # (P, Hkv, l - w) tables: pass i's KV head g is row [i, g].
+        truth = np.stack([score_low(prompt.accumulators[w][layer], prompt.values[layer])
+                          for prompt in prompts])
+        estimate = np.stack([score_low(prompt.accumulators[w][analysis_layer],
+                                       prompt.values[layer]) for prompt in prompts])
+        heads = [[] for _ in prompts]
+        for g in range(truth.shape[1]):
+            rhos = [stats.spearman_rho(e, t) for e, t in zip(estimate[:, g], truth[:, g])]
+            ps = stats.permutation_pvalue(estimate[:, g], truth[:, g], n_perm,
+                                          derive_seed(seed, layer, g))
+            for entries, rho, p in zip(heads, rhos, ps):
+                entries.append({"head": g, "rho": rho, "p": float(p)})
+        for entries, layer_heads in zip(per_layer, heads):
+            entries.append({"layer": layer, **_medians(layer_heads), "heads": layer_heads})
+    return [{"analysis_layer": analysis_layer,
+             **_medians([head for entry in entries for head in entry["heads"]]),
+             "per_layer": entries} for entries in per_layer]
+
+
+def _medians(heads: list[dict]) -> dict:
+    return {"median_rho": float(np.median([head["rho"] for head in heads])),
+            "median_p": float(np.median([head["p"] for head in heads]))}

@@ -17,6 +17,15 @@ wall-clock. The MAC model (documented in the report under "mac_model"):
 where allowed_pairs counts the pattern's mask entries as if the pattern were
 applied at every layer; it is a pattern-level cost metric, deliberately
 independent of the layer wiring.
+
+The grid reuses work whose result it already holds. It runs one prompt
+pass per pattern, the dense reference's included, and every cell prefills
+from its pattern's pass. It decodes once per distinct cache, keyed by the
+pattern and every layer's retained positions: decode reads only the cache's
+rows, so a later cell with the same key reuses the first one's logits. It
+validates each recent window once, for every pattern's pass in one
+validate_cross_layer call, which draws each block of permutations once for
+all of them.
 """
 
 from __future__ import annotations
@@ -285,7 +294,7 @@ def _experiment_cells(config: ExperimentConfig):
 
 
 def _run_cell(model, config: ExperimentConfig, policy_kind: str, pattern: SparsityPattern,
-              budget: float, prompt: engine.PromptPass, decode_rows):
+              budget: float, prompt: engine.PromptPass):
     session = engine.init_session(model, config.layout, config.policy(policy_kind, budget),
                                   pattern, config.tile_size)
     engine.prefill(model, session, prompt)
@@ -293,8 +302,7 @@ def _run_cell(model, config: ExperimentConfig, policy_kind: str, pattern: Sparsi
     retained_counts = {kv.rows(g) for kv in session.cache for g in range(kv.num_heads)}
     if len(retained_counts) != 1:
         raise AssertionError(f"retained counts differ across heads: {retained_counts}")
-    logits = [engine.decode_step(model, session, row) for row in decode_rows]
-    return session, int(next(iter(retained_counts))), logits
+    return session, int(next(iter(retained_counts)))
 
 
 def run_experiment(source) -> dict:
@@ -310,28 +318,38 @@ def run_experiment(source) -> dict:
                for b in config.budgets + (1.0,)}
     layers = config.model.num_layers if config.validate else config.clie_layer_index + 1
     dense = SparsityPattern.dense()
+    patterns = list(dict.fromkeys(parse_pattern(text, config.layout) for text in config.patterns))
     per_pattern = {pattern: (
         engine.prompt_pass(model, config.layout, pattern, config.st_layer_index, embeddings,
                            windows, layers, "h2o_like" in config.policies, config.tile_size),
         estimate_macs(config.layout, pattern, config.model, "prefill"),
         mask_density(build_mask(config.layout, pattern)),
-    ) for pattern in dict.fromkeys([dense] + [parse_pattern(text, config.layout)
-                                              for text in config.patterns])}
-    _, _, reference_logits = _run_cell(model, config, "full", dense, 1.0, per_pattern[dense][0],
-                                       decode_rows)
+    ) for pattern in dict.fromkeys([dense] + patterns)}
 
-    # Validation reads the pattern and the recent window, never the budget.
-    validation_cache: dict[tuple[str, int], dict] = {}
+    # Decode reads only the cache's rows, so two sessions of one pass that keep
+    # the same positions in every layer decode to bit-identical logits.
+    decoded: dict[tuple, list[np.ndarray]] = {}
+
+    def decode(session, pattern):
+        key = (pattern, *(kv.stacked()[2].tobytes() for kv in session.cache))
+        if key not in decoded:
+            decoded[key] = [engine.decode_step(model, session, row) for row in decode_rows]
+        return decoded[key]
+
+    reference, _ = _run_cell(model, config, "full", dense, 1.0, per_pattern[dense][0])
+    reference_logits = decode(reference, dense)
+
+    # Validation reads the pattern and the recent window, never the budget;
+    # one call validates a window for every pattern.
+    validations: dict[tuple[SparsityPattern, int], dict] = {}
     cells = []
     for policy_kind, pattern_text, budget in _experiment_cells(config):
         pattern = parse_pattern(pattern_text, config.layout)
         prompt, prefill_macs, density = per_pattern[pattern]
-        session, retained_count, logits = _run_cell(
-            model, config, policy_kind, pattern, budget, prompt, decode_rows
-        )
+        session, retained_count = _run_cell(model, config, policy_kind, pattern, budget, prompt)
         l = session.prefill_len
         divergence = 0.0
-        for step_logits, ref in zip(logits, reference_logits):
+        for step_logits, ref in zip(decode(session, pattern), reference_logits):
             divergence = max(divergence, float(np.max(np.abs(step_logits - ref))))
 
         recall = None
@@ -344,11 +362,12 @@ def run_experiment(source) -> dict:
 
         validation = None
         if config.validate:
-            key = (pattern.describe(), session.w)
-            if key not in validation_cache:
-                validation_cache[key] = engine.validate_cross_layer(
-                    prompt, session.w, config.clie_layer_index, config.n_perm, config.stats_seed)
-            validation = validation_cache[key]
+            if (pattern, session.w) not in validations:
+                reports = engine.validate_cross_layer(
+                    [per_pattern[p][0] for p in patterns], session.w, config.clie_layer_index,
+                    config.n_perm, config.stats_seed)
+                validations.update({(p, session.w): r for p, r in zip(patterns, reports)})
+            validation = validations[(pattern, session.w)]
 
         cells.append({
             "policy": policy_kind,

@@ -202,6 +202,28 @@ class TestEvict:
         keys[:], values[:] = 0.0, 0.0
         assert np.all(out.keys[0] != 0.0) and np.all(out.values[1] != 0.0)
 
+    def test_the_cache_aliases_no_array_it_was_given(self):
+        """evict adopts its own gathers and copies the table; the public
+        constructor copies all three arrays. Read-only inputs, such as a
+        shared prompt pass's rows or a broadcast table, still give a cache
+        that appends."""
+        keys, values = self.make_pass(rows=6)
+        table = np.array([[0, 2, 5], [1, 2, 3]])
+        keep_all = np.broadcast_to(np.arange(6), (2, 6))
+        for array in (keys, values):
+            array.flags.writeable = False
+        built = [evict(keys, values, table), evict(keys, values, keep_all),
+                 KvCacheLayer(keys, values, keep_all)]
+        for out in built:
+            for mine in out.stacked():
+                assert not any(np.shares_memory(mine, given)
+                               for given in (keys, values, table, keep_all))
+            out.append(0, np.ones(3), np.ones(3), position=6)
+            out.append(1, np.ones(3), np.ones(3), position=6)
+        table[:] = 4
+        assert built[0].positions[0].tolist() == [0, 2, 5, 6]
+        np.testing.assert_array_equal(built[2].keys[1][:6], keys[1])
+
     def test_positions_stay_increasing_after_eviction(self):
         out = evict(*self.make_pass(rows=8), [np.array([1, 4, 6])] * 2)
         out.check_invariants()

@@ -465,6 +465,39 @@ class TestNonFiniteInput:
         assert session.step_count == 2
 
 
+class TestOverflowingInput:
+    """RMSNorm squares its input, so rows above about 1e154 would overflow."""
+
+    def test_prefill_rejects_squares_that_overflow_before_touching_the_session(self):
+        model = init_model(SMALL)
+        session = init_session(model, LAYOUT, make_policy(budget=0.5), SparsityPattern.dense())
+        with pytest.raises(ValueError, match="sum of squares"):
+            prefill(model, session, embeddings_for(LAYOUT, seed=31) * 1e160)
+        assert session == init_session(model, LAYOUT, make_policy(budget=0.5),
+                                       SparsityPattern.dense())
+
+    def test_decode_rejects_squares_that_overflow_before_touching_the_session(self):
+        model = init_model(SMALL)
+        session = init_session(model, LAYOUT, make_policy(budget=0.5), SparsityPattern.spatial())
+        prefill(model, session, embeddings_for(LAYOUT, seed=32))
+        apply_compression(model, session)
+        row = seeded_gaussian(1, SMALL.d_model, 33)[0]
+        decode_step(model, session, row)
+        before = session_snapshot(session)
+        with pytest.raises(ValueError, match="sum of squares"):
+            decode_step(model, session, row * 1e160)
+        np.testing.assert_equal(session_snapshot(session), before)
+
+    def test_large_inputs_below_the_limit_still_run(self):
+        model = init_model(SMALL)
+        session = init_session(model, LAYOUT, make_policy(budget=0.5), SparsityPattern.spatial())
+        logits = prefill(model, session, embeddings_for(LAYOUT, seed=32) * 1e150)
+        apply_compression(model, session)
+        step = decode_step(model, session, seeded_gaussian(1, SMALL.d_model, 33)[0] * 1e150)
+        for out in (logits, step):
+            assert np.isfinite(out).all() and np.abs(out).max() > 0.1
+
+
 def fail_at_layer_3(monkeypatch):
     """Let engine._block run layers 0..2, then attend at layer 3 and raise."""
     real_block = purekv.engine._block
@@ -619,7 +652,7 @@ class TestValidation:
         _, records = reference_forward(model, emb, masks, collect_attention=True)
         accumulators = oracle_accumulators(records, SMALL, w)
         for analysis in (1, 2):
-            report = validate_cross_layer(prompt, w, analysis, n_perm=199, seed=1)
+            report = validate_cross_layer([prompt], w, analysis, n_perm=199, seed=1)[0]
             assert report["analysis_layer"] == analysis
             assert ([entry["layer"] for entry in report["per_layer"]]
                     == list(range(analysis + 1, SMALL.num_layers)))
@@ -647,7 +680,7 @@ class TestValidation:
         model = init_model(config)
         prompt = prompt_pass(model, layout, SparsityPattern.spatial_temporal(), 2, emb, (6,),
                              config.num_layers)
-        report = validate_cross_layer(prompt, 6, 1, n_perm=199, seed=2)
+        report = validate_cross_layer([prompt], 6, 1, n_perm=199, seed=2)[0]
         assert report["median_rho"] > 0
 
     def test_rejects_an_analysis_layer_with_no_layer_above(self, monkeypatch):
@@ -659,7 +692,33 @@ class TestValidation:
         for analysis, message in ((SMALL.num_layers - 1, "no layers above"),
                                   (SMALL.num_layers, "out of range"), (-1, "out of range")):
             with pytest.raises(ConfigurationError, match=message):
-                validate_cross_layer(prompt, 4, analysis, n_perm=199, seed=0)
+                validate_cross_layer([prompt], 4, analysis, n_perm=199, seed=0)
+
+    def test_one_call_for_several_passes_equals_one_call_per_pass(self):
+        model = init_model(SMALL)
+        emb = embeddings_for(LAYOUT, seed=18)
+        passes = [prompt_pass(model, LAYOUT, parse_pattern(text, LAYOUT), 2, emb, (4,),
+                              SMALL.num_layers) for text in ("dense", "spatial", "temporal")]
+        together = validate_cross_layer(passes, 4, 1, n_perm=199, seed=5)
+        assert together == [validate_cross_layer([p], 4, 1, n_perm=199, seed=5)[0]
+                            for p in passes]
+        assert together[0] != together[1]
+
+    def test_rejects_passes_it_cannot_validate_together(self):
+        model = init_model(SMALL)
+        emb = embeddings_for(LAYOUT, seed=18)
+        prompt = prompt_pass(model, LAYOUT, SparsityPattern.dense(), 2, emb, (4,),
+                             SMALL.num_layers)
+        other_model = prompt_pass(init_model(SMALL), LAYOUT, SparsityPattern.dense(), 2, emb,
+                                  (4,), SMALL.num_layers)
+        longer = TokenLayout(2, 4, 4, 2)
+        other_layout = prompt_pass(model, longer, SparsityPattern.dense(), 2,
+                                   embeddings_for(longer), (4,), SMALL.num_layers)
+        for passes in ([prompt, other_model], [prompt, other_layout]):
+            with pytest.raises(ConfigurationError, match="one model and layout"):
+                validate_cross_layer(passes, 4, 1, n_perm=199)
+        with pytest.raises(ConfigurationError, match="at least one"):
+            validate_cross_layer([], 4, 1, n_perm=199)
 
     def test_requires_nonrecent_segment(self):
         model = init_model(SMALL)
@@ -667,7 +726,7 @@ class TestValidation:
         prompt = prompt_pass(model, tiny, SparsityPattern.dense(), 2,
                              embeddings_for(tiny, seed=17), (8,), SMALL.num_layers)
         with pytest.raises(ConfigurationError, match="l > w"):
-            validate_cross_layer(prompt, 8, 1, n_perm=199, seed=0)
+            validate_cross_layer([prompt], 8, 1, n_perm=199, seed=0)
 
     def test_rejects_fewer_than_three_nonrecent_keys_before_scoring(self, monkeypatch):
         """At l - w of 1 or 2 the permutation test is undefined; validation
@@ -685,9 +744,9 @@ class TestValidation:
                                 calls.append(name) or real(*a, **k))
         for w in windows[:2]:
             with pytest.raises(ConfigurationError, match=f"l > w \\+ 2, got l={l}, w={w}"):
-                validate_cross_layer(prompt, w, 1, n_perm=100, seed=0)
+                validate_cross_layer([prompt], w, 1, n_perm=100, seed=0)
         assert calls == []
-        validate_cross_layer(prompt, l - 3, 1, n_perm=100, seed=0)
+        validate_cross_layer([prompt], l - 3, 1, n_perm=100, seed=0)
         assert {"score_low", "spearman_rho", "permutation_pvalue"} <= set(calls)
 
 
@@ -777,7 +836,7 @@ class TestStreamingCompatibilityContract:
             monkeypatch.setattr(purekv.attention, name, forbidden)
         monkeypatch.setattr(purekv.engine, "_forward", forbidden)
         for w in windows:
-            validate_cross_layer(prompt, w, 1, n_perm=199, seed=0)
+            validate_cross_layer([prompt], w, 1, n_perm=199, seed=0)
 
     def test_h2o_at_full_budget_skips_the_instrumented_pass(self, monkeypatch):
         """Audit: with nothing to evict, h2o_like compression materializes no
@@ -879,13 +938,13 @@ class TestPromptPass:
                              (4,), 2)
         session = init_session(model, LAYOUT, make_policy(budget=0.5), SparsityPattern.dense())
         built = []
-        real_init = purekv.cache.KvCacheLayer.__init__
+        real_own = purekv.cache.KvCacheLayer._own
 
-        def counting_init(self, *args):
+        def counting_own(self, *args):  # every cache layer, copied or adopted, is built here
             built.append(1)
-            real_init(self, *args)
+            real_own(self, *args)
 
-        monkeypatch.setattr(purekv.cache.KvCacheLayer, "__init__", counting_init)
+        monkeypatch.setattr(purekv.cache.KvCacheLayer, "_own", counting_own)
         prefill(model, session, shared)
         assert session.prompt is shared and session.cache == [] and built == []
         apply_compression(model, session)
@@ -991,7 +1050,7 @@ class TestPromptPass:
             return prompt_pass(model, LAYOUT, SparsityPattern.spatial_temporal(), 2, emb, (4,),
                                SMALL.num_layers, True)
 
-        expected = validate_cross_layer(make_pass(), 4, 1, n_perm=199, seed=3)
+        expected = validate_cross_layer([make_pass()], 4, 1, n_perm=199, seed=3)[0]
         shared = make_pass()
         for kind in ("pure_kv", "h2o_like"):
             session = init_session(model, LAYOUT, make_policy(kind=kind, budget=0.5, clie=1, st=2),
@@ -1003,7 +1062,7 @@ class TestPromptPass:
         real_forward = purekv.engine._forward
         monkeypatch.setattr(purekv.engine, "_forward",
                             lambda *args: forwards.append(1) or real_forward(*args))
-        assert validate_cross_layer(shared, 4, 1, n_perm=199, seed=3) == expected
+        assert validate_cross_layer([shared], 4, 1, n_perm=199, seed=3)[0] == expected
         assert forwards == []
 
     def test_validation_rejects_a_pass_it_cannot_read(self):
@@ -1011,10 +1070,10 @@ class TestPromptPass:
         emb = embeddings_for(LAYOUT, seed=27)
         partial = prompt_pass(model, LAYOUT, SparsityPattern.dense(), 2, emb, (4,), 2)
         with pytest.raises(ConfigurationError, match="layers 0..3"):
-            validate_cross_layer(partial, 4, 1, n_perm=199)
+            validate_cross_layer([partial], 4, 1, n_perm=199)
         full = prompt_pass(model, LAYOUT, SparsityPattern.dense(), 2, emb, (4,), SMALL.num_layers)
         with pytest.raises(ConfigurationError, match="window 3"):
-            validate_cross_layer(full, 3, 1, n_perm=199)
+            validate_cross_layer([full], 3, 1, n_perm=199)
 
     def test_a_shared_pass_cannot_be_written_through_a_session(self, example):
         """Writing the pass a session holds raises, and a sibling session still
@@ -1056,6 +1115,6 @@ class TestValidationWindows:
         def validate(windows):
             prompt = prompt_pass(model, LAYOUT, SparsityPattern.spatial_temporal(), 2, emb,
                                  windows, SMALL.num_layers)
-            return validate_cross_layer(prompt, w, analysis, n_perm=100, seed=4)
+            return validate_cross_layer([prompt], w, analysis, n_perm=100, seed=4)[0]
 
         assert validate((w,)) == validate(tuple(others) + (w,))

@@ -257,14 +257,16 @@ class TestRunExperiment:
         layers = [e["layer"] for e in cell["validation"]["per_layer"]]
         assert layers == [2, 3]  # layers above clie_layer_index = 1
 
-    def test_validation_runs_once_per_pattern_and_window(self, monkeypatch):
-        """Validation depends on the pattern and w, never on the budget."""
-        keys = []
+    def test_validation_runs_once_per_window_for_every_pattern(self, monkeypatch):
+        """Validation depends on the pattern and w, never on the budget: one
+        call per window validates every pattern's pass, and each (pattern, w)
+        is validated exactly once."""
+        calls = []
         real_validate = purekv.engine.validate_cross_layer
 
-        def spy(prompt, w, *args):
-            keys.append((prompt.wiring[1].describe(), w))
-            return real_validate(prompt, w, *args)
+        def spy(prompts, w, *args):
+            calls.append([(prompt.wiring[1].describe(), w) for prompt in prompts])
+            return real_validate(prompts, w, *args)
 
         monkeypatch.setattr(purekv.engine, "validate_cross_layer", spy)
         # l = 36, w_config = 4: budgets 1.0, 0.5 and 0.1 give w = 4, 0.05 gives w = 2.
@@ -276,6 +278,10 @@ class TestRunExperiment:
         for cell in report["cells"]:
             by_key.setdefault((cell["pattern"], cell["recent_window"]), []).append(cell)
         assert len(report["cells"]) == 18
+        assert len(calls) == 2
+        assert all(sorted(pattern for pattern, _ in call) == ["dense", "temporal"]
+                   for call in calls)
+        keys = [key for call in calls for key in call]
         assert sorted(keys) == sorted(by_key) and len(keys) == 4
         for cells in by_key.values():
             assert all(c["validation"] == cells[0]["validation"] for c in cells)
@@ -338,6 +344,53 @@ class TestSharedPromptPass:
                                    patterns=["dense", "spatial"], budgets=[0.5, 0.2, 0.1]))
         # estimate_macs and mask_density each read one mask per pattern.
         assert sorted(built) == ["dense", "dense", "spatial", "spatial"]
+
+
+def count_decodes(monkeypatch):
+    """Record (policy, pattern) of the session behind every engine.decode_step call."""
+    decoded = []
+    real_decode = purekv.engine.decode_step
+
+    def decode_step(model, session, row):
+        decoded.append((session.policy.policy_kind, session.pattern.describe()))
+        return real_decode(model, session, row)
+
+    monkeypatch.setattr(purekv.engine, "decode_step", decode_step)
+    return decoded
+
+
+class TestDecodeSharing:
+    def test_example_grid_decodes_each_distinct_cache_once(self, monkeypatch):
+        """39 sessions hold 28 distinct caches: every policy keeps every row at
+        budget 1.0, and at 0.1 and 0.05 pure_kv and h2o_like keep only the
+        recent window. The report stays the golden copy."""
+        decoded = count_decodes(monkeypatch)
+        report = run_experiment(str(ROOT / "configs" / "example.json"))
+        golden = (ROOT / "perfbench" / "golden" / "example-grid.report.json").read_text()
+        assert render_report(report, "json") == golden
+        assert len(decoded) == 28 * 8
+        # The reference and the first keep-all cell of each pattern are full sessions.
+        assert {key for key in decoded if key[0] == "full"} == {("full", "dense"),
+                                                              ("full", "spatial_temporal")}
+
+    def test_a_grid_of_distinct_caches_decodes_every_cell(self, monkeypatch):
+        caches = []
+        real_compress = purekv.engine.apply_compression
+
+        def apply_compression(model, session):
+            real_compress(model, session)
+            caches.append((session.pattern.describe(),
+                           *(kv.stacked()[2].tobytes() for kv in session.cache)))
+            return session
+
+        monkeypatch.setattr(purekv.engine, "apply_compression", apply_compression)
+        decoded = count_decodes(monkeypatch)
+        report = run_experiment(base_config(policies=["pure_kv", "streaming_like"],
+                                            patterns=["dense", "temporal"], budgets=[0.5, 0.35]))
+        # Eight cells and the keep-all reference, each with its own cache.
+        assert len(report["cells"]) == 8
+        assert len(set(caches)) == len(caches) == 9
+        assert len(decoded) == 9 * 2
 
 
 @pytest.fixture(scope="module")

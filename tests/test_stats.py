@@ -2,9 +2,12 @@
 oracle, plus the seeded permutation test."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import purekv.stats
 from purekv.errors import ConfigurationError
@@ -224,3 +227,38 @@ class TestPermutationPvalue:
             permutation_pvalue(x, x, n_perm=99, seed=0)
         with pytest.raises(ConfigurationError):
             permutation_pvalue(x[:2], x[:2], n_perm=100, seed=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 4), n=st.integers(3, 40),
+           n_perm=st.sampled_from([100, 2 * _PERM_BLOCK + 1, 3 * _PERM_BLOCK - 5,
+                                   4 * _PERM_BLOCK]),
+           seed=st.integers(0, 2**32), tied_words=st.booleans())
+    def test_a_batch_equals_one_call_per_row(self, data, rows, n, n_perm, seed, tied_words):
+        """Row p of a (P, n) call is bit-identical to a lone call on row p,
+        for partial last blocks and for words that need the stable sort."""
+        def row(label):
+            values = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n), label=label)
+            assume(len(set(values)) > 1)  # a constant ranking has no correlation
+            return values
+
+        x = np.array([row(f"x{p}") for p in range(rows)], dtype=np.float64)
+        y = np.array([row(f"y{p}") for p in range(rows)], dtype=np.float64)
+        real = purekv.stats.random_u64
+
+        def few_words(seed, start, count):
+            return real(seed, start, count) >> np.uint64(62)  # 4 values: n >= 5 ties
+
+        with mock.patch.object(purekv.stats, "random_u64", few_words if tied_words else real):
+            batch = permutation_pvalue(x, y, n_perm, seed)
+            lone = [permutation_pvalue(x[p], y[p], n_perm, seed) for p in range(rows)]
+        assert isinstance(batch, np.ndarray) and batch.shape == (rows,)
+        assert all(isinstance(p, float) for p in lone)
+        assert batch.tolist() == lone
+
+    def test_batch_preconditions(self):
+        x = np.array([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]])
+        for bad_x, bad_y in ((x, x[:1]), (x[:0], x[:0]), (x[None], x[None]), (x[0], x)):
+            with pytest.raises(ConfigurationError, match="equal-shape"):
+                permutation_pvalue(bad_x, bad_y, n_perm=100, seed=0)
+        with pytest.raises(ConfigurationError, match="n >= 3"):
+            permutation_pvalue(x[:, :2], x[:, :2], n_perm=100, seed=0)
