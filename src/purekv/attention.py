@@ -5,8 +5,8 @@ streaming_masked walks the queries in tiles of rows and returns the output
 only: callers above it structurally cannot read attention weights.
 column_mass runs the same tile loop and also returns each key's column sum
 of weights, all the h2o_like baseline needs, so no (l, l) matrix is built.
-decode is the unmasked, untiled case for one new token: each query head's
-softmax row is built and consumed inside the call.
+decode is the unmasked, untiled case for one new token: one score buffer,
+scaled, shifted and exponentiated in place, holds every query head's softmax row.
 
 All four broadcast over leading dimensions, so one call runs every query
 head of a layer: q of shape (Hkv, G, l_q, d_k) against k and v of shape
@@ -50,12 +50,13 @@ def _check_inputs(q, k, v, mask=None):
         raise ConfigurationError(
             f"key rows {k.shape[-2]} do not match value rows {v.shape[-2]}"
         )
-    try:
-        lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
-    except ValueError:
-        raise ConfigurationError(
-            f"leading dimensions {q.shape[:-2]}, {k.shape[:-2]}, {v.shape[:-2]} do not broadcast"
-        ) from None
+    lead = q.shape[:-2]
+    if not lead == k.shape[:-2] == v.shape[:-2]:  # equal shapes, as in decode, need no broadcast
+        try:
+            lead = np.broadcast_shapes(lead, k.shape[:-2], v.shape[:-2])
+        except ValueError:
+            raise ConfigurationError(f"leading dimensions {lead}, {k.shape[:-2]}, "
+                                     f"{v.shape[:-2]} do not broadcast") from None
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (q.shape[-2], k.shape[-2]):
@@ -147,11 +148,16 @@ def decode(q, k, v) -> np.ndarray:
     For one decode step q is (Hkv, G, d_k), the G query heads that share
     each KV head, and k, v are that head's cached rows, (Hkv, n, d_k) and
     (Hkv, n, d_v); the result is (Hkv, G, d_v). Leading dimensions
-    broadcast as in streaming_masked. The softmax subtracts each row's max.
+    broadcast as in streaming_masked. One (Hkv, G, n) score buffer is scaled, shifted
+    by each row's max and exponentiated in place; the output is divided in place by its sums.
     """
     q, k, v, _, _ = _check_inputs(q, k, v)
     if k.shape[-2] == 0:
         raise ValueError("decode attention needs at least one key")
-    scores = q @ np.swapaxes(k, -1, -2) * (1.0 / np.sqrt(q.shape[-1]))
-    weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    return (weights @ v) / weights.sum(axis=-1, keepdims=True)
+    scores = q @ np.swapaxes(k, -1, -2)
+    scores *= 1.0 / np.sqrt(q.shape[-1])
+    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    out = scores @ v
+    out /= np.add.reduce(scores, axis=-1, keepdims=True)
+    return out

@@ -214,7 +214,7 @@ def _require_finite(x: np.ndarray, what: str):
 
 
 def _rmsnorm(x: np.ndarray) -> np.ndarray:
-    return x / np.sqrt((x * x).mean(axis=1, keepdims=True) + _NORM_EPS)
+    return x / np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True) / x.shape[1] + _NORM_EPS)
 
 
 def _project_heads(h: np.ndarray, weights: LayerWeights, config: ModelConfig):

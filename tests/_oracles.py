@@ -14,6 +14,13 @@ def normalize_rows(x):
     return x / np.sqrt((x * x).mean(axis=1, keepdims=True) + NORM_EPS)
 
 
+def decode_attention(q, k, v):
+    """attention.decode's arithmetic as one expression, kept as the bits decode must match."""
+    scores = q @ np.swapaxes(k, -1, -2) * (1.0 / np.sqrt(q.shape[-1]))
+    weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return (weights @ v) / weights.sum(axis=-1, keepdims=True)
+
+
 def plain_softmax(scores, mask):
     scores = np.where(mask, scores, -np.inf)
     shifted = scores - scores.max(axis=1, keepdims=True)

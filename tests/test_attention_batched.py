@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import decode_attention
 from purekv.attention import _tile_keys, column_mass, decode, masked, streaming_masked
+from purekv.cache import KvCacheLayer
 from purekv.errors import ConfigurationError
 from purekv.masks import SparsityPattern, TokenLayout, build_mask
 
@@ -176,10 +178,13 @@ class TestBatchedStreaming:
                           np.ones((2, 1, 5, 3)), mask, tile_size=tile)
 
     def test_leading_dims_must_broadcast(self):
-        for route in (streaming_masked, column_mass, masked):
-            with pytest.raises(ConfigurationError, match="broadcast"):
-                route(np.ones((2, 3, 4)), np.ones((3, 3, 4)), np.ones((3, 3, 4)),
-                      np.ones((3, 3), dtype=bool))
+        mask = np.ones((3, 3), dtype=bool)
+        for q_lead, k_lead, v_lead in (((2,), (3,), (3,)), ((3,), (3,), (2,))):
+            q, k, v = (np.ones(lead + (3, 4)) for lead in (q_lead, k_lead, v_lead))
+            for route, extra in ((streaming_masked, (mask,)), (column_mass, (mask,)),
+                                 (masked, (mask,)), (decode, ())):
+                with pytest.raises(ConfigurationError, match="broadcast"):
+                    route(q, k, v, *extra)
 
     def test_one_mask_is_shared_by_every_head(self):
         q = k = v = np.ones((2, 3, 4))
@@ -243,6 +248,29 @@ class TestDecodeKernel:
             for j in range(group):
                 expected, _ = masked(q[g, j][None], k[g], v[g], everything)
                 assert np.max(np.abs(got[g, j] - expected[0])) <= 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_bit_identical_to_the_one_expression_oracle(self, data):
+        # The example report's bytes rest on decode's exact arithmetic, so any
+        # reordering of it must fail here, also on the cache's capacity views.
+        hkv, group = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        n, d_k = data.draw(st.just(1) | st.integers(1, 64)), data.draw(st.integers(1, 8))
+        d_v = data.draw(st.integers(1, 8).filter(lambda d: d != d_k))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        scale = data.draw(st.sampled_from([1e-3, 1.0, 30.0]))
+        q = scale * rng.standard_normal((hkv, group, d_k))
+        k, v = rng.standard_normal((hkv, n, d_k)), rng.standard_normal((hkv, n, d_v))
+        np.testing.assert_array_equal(decode(q, k, v), decode_attention(q, k, v))
+
+        held = data.draw(st.integers(0, n - 1))
+        cache = KvCacheLayer(k[:, :held], v[:, :held], np.broadcast_to(np.arange(held), (hkv, held)))
+        for position in range(held, n):
+            for g in range(hkv):
+                cache.append(g, k[g, position], v[g, position], position)
+        keys, values, _ = cache.stacked()
+        np.testing.assert_array_equal(keys, k)
+        np.testing.assert_array_equal(decode(q, keys, values), decode_attention(q, keys, values))
 
     def test_needs_a_key(self):
         with pytest.raises(ValueError, match="at least one key"):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import purekv.attention
 import purekv.engine
-from _oracles import brute_force_select, causal_masks, reference_forward
+from _oracles import brute_force_select, causal_masks, normalize_rows, reference_forward
 from purekv.cache import PolicyConfig, baseline_streaming
 from purekv.engine import (
     ModelConfig,
@@ -496,6 +496,73 @@ class TestOverflowingInput:
         step = decode_step(model, session, seeded_gaussian(1, SMALL.d_model, 33)[0] * 1e150)
         for out in (logits, step):
             assert np.isfinite(out).all() and np.abs(out).max() > 0.1
+
+
+class TestRmsnormBits:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 96), st.integers(-150, 150),
+           st.integers(0, 2**32 - 1))
+    def test_matches_the_mean_expression_bit_for_bit(self, rows, width, exponent, seed):
+        # The example report's bytes rest on _rmsnorm's exact arithmetic.
+        x = np.random.default_rng(seed).standard_normal((rows, width)) * 10.0 ** exponent
+        np.testing.assert_array_equal(purekv.engine._rmsnorm(x), normalize_rows(x))
+
+
+class TestFiniteOrRaise:
+    """Every session entry point returns finite values, or raises ConfigurationError
+    or ValueError and leaves the session as it was, at any input scale."""
+
+    @staticmethod
+    def state(session):
+        return (session.phase, session.step_count,
+                [[kv.rows(g) for g in range(kv.num_heads)] for kv in session.cache])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_entry_points_at_scales_from_1e_minus_300_to_1e300(self, data):
+        draw = data.draw
+        hkv, group, d_k = draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+        num_layers = draw(st.integers(2, 4))
+        config = ModelConfig(num_layers, hkv * group * d_k, hkv * group, hkv, d_k,
+                             draw(st.integers(1, 4)), draw(st.integers(1, 12)),
+                             draw(st.integers(0, 99)))
+        frames = draw(st.integers(0, 3))
+        layout = TokenLayout(draw(st.integers(0, 3)), frames, draw(st.integers(int(frames > 0), 3)),
+                             draw(st.integers(int(frames == 0), 3)))
+        clie = draw(st.integers(0, num_layers - 2))
+        policy = PolicyConfig(draw(st.sampled_from(["full", "pure_kv", "h2o_like",
+                                                    "streaming_like"])),
+                              draw(st.sampled_from([1.0, 0.5, 0.2])), draw(st.integers(1, 4)),
+                              draw(st.integers(0, 2)), clie,
+                              draw(st.integers(clie + 1, num_layers)))
+        pattern = parse_pattern(draw(st.sampled_from(PATTERNS)), layout)
+        model = init_model(config)
+        session = init_session(model, layout, policy, pattern, draw(st.integers(1, 8)))
+        scale = st.integers(-300, 300).map(lambda e: 10.0 ** e)
+        embeddings = seeded_gaussian(layout.total_len, config.d_model, 5)
+
+        def call(entry, *args):
+            before = self.state(session)
+            try:
+                return entry(model, session, *args)
+            except (ConfigurationError, ValueError):
+                assert self.state(session) == before
+                return None
+
+        logits = call(prefill, embeddings * draw(scale))
+        if logits is None:
+            logits = call(prefill, embeddings)
+        assert logits is not None and np.isfinite(logits).all()
+        prompt = session.prompt
+        for array in [*prompt.keys, *prompt.values, *(prompt.colsums or ()),
+                      *(a for table in prompt.accumulators.values() for a in table or ())]:
+            assert np.isfinite(array).all()
+        assert call(apply_compression) is session
+        for kv in session.cache:
+            assert all(np.isfinite(a).all() for a in kv.stacked())
+        for row in seeded_gaussian(3, config.d_model, 6):
+            step = call(decode_step, row * draw(scale))
+            assert step is None or np.isfinite(step).all()
 
 
 def fail_at_layer_3(monkeypatch):
