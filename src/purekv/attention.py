@@ -10,15 +10,16 @@ scaled, shifted and exponentiated in place, holds every query head's softmax row
 
 All four broadcast over leading dimensions, so one call runs every query
 head of a layer: q of shape (Hkv, G, l_q, d_k) against k and v of shape
-(Hkv, 1, l_k, d), the masked kernels sharing one (l_q, l_k) mask. For each
-tile of query rows the tile loop gathers the union of keys those rows may
-attend to (a slice when it is contiguous, as under causal and dense masks),
-scores that one block, adds a 0/-inf bias only from the first column some
-row may not see, and normalizes each row exactly with its own max
-subtracted. Every row sees all of its keys in its tile's block, so one
-softmax per block is exact and its column sums are final, and at most one
-block of scores per head is held at a time (query chunking, Rabe & Staats,
-arXiv 2112.05682).
+(Hkv, 1, l_k, d), the masked kernels sharing one (l_q, l_k) mask. A
+TilePlan, built once per mask (or per call from a bool mask), holds for each
+tile of query rows the union of keys those rows may attend to (a slice when
+it is contiguous, as under causal and dense masks) and the allowed pairs
+from the first column some row may not see. The tile loop scores that one
+block, adds a 0/-inf bias only from that column, and normalizes each row
+exactly with its own max subtracted. Every row sees all of its keys in its
+tile's block, so one softmax per block is exact and its column sums are
+final, and at most one block of scores per head is held at a time (query
+chunking, Rabe & Staats, arXiv 2112.05682).
 """
 
 from __future__ import annotations
@@ -78,6 +79,50 @@ def masked(q, k, v, mask) -> tuple[np.ndarray, np.ndarray]:
     return weights @ v, weights
 
 
+class TilePlan:
+    """One mask's query tiles for one tile size, analysed once for every call under it.
+
+    mask is the (l_q, l_k) bool mask, read-only: one given read-only is kept,
+    any other copied; np.asarray(plan) gives it. schedule has one (rows,
+    keys, first, block) per tile of query rows: keys is a slice when
+    contiguous, else a read-only index array; block holds the allowed pairs
+    from column first, the first some row may not see, or is None when every
+    row sees every key. tiles, pairs_scored (the sum of rows times keys) and
+    pairs_allowed count one head's work.
+    """
+
+    def __init__(self, mask, tile_size: int = DEFAULT_TILE):
+        mask = np.asarray(mask, dtype=bool)
+        if mask.flags.writeable:
+            mask = mask.copy()
+        if mask.ndim != 2:
+            raise ConfigurationError(f"mask must be (l_q, l_k), got shape {mask.shape}")
+        if tile_size < 1:
+            raise ConfigurationError(f"tile_size must be >= 1, got {tile_size}")
+        empty = ~mask.any(axis=1)
+        if empty.any():
+            raise ValueError(f"row {int(np.flatnonzero(empty)[0])} is fully masked")
+        mask.flags.writeable = False
+        self.mask, self.tile_size, self.schedule = mask, tile_size, []
+        self.pairs_scored, self.pairs_allowed = 0, int(np.count_nonzero(mask))
+        for start in range(0, mask.shape[0], tile_size):
+            rows = slice(start, start + tile_size)
+            keys = np.flatnonzero(mask[rows].any(axis=0))  # the keys some row may attend to
+            keys.flags.writeable = False
+            if keys[-1] - keys[0] + 1 == keys.size:  # contiguous, as under causal and dense masks
+                keys = slice(int(keys[0]), int(keys[-1]) + 1)
+            allowed = mask[rows, keys]
+            allowed.flags.writeable = False  # a copy when keys is an index array
+            first = int(np.argmin(allowed.all(axis=0)))
+            block = None if allowed[:, first].all() else allowed[:, first:]
+            self.schedule.append((rows, keys, first, block))
+            self.pairs_scored += allowed.size
+        self.tiles = len(self.schedule)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.mask, dtype=dtype, copy=copy)
+
+
 def streaming_masked(q, k, v, mask, tile_size: int = DEFAULT_TILE) -> np.ndarray:
     """Attention over tiles of query rows; the weight matrix is never built.
 
@@ -85,8 +130,8 @@ def streaming_masked(q, k, v, mask, tile_size: int = DEFAULT_TILE) -> np.ndarray
     in a config counts query rows too). Each tile scores one (..., T, U)
     block against the U keys that any of its rows may attend to, so every
     row sees all of its keys at once and is normalized exactly.
-    Leading dimensions of q, k and v broadcast; mask is (l_q, l_k) and is
-    shared by all of them.
+    Leading dimensions of q, k and v broadcast; mask is an (l_q, l_k) bool
+    mask, or a TilePlan built for tile_size, shared by all of them.
     """
     return _query_tiles(q, k, v, mask, tile_size, mass=False)[0]
 
@@ -101,25 +146,20 @@ def column_mass(q, k, v, mask, tile_size: int = DEFAULT_TILE) -> tuple[np.ndarra
 
 def _query_tiles(q, k, v, mask, tile_size: int, mass: bool):
     """The tile loop behind streaming_masked and column_mass; mass is None unless asked."""
-    q, k, v, lead, mask = _check_inputs(q, k, v, mask)
-    if tile_size < 1:
-        raise ConfigurationError(f"tile_size must be >= 1, got {tile_size}")
-    empty = ~mask.any(axis=1)
-    if empty.any():
-        raise ValueError(f"row {int(np.flatnonzero(empty)[0])} is fully masked")
+    q, k, v, lead, _ = _check_inputs(q, k, v, mask)
+    plan = mask if isinstance(mask, TilePlan) else TilePlan(mask, tile_size)
+    if plan.tile_size != tile_size:
+        raise ConfigurationError(f"tile_size {tile_size} does not match the plan's "
+                                 f"{plan.tile_size}")
 
     scale = 1.0 / np.sqrt(q.shape[-1])
     out = np.empty(lead + (q.shape[-2], v.shape[-1]))
     colsums = np.zeros(lead + (k.shape[-2],)) if mass else None
-    for start in range(0, q.shape[-2], tile_size):
-        rows = slice(start, start + tile_size)
-        keys = _tile_keys(mask[rows])
-        allowed = mask[rows, keys]
+    for rows, keys, first, block in plan.schedule:
         scores = q[..., rows, :] @ np.swapaxes(k[..., keys, :], -1, -2)
         scores *= scale
-        first = int(np.argmin(allowed.all(axis=0)))
-        if not allowed[:, first].all():
-            scores[..., first:] += np.where(allowed[:, first:], 0.0, -np.inf)
+        if block is not None:
+            scores[..., first:] += np.where(block, 0.0, -np.inf)
         scores -= scores.max(axis=-1, keepdims=True)
         np.exp(scores, out=scores)
         sums = scores.sum(axis=-1, keepdims=True)
@@ -128,18 +168,6 @@ def _query_tiles(q, k, v, mask, tile_size: int, mass: bool):
             scores /= sums
             colsums[..., keys] += scores.sum(axis=-2)
     return out, colsums
-
-
-def _tile_keys(block: np.ndarray):
-    """The keys that some row of a mask block may attend to.
-
-    A slice when they are contiguous (as under causal and dense masks), else
-    an index array.
-    """
-    keys = np.flatnonzero(block.any(axis=0))
-    if keys.size and keys[-1] - keys[0] + 1 == keys.size:
-        return slice(int(keys[0]), int(keys[-1]) + 1)
-    return keys
 
 
 def decode(q, k, v) -> np.ndarray:

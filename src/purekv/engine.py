@@ -13,12 +13,13 @@ every attention call takes that layout, and _block turns the
 (Hkv, G, n, d_v) head outputs back into (n, Hq * d_v). No other code
 reshapes or transposes head axes.
 
-_forward is the only loop over layers for a prompt; attend(layer, q, k, v,
-mask) returns each layer's head outputs. Its one caller, prompt_pass, makes
-one streaming_masked call per layer for all query heads (column_mass through
-_instrumented_stats when h2o_like column sums are asked for) and, at the
-lowest layers, one masked call on the last w_max query rows, whose
-(w_max, l) slab gives every window's recent-window accumulators. Every
+_forward is the only loop over layers for a prompt; it builds one
+attention.TilePlan per distinct mask, not per layer, and attend(layer, q, k,
+v, plan) returns each layer's head outputs. Its one caller, prompt_pass,
+makes one streaming_masked call per layer for all query heads on the plan
+(column_mass through _instrumented_stats for h2o_like column sums) and, at
+the lowest layers, one masked call on the last w_max query rows of the
+plan's mask, whose (w_max, l) slab gives every window's accumulators. Every
 array of the PromptPass it returns is read-only, so a grid runs one per
 pattern. prefill, all or nothing, adopts a pass that covers the session or
 runs one for it alone, and keeps it as session.prompt; it copies nothing.
@@ -236,19 +237,26 @@ def _block(x: np.ndarray, weights: LayerWeights, config: ModelConfig, attend) ->
 
 
 def _forward(model: Model, layout: TokenLayout, pattern: SparsityPattern, st: int,
-             x: np.ndarray, attend) -> np.ndarray:
+             tile_size: int, x: np.ndarray, attend) -> np.ndarray:
     """The one loop over layers for a prompt; returns the final hidden states.
 
-    attend(layer, q, k, v, mask) gets each layer's projected heads and
-    returns that layer's head outputs.
+    attend(layer, q, k, v, plan) gets each layer's projected heads and the
+    TilePlan of its mask, built once per distinct mask, and returns that
+    layer's head outputs.
     """
     c = model.config
-    dense_mask = sparse_mask = build_mask(layout, SparsityPattern.dense())
+
+    def plan_for(kind: SparsityPattern):
+        mask = build_mask(layout, kind)
+        mask.flags.writeable = False  # so the plan keeps this fresh mask instead of a copy
+        return attention.TilePlan(mask, tile_size)
+
+    dense = sparse = plan_for(SparsityPattern.dense())
     if pattern.kind != "dense" and st < c.num_layers:
-        sparse_mask = build_mask(layout, pattern)
+        sparse = plan_for(pattern)
     for layer in range(c.num_layers):
-        mask = dense_mask if layer < st else sparse_mask
-        x = _block(x, model.layers[layer], c, lambda q, k, v: attend(layer, q, k, v, mask))
+        plan = dense if layer < st else sparse
+        x = _block(x, model.layers[layer], c, lambda q, k, v: attend(layer, q, k, v, plan))
     return x
 
 
@@ -287,21 +295,23 @@ def prompt_pass(model: Model, layout: TokenLayout, pattern: SparsityPattern, st_
     first = l - max((w for w in windows if w < l), default=0)
     keys, values, colsums = [], [], []
 
-    def attend(layer, q, k, v, mask):
+    def attend(layer, q, k, v, plan):
         keys.append(k)
         values.append(v)
         if layer < layers and first < l:
-            _, weights = attention.masked(q[:, :, first:], k[:, None], v[:, None], mask[first:])
+            _, weights = attention.masked(q[:, :, first:], k[:, None], v[:, None],
+                                          plan.mask[first:])
             for w, table in accumulators.items():
                 if table is not None:
                     table.append(accumulate_recent_attention(weights, w).mean(axis=1))
         if not column_sums:
-            return attention.streaming_masked(q, k[:, None], v[:, None], mask, tile_size)
-        out, mass = _instrumented_stats(q, k, v, mask, tile_size)
+            return attention.streaming_masked(q, k[:, None], v[:, None], plan, tile_size)
+        out, mass = _instrumented_stats(q, k, v, plan, tile_size)
         colsums.append(mass)
         return out
 
-    logits = _rmsnorm(_forward(model, layout, pattern, st_layer_index, x, attend)) @ model.w_vocab
+    x = _forward(model, layout, pattern, st_layer_index, tile_size, x, attend)
+    logits = _rmsnorm(x) @ model.w_vocab
     for array in [logits, *keys, *values, *colsums,
                   *(a for table in accumulators.values() for a in table or ())]:
         array.flags.writeable = False
@@ -309,10 +319,10 @@ def prompt_pass(model: Model, layout: TokenLayout, pattern: SparsityPattern, st_
                       keys, values, accumulators, colsums if column_sums else None)
 
 
-def _instrumented_stats(q, k, v, mask, tile_size: int):
+def _instrumented_stats(q, k, v, plan, tile_size: int):
     """One layer's h2o_like step: the streamed output and the (Hkv, l) column sums
     of one column_mass call, averaged over each KV head's query heads."""
-    out, mass = attention.column_mass(q, k[:, None], v[:, None], mask, tile_size)
+    out, mass = attention.column_mass(q, k[:, None], v[:, None], plan, tile_size)
     return out, mass.mean(axis=1)
 
 
@@ -440,11 +450,10 @@ def validate_cross_layer(prompts, w: int, analysis_layer: int, n_perm: int = 999
                                        prompt.values[layer]) for prompt in prompts])
         heads = [[] for _ in prompts]
         for g in range(truth.shape[1]):
-            rhos = [stats.spearman_rho(e, t) for e, t in zip(estimate[:, g], truth[:, g])]
-            ps = stats.permutation_pvalue(estimate[:, g], truth[:, g], n_perm,
-                                          derive_seed(seed, layer, g))
+            ps, rhos = stats.permutation_pvalue(estimate[:, g], truth[:, g], n_perm,
+                                                derive_seed(seed, layer, g), with_rho=True)
             for entries, rho, p in zip(heads, rhos, ps):
-                entries.append({"head": g, "rho": rho, "p": float(p)})
+                entries.append({"head": g, "rho": float(rho), "p": float(p)})
         for entries, layer_heads in zip(per_layer, heads):
             entries.append({"layer": layer, **_medians(layer_heads), "heads": layer_heads})
     return [{"analysis_layer": analysis_layer,

@@ -157,40 +157,39 @@ def _parse_param(text: str, param: str) -> int:
         raise ConfigurationError(f"bad pattern parameter in {text!r}") from None
 
 
-def _video_rule(pattern: SparsityPattern, q: np.ndarray, k: np.ndarray,
-                fq: np.ndarray, fk: np.ndarray, pq: np.ndarray, pk: np.ndarray) -> np.ndarray:
-    if pattern.kind == "dense":
-        return np.ones(q.shape, dtype=bool)
+def _video_rule(pattern: SparsityPattern, n: int, P: int) -> np.ndarray:
+    """(n, n) bool over video indices: the keys each query may see, causality aside."""
+    q, k = np.arange(n)[:, None], np.arange(n)[None, :]
     if pattern.kind == "local":
         return (q - k) < pattern.window
     if pattern.kind == "atrous":
         return ((q - k) % pattern.stride) == 0
     # spatial_temporal is the union of the spatial and temporal rules.
-    allowed = fk == 0
+    allowed = np.zeros((n, n), dtype=bool)
+    allowed[:, :P] = True  # the first frame
     if pattern.kind in ("spatial", "spatial_temporal"):
-        allowed = allowed | (fk == fq)
+        for start in range(0, n, P):  # the query's own frame
+            allowed[start:start + P, start:start + P] = True
     if pattern.kind in ("temporal", "spatial_temporal"):
-        allowed = allowed | ((fk == fq - 1) & (pk == pq)) | (k == q)
+        np.fill_diagonal(allowed[P:], True)  # the same patch one frame back: k = q - P
     return allowed
 
 
 def build_mask(layout: TokenLayout, pattern: SparsityPattern) -> np.ndarray:
-    """Realize a pattern over a layout as an (n, n) bool matrix."""
-    n = layout.total_len
-    pos = np.arange(n)
-    video = (pos >= layout.text_prefix_len) & (pos < layout.text_prefix_len + layout.video_len)
-    P = max(layout.patches_per_frame, 1)
-    frame = np.where(video, (pos - layout.text_prefix_len) // P, -1)
-    patch = np.where(video, (pos - layout.text_prefix_len) % P, -1)
+    """Realize a pattern over a layout as an (n, n) bool matrix.
 
-    q = pos[:, None]
-    k = pos[None, :]
-    causal = k <= q
-    rule = _video_rule(pattern, q, k, frame[:, None], frame[None, :],
-                       patch[:, None], patch[None, :])
-    # Video queries: text-prefix keys, pattern-allowed video keys, and self.
-    video_row = (k < layout.text_prefix_len) | (video[None, :] & rule) | (k == q)
-    allowed = causal & np.where(video[:, None], video_row, True)
+    It starts from the causal triangle, which is the whole dense mask and
+    every text row, and narrows the block of video queries against video
+    keys in place: video queries keep every text-prefix key and themselves,
+    and the text suffix comes after them.
+    """
+    allowed = np.tri(layout.total_len, dtype=bool)
+    if pattern.kind == "dense":
+        return allowed
+    start, n = layout.text_prefix_len, layout.video_len
+    block = allowed[start:start + n, start:start + n]
+    block &= _video_rule(pattern, n, max(layout.patches_per_frame, 1))
+    np.fill_diagonal(block, True)
     return allowed
 
 

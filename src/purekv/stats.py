@@ -38,11 +38,11 @@ def rank(values) -> np.ndarray:
 
 def spearman_rho(x, y) -> float:
     """Rank correlation in [-1, 1]; raises when either ranking is constant."""
-    rx, ry = _rank_pair(x, y)
-    return _pearson(rx, ry)
+    rxc, ryc, norm = _centred(*_rank_pair(x, y))
+    return float((rxc * ryc).sum() / norm)
 
 
-def permutation_pvalue(x, y, n_perm: int, seed: int):
+def permutation_pvalue(x, y, n_perm: int, seed: int, with_rho: bool = False):
     """One-sided permutation p-value for positive rank agreement.
 
     p = (1 + #{permutations with rho >= observed}) / (1 + n_perm); the +1
@@ -50,6 +50,9 @@ def permutation_pvalue(x, y, n_perm: int, seed: int):
     x and y are (n,) vectors, which give a float, or (P, n) tables, which
     give a (P,) array: row p is scored against the same permutations as a
     lone call on x[p] and y[p] would draw, and gets the same p-value.
+    with_rho=True returns (p, rho) instead, rho being the observed
+    spearman_rho of each row, bit for bit, from the ranks the test needs
+    anyway. A constant row raises ValueError, as spearman_rho does.
     """
     if n_perm < 100:
         raise ConfigurationError(f"n_perm must be >= 100, got {n_perm}")
@@ -61,16 +64,13 @@ def permutation_pvalue(x, y, n_perm: int, seed: int):
             f"expected equal-shape (n,) vectors or non-empty (P, n) tables, "
             f"got {x.shape} and {y.shape}"
         )
-    rows = []  # (centred rx, centred ry, norm, observed rho) per row
-    for row_x, row_y in zip(xs, ys):
-        rx, ry = _rank_pair(row_x, row_y)
-        rxc = rx - rx.mean()
-        ryc = ry - ry.mean()
-        norm = np.sqrt((rxc * rxc).sum() * (ryc * ryc).sum())
-        rows.append((rxc, ryc, norm, float((rxc * ryc).sum() / norm)))
     n = x.shape[-1]
     if n < 3:
         raise ConfigurationError(f"permutation test needs n >= 3, got {n}")
+    rows = []  # (centred rx, centred ry, norm, observed rho) per row
+    for row_x, row_y in zip(xs, ys):
+        rxc, ryc, norm = _centred(*_rank_pair(row_x, row_y))
+        rows.append((rxc, ryc, norm, float((rxc * ryc).sum() / norm)))
 
     # Ranks of a permuted vector are the permuted ranks, so permute ryc
     # directly. Permutation i is the argsort of counter words
@@ -87,7 +87,10 @@ def permutation_pvalue(x, y, n_perm: int, seed: int):
         for p, (rxc, ryc, norm, observed) in enumerate(rows):
             counts[p] += int(((ryc[idx] @ rxc) / norm >= observed).sum())
     pvalues = (1 + counts) / (1 + n_perm)
-    return float(pvalues[0]) if x.ndim == 1 else pvalues
+    rhos = np.array([observed for *_, observed in rows])
+    if x.ndim == 1:
+        pvalues, rhos = float(pvalues[0]), float(rhos[0])
+    return (pvalues, rhos) if with_rho else pvalues
 
 
 def _rank_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -102,11 +105,12 @@ def _rank_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     return rank(x), rank(y)
 
 
-def _pearson(rx: np.ndarray, ry: np.ndarray) -> float:
+def _centred(rx: np.ndarray, ry: np.ndarray):
+    """Both rank vectors minus their means, and Pearson's denominator."""
     rxc = rx - rx.mean()
     ryc = ry - ry.mean()
     var_x = (rxc * rxc).sum()
     var_y = (ryc * ryc).sum()
     if var_x == 0.0 or var_y == 0.0:
         raise ValueError("undefined correlation: a rank vector has zero variance")
-    return float((rxc * ryc).sum() / np.sqrt(var_x * var_y))
+    return rxc, ryc, np.sqrt(var_x * var_y)

@@ -74,3 +74,36 @@ def brute_force_select(scores, w, h, l):
     indexed = sorted(range(l - w), key=lambda j: (-scores[j], j))
     kept = sorted(indexed[:h]) + list(range(l - w, l))
     return sorted(kept)
+
+
+def query_tiles(q, k, v, mask, tile_size, mass=False):
+    """The tile loop with each tile's analysis redone inline, as attention ran it
+    before TilePlan: the bits streaming_masked and column_mass must match.
+
+    Returns (out, colsums), colsums being None unless mass is set.
+    """
+    q, k, v = (np.asarray(a, dtype=np.float64) for a in (q, k, v))
+    mask = np.asarray(mask, dtype=bool)
+    lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    out = np.empty(lead + (q.shape[-2], v.shape[-1]))
+    colsums = np.zeros(lead + (k.shape[-2],)) if mass else None
+    for start in range(0, q.shape[-2], tile_size):
+        rows = slice(start, start + tile_size)
+        keys = np.flatnonzero(mask[rows].any(axis=0))
+        if keys[-1] - keys[0] + 1 == keys.size:
+            keys = slice(int(keys[0]), int(keys[-1]) + 1)
+        allowed = mask[rows, keys]
+        scores = q[..., rows, :] @ np.swapaxes(k[..., keys, :], -1, -2)
+        scores *= scale
+        first = int(np.argmin(allowed.all(axis=0)))
+        if not allowed[:, first].all():
+            scores[..., first:] += np.where(allowed[:, first:], 0.0, -np.inf)
+        scores -= scores.max(axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        sums = scores.sum(axis=-1, keepdims=True)
+        out[..., rows, :] = (scores @ v[..., keys, :]) / sums
+        if mass:
+            scores /= sums
+            colsums[..., keys] += scores.sum(axis=-2)
+    return out, colsums

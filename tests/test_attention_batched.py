@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import decode_attention
-from purekv.attention import _tile_keys, column_mass, decode, masked, streaming_masked
+from _oracles import decode_attention, query_tiles
+from purekv.attention import TilePlan, column_mass, decode, masked, streaming_masked
 from purekv.cache import KvCacheLayer
 from purekv.errors import ConfigurationError
 from purekv.masks import SparsityPattern, TokenLayout, build_mask
@@ -63,8 +63,8 @@ def batched_cases(draw):
 
 
 def tile_gathers(mask, tile):
-    """_tile_keys of every tile of query rows."""
-    return [_tile_keys(mask[start:start + tile]) for start in range(0, len(mask), tile)]
+    """The keys a TilePlan gathers for every tile of query rows."""
+    return [keys for _, keys, _, _ in TilePlan(mask, tile).schedule]
 
 
 def assert_column_mass(q, k, v, mask, tile):
@@ -128,7 +128,8 @@ class TestBatchedStreaming:
         mask = np.zeros((3, 8), dtype=bool)
         mask[0, :2] = mask[2, 1:3] = True
         mask[1, 5:7] = True
-        assert not isinstance(_tile_keys(mask), slice)
+        [keys] = tile_gathers(mask, 4)
+        np.testing.assert_array_equal(keys, [0, 1, 2, 5, 6])
         rng = np.random.default_rng(7)
         q = rng.standard_normal((2, 2, 3, 4))
         k, v = rng.standard_normal((2, 1, 8, 4)), rng.standard_normal((2, 1, 8, 3))
@@ -211,6 +212,71 @@ class TestColumnMass:
         k, v = rng.standard_normal((2, 1, 40, 4)), rng.standard_normal((2, 1, 40, 5))
         for tile in (1, 4, 16, 32, 100):
             assert_column_mass(q, k, v, mask, tile)
+
+
+class TestTilePlan:
+    @settings(max_examples=150, deadline=None)
+    @given(batched_cases(), st.integers(0, 8), st.booleans())
+    def test_plan_and_mask_routes_equal_the_per_tile_oracle(self, case, extra, flat_keys):
+        """Bit for bit, for one-row tiles up to one tile past every row, and
+        for keys shared by every query head or broadcast from a flat (l_k, d)."""
+        q, k, v, mask = case["q"], case["k"], case["v"], case["mask"]
+        if flat_keys:
+            k, v = k[0, 0], v[0, 0]
+        for tile in (1, case["tile"], case["l_q"] + extra):
+            plan = TilePlan(mask, tile)
+            out, mass = query_tiles(q, k, v, mask, tile, mass=True)
+            for routed in (mask, plan):
+                np.testing.assert_array_equal(streaming_masked(q, k, v, routed, tile), out)
+                got_out, got_mass = column_mass(q, k, v, routed, tile)
+                np.testing.assert_array_equal(got_out, out)
+                np.testing.assert_array_equal(got_mass, mass)
+
+    def test_counts_one_heads_work_at_the_long_layout(self):
+        layout = TokenLayout(8, 16, 128, 4)
+        for pattern, scored, allowed in ((SparsityPattern.dense(), 2_138_256, 2_122_830),
+                                         (SparsityPattern.spatial_temporal(), 473_360, 404_302)):
+            plan = TilePlan(build_mask(layout, pattern), 16)
+            assert (plan.tiles, plan.pairs_scored, plan.pairs_allowed) == (129, scored, allowed)
+            assert np.count_nonzero(plan) == allowed  # what a tracer reads from the argument
+
+    def test_arrays_are_read_only_and_a_writable_mask_is_copied(self):
+        mask = draw_mask(np.random.default_rng(6), "spatial_temporal", 32, 40)
+        plan = TilePlan(mask, 4)
+        assert np.asarray(plan) is plan.mask and not np.asarray(plan).flags.writeable
+        np.testing.assert_array_equal(plan.mask, mask)
+        assert any(isinstance(keys, np.ndarray) for _, keys, _, _ in plan.schedule)
+        assert any(block is not None for *_, block in plan.schedule)
+        for _, keys, _, block in plan.schedule:
+            for array in (keys, block):
+                if isinstance(array, np.ndarray):
+                    assert not array.flags.writeable
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[...] = 0
+        mask[:] = False
+        assert plan.mask.any(axis=1).all()
+        mask = draw_mask(np.random.default_rng(6), "causal", 8, 8)
+        mask.flags.writeable = False
+        assert TilePlan(mask, 4).mask is mask  # a read-only mask is kept, not copied
+
+    def test_validation_keeps_its_order_and_messages(self):
+        q = k = v = np.ones((2, 1, 5, 3))
+        mask = np.tril(np.ones((5, 5), dtype=bool))
+        with pytest.raises(ConfigurationError, match="mask shape"):
+            streaming_masked(q, k, v, TilePlan(mask[:4], 2), tile_size=2)
+        for bad in (0, -1):
+            with pytest.raises(ConfigurationError, match="tile_size must be >= 1"):
+                TilePlan(mask, bad)
+        with pytest.raises(ConfigurationError, match="does not match the plan's 2"):
+            column_mass(q, k, v, TilePlan(mask, 2), tile_size=3)
+        mask[3] = False
+        with pytest.raises(ValueError, match="row 3 is fully masked"):
+            TilePlan(mask, 2)
+        # Each check comes before the next: shape, then tile size, then an empty row.
+        with pytest.raises(ConfigurationError, match="mask shape"):
+            streaming_masked(q, k, v, mask[:4], tile_size=0)
+        with pytest.raises(ConfigurationError, match="tile_size must be >= 1"):
+            streaming_masked(q, k, v, mask, tile_size=0)
 
 
 class TestTileKeys:

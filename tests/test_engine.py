@@ -755,7 +755,7 @@ class TestValidation:
         model = init_model(SMALL)
         prompt = prompt_pass(model, LAYOUT, SparsityPattern.dense(), 2, embeddings_for(LAYOUT),
                              (4,), SMALL.num_layers)
-        monkeypatch.setattr(purekv.stats, "spearman_rho", None)
+        monkeypatch.setattr(purekv.stats, "rank", None)
         for analysis, message in ((SMALL.num_layers - 1, "no layers above"),
                                   (SMALL.num_layers, "out of range"), (-1, "out of range")):
             with pytest.raises(ConfigurationError, match=message):
@@ -797,14 +797,17 @@ class TestValidation:
 
     def test_rejects_fewer_than_three_nonrecent_keys_before_scoring(self, monkeypatch):
         """At l - w of 1 or 2 the permutation test is undefined; validation
-        raises before it scores a layer or computes a statistic."""
+        raises before it scores a layer or computes a statistic. The rank
+        spy stands where a spearman_rho spy stood: the observed rho now
+        comes from the permutation test's own ranks, so validation ranks
+        each (estimate, truth) pair once, two rank calls per KV head."""
         model = init_model(SMALL)
         l = LAYOUT.total_len
         windows = (l - 1, l - 2, l - 3)
         prompt = prompt_pass(model, LAYOUT, SparsityPattern.dense(), 2, embeddings_for(LAYOUT),
                              windows, SMALL.num_layers)
         calls = []
-        for owner, name in ((purekv.engine, "score_low"), (purekv.stats, "spearman_rho"),
+        for owner, name in ((purekv.engine, "score_low"), (purekv.stats, "rank"),
                             (purekv.stats, "permutation_pvalue")):
             real = getattr(owner, name)
             monkeypatch.setattr(owner, name, lambda *a, real=real, name=name, **k:
@@ -814,7 +817,8 @@ class TestValidation:
                 validate_cross_layer([prompt], w, 1, n_perm=100, seed=0)
         assert calls == []
         validate_cross_layer([prompt], l - 3, 1, n_perm=100, seed=0)
-        assert {"score_low", "spearman_rho", "permutation_pvalue"} <= set(calls)
+        assert {"score_low", "rank", "permutation_pvalue"} <= set(calls)
+        assert calls.count("rank") == 2 * (SMALL.num_layers - 2) * SMALL.num_kv_heads
 
 
 class TestStreamingCompatibilityContract:
@@ -843,6 +847,43 @@ class TestStreamingCompatibilityContract:
 
         decode_step(model, session, np.zeros(SMALL.d_model))
         assert len(calls) == prefill_calls  # decode is streaming-only
+
+    def test_a_prompt_pass_builds_one_tile_plan_per_distinct_mask(self, monkeypatch):
+        """Not one per layer: the dense mask's plan serves layers below
+        st_layer_index and the pattern's every layer from it on, in the
+        streamed call and, as its mask, in the estimation-layer slab."""
+        built, streamed, slabs = [], [], []
+        real_plan, real_streaming = purekv.attention.TilePlan, purekv.attention.streaming_masked
+        real_masked = purekv.attention.masked
+
+        class PlanSpy(real_plan):
+            def __init__(self, mask, tile_size):
+                super().__init__(mask, tile_size)
+                built.append(self)
+
+        def streaming_spy(q, k, v, plan, tile_size):
+            streamed.append(plan)
+            return real_streaming(q, k, v, plan, tile_size)
+
+        def masked_spy(q, k, v, mask):
+            slabs.append(mask)
+            return real_masked(q, k, v, mask)
+
+        monkeypatch.setattr(purekv.attention, "TilePlan", PlanSpy)
+        monkeypatch.setattr(purekv.attention, "streaming_masked", streaming_spy)
+        monkeypatch.setattr(purekv.attention, "masked", masked_spy)
+        model = init_model(SMALL)
+        emb = embeddings_for(LAYOUT, seed=25)
+        layers = SMALL.num_layers
+        for pattern, st, plans in ((SparsityPattern.spatial_temporal(), 2, 2),
+                                   (SparsityPattern.spatial_temporal(), layers, 1),
+                                   (SparsityPattern.dense(), 2, 1)):
+            built.clear(), streamed.clear(), slabs.clear()
+            prompt_pass(model, LAYOUT, pattern, st, emb, (4,), layers, tile_size=3)
+            assert len(built) == plans and all(plan.tile_size == 3 for plan in built)
+            assert streamed == [built[0]] * min(st, layers) + [built[-1]] * (layers - st)
+            assert all(slab.base is plan.mask for slab, plan in zip(slabs, streamed))
+        np.testing.assert_array_equal(built[0].mask, build_mask(LAYOUT, pattern))
 
     def test_prefill_materializes_only_the_recent_window(self, monkeypatch):
         """Audit: every masked() call prefill makes has at most w query rows;

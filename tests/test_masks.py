@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from purekv.errors import ConfigurationError
 from purekv.masks import (
@@ -118,6 +120,20 @@ class TestMaskSemantics:
         mask = build_mask(layout, SparsityPattern.dense())
         n = layout.total_len
         np.testing.assert_array_equal(mask, np.tril(np.ones((n, n), dtype=bool)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 5), st.integers(0, 6), st.integers(1, 8), st.integers(0, 5),
+           st.sampled_from(ALL_PATTERNS + (SparsityPattern.local(5), SparsityPattern.atrous(3))))
+    def test_matches_the_pairwise_rule_on_any_layout(self, prefix, frames, patches, suffix,
+                                                     pattern):
+        """build_mask returns dense as the causal triangle and narrows only the
+        video block for the others; the rule, pair by pair, must agree."""
+        if prefix + frames * patches + suffix == 0:
+            prefix = 1
+        layout = TokenLayout(prefix, frames, patches, suffix)
+        mask = build_mask(layout, pattern)
+        assert mask.dtype == bool
+        np.testing.assert_array_equal(mask, oracle_mask(layout, pattern))
 
     def test_temporal_golden_grid(self):
         # T=3, P=2, no text: first-frame anchor plus same-patch previous frame.

@@ -235,7 +235,8 @@ class TestPermutationPvalue:
            seed=st.integers(0, 2**32), tied_words=st.booleans())
     def test_a_batch_equals_one_call_per_row(self, data, rows, n, n_perm, seed, tied_words):
         """Row p of a (P, n) call is bit-identical to a lone call on row p,
-        for partial last blocks and for words that need the stable sort."""
+        for partial last blocks and for words that need the stable sort;
+        with_rho adds each row's spearman_rho, bit for bit."""
         def row(label):
             values = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n), label=label)
             assume(len(set(values)) > 1)  # a constant ranking has no correlation
@@ -251,9 +252,14 @@ class TestPermutationPvalue:
         with mock.patch.object(purekv.stats, "random_u64", few_words if tied_words else real):
             batch = permutation_pvalue(x, y, n_perm, seed)
             lone = [permutation_pvalue(x[p], y[p], n_perm, seed) for p in range(rows)]
+            with_rho = permutation_pvalue(x, y, n_perm, seed, with_rho=True)
+            lone_with_rho = permutation_pvalue(x[0], y[0], n_perm, seed, with_rho=True)
         assert isinstance(batch, np.ndarray) and batch.shape == (rows,)
         assert all(isinstance(p, float) for p in lone)
         assert batch.tolist() == lone
+        rhos = [spearman_rho(x[p], y[p]) for p in range(rows)]
+        assert with_rho[0].tolist() == lone and with_rho[1].tolist() == rhos
+        assert lone_with_rho == (lone[0], rhos[0]) and isinstance(lone_with_rho[1], float)
 
     def test_batch_preconditions(self):
         x = np.array([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]])
@@ -262,3 +268,7 @@ class TestPermutationPvalue:
                 permutation_pvalue(bad_x, bad_y, n_perm=100, seed=0)
         with pytest.raises(ConfigurationError, match="n >= 3"):
             permutation_pvalue(x[:, :2], x[:, :2], n_perm=100, seed=0)
+        constant = np.array([x[0], [2.0, 2.0, 2.0]])
+        for with_rho in (False, True):
+            with pytest.raises(ValueError, match="undefined"):
+                permutation_pvalue(constant, x, n_perm=100, seed=0, with_rho=with_rho)
