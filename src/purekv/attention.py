@@ -10,16 +10,16 @@ scaled, shifted and exponentiated in place, holds every query head's softmax row
 
 All four broadcast over leading dimensions, so one call runs every query
 head of a layer: q of shape (Hkv, G, l_q, d_k) against k and v of shape
-(Hkv, 1, l_k, d), the masked kernels sharing one (l_q, l_k) mask. A
-TilePlan, built once per mask (or per call from a bool mask), holds for each
-tile of query rows the union of keys those rows may attend to (a slice when
-it is contiguous, as under causal and dense masks) and the allowed pairs
-from the first column some row may not see. The tile loop scores that one
-block, adds a 0/-inf bias only from that column, and normalizes each row
-exactly with its own max subtracted. Every row sees all of its keys in its
-tile's block, so one softmax per block is exact and its column sums are
-final, and at most one block of scores per head is held at a time (query
-chunking, Rabe & Staats, arXiv 2112.05682).
+(Hkv, 1, l_k, d), the masked kernels sharing one (l_q, l_k) mask. The
+tiled kernels take it as a TilePlan, built once per mask and tile size,
+which holds for each tile of query rows the union of keys those rows may
+attend to (a slice when it is contiguous, as under causal and dense masks)
+and the allowed pairs from the first column some row may not see. The tile
+loop scores that one block, adds a 0/-inf bias only from that column, and
+normalizes each row exactly with its own max subtracted. Every row sees all
+of its keys in its tile's block, so one softmax per block is exact and its
+column sums are final, and at most one block of scores per head is held at
+a time (query chunking, Rabe & Staats, arXiv 2112.05682).
 """
 
 from __future__ import annotations
@@ -119,39 +119,34 @@ class TilePlan:
             self.pairs_scored += allowed.size
         self.tiles = len(self.schedule)
 
-    def __array__(self, dtype=None, copy=None):
+    def __array__(self, dtype=None, copy=None):  # the traced benchmark counts the plan's pairs
         return np.array(self.mask, dtype=dtype, copy=copy)
 
 
-def streaming_masked(q, k, v, mask, tile_size: int = DEFAULT_TILE) -> np.ndarray:
+def streaming_masked(q, k, v, plan: TilePlan) -> np.ndarray:
     """Attention over tiles of query rows; the weight matrix is never built.
 
-    Queries are consumed in tiles of tile_size rows (experiment.tile_size
-    in a config counts query rows too). Each tile scores one (..., T, U)
-    block against the U keys that any of its rows may attend to, so every
-    row sees all of its keys at once and is normalized exactly.
-    Leading dimensions of q, k and v broadcast; mask is an (l_q, l_k) bool
-    mask, or a TilePlan built for tile_size, shared by all of them.
+    Queries are consumed in the plan's tiles of tile_size rows
+    (experiment.tile_size in a config counts query rows too). Each tile
+    scores one (..., T, U) block against the U keys that any of its rows may
+    attend to, so every row sees all of its keys at once and is normalized
+    exactly. Leading dimensions of q, k and v broadcast; the plan's
+    (l_q, l_k) mask is shared by all of them.
     """
-    return _query_tiles(q, k, v, mask, tile_size, mass=False)[0]
+    return _query_tiles(q, k, v, plan, mass=False)[0]
 
 
-def column_mass(q, k, v, mask, tile_size: int = DEFAULT_TILE) -> tuple[np.ndarray, np.ndarray]:
+def column_mass(q, k, v, plan: TilePlan) -> tuple[np.ndarray, np.ndarray]:
     """streaming_masked's output, bit for bit, and each key's column mass.
 
     mass is (..., l_k): the sum over query rows of each key's normalized weight.
     """
-    return _query_tiles(q, k, v, mask, tile_size, mass=True)
+    return _query_tiles(q, k, v, plan, mass=True)
 
 
-def _query_tiles(q, k, v, mask, tile_size: int, mass: bool):
+def _query_tiles(q, k, v, plan: TilePlan, mass: bool):
     """The tile loop behind streaming_masked and column_mass; mass is None unless asked."""
-    q, k, v, lead, _ = _check_inputs(q, k, v, mask)
-    plan = mask if isinstance(mask, TilePlan) else TilePlan(mask, tile_size)
-    if plan.tile_size != tile_size:
-        raise ConfigurationError(f"tile_size {tile_size} does not match the plan's "
-                                 f"{plan.tile_size}")
-
+    q, k, v, lead, _ = _check_inputs(q, k, v, plan.mask)
     scale = 1.0 / np.sqrt(q.shape[-1])
     out = np.empty(lead + (q.shape[-2], v.shape[-1]))
     colsums = np.zeros(lead + (k.shape[-2],)) if mass else None

@@ -13,10 +13,9 @@ every attention call takes that layout, and _block turns the
 (Hkv, G, n, d_v) head outputs back into (n, Hq * d_v). No other code
 reshapes or transposes head axes.
 
-_forward is the only loop over layers for a prompt; it builds one
-attention.TilePlan per distinct mask, not per layer, and attend(layer, q, k,
-v, plan) returns each layer's head outputs. Its one caller, prompt_pass,
-makes one streaming_masked call per layer for all query heads on the plan
+prompt_pass and decode_step each run one loop over the layers. prompt_pass
+builds one attention.TilePlan per distinct mask, not per layer, and makes
+one streaming_masked call per layer for all query heads on the layer's plan
 (column_mass through _instrumented_stats for h2o_like column sums) and, at
 the lowest layers, one masked call on the last w_max query rows of the
 plan's mask, whose (w_max, l) slab gives every window's accumulators. Every
@@ -41,14 +40,14 @@ row, retains all l positions through the same evict.
 session.phase is "new", then "prefilled", then "compressed"; every session
 entry point checks it first and raises before changing anything.
 
-Decode runs the same transformer block as the prompt pass. At each layer
-it appends the new token's key and value row to every KV head, past the
-committed rows of the layer's preallocated (Hkv, capacity, d) buffers, and
-makes one attention.decode call: the (Hkv, group_size, d_k) query against
-the (Hkv, n, d) stacked views, no mask and no key tiles. A step is all or
-nothing: if any layer raises, every layer is truncated back to the one row
-count its heads held before the step, and step_count is unchanged. Decode
-never calls masked, and its one softmax row per query head lives only
+Decode projects and finishes each layer as the prompt pass does. At each
+layer it appends the new token's key and value row to every KV head, past
+the committed rows of the layer's preallocated (Hkv, capacity, d) buffers,
+and makes one attention.decode call: the (Hkv, group_size, d_k) query
+against the (Hkv, n, d) stacked views, no mask and no key tiles. A step is
+all or nothing: if any layer raises, every layer is truncated back to the
+one row count its heads held before the step, and step_count is unchanged.
+Decode never calls masked, and its one softmax row per query head lives only
 inside the kernel, so decode stays streaming-compatible: no caller can read
 its attention weights. Decode reads only the cache's rows, with no mask and
 no positional encoding, so two sessions whose caches hold the same rows
@@ -228,36 +227,10 @@ def _project_heads(h: np.ndarray, weights: LayerWeights, config: ModelConfig):
     return q, k, v
 
 
-def _block(x: np.ndarray, weights: LayerWeights, config: ModelConfig, attend) -> np.ndarray:
-    """One pre-norm layer; attend(q, k, v) returns the (Hkv, G, n, d_v) head outputs."""
-    q, k, v = _project_heads(_rmsnorm(x), weights, config)
-    heads = attend(q, k, v).transpose(2, 0, 1, 3).reshape(x.shape[0], -1)
-    x = x + heads @ weights.wo
+def _block(x: np.ndarray, weights: LayerWeights, heads: np.ndarray) -> np.ndarray:
+    """Finish one pre-norm layer from its (Hkv, G, n, d_v) head outputs."""
+    x = x + heads.transpose(2, 0, 1, 3).reshape(x.shape[0], -1) @ weights.wo
     return x + np.maximum(_rmsnorm(x) @ weights.w_up, 0.0) @ weights.w_down
-
-
-def _forward(model: Model, layout: TokenLayout, pattern: SparsityPattern, st: int,
-             tile_size: int, x: np.ndarray, attend) -> np.ndarray:
-    """The one loop over layers for a prompt; returns the final hidden states.
-
-    attend(layer, q, k, v, plan) gets each layer's projected heads and the
-    TilePlan of its mask, built once per distinct mask, and returns that
-    layer's head outputs.
-    """
-    c = model.config
-
-    def plan_for(kind: SparsityPattern):
-        mask = build_mask(layout, kind)
-        mask.flags.writeable = False  # so the plan keeps this fresh mask instead of a copy
-        return attention.TilePlan(mask, tile_size)
-
-    dense = sparse = plan_for(SparsityPattern.dense())
-    if pattern.kind != "dense" and st < c.num_layers:
-        sparse = plan_for(pattern)
-    for layer in range(c.num_layers):
-        plan = dense if layer < st else sparse
-        x = _block(x, model.layers[layer], c, lambda q, k, v: attend(layer, q, k, v, plan))
-    return x
 
 
 @dataclass(frozen=True)
@@ -293,24 +266,29 @@ def prompt_pass(model: Model, layout: TokenLayout, pattern: SparsityPattern, st_
     l = x.shape[0]
     accumulators = {w: [] if w < l else None for w in windows}
     first = l - max((w for w in windows if w < l), default=0)
-    keys, values, colsums = [], [], []
-
-    def attend(layer, q, k, v, plan):
+    keys, values, colsums, plans = [], [], [], {}
+    for layer, weights in enumerate(model.layers):
+        kind = pattern if layer >= st_layer_index else SparsityPattern.dense()
+        if kind not in plans:  # one TilePlan per distinct mask, not per layer
+            mask = build_mask(layout, kind)
+            mask.flags.writeable = False  # so the plan keeps this fresh mask instead of a copy
+            plans[kind] = attention.TilePlan(mask, tile_size)
+        plan = plans[kind]
+        q, k, v = _project_heads(_rmsnorm(x), weights, model.config)
         keys.append(k)
         values.append(v)
         if layer < layers and first < l:
-            _, weights = attention.masked(q[:, :, first:], k[:, None], v[:, None],
-                                          plan.mask[first:])
+            _, slab = attention.masked(q[:, :, first:], k[:, None], v[:, None], plan.mask[first:])
             for w, table in accumulators.items():
                 if table is not None:
-                    table.append(accumulate_recent_attention(weights, w).mean(axis=1))
-        if not column_sums:
-            return attention.streaming_masked(q, k[:, None], v[:, None], plan, tile_size)
-        out, mass = _instrumented_stats(q, k, v, plan, tile_size)
-        colsums.append(mass)
-        return out
-
-    x = _forward(model, layout, pattern, st_layer_index, tile_size, x, attend)
+                    table.append(accumulate_recent_attention(slab, w).mean(axis=1))
+            del slab  # so two layers' slabs are never held at once
+        if column_sums:
+            heads, mass = _instrumented_stats(q, k, v, plan)
+            colsums.append(mass)
+        else:
+            heads = attention.streaming_masked(q, k[:, None], v[:, None], plan)
+        x = _block(x, weights, heads)
     logits = _rmsnorm(x) @ model.w_vocab
     for array in [logits, *keys, *values, *colsums,
                   *(a for table in accumulators.values() for a in table or ())]:
@@ -319,10 +297,10 @@ def prompt_pass(model: Model, layout: TokenLayout, pattern: SparsityPattern, st_
                       keys, values, accumulators, colsums if column_sums else None)
 
 
-def _instrumented_stats(q, k, v, plan, tile_size: int):
+def _instrumented_stats(q, k, v, plan):
     """One layer's h2o_like step: the streamed output and the (Hkv, l) column sums
     of one column_mass call, averaged over each KV head's query heads."""
-    out, mass = attention.column_mass(q, k[:, None], v[:, None], plan, tile_size)
+    out, mass = attention.column_mass(q, k[:, None], v[:, None], plan)
     return out, mass.mean(axis=1)
 
 
@@ -379,24 +357,22 @@ def decode_step(model: Model, session: SessionState, token_embedding) -> np.ndar
     if session.phase != "compressed":
         raise ConfigurationError("decode requires apply_compression (or the full policy) first")
     c = model.config
-    x = np.asarray(token_embedding, dtype=np.float64).reshape(1, -1)
-    if x.shape[1] != c.d_model:
-        raise ConfigurationError(f"token embedding must have length {c.d_model}")
+    x = np.asarray(token_embedding, dtype=np.float64)
+    if x.shape != (c.d_model,):
+        raise ConfigurationError(f"token embedding must have length {c.d_model}, "
+                                 f"got shape {x.shape}")
+    x = x.reshape(1, -1)
     _require_finite(x, "token embedding")
 
     position = session.prefill_len + session.step_count
     committed = [kv.rows(0) for kv in session.cache]
     try:
-        for layer in range(c.num_layers):
-            kv = session.cache[layer]
-
-            def attend(q, k, v):
-                for g in range(c.num_kv_heads):
-                    kv.append(g, k[g, 0], v[g, 0], position)
-                keys, values, _ = kv.stacked()
-                return attention.decode(q[:, :, 0], keys, values)[:, :, None]
-
-            x = _block(x, model.layers[layer], c, attend)
+        for kv, weights in zip(session.cache, model.layers):
+            q, k, v = _project_heads(_rmsnorm(x), weights, c)
+            for g in range(c.num_kv_heads):
+                kv.append(g, k[g, 0], v[g, 0], position)
+            keys, values, _ = kv.stacked()
+            x = _block(x, weights, attention.decode(q[:, :, 0], keys, values)[:, :, None])
     except BaseException:
         # All or nothing: the rows this step appended are dropped again.
         for kv, n in zip(session.cache, committed):

@@ -280,6 +280,9 @@ def load_config(source) -> ExperimentConfig:
     )
     # Fail fast on incoherent layer indices instead of inside the first cell.
     engine.check_layer_depth(config.policy("full", 1.0), model.num_layers, "config.policy.")
+    if validate and clie == model.num_layers - 1:
+        raise ConfigurationError(f"config.experiment.validate: no layers above "
+                                 f"config.policy.clie_layer_index ({clie}) to validate")
     return config
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from _oracles import brute_force_select, causal_masks, reference_forward
-from purekv.attention import masked, streaming_masked
+from purekv.attention import TilePlan, masked, streaming_masked
 from purekv.cache import (
     PolicyConfig,
     accumulate_recent_attention,
@@ -95,7 +95,7 @@ def test_criterion_01_streaming_agrees_with_materialized_oracle():
                 mask = build_mask(layout, pattern)
                 expected, _ = masked(q, k, v, mask)
                 tile = int(rng.choice([1, 4, 16, 64]))
-                got = streaming_masked(q, k, v, mask, tile_size=tile)
+                got = streaming_masked(q, k, v, TilePlan(mask, tile))
                 assert np.max(np.abs(got - expected)) <= 1e-5
                 instances += 1
         assert instances == 100

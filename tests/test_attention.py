@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from purekv.attention import masked, streaming_masked
+from purekv.attention import TilePlan, masked, streaming_masked
 from purekv.errors import ConfigurationError
 from purekv.masks import SparsityPattern, TokenLayout, build_mask
 
@@ -111,32 +111,32 @@ class TestStreaming:
         n = layout.total_len
         q, k, v = seeded_inputs(rng, n, n, d_k=8, d_v=5)
         expected, _ = masked(q, k, v, mask)
-        got = streaming_masked(q, k, v, mask, tile_size=4)
+        got = streaming_masked(q, k, v, TilePlan(mask, 4))
         np.testing.assert_allclose(got, expected, atol=1e-5)
 
     def test_tile_size_invariance(self):
         rng = np.random.default_rng(32)
         q, k, v = seeded_inputs(rng, 9, 9)
         mask = np.tril(np.ones((9, 9), dtype=bool))
-        one = streaming_masked(q, k, v, mask, tile_size=1)
-        whole = streaming_masked(q, k, v, mask, tile_size=9)
+        one = streaming_masked(q, k, v, TilePlan(mask, 1))
+        whole = streaming_masked(q, k, v, TilePlan(mask, 9))
         np.testing.assert_allclose(one, whole, atol=1e-6)
         for tile in (2, 3, 5, 16):
             np.testing.assert_allclose(
-                streaming_masked(q, k, v, mask, tile_size=tile), whole, atol=1e-6
+                streaming_masked(q, k, v, TilePlan(mask, tile)), whole, atol=1e-6
             )
 
     def test_single_token_exact(self):
         q = np.array([[0.3, -0.7]])
         k = np.array([[1.0, 1.0]])
         v = np.array([[4.0, -2.0]])
-        out = streaming_masked(q, k, v, np.ones((1, 1), dtype=bool))
+        out = streaming_masked(q, k, v, TilePlan(np.ones((1, 1), dtype=bool)))
         np.testing.assert_array_equal(out, v)
 
     def test_returns_output_only(self):
         rng = np.random.default_rng(33)
         q, k, v = seeded_inputs(rng, 3, 3)
-        result = streaming_masked(q, k, v, np.tril(np.ones((3, 3), dtype=bool)))
+        result = streaming_masked(q, k, v, TilePlan(np.tril(np.ones((3, 3), dtype=bool))))
         assert isinstance(result, np.ndarray)
         assert result.shape == (3, v.shape[1])
 
@@ -145,7 +145,7 @@ class TestStreaming:
         q, k, v = seeded_inputs(rng, 2, 2)
         mask = np.array([[False, False], [True, True]])
         with pytest.raises(ValueError, match="row 0"):
-            streaming_masked(q, k, v, mask)
+            streaming_masked(q, k, v, TilePlan(mask))
 
 
 class TestAttentionProperties:
@@ -153,11 +153,11 @@ class TestAttentionProperties:
         rng = np.random.default_rng(41)
         q, k, v = seeded_inputs(rng, 6, 6)
         mask = np.tril(np.ones((6, 6), dtype=bool))
-        base = streaming_masked(q, k, v, mask)
+        base = streaming_masked(q, k, v, TilePlan(mask))
         k2, v2 = k.copy(), v.copy()
         k2[5] += 100.0
         v2[5] -= 50.0
-        mutated = streaming_masked(q, k2, v2, mask)
+        mutated = streaming_masked(q, k2, v2, TilePlan(mask))
         np.testing.assert_array_equal(base[:5], mutated[:5])
         assert not np.allclose(base[5], mutated[5])
 
@@ -167,7 +167,7 @@ class TestAttentionProperties:
         rng = np.random.default_rng(42)
         n = layout.total_len
         q, k, v = seeded_inputs(rng, n, n)
-        out = streaming_masked(q, k, v, mask)
+        out = streaming_masked(q, k, v, TilePlan(mask))
         for i in range(n):
             allowed = v[mask[i]]
             assert (out[i] >= allowed.min(axis=0) - 1e-9).all()

@@ -74,8 +74,9 @@ def assert_column_mass(q, k, v, mask, tile):
     must match each query head's masked weights summed over rows, both per
     head and averaged over the G query heads that share a KV head.
     """
-    out, mass = column_mass(q, k, v, mask, tile_size=tile)
-    np.testing.assert_array_equal(out, streaming_masked(q, k, v, mask, tile_size=tile))
+    plan = TilePlan(mask, tile)
+    out, mass = column_mass(q, k, v, plan)
+    np.testing.assert_array_equal(out, streaming_masked(q, k, v, plan))
     expected = np.empty(q.shape[:2] + (k.shape[-2],))
     for g, j in np.ndindex(q.shape[:2]):
         expected[g, j] = masked(q[g, j], k[g, 0], v[g, 0], mask)[1].sum(axis=0)
@@ -89,7 +90,7 @@ class TestBatchedStreaming:
     @given(batched_cases())
     def test_matches_per_head_routes(self, case):
         q, k, v, mask, tile = case["q"], case["k"], case["v"], case["mask"], case["tile"]
-        got = streaming_masked(q, k, v, mask, tile_size=tile)
+        got = streaming_masked(q, k, v, TilePlan(mask, tile))
         assert got.shape == (case["hkv"], case["group"], case["l_q"], case["d_v"])
         batched_out, batched_weights = masked(q, k, v, mask)
         assert batched_weights.shape == (case["hkv"], case["group"], case["l_q"], case["l_k"])
@@ -98,7 +99,7 @@ class TestBatchedStreaming:
             for j in range(case["group"]):
                 expected, weights = masked(q[g, j], k[g, 0], v[g, 0], mask)
                 assert np.max(np.abs(got[g, j] - expected)) <= 1e-12
-                per_head = streaming_masked(q[g, j], k[g, 0], v[g, 0], mask, tile_size=tile)
+                per_head = streaming_masked(q[g, j], k[g, 0], v[g, 0], TilePlan(mask, tile))
                 assert np.max(np.abs(got[g, j] - per_head)) <= 1e-12
                 assert np.max(np.abs(batched_out[g, j] - expected)) <= 1e-12
                 assert np.max(np.abs(batched_weights[g, j] - weights)) <= 1e-12
@@ -109,7 +110,7 @@ class TestBatchedStreaming:
         q, k, v, mask = case["q"], case["k"], case["v"], case["mask"]
         expected, _ = masked(q, k, v, mask)
         for tile in (1, case["l_q"] + extra):
-            got = streaming_masked(q, k, v, mask, tile_size=tile)
+            got = streaming_masked(q, k, v, TilePlan(mask, tile))
             assert np.max(np.abs(got - expected)) <= 1e-12
 
     def test_mask_kinds_reach_partial_blocks_and_gathers(self):
@@ -133,13 +134,13 @@ class TestBatchedStreaming:
         rng = np.random.default_rng(7)
         q = rng.standard_normal((2, 2, 3, 4))
         k, v = rng.standard_normal((2, 1, 8, 4)), rng.standard_normal((2, 1, 8, 3))
-        got = streaming_masked(q, k, v, mask, tile_size=4)
+        got = streaming_masked(q, k, v, TilePlan(mask, 4))
         for g in range(2):
             for j in range(2):
                 expected, _ = masked(q[g, j], k[g, 0], v[g, 0], mask)
                 np.testing.assert_allclose(got[g, j], expected, atol=1e-12)
         assert_column_mass(q, k, v, mask, 4)
-        _, mass = column_mass(q, k, v, mask, tile_size=4)
+        _, mass = column_mass(q, k, v, TilePlan(mask, 4))
         np.testing.assert_array_equal(mass[..., [3, 4, 7]], 0.0)  # keys no row may see
         np.testing.assert_allclose(mass.sum(axis=-1), 3.0, atol=1e-12)
 
@@ -148,16 +149,16 @@ class TestBatchedStreaming:
         q = rng.standard_normal((3, 4, 5, 2))
         k, v = rng.standard_normal((6, 2)), rng.standard_normal((6, 3))
         mask = np.tril(np.ones((5, 6), dtype=bool), k=1)
-        got = streaming_masked(q, k, v, mask, tile_size=2)
+        got = streaming_masked(q, k, v, TilePlan(mask, 2))
         for index in np.ndindex(3, 4):
             np.testing.assert_array_equal(
-                got[index], streaming_masked(q[index], k, v, mask, tile_size=2)
+                got[index], streaming_masked(q[index], k, v, TilePlan(mask, 2))
             )
 
     def test_no_query_rows_give_an_empty_output(self):
         for l_k in (0, 5):
             args = (np.ones((2, 3, 0, 4)), np.ones((2, 1, l_k, 4)),
-                    np.ones((2, 1, l_k, 3)), np.ones((0, l_k), dtype=bool))
+                    np.ones((2, 1, l_k, 3)), TilePlan(np.ones((0, l_k), dtype=bool)))
             assert streaming_masked(*args).shape == (2, 3, 0, 3)
             out, mass = column_mass(*args)
             assert out.shape == (2, 3, 0, 3)
@@ -169,30 +170,34 @@ class TestBatchedStreaming:
         mask = np.array([[True, False], [False, False]])
         for route in (streaming_masked, column_mass):
             with pytest.raises(ValueError, match="row 1"):
-                route(q, k, v, mask)
+                route(q, k, v, TilePlan(mask))
         mask = np.tril(np.ones((5, 5), dtype=bool))
         mask[3] = False
         for tile in (1, 2, 16):
             for route in (streaming_masked, column_mass):
                 with pytest.raises(ValueError, match="row 3 is fully masked"):
                     route(np.ones((2, 1, 5, 3)), np.ones((2, 1, 5, 3)),
-                          np.ones((2, 1, 5, 3)), mask, tile_size=tile)
+                          np.ones((2, 1, 5, 3)), TilePlan(mask, tile))
 
     def test_leading_dims_must_broadcast(self):
         mask = np.ones((3, 3), dtype=bool)
         for q_lead, k_lead, v_lead in (((2,), (3,), (3,)), ((3,), (3,), (2,))):
             q, k, v = (np.ones(lead + (3, 4)) for lead in (q_lead, k_lead, v_lead))
-            for route, extra in ((streaming_masked, (mask,)), (column_mass, (mask,)),
-                                 (masked, (mask,)), (decode, ())):
+            for route, extra in ((streaming_masked, (TilePlan(mask),)), (masked, (mask,)),
+                                 (column_mass, (TilePlan(mask),)), (decode, ())):
                 with pytest.raises(ConfigurationError, match="broadcast"):
                     route(q, k, v, *extra)
 
     def test_one_mask_is_shared_by_every_head(self):
         q = k = v = np.ones((2, 3, 4))
-        for route in (streaming_masked, column_mass, masked):
-            for shape in ((2, 3, 3), (3, 2)):
-                with pytest.raises(ConfigurationError, match="mask shape"):
-                    route(q, k, v, np.ones(shape, dtype=bool))
+        for shape in ((2, 3, 3), (3, 2)):
+            with pytest.raises(ConfigurationError, match="mask shape"):
+                masked(q, k, v, np.ones(shape, dtype=bool))
+        with pytest.raises(ConfigurationError, match=r"mask must be \(l_q, l_k\)"):
+            TilePlan(np.ones((2, 3, 3), dtype=bool))
+        for route in (streaming_masked, column_mass):
+            with pytest.raises(ConfigurationError, match="mask shape"):
+                route(q, k, v, TilePlan(np.ones((3, 2), dtype=bool)))
 
 
 class TestColumnMass:
@@ -217,7 +222,7 @@ class TestColumnMass:
 class TestTilePlan:
     @settings(max_examples=150, deadline=None)
     @given(batched_cases(), st.integers(0, 8), st.booleans())
-    def test_plan_and_mask_routes_equal_the_per_tile_oracle(self, case, extra, flat_keys):
+    def test_plan_route_equals_the_per_tile_oracle(self, case, extra, flat_keys):
         """Bit for bit, for one-row tiles up to one tile past every row, and
         for keys shared by every query head or broadcast from a flat (l_k, d)."""
         q, k, v, mask = case["q"], case["k"], case["v"], case["mask"]
@@ -226,11 +231,10 @@ class TestTilePlan:
         for tile in (1, case["tile"], case["l_q"] + extra):
             plan = TilePlan(mask, tile)
             out, mass = query_tiles(q, k, v, mask, tile, mass=True)
-            for routed in (mask, plan):
-                np.testing.assert_array_equal(streaming_masked(q, k, v, routed, tile), out)
-                got_out, got_mass = column_mass(q, k, v, routed, tile)
-                np.testing.assert_array_equal(got_out, out)
-                np.testing.assert_array_equal(got_mass, mass)
+            np.testing.assert_array_equal(streaming_masked(q, k, v, plan), out)
+            got_out, got_mass = column_mass(q, k, v, plan)
+            np.testing.assert_array_equal(got_out, out)
+            np.testing.assert_array_equal(got_mass, mass)
 
     def test_counts_one_heads_work_at_the_long_layout(self):
         layout = TokenLayout(8, 16, 128, 4)
@@ -262,21 +266,20 @@ class TestTilePlan:
     def test_validation_keeps_its_order_and_messages(self):
         q = k = v = np.ones((2, 1, 5, 3))
         mask = np.tril(np.ones((5, 5), dtype=bool))
-        with pytest.raises(ConfigurationError, match="mask shape"):
-            streaming_masked(q, k, v, TilePlan(mask[:4], 2), tile_size=2)
+        for route in (streaming_masked, column_mass):  # a plan's mask must fit the inputs
+            with pytest.raises(ConfigurationError, match="mask shape"):
+                route(q, k, v, TilePlan(mask[:4], 2))
         for bad in (0, -1):
             with pytest.raises(ConfigurationError, match="tile_size must be >= 1"):
                 TilePlan(mask, bad)
-        with pytest.raises(ConfigurationError, match="does not match the plan's 2"):
-            column_mass(q, k, v, TilePlan(mask, 2), tile_size=3)
         mask[3] = False
         with pytest.raises(ValueError, match="row 3 is fully masked"):
             TilePlan(mask, 2)
-        # Each check comes before the next: shape, then tile size, then an empty row.
-        with pytest.raises(ConfigurationError, match="mask shape"):
-            streaming_masked(q, k, v, mask[:4], tile_size=0)
+        # A plan checks each before the next: rank, then tile size, then an empty row.
+        with pytest.raises(ConfigurationError, match=r"mask must be \(l_q, l_k\)"):
+            TilePlan(mask[None], 0)
         with pytest.raises(ConfigurationError, match="tile_size must be >= 1"):
-            streaming_masked(q, k, v, mask, tile_size=0)
+            TilePlan(mask, 0)
 
 
 class TestTileKeys:

@@ -134,10 +134,10 @@ class TestValidateCommand:
         def spying(name, real):
             return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
 
-        for name in ("_forward", "init_session", "prefill"):
+        for name in ("prompt_pass", "init_session", "prefill"):
             monkeypatch.setattr(purekv.engine, name, spying(name, getattr(purekv.engine, name)))
         assert main(["validate", "--config", str(small_config(tmp_path, n_perm=199))]) == 0
-        assert calls == ["_forward"]
+        assert calls == ["prompt_pass"]
 
 
 class TestInstalledEntryPoint:

@@ -332,6 +332,23 @@ class TestDecode:
         with pytest.raises(ConfigurationError, match="apply_compression"):
             decode_step(model, session, np.zeros(SMALL.d_model))
 
+    def test_decode_rejects_every_shape_but_one_row_before_touching_the_session(self):
+        # A (d_model / 8, 8) grid or a (1, 1, d_model) stack holds d_model
+        # numbers but is not one token's embedding.
+        model = init_model(SMALL)
+        session = init_session(model, LAYOUT, make_policy(budget=0.5), SparsityPattern.spatial())
+        prefill(model, session, embeddings_for(LAYOUT, seed=13))
+        apply_compression(model, session)
+        before = session_snapshot(session)
+        d = SMALL.d_model
+        for shape in ((d // 8, 8), (1, 1, d), (1, d), (d, 1), (d + 1,), ()):
+            with pytest.raises(ConfigurationError,
+                               match=rf"token embedding must have length {d}, got shape"):
+                decode_step(model, session, np.ones(shape))
+            np.testing.assert_equal(session_snapshot(session), before)
+        decode_step(model, session, np.ones(d))
+        assert session.step_count == 1
+
 
 class TestGroupedQueryHeads:
     def test_prefill_and_full_decode_match_reference(self):
@@ -566,22 +583,18 @@ class TestFiniteOrRaise:
 
 
 def fail_at_layer_3(monkeypatch):
-    """Let engine._block run layers 0..2, then attend at layer 3 and raise."""
-    real_block = purekv.engine._block
-    layers_run = []
+    """Let layers 0..2 run, then raise at layer 3's streaming_masked call in a
+    prompt pass, or its decode call, which comes after its rows are appended."""
+    for name in ("streaming_masked", "decode"):
+        real, layers_run = getattr(purekv.attention, name), []
 
-    def block_failing_at_layer_3(x, weights, config, attend):
-        if len(layers_run) < 3:
+        def failing_at_layer_3(*args, real=real, layers_run=layers_run):
+            if len(layers_run) == 3:
+                raise RuntimeError("injected failure at layer 3")
             layers_run.append(True)
-            return real_block(x, weights, config, attend)
+            return real(*args)
 
-        def attend_then_fail(q, k, v):
-            attend(q, k, v)
-            raise RuntimeError("injected failure at layer 3")
-
-        return real_block(x, weights, config, attend_then_fail)
-
-    monkeypatch.setattr(purekv.engine, "_block", block_failing_at_layer_3)
+        monkeypatch.setattr(purekv.attention, name, failing_at_layer_3)
 
 
 class TestAllOrNothingDecode:
@@ -617,8 +630,9 @@ class TestAllOrNothingDecode:
 
 class TestAllOrNothingPrefill:
     def test_failure_at_a_middle_layer_leaves_the_session_fresh(self, monkeypatch):
-        # Layers 0..2 finish and layer 3 attends before prefill raises; the
-        # session must still equal a fresh one, and a retry must succeed.
+        # Layers 0..2 finish and layer 3 projects and records its K/V before
+        # prefill raises; the session must still equal a fresh one, and a
+        # retry must succeed.
         model = init_model(SMALL)
         emb = embeddings_for(LAYOUT, seed=36)
 
@@ -861,9 +875,9 @@ class TestStreamingCompatibilityContract:
                 super().__init__(mask, tile_size)
                 built.append(self)
 
-        def streaming_spy(q, k, v, plan, tile_size):
+        def streaming_spy(q, k, v, plan):
             streamed.append(plan)
-            return real_streaming(q, k, v, plan, tile_size)
+            return real_streaming(q, k, v, plan)
 
         def masked_spy(q, k, v, mask):
             slabs.append(mask)
@@ -897,9 +911,9 @@ class TestStreamingCompatibilityContract:
             rows.append(q.shape[-2])
             return real_masked(q, k, v, mask)
 
-        def mass_spy(q, k, v, mask, tile_size):
+        def mass_spy(q, k, v, plan):
             mass_calls.append(q.shape)
-            return real_mass(q, k, v, mask, tile_size)
+            return real_mass(q, k, v, plan)
 
         monkeypatch.setattr(purekv.attention, "masked", spy)
         monkeypatch.setattr(purekv.attention, "column_mass", mass_spy)
@@ -942,7 +956,7 @@ class TestStreamingCompatibilityContract:
 
         for name in ("masked", "streaming_masked", "column_mass", "decode"):
             monkeypatch.setattr(purekv.attention, name, forbidden)
-        monkeypatch.setattr(purekv.engine, "_forward", forbidden)
+        monkeypatch.setattr(purekv.engine, "prompt_pass", forbidden)
         for w in windows:
             validate_cross_layer([prompt], w, 1, n_perm=199, seed=0)
 
@@ -970,11 +984,12 @@ class TestStreamingCompatibilityContract:
     def test_streaming_interface_returns_no_matrix(self):
         import inspect
         sig = inspect.signature(purekv.attention.streaming_masked)
-        assert "tile_size" in sig.parameters
+        assert list(sig.parameters) == ["q", "k", "v", "plan"]  # the plan carries its tile size
         rng = np.random.default_rng(0)
+        plan = purekv.attention.TilePlan(np.tril(np.ones((2, 2), dtype=bool)))
         out = purekv.attention.streaming_masked(
             rng.standard_normal((2, 3)), rng.standard_normal((2, 3)),
-            rng.standard_normal((2, 2)), np.tril(np.ones((2, 2), dtype=bool))
+            rng.standard_normal((2, 2)), plan
         )
         assert isinstance(out, np.ndarray) and out.shape == (2, 2)
 
@@ -1167,9 +1182,9 @@ class TestPromptPass:
             apply_compression(model, session)
             decode_step(model, session, np.ones(SMALL.d_model))
         forwards = []
-        real_forward = purekv.engine._forward
-        monkeypatch.setattr(purekv.engine, "_forward",
-                            lambda *args: forwards.append(1) or real_forward(*args))
+        real_pass = purekv.engine.prompt_pass
+        monkeypatch.setattr(purekv.engine, "prompt_pass",
+                            lambda *args: forwards.append(1) or real_pass(*args))
         assert validate_cross_layer([shared], 4, 1, n_perm=199, seed=3)[0] == expected
         assert forwards == []
 

@@ -173,6 +173,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError, match=r"config\.experiment\.validate"):
             load_config(base_config(validate=value))
 
+    def test_validate_needs_a_layer_above_the_estimation_layer(self, monkeypatch):
+        # Rejected at load time, so run_experiment runs no prompt pass first.
+        cfg = base_config(validate=True)
+        cfg["policy"]["clie_layer_index"] = 3
+        cfg["policy"]["st_layer_index"] = 4
+        monkeypatch.setattr(purekv.engine, "prompt_pass", None)
+        with pytest.raises(ConfigurationError, match=r"config\.experiment\.validate: no layers "
+                           r"above config\.policy\.clie_layer_index \(3\)"):
+            run_experiment(cfg)
+        cfg["experiment"]["validate"] = False
+        assert load_config(cfg).clie_layer_index == 3
+
     def test_validate_defaults_to_false(self):
         cfg = base_config()
         del cfg["experiment"]["validate"]
@@ -288,16 +300,16 @@ class TestRunExperiment:
 
 
 def count_forwards(monkeypatch, *entries):
-    """Count engine._forward calls, in all and inside each named engine entry."""
+    """Count engine.prompt_pass calls, in all and inside each named engine entry."""
     counts = {"all": 0, **{name: 0 for name in entries}}
     inside = []
-    real_forward = purekv.engine._forward
+    real_pass = purekv.engine.prompt_pass
 
-    def forward(*args):
+    def forward(*args, **kwargs):
         counts["all"] += 1
         for name in inside:
             counts[name] += 1
-        return real_forward(*args)
+        return real_pass(*args, **kwargs)
 
     def spying(name, real):
         def entry(*args, **kwargs):
@@ -308,7 +320,7 @@ def count_forwards(monkeypatch, *entries):
                 inside.pop()
         return entry
 
-    monkeypatch.setattr(purekv.engine, "_forward", forward)
+    monkeypatch.setattr(purekv.engine, "prompt_pass", forward)
     for name in entries:
         monkeypatch.setattr(purekv.engine, name, spying(name, getattr(purekv.engine, name)))
     return counts
