@@ -14,12 +14,14 @@ head of a layer: q of shape (Hkv, G, l_q, d_k) against k and v of shape
 tiled kernels take it as a TilePlan, built once per mask and tile size,
 which holds for each tile of query rows the union of keys those rows may
 attend to (a slice when it is contiguous, as under causal and dense masks)
-and the allowed pairs from the first column some row may not see. The tile
-loop scores that one block, adds a 0/-inf bias only from that column, and
-normalizes each row exactly with its own max subtracted. Every row sees all
-of its keys in its tile's block, so one softmax per block is exact and its
-column sums are final, and at most one block of scores per head is held at
-a time (query chunking, Rabe & Staats, arXiv 2112.05682).
+and its own copy of the allowed pairs from the first column some row may
+not see, and not the mask itself, so no (l_q, l_k) array outlives the
+plan's building. The tile loop scores that one block, adds a 0/-inf bias
+only from that column, and normalizes each row exactly with its own max
+subtracted. Every row sees all of its keys in its tile's block, so one
+softmax per block is exact and its column sums are final, and at most one
+block of scores per head is held at a time (query chunking, Rabe & Staats,
+arXiv 2112.05682).
 """
 
 from __future__ import annotations
@@ -32,11 +34,11 @@ from .numerics import row_softmax
 DEFAULT_TILE = 16
 
 
-def _check_inputs(q, k, v, mask=None):
-    """q, k, v as float64, the shape their leading dimensions broadcast to, and mask.
+def _check_inputs(q, k, v, mask_shape=None):
+    """q, k, v as float64 and the shape their leading dimensions broadcast to.
 
     The last two dimensions are (rows, features): q's and k's features must
-    match, as must k's and v's rows. A mask, when given, must be (l_q, l_k).
+    match, as must k's and v's rows. A mask_shape, when given, must be (l_q, l_k).
     """
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
@@ -58,12 +60,10 @@ def _check_inputs(q, k, v, mask=None):
         except ValueError:
             raise ConfigurationError(f"leading dimensions {lead}, {k.shape[:-2]}, "
                                      f"{v.shape[:-2]} do not broadcast") from None
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (q.shape[-2], k.shape[-2]):
-            raise ConfigurationError(f"mask shape {mask.shape} does not match "
-                                     f"(l_q, l_k)=({q.shape[-2]}, {k.shape[-2]})")
-    return q, k, v, lead, mask
+    if mask_shape is not None and mask_shape != (q.shape[-2], k.shape[-2]):
+        raise ConfigurationError(f"mask shape {mask_shape} does not match "
+                                 f"(l_q, l_k)=({q.shape[-2]}, {k.shape[-2]})")
+    return q, k, v, lead
 
 
 def masked(q, k, v, mask) -> tuple[np.ndarray, np.ndarray]:
@@ -73,7 +73,8 @@ def masked(q, k, v, mask) -> tuple[np.ndarray, np.ndarray]:
     Leading dimensions of q, k and v broadcast; mask is (l_q, l_k) and is
     shared by all of them, and weights is (..., l_q, l_k).
     """
-    q, k, v, _, mask = _check_inputs(q, k, v, mask)
+    mask = np.asarray(mask, dtype=bool)
+    q, k, v, _ = _check_inputs(q, k, v, mask.shape)
     scale = 1.0 / np.sqrt(q.shape[-1])
     weights = row_softmax(q @ np.swapaxes(k, -1, -2) * scale, mask)
     return weights @ v, weights
@@ -82,19 +83,17 @@ def masked(q, k, v, mask) -> tuple[np.ndarray, np.ndarray]:
 class TilePlan:
     """One mask's query tiles for one tile size, analysed once for every call under it.
 
-    mask is the (l_q, l_k) bool mask, read-only: one given read-only is kept,
-    any other copied; np.asarray(plan) gives it. schedule has one (rows,
-    keys, first, block) per tile of query rows: keys is a slice when
-    contiguous, else a read-only index array; block holds the allowed pairs
+    shape is the mask's (l_q, l_k). schedule has one (rows, keys, first,
+    block) per tile of query rows: keys is a slice when contiguous, else a
+    read-only index array; block is a read-only copy of the allowed pairs
     from column first, the first some row may not see, or is None when every
     row sees every key. tiles, pairs_scored (the sum of rows times keys) and
-    pairs_allowed count one head's work.
+    pairs_allowed count one head's work. The plan keeps neither the mask nor
+    a view of it; np.asarray(plan) rebuilds the mask from the schedule.
     """
 
     def __init__(self, mask, tile_size: int = DEFAULT_TILE):
         mask = np.asarray(mask, dtype=bool)
-        if mask.flags.writeable:
-            mask = mask.copy()
         if mask.ndim != 2:
             raise ConfigurationError(f"mask must be (l_q, l_k), got shape {mask.shape}")
         if tile_size < 1:
@@ -102,8 +101,7 @@ class TilePlan:
         empty = ~mask.any(axis=1)
         if empty.any():
             raise ValueError(f"row {int(np.flatnonzero(empty)[0])} is fully masked")
-        mask.flags.writeable = False
-        self.mask, self.tile_size, self.schedule = mask, tile_size, []
+        self.shape, self.tile_size, self.schedule = mask.shape, tile_size, []
         self.pairs_scored, self.pairs_allowed = 0, int(np.count_nonzero(mask))
         for start in range(0, mask.shape[0], tile_size):
             rows = slice(start, start + tile_size)
@@ -112,15 +110,22 @@ class TilePlan:
             if keys[-1] - keys[0] + 1 == keys.size:  # contiguous, as under causal and dense masks
                 keys = slice(int(keys[0]), int(keys[-1]) + 1)
             allowed = mask[rows, keys]
-            allowed.flags.writeable = False  # a copy when keys is an index array
             first = int(np.argmin(allowed.all(axis=0)))
-            block = None if allowed[:, first].all() else allowed[:, first:]
+            block = None
+            if not allowed[:, first].all():
+                block = allowed[:, first:].copy()  # its own copy: a view would keep the mask alive
+                block.flags.writeable = False
             self.schedule.append((rows, keys, first, block))
             self.pairs_scored += allowed.size
         self.tiles = len(self.schedule)
 
     def __array__(self, dtype=None, copy=None):  # the traced benchmark counts the plan's pairs
-        return np.array(self.mask, dtype=dtype, copy=copy)
+        mask = np.zeros(self.shape, dtype=bool)
+        for rows, keys, first, block in self.schedule:
+            mask[rows, keys] = True
+            if block is not None:
+                mask[rows, np.arange(self.shape[1])[keys][first:]] = block
+        return np.asarray(mask, dtype=dtype)
 
 
 def streaming_masked(q, k, v, plan: TilePlan) -> np.ndarray:
@@ -131,7 +136,7 @@ def streaming_masked(q, k, v, plan: TilePlan) -> np.ndarray:
     scores one (..., T, U) block against the U keys that any of its rows may
     attend to, so every row sees all of its keys at once and is normalized
     exactly. Leading dimensions of q, k and v broadcast; the plan's
-    (l_q, l_k) mask is shared by all of them.
+    (l_q, l_k) shape and schedule are shared by all of them.
     """
     return _query_tiles(q, k, v, plan, mass=False)[0]
 
@@ -146,7 +151,7 @@ def column_mass(q, k, v, plan: TilePlan) -> tuple[np.ndarray, np.ndarray]:
 
 def _query_tiles(q, k, v, plan: TilePlan, mass: bool):
     """The tile loop behind streaming_masked and column_mass; mass is None unless asked."""
-    q, k, v, lead, _ = _check_inputs(q, k, v, plan.mask)
+    q, k, v, lead = _check_inputs(q, k, v, plan.shape)
     scale = 1.0 / np.sqrt(q.shape[-1])
     out = np.empty(lead + (q.shape[-2], v.shape[-1]))
     colsums = np.zeros(lead + (k.shape[-2],)) if mass else None
@@ -174,7 +179,7 @@ def decode(q, k, v) -> np.ndarray:
     broadcast as in streaming_masked. One (Hkv, G, n) score buffer is scaled, shifted
     by each row's max and exponentiated in place; the output is divided in place by its sums.
     """
-    q, k, v, _, _ = _check_inputs(q, k, v)
+    q, k, v, _ = _check_inputs(q, k, v)
     if k.shape[-2] == 0:
         raise ValueError("decode attention needs at least one key")
     scores = q @ np.swapaxes(k, -1, -2)

@@ -272,9 +272,9 @@ def evict(keys, values, retained) -> KvCacheLayer:
             f"head {g}: retained rows {want[g].tolist()} are not strictly increasing in [0, {l})"
         )
     # The gathers are fresh arrays, so the cache adopts them instead of copying.
-    rows = want[:, :, None]
-    keys = np.take_along_axis(np.asarray(keys, dtype=np.float64), rows, axis=1)
-    values = np.take_along_axis(np.asarray(values, dtype=np.float64), rows, axis=1)
+    heads = np.arange(len(want))[:, None]
+    keys = np.asarray(keys, dtype=np.float64)[heads, want]
+    values = np.asarray(values, dtype=np.float64)[heads, want]
     return KvCacheLayer._adopt(keys, values, want)
 
 

@@ -14,11 +14,13 @@ every attention call takes that layout, and _block turns the
 reshapes or transposes head axes.
 
 prompt_pass and decode_step each run one loop over the layers. prompt_pass
-builds one attention.TilePlan per distinct mask, not per layer, and makes
-one streaming_masked call per layer for all query heads on the layer's plan
+builds each distinct mask once, not per layer, makes its attention.TilePlan,
+keeps a copy of its last w_max rows and drops the mask, so no (l, l) array
+is held while a layer runs. It makes one
+streaming_masked call per layer for all query heads on the layer's plan
 (column_mass through _instrumented_stats for h2o_like column sums) and, at
-the lowest layers, one masked call on the last w_max query rows of the
-plan's mask, whose (w_max, l) slab gives every window's accumulators. Every
+the lowest layers, one masked call on the last w_max query rows against
+those mask rows, whose (w_max, l) slab gives every window's accumulators. Every
 array of the PromptPass it returns is read-only, so a grid runs one per
 pattern. prefill, all or nothing, adopts a pass that covers the session or
 runs one for it alone, and keeps it as session.prompt; it copies nothing.
@@ -271,14 +273,14 @@ def prompt_pass(model: Model, layout: TokenLayout, pattern: SparsityPattern, st_
         kind = pattern if layer >= st_layer_index else SparsityPattern.dense()
         if kind not in plans:  # one TilePlan per distinct mask, not per layer
             mask = build_mask(layout, kind)
-            mask.flags.writeable = False  # so the plan keeps this fresh mask instead of a copy
-            plans[kind] = attention.TilePlan(mask, tile_size)
-        plan = plans[kind]
+            plans[kind] = attention.TilePlan(mask, tile_size), mask[first:].copy()
+            del mask  # so no (l, l) array outlives the building of its plan
+        plan, recent = plans[kind]
         q, k, v = _project_heads(_rmsnorm(x), weights, model.config)
         keys.append(k)
         values.append(v)
         if layer < layers and first < l:
-            _, slab = attention.masked(q[:, :, first:], k[:, None], v[:, None], plan.mask[first:])
+            _, slab = attention.masked(q[:, :, first:], k[:, None], v[:, None], recent)
             for w, table in accumulators.items():
                 if table is not None:
                     table.append(accumulate_recent_attention(slab, w).mean(axis=1))
@@ -289,6 +291,7 @@ def prompt_pass(model: Model, layout: TokenLayout, pattern: SparsityPattern, st_
         else:
             heads = attention.streaming_masked(q, k[:, None], v[:, None], plan)
         x = _block(x, weights, heads)
+        del q, k, v, heads  # so the next layer projects without this one's arrays
     logits = _rmsnorm(x) @ model.w_vocab
     for array in [logits, *keys, *values, *colsums,
                   *(a for table in accumulators.values() for a in table or ())]:

@@ -96,13 +96,16 @@ def decode_embeddings(spec: WorkloadSpec, d_model: int, steps: int) -> np.ndarra
     return seeded_gaussian(steps, d_model, derive_seed(spec.seed, _DECODE_TAG))
 
 
-def salient_recall(retained, salient) -> float:
-    """Fraction of planted positions that survived eviction."""
+def salient_recall(retained, salient):
+    """Fraction of planted positions that survived eviction.
+
+    retained holds one head's distinct positions, (m,), giving one recall, or
+    an (n, m) table of them, giving each row's recall.
+    """
     salient = np.asarray(salient, dtype=np.int64)
     if salient.size == 0:
         raise ConfigurationError("salient_recall is undefined for an empty salient set")
-    retained = np.asarray(retained, dtype=np.int64)
-    return float(np.intersect1d(retained, salient).size / salient.size)
+    return np.isin(np.asarray(retained, dtype=np.int64), salient).sum(axis=-1) / salient.size
 
 
 @dataclass(frozen=True)
@@ -283,6 +286,14 @@ def load_config(source) -> ExperimentConfig:
     if validate and clie == model.num_layers - 1:
         raise ConfigurationError(f"config.experiment.validate: no layers above "
                                  f"config.policy.clie_layer_index ({clie}) to validate")
+    if validate:  # the permutation test needs 3 non-recent keys in every validated window
+        l = layout.total_len
+        w = max((budget_to_wh(budget, l, recent_window_w)[0]
+                 for *_, budget in _experiment_cells(config)), default=0)
+        if l - w < 3:
+            raise ConfigurationError(f"config.experiment.validate: recent window {w} leaves "
+                                     f"{l - w} non-recent keys at l = {l}; validation "
+                                     f"needs at least 3")
     return config
 
 
@@ -357,8 +368,8 @@ def run_experiment(source) -> dict:
 
         recall = None
         if salient.size:
-            recall = float(np.mean([salient_recall(kv.positions[g], salient)
-                                    for kv in session.cache for g in range(kv.num_heads)]))
+            table = np.concatenate([kv.stacked()[2] for kv in session.cache])
+            recall = float(np.mean(salient_recall(table, salient)))
 
         decode_macs = estimate_macs(config.layout, pattern, config.model, "decode",
                                     retained_count=retained_count)

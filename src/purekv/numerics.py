@@ -6,7 +6,10 @@ operation returns finite values or raises; callers never see NaN/Inf.
 Randomness comes from a SplitMix64 counter generator: output k of stream
 `seed` is a pure function of (seed, k), so matrices are bit-identical across
 platforms and independent of draw order. Gaussians are produced from counter
-pairs via Box-Muller.
+pairs via Box-Muller. Counter k maps to (k + 1) * GOLDEN + seed, a bijection
+mod 2**64 because GOLDEN is odd, and every finalizer step (an xorshift right,
+or a multiply by an odd constant) is invertible, so the words of one stream
+are pairwise distinct across any 2**64 consecutive counters.
 """
 
 from __future__ import annotations

@@ -75,15 +75,14 @@ def permutation_pvalue(x, y, n_perm: int, seed: int, with_rho: bool = False):
     # Ranks of a permuted vector are the permuted ranks, so permute ryc
     # directly. Permutation i is the argsort of counter words
     # [i * n, (i + 1) * n), so a block needs no other block's words, and
-    # every row is scored against one draw and one sort of them.
+    # every row is scored against one draw and one sort of them. The words
+    # of one random_u64 call are pairwise distinct (numerics says why), so
+    # the sort has no ties and needs no stable kind.
     counts = np.zeros(len(rows), dtype=np.int64)
     for first in range(0, n_perm, _PERM_BLOCK):
         block = min(_PERM_BLOCK, n_perm - first)
         words = random_u64(seed, _PERM_TAG + first * n, block * n).reshape(block, n)
-        idx = np.argsort(words, axis=1)
-        # Only tied words make the sort kind matter; they keep the stable order.
-        if (np.diff(np.take_along_axis(words, idx, axis=1), axis=1) == 0).any():
-            idx = np.argsort(words, axis=1, kind="stable")
+        idx = np.argsort(words, axis=1)  # distinct words: every sort kind gives one order
         for p, (rxc, ryc, norm, observed) in enumerate(rows):
             counts[p] += int(((ryc[idx] @ rxc) / norm >= observed).sum())
     pvalues = (1 + counts) / (1 + n_perm)

@@ -107,3 +107,29 @@ def query_tiles(q, k, v, mask, tile_size, mass=False):
             scores /= sums
             colsums[..., keys] += scores.sum(axis=-2)
     return out, colsums
+
+
+def tie_checked_permutation_pvalue(x, y, n_perm, seed):
+    """stats.permutation_pvalue on (P, n) tables as it ran with a tie check:
+    each block's sort fell back to the stable kind when two words were equal.
+    Returns (p-values, rhos), the bits the function without the check must match."""
+    from purekv.numerics import random_u64
+    from purekv.stats import _PERM_BLOCK, _PERM_TAG, rank
+
+    rows = []
+    for row_x, row_y in zip(np.atleast_2d(x), np.atleast_2d(y)):
+        rx, ry = rank(row_x), rank(row_y)
+        rxc, ryc = rx - rx.mean(), ry - ry.mean()
+        norm = np.sqrt((rxc * rxc).sum() * (ryc * ryc).sum())
+        rows.append((rxc, ryc, norm, float((rxc * ryc).sum() / norm)))
+    n = len(rows[0][0])
+    counts = np.zeros(len(rows), dtype=np.int64)
+    for first in range(0, n_perm, _PERM_BLOCK):
+        block = min(_PERM_BLOCK, n_perm - first)
+        words = random_u64(seed, _PERM_TAG + first * n, block * n).reshape(block, n)
+        idx = np.argsort(words, axis=1)
+        if (np.diff(np.take_along_axis(words, idx, axis=1), axis=1) == 0).any():
+            idx = np.argsort(words, axis=1, kind="stable")
+        for p, (rxc, ryc, norm, observed) in enumerate(rows):
+            counts[p] += int(((ryc[idx] @ rxc) / norm >= observed).sum())
+    return (1 + counts) / (1 + n_perm), np.array([observed for *_, observed in rows])

@@ -244,24 +244,35 @@ class TestTilePlan:
             assert (plan.tiles, plan.pairs_scored, plan.pairs_allowed) == (129, scored, allowed)
             assert np.count_nonzero(plan) == allowed  # what a tracer reads from the argument
 
-    def test_arrays_are_read_only_and_a_writable_mask_is_copied(self):
-        mask = draw_mask(np.random.default_rng(6), "spatial_temporal", 32, 40)
-        plan = TilePlan(mask, 4)
-        assert np.asarray(plan) is plan.mask and not np.asarray(plan).flags.writeable
-        np.testing.assert_array_equal(plan.mask, mask)
-        assert any(isinstance(keys, np.ndarray) for _, keys, _, _ in plan.schedule)
-        assert any(block is not None for *_, block in plan.schedule)
-        for _, keys, _, block in plan.schedule:
-            for array in (keys, block):
-                if isinstance(array, np.ndarray):
-                    assert not array.flags.writeable
-                    with pytest.raises(ValueError, match="read-only"):
-                        array[...] = 0
-        mask[:] = False
-        assert plan.mask.any(axis=1).all()
-        mask = draw_mask(np.random.default_rng(6), "causal", 8, 8)
-        mask.flags.writeable = False
-        assert TilePlan(mask, 4).mask is mask  # a read-only mask is kept, not copied
+    @pytest.mark.parametrize("kind", MASK_KINDS)
+    def test_a_plan_keeps_no_caller_array(self, kind):
+        """np.asarray(plan) is the mask for every tile size; the plan shares no
+        memory with the caller's mask, so mutating it afterwards changes
+        nothing; keys and blocks are read-only."""
+        mask = draw_mask(np.random.default_rng(6), kind, 32, 40)
+        expected = mask.copy()
+        rng = np.random.default_rng(7)
+        q, k, v = (rng.standard_normal((2, 1, n, 3)) for n in (32, 40, 40))
+        for tile in (1, 3, 4, 16, 32, 40):
+            plan = TilePlan(mask, tile)
+            before = streaming_masked(q, k, v, plan)
+            assert plan.shape == mask.shape and np.asarray(plan).dtype == bool
+            np.testing.assert_array_equal(np.asarray(plan), expected)
+            for _, keys, _, block in plan.schedule:
+                for array in (keys, block):
+                    if isinstance(array, np.ndarray):
+                        assert not np.shares_memory(array, mask)
+                        assert not array.flags.writeable
+                        with pytest.raises(ValueError, match="read-only"):
+                            array[...] = 0
+            mask[:] = ~mask
+            np.testing.assert_array_equal(np.asarray(plan), expected)
+            np.testing.assert_array_equal(streaming_masked(q, k, v, plan), before)
+            mask[:] = expected
+        if kind == "spatial_temporal":
+            plan = TilePlan(mask, 4)
+            assert any(isinstance(keys, np.ndarray) for _, keys, _, _ in plan.schedule)
+            assert any(block is not None for *_, block in plan.schedule)
 
     def test_validation_keeps_its_order_and_messages(self):
         q = k = v = np.ones((2, 1, 5, 3))

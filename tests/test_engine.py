@@ -1,5 +1,6 @@
 """Engine wiring: prefill/compress/decode vs. cache-free reference forwards."""
 
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -865,7 +866,8 @@ class TestStreamingCompatibilityContract:
     def test_a_prompt_pass_builds_one_tile_plan_per_distinct_mask(self, monkeypatch):
         """Not one per layer: the dense mask's plan serves layers below
         st_layer_index and the pattern's every layer from it on, in the
-        streamed call and, as its mask, in the estimation-layer slab."""
+        streamed call, and the estimation-layer slab reads the same mask's
+        last w rows."""
         built, streamed, slabs = [], [], []
         real_plan, real_streaming = purekv.attention.TilePlan, purekv.attention.streaming_masked
         real_masked = purekv.attention.masked
@@ -889,6 +891,7 @@ class TestStreamingCompatibilityContract:
         model = init_model(SMALL)
         emb = embeddings_for(LAYOUT, seed=25)
         layers = SMALL.num_layers
+        first = LAYOUT.total_len - 4
         for pattern, st, plans in ((SparsityPattern.spatial_temporal(), 2, 2),
                                    (SparsityPattern.spatial_temporal(), layers, 1),
                                    (SparsityPattern.dense(), 2, 1)):
@@ -896,8 +899,43 @@ class TestStreamingCompatibilityContract:
             prompt_pass(model, LAYOUT, pattern, st, emb, (4,), layers, tile_size=3)
             assert len(built) == plans and all(plan.tile_size == 3 for plan in built)
             assert streamed == [built[0]] * min(st, layers) + [built[-1]] * (layers - st)
-            assert all(slab.base is plan.mask for slab, plan in zip(slabs, streamed))
-        np.testing.assert_array_equal(built[0].mask, build_mask(LAYOUT, pattern))
+            kinds = [SparsityPattern.dense()] * min(st, layers) + [pattern] * (layers - st)
+            assert len(slabs) == layers
+            for slab, plan, kind in zip(slabs, streamed, kinds):
+                np.testing.assert_array_equal(slab, build_mask(LAYOUT, kind)[first:])
+                np.testing.assert_array_equal(np.asarray(plan), build_mask(LAYOUT, kind))
+
+    def test_no_mask_outlives_the_building_of_its_plan(self, monkeypatch):
+        """Every (l, l) mask the pass builds is freed before any layer's
+        streamed or column-mass attention runs: plans and slab rows keep
+        copies of what they need, never the mask or a view of it."""
+        refs, alive = [], []
+        real_build = purekv.engine.build_mask
+        real_streaming, real_mass = purekv.attention.streaming_masked, purekv.attention.column_mass
+
+        def build_spy(layout, pattern):
+            mask = real_build(layout, pattern)
+            refs.append(weakref.ref(mask))
+            return mask
+
+        def watch(real):
+            def spy(*args):
+                alive.append(sum(ref() is not None for ref in refs))
+                return real(*args)
+            return spy
+
+        monkeypatch.setattr(purekv.engine, "build_mask", build_spy)
+        monkeypatch.setattr(purekv.attention, "streaming_masked", watch(real_streaming))
+        monkeypatch.setattr(purekv.attention, "column_mass", watch(real_mass))
+        model = init_model(SMALL)
+        emb = embeddings_for(LAYOUT, seed=26)
+        for pattern, column_sums in ((SparsityPattern.spatial_temporal(), False),
+                                     (SparsityPattern.spatial_temporal(), True),
+                                     (SparsityPattern.dense(), False)):
+            refs.clear(), alive.clear()
+            prompt_pass(model, LAYOUT, pattern, 2, emb, (4, 9), SMALL.num_layers, column_sums)
+            assert len(refs) == (1 if pattern == SparsityPattern.dense() else 2)
+            assert alive == [0] * SMALL.num_layers
 
     def test_prefill_materializes_only_the_recent_window(self, monkeypatch):
         """Audit: every masked() call prefill makes has at most w query rows;

@@ -98,6 +98,12 @@ class TestSalientRecall:
     def test_three_of_four(self):
         assert salient_recall([1, 2, 3, 9], [1, 2, 3, 4]) == 0.75
 
+    def test_a_table_gives_each_rows_recall(self):
+        table = np.array([[0, 1, 2, 3], [1, 2, 3, 9], [4, 5, 6, 7]])
+        salient = [1, 2, 3, 4]
+        got = salient_recall(table, salient)
+        assert got.tolist() == [salient_recall(row, salient) for row in table] == [0.75, 0.75, 0.25]
+
     def test_empty_salient_rejected(self):
         with pytest.raises(ConfigurationError):
             salient_recall([0, 1], [])
@@ -184,6 +190,21 @@ class TestConfigParsing:
             run_experiment(cfg)
         cfg["experiment"]["validate"] = False
         assert load_config(cfg).clie_layer_index == 3
+
+    def test_validate_needs_three_non_recent_keys_in_every_validated_window(self, monkeypatch):
+        # The full cell validates window min(34, l) = 34 at l = 36: rejected at
+        # load time, naming the window, before any prompt pass.
+        cfg = base_config(validate=True, policies=["pure_kv", "full"])
+        cfg["policy"]["recent_window_w"] = 34
+        monkeypatch.setattr(purekv.engine, "prompt_pass", None)
+        with pytest.raises(ConfigurationError, match=r"config\.experiment\.validate: recent "
+                           r"window 34 leaves 2 non-recent keys at l = 36"):
+            run_experiment(cfg)
+        cfg["experiment"]["policies"] = ["pure_kv"]  # budget 0.5 keeps 18 rows: window 18
+        assert load_config(cfg).validate is True
+        cfg["experiment"]["policies"] = ["pure_kv", "full"]
+        cfg["experiment"]["validate"] = False
+        assert load_config(cfg).recent_window_w == 34
 
     def test_validate_defaults_to_false(self):
         cfg = base_config()

@@ -2,14 +2,14 @@
 oracle, plus the seeded permutation test."""
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import purekv.stats
+import purekv.numerics
+from _oracles import tie_checked_permutation_pvalue
 from purekv.errors import ConfigurationError
 from purekv.numerics import seeded_gaussian
 from purekv.numerics import random_u64
@@ -182,30 +182,44 @@ class TestPermutationPvalue:
             count = int(((ryc[idx] @ rxc) / norm >= observed).sum())
             assert permutation_pvalue(x, y, n_perm, seed) == (1 + count) / (1 + n_perm)
 
-    def test_tied_words_fall_back_to_the_stable_order(self, monkeypatch):
-        # Distinct words sort to one permutation under any sort kind; only
-        # tied words make the kind matter, and they must keep stable order.
-        real = purekv.stats.random_u64
+    def test_the_words_of_one_draw_are_distinct_so_the_sort_has_no_ties(self):
+        """Counters map to (c + 1) * GOLDEN + seed, a bijection mod 2**64 for odd
+        GOLDEN, and the finalizer is inverted here step by step, so no two
+        counters of one stream give the same word."""
+        def unshift(z, s):  # inverts z ^= z >> s: each pass fixes s more top bits
+            x = z.copy()
+            for _ in range(64 // s + 1):
+                x = z ^ (x >> np.uint64(s))
+            return x
 
-        def tied(seed, start, count):
-            return real(seed, start, count) >> np.uint64(60)  # 16 values: ties in every row
+        assert int(purekv.numerics._GOLDEN) % 2 == 1
+        inverse = {c: np.uint64(pow(int(c), -1, 2**64))
+                   for c in (purekv.numerics._MIX1, purekv.numerics._MIX2)}
+        for seed in (0, 1, 2**64 - 1):
+            words = random_u64(seed, 0, 4096) ^ random_u64(seed + 7, 9, 4096)  # arbitrary inputs
+            z = purekv.numerics._finalize(words.copy())
+            z = unshift(z, 31)
+            z *= inverse[purekv.numerics._MIX2]
+            z = unshift(z, 27)
+            z *= inverse[purekv.numerics._MIX1]
+            np.testing.assert_array_equal(unshift(z, 30), words)
+            assert np.unique(random_u64(seed, _PERM_TAG, 64 * 301)).size == 64 * 301
 
-        monkeypatch.setattr(purekv.stats, "random_u64", tied)
-        n, n_perm, seed = 40, 2 * _PERM_BLOCK + 7, 5
-        x = seeded_gaussian(1, n, seed=80)[0]
-        y = seeded_gaussian(1, n, seed=81)[0]
-        words = tied(seed, _PERM_TAG, n_perm * n).reshape(n_perm, n)
-        rx, ry = rank(x), rank(y)
-        rxc, ryc = rx - rx.mean(), ry - ry.mean()
-        norm = np.sqrt((rxc * rxc).sum() * (ryc * ryc).sum())
-        observed = float((rxc * ryc).sum() / norm)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 3), n=st.integers(3, 40),
+           n_perm=st.sampled_from([100, 2 * _PERM_BLOCK + 1, 4 * _PERM_BLOCK]),
+           seed=st.integers(0, 2**32))
+    def test_bit_identical_to_the_tie_checked_oracle(self, data, rows, n, n_perm, seed):
+        def row(label):
+            values = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n), label=label)
+            assume(len(set(values)) > 1)  # a constant ranking has no correlation
+            return values
 
-        def count(kind):
-            idx = np.argsort(words, axis=1, kind=kind)
-            return int(((ryc[idx] @ rxc) / norm >= observed).sum())
-
-        assert count(None) != count("stable")  # the sort kind changes the answer here
-        assert permutation_pvalue(x, y, n_perm, seed) == (1 + count("stable")) / (1 + n_perm)
+        x = np.array([row(f"x{p}") for p in range(rows)], dtype=np.float64)
+        y = np.array([row(f"y{p}") for p in range(rows)], dtype=np.float64)
+        ps, rhos = permutation_pvalue(x, y, n_perm, seed, with_rho=True)
+        want_ps, want_rhos = tie_checked_permutation_pvalue(x, y, n_perm, seed)
+        assert ps.tolist() == want_ps.tolist() and rhos.tolist() == want_rhos.tolist()
 
     def test_add_one_floor(self):
         x = seeded_gaussian(1, 10, seed=42)[0]
@@ -232,11 +246,10 @@ class TestPermutationPvalue:
     @given(data=st.data(), rows=st.integers(1, 4), n=st.integers(3, 40),
            n_perm=st.sampled_from([100, 2 * _PERM_BLOCK + 1, 3 * _PERM_BLOCK - 5,
                                    4 * _PERM_BLOCK]),
-           seed=st.integers(0, 2**32), tied_words=st.booleans())
-    def test_a_batch_equals_one_call_per_row(self, data, rows, n, n_perm, seed, tied_words):
+           seed=st.integers(0, 2**32))
+    def test_a_batch_equals_one_call_per_row(self, data, rows, n, n_perm, seed):
         """Row p of a (P, n) call is bit-identical to a lone call on row p,
-        for partial last blocks and for words that need the stable sort;
-        with_rho adds each row's spearman_rho, bit for bit."""
+        for partial last blocks; with_rho adds each row's spearman_rho, bit for bit."""
         def row(label):
             values = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n), label=label)
             assume(len(set(values)) > 1)  # a constant ranking has no correlation
@@ -244,16 +257,10 @@ class TestPermutationPvalue:
 
         x = np.array([row(f"x{p}") for p in range(rows)], dtype=np.float64)
         y = np.array([row(f"y{p}") for p in range(rows)], dtype=np.float64)
-        real = purekv.stats.random_u64
-
-        def few_words(seed, start, count):
-            return real(seed, start, count) >> np.uint64(62)  # 4 values: n >= 5 ties
-
-        with mock.patch.object(purekv.stats, "random_u64", few_words if tied_words else real):
-            batch = permutation_pvalue(x, y, n_perm, seed)
-            lone = [permutation_pvalue(x[p], y[p], n_perm, seed) for p in range(rows)]
-            with_rho = permutation_pvalue(x, y, n_perm, seed, with_rho=True)
-            lone_with_rho = permutation_pvalue(x[0], y[0], n_perm, seed, with_rho=True)
+        batch = permutation_pvalue(x, y, n_perm, seed)
+        lone = [permutation_pvalue(x[p], y[p], n_perm, seed) for p in range(rows)]
+        with_rho = permutation_pvalue(x, y, n_perm, seed, with_rho=True)
+        lone_with_rho = permutation_pvalue(x[0], y[0], n_perm, seed, with_rho=True)
         assert isinstance(batch, np.ndarray) and batch.shape == (rows,)
         assert all(isinstance(p, float) for p in lone)
         assert batch.tolist() == lone
