@@ -16,7 +16,7 @@ import sys
 from . import engine, harness
 from .cache import budget_to_wh
 from .errors import ConfigurationError
-from .masks import TokenLayout, build_mask, mask_to_text, parse_pattern
+from .masks import SparsityPattern, TokenLayout, build_mask, mask_to_text, parse_pattern
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,7 +78,7 @@ def _cmd_validate(args) -> int:
     config = _load_config(args)
     model = engine.init_model(config.model)
     embeddings, _ = harness.generate_workload(config.workload, config.model.d_model)
-    pattern = parse_pattern(config.patterns[0] if config.patterns else "dense", config.layout)
+    pattern = config.patterns[0] if config.patterns else SparsityPattern.dense()
     w, _ = budget_to_wh(1.0, config.layout.total_len, config.recent_window_w)
     prompt = engine.prompt_pass(model, config.layout, pattern, config.st_layer_index, embeddings,
                                 (w,), config.model.num_layers, tile_size=config.tile_size)

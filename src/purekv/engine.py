@@ -183,15 +183,25 @@ class SessionState:
     step_count: int = 0
 
 
-def check_layer_depth(policy: PolicyConfig, num_layers: int, path: str = "") -> None:
-    """Reject layer indices a model of this depth cannot hold; path prefixes field names."""
+def check_layer_depth(policy: PolicyConfig, num_layers: int) -> None:
+    """Reject layer indices a model of this depth cannot hold."""
     clie, st = policy.clie_layer_index, policy.st_layer_index
     if clie >= num_layers:
-        raise ConfigurationError(f"{path}clie_layer_index ({clie}) must be below "
+        raise ConfigurationError(f"clie_layer_index ({clie}) must be below "
                                  f"num_layers ({num_layers})")
     if st > num_layers:
-        raise ConfigurationError(f"{path}st_layer_index ({st}) must be at most "
+        raise ConfigurationError(f"st_layer_index ({st}) must be at most "
                                  f"num_layers ({num_layers})")
+
+
+def check_validation(l: int, w: int, analysis_layer: int, num_layers: int) -> None:
+    """Reject a validation with no layer above the analysis layer, or with
+    fewer than the 3 non-recent keys the permutation test needs."""
+    if analysis_layer >= num_layers - 1:
+        raise ConfigurationError(f"no layers above analysis layer {analysis_layer} to validate")
+    if l - w < 3:
+        raise ConfigurationError(f"recent window {w} leaves {max(l - w, 0)} non-recent keys "
+                                 f"at l = {l}; validation needs at least 3")
 
 
 def init_session(model: Model, layout: TokenLayout, policy: PolicyConfig,
@@ -349,7 +359,6 @@ def apply_compression(model: Model, session: SessionState) -> SessionState:
         else:
             retained = select_retained(prompt.colsums[layer][:, : l - w], w, h_count, l)
         cache.append(evict(keys, values, retained))
-        cache[-1].check_invariants()
     # All or nothing: the session changes only once every layer is evicted.
     session.cache, session.prompt, session.phase = cache, None, "compressed"
     return session
@@ -413,12 +422,9 @@ def validate_cross_layer(prompts, w: int, analysis_layer: int, n_perm: int = 999
         if prompt.layers < num_layers or w not in prompt.accumulators:
             raise ConfigurationError(f"validation needs a prompt pass with window {w}'s "
                                      f"accumulators on layers 0..{num_layers - 1}")
-    if l - w < 3:  # the permutation test needs at least 3 non-recent keys
-        raise ConfigurationError(f"validation needs l > w + 2, got l={l}, w={w}")
     if not 0 <= analysis_layer < num_layers:
         raise ConfigurationError(f"analysis layer {analysis_layer} out of range")
-    if analysis_layer == num_layers - 1:
-        raise ConfigurationError("no layers above the analysis layer to validate")
+    check_validation(l, w, analysis_layer, num_layers)
 
     per_layer = [[] for _ in prompts]
     for layer in range(analysis_layer + 1, num_layers):
@@ -430,7 +436,7 @@ def validate_cross_layer(prompts, w: int, analysis_layer: int, n_perm: int = 999
         heads = [[] for _ in prompts]
         for g in range(truth.shape[1]):
             ps, rhos = stats.permutation_pvalue(estimate[:, g], truth[:, g], n_perm,
-                                                derive_seed(seed, layer, g), with_rho=True)
+                                                derive_seed(seed, layer, g))
             for entries, rho, p in zip(heads, rhos, ps):
                 entries.append({"head": g, "rho": float(rho), "p": float(p)})
         for entries, layer_heads in zip(per_layer, heads):

@@ -176,6 +176,14 @@ def _list_field(obj: dict, path: str, key: str) -> list:
     return value
 
 
+def _at(path: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with path prefixed to any ConfigurationError it raises."""
+    try:
+        return build(*args, **kwargs)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     model: engine.ModelConfig
@@ -186,7 +194,7 @@ class ExperimentConfig:
     clie_layer_index: int
     st_layer_index: int
     policies: tuple[str, ...]
-    patterns: tuple[str, ...]
+    patterns: tuple[SparsityPattern, ...]
     budgets: tuple[float, ...]
     decode_steps: int
     tile_size: int
@@ -219,17 +227,17 @@ def load_config(source) -> ExperimentConfig:
         raise ConfigurationError(f"config must be a path or dict, got {type(source)}")
 
     model_obj = _need(raw, "config", "model")
-    model = engine.ModelConfig(**{
+    model = _at("config.model", engine.ModelConfig, **{
         f.name: _int_field(model_obj, "config.model", f.name, 0 if f.name == "seed" else 1)
         for f in fields(engine.ModelConfig)
     })
     layout_obj = _need(raw, "config", "layout")
-    layout = TokenLayout(**{
+    layout = _at("config.layout", TokenLayout, **{
         f.name: _int_field(layout_obj, "config.layout", f.name, 0) for f in fields(TokenLayout)
     })
     workload_obj = _need(raw, "config", "workload")
-    workload = WorkloadSpec(
-        layout=layout,
+    workload = _at(
+        "config.workload", WorkloadSpec, layout=layout,
         num_salient=_int_field(workload_obj, "config.workload", "num_salient", 0),
         salient_gain=_float_field(workload_obj, "config.workload", "salient_gain"),
         seed=_int_field(workload_obj, "config.workload", "seed", 0),
@@ -245,11 +253,11 @@ def load_config(source) -> ExperimentConfig:
     for i, p in enumerate(policies):
         if p not in POLICY_KINDS:
             raise ConfigurationError(f"config.experiment.policies[{i}]: unknown policy {p!r}")
-    patterns = _list_field(exp_obj, "config.experiment", "patterns")
-    for i, p in enumerate(patterns):
+    patterns = []  # parsed into a new list: the report echoes raw as it was given
+    for i, p in enumerate(_list_field(exp_obj, "config.experiment", "patterns")):
         if not isinstance(p, str):
             raise ConfigurationError(f"config.experiment.patterns[{i}]: expected a string")
-        parse_pattern(p, layout)
+        patterns.append(_at(f"config.experiment.patterns[{i}]", parse_pattern, p, layout))
     budgets = _list_field(exp_obj, "config.experiment", "budgets")
     for i, b in enumerate(budgets):
         if isinstance(b, bool) or not isinstance(b, (int, float)) or not (0.0 < b <= 1.0):
@@ -282,18 +290,13 @@ def load_config(source) -> ExperimentConfig:
         raw=raw,
     )
     # Fail fast on incoherent layer indices instead of inside the first cell.
-    engine.check_layer_depth(config.policy("full", 1.0), model.num_layers, "config.policy.")
-    if validate and clie == model.num_layers - 1:
-        raise ConfigurationError(f"config.experiment.validate: no layers above "
-                                 f"config.policy.clie_layer_index ({clie}) to validate")
-    if validate:  # the permutation test needs 3 non-recent keys in every validated window
+    policy = _at("config.policy", config.policy, "full", 1.0)
+    _at("config.policy", engine.check_layer_depth, policy, model.num_layers)
+    if validate:  # the widest validated window, against the estimation layer
         l = layout.total_len
         w = max((budget_to_wh(budget, l, recent_window_w)[0]
                  for *_, budget in _experiment_cells(config)), default=0)
-        if l - w < 3:
-            raise ConfigurationError(f"config.experiment.validate: recent window {w} leaves "
-                                     f"{l - w} non-recent keys at l = {l}; validation "
-                                     f"needs at least 3")
+        _at("config.experiment.validate", engine.check_validation, l, w, clie, model.num_layers)
     return config
 
 
@@ -313,10 +316,7 @@ def _run_cell(model, config: ExperimentConfig, policy_kind: str, pattern: Sparsi
                                   pattern, config.tile_size)
     engine.prefill(model, session, prompt)
     engine.apply_compression(model, session)
-    retained_counts = {kv.rows(g) for kv in session.cache for g in range(kv.num_heads)}
-    if len(retained_counts) != 1:
-        raise AssertionError(f"retained counts differ across heads: {retained_counts}")
-    return session, int(next(iter(retained_counts)))
+    return session, session.w + session.h
 
 
 def run_experiment(source) -> dict:
@@ -332,7 +332,7 @@ def run_experiment(source) -> dict:
                for b in config.budgets + (1.0,)}
     layers = config.model.num_layers if config.validate else config.clie_layer_index + 1
     dense = SparsityPattern.dense()
-    patterns = list(dict.fromkeys(parse_pattern(text, config.layout) for text in config.patterns))
+    patterns = list(dict.fromkeys(config.patterns))
     per_pattern = {pattern: (
         engine.prompt_pass(model, config.layout, pattern, config.st_layer_index, embeddings,
                            windows, layers, "h2o_like" in config.policies, config.tile_size),
@@ -357,8 +357,7 @@ def run_experiment(source) -> dict:
     # one call validates a window for every pattern.
     validations: dict[tuple[SparsityPattern, int], dict] = {}
     cells = []
-    for policy_kind, pattern_text, budget in _experiment_cells(config):
-        pattern = parse_pattern(pattern_text, config.layout)
+    for policy_kind, pattern, budget in _experiment_cells(config):
         prompt, prefill_macs, density = per_pattern[pattern]
         session, retained_count = _run_cell(model, config, policy_kind, pattern, budget, prompt)
         l = session.prefill_len

@@ -56,19 +56,6 @@ class TokenLayout:
     def total_len(self) -> int:
         return self.text_prefix_len + self.video_len + self.text_suffix_len
 
-    def is_video(self, pos: int) -> bool:
-        return self.text_prefix_len <= pos < self.text_prefix_len + self.video_len
-
-    def frame_of(self, pos: int) -> int:
-        if not self.is_video(pos):
-            raise ValueError(f"position {pos} is not a video token")
-        return (pos - self.text_prefix_len) // self.patches_per_frame
-
-    def patch_of(self, pos: int) -> int:
-        if not self.is_video(pos):
-            raise ValueError(f"position {pos} is not a video token")
-        return (pos - self.text_prefix_len) % self.patches_per_frame
-
 
 @dataclass(frozen=True)
 class SparsityPattern:

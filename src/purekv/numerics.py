@@ -2,6 +2,7 @@
 
 Matrices are plain float64 numpy arrays of shape (rows, cols). Every exported
 operation returns finite values or raises; callers never see NaN/Inf.
+row_softmax always takes a mask, as attention.masked, its caller, always has one.
 
 Randomness comes from a SplitMix64 counter generator: output k of stream
 `seed` is a pure function of (seed, k), so matrices are bit-identical across
@@ -67,8 +68,8 @@ def seeded_gaussian(rows: int, cols: int, seed: int) -> np.ndarray:
     return z.reshape(rows, cols)
 
 
-def row_softmax(m, mask=None) -> np.ndarray:
-    """Softmax along the last axis, stabilized by per-row max subtraction.
+def row_softmax(m, mask) -> np.ndarray:
+    """Masked softmax along the last axis, stabilized by per-row max subtraction.
 
     m is a matrix or a stack of them; mask (True = keep), one matrix shared by
     the stack, uses -inf semantics: masked logits are excluded from the row
@@ -79,19 +80,16 @@ def row_softmax(m, mask=None) -> np.ndarray:
         raise ConfigurationError(f"m must be a matrix or a stack of them, got ndim={m.ndim}")
     if not np.all(np.isfinite(m)):
         raise ValueError("row_softmax requires finite inputs")
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != m.shape[-2:]:
-            raise ConfigurationError(
-                f"mask shape {mask.shape} does not match matrix shape {m.shape[-2:]}"
-            )
-        empty = ~mask.any(axis=1)
-        if empty.any():
-            row = int(np.flatnonzero(empty)[0])
-            raise ValueError(f"row_softmax: row {row} is fully masked")
-        scores = np.where(mask, m, -np.inf)
-    else:
-        scores = m
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != m.shape[-2:]:
+        raise ConfigurationError(
+            f"mask shape {mask.shape} does not match matrix shape {m.shape[-2:]}"
+        )
+    empty = ~mask.any(axis=1)
+    if empty.any():
+        row = int(np.flatnonzero(empty)[0])
+        raise ValueError(f"row_softmax: row {row} is fully masked")
+    scores = np.where(mask, m, -np.inf)
     row_max = scores.max(axis=-1, keepdims=True)
     weights = np.exp(scores - row_max)
     return weights / weights.sum(axis=-1, keepdims=True)

@@ -8,8 +8,8 @@ The permutation test is one-sided (large rho = agreement) and fully
 deterministic: permutation i is derived from (seed, i) with a counter RNG, so
 results never depend on evaluation order. It runs over blocks of
 _PERM_BLOCK permutations, so memory stays O(_PERM_BLOCK * n) for any n_perm.
-A (P, n) batch of pairs with the same seed draws and sorts each block once
-and scores every pair against it, with the arithmetic of a lone call.
+It takes a (P, n) table of pairs, draws and sorts each block once and scores
+every pair against it, so a row's p-value does not depend on the other rows.
 """
 
 from __future__ import annotations
@@ -42,33 +42,30 @@ def spearman_rho(x, y) -> float:
     return float((rxc * ryc).sum() / norm)
 
 
-def permutation_pvalue(x, y, n_perm: int, seed: int, with_rho: bool = False):
-    """One-sided permutation p-value for positive rank agreement.
+def permutation_pvalue(x, y, n_perm: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided permutation p-values for positive rank agreement of each row pair.
 
-    p = (1 + #{permutations with rho >= observed}) / (1 + n_perm); the +1
-    counts the identity, so p is never 0 and never below 1/(1 + n_perm).
-    x and y are (n,) vectors, which give a float, or (P, n) tables, which
-    give a (P,) array: row p is scored against the same permutations as a
-    lone call on x[p] and y[p] would draw, and gets the same p-value.
-    with_rho=True returns (p, rho) instead, rho being the observed
-    spearman_rho of each row, bit for bit, from the ranks the test needs
-    anyway. A constant row raises ValueError, as spearman_rho does.
+    x and y are (P, n) tables. Returns (p, rho), two (P,) arrays: p[i] =
+    (1 + #{permutations with rho >= observed}) / (1 + n_perm), where the +1
+    counts the identity, so p is never below 1/(1 + n_perm); rho[i] is the
+    observed spearman_rho of x[i] and y[i], bit for bit, from the ranks the
+    test needs anyway. Every row is scored against the same permutations, so
+    it gets the p-value a one-row table of it would. A constant row raises
+    ValueError, as spearman_rho does.
     """
     if n_perm < 100:
         raise ConfigurationError(f"n_perm must be >= 100, got {n_perm}")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    xs, ys = np.atleast_2d(x), np.atleast_2d(y)
-    if x.shape != y.shape or x.ndim not in (1, 2) or not len(xs):
+    if x.shape != y.shape or x.ndim != 2 or not len(x):
         raise ConfigurationError(
-            f"expected equal-shape (n,) vectors or non-empty (P, n) tables, "
-            f"got {x.shape} and {y.shape}"
+            f"expected equal-shape non-empty (P, n) tables, got {x.shape} and {y.shape}"
         )
-    n = x.shape[-1]
+    n = x.shape[1]
     if n < 3:
         raise ConfigurationError(f"permutation test needs n >= 3, got {n}")
     rows = []  # (centred rx, centred ry, norm, observed rho) per row
-    for row_x, row_y in zip(xs, ys):
+    for row_x, row_y in zip(x, y):
         rxc, ryc, norm = _centred(*_rank_pair(row_x, row_y))
         rows.append((rxc, ryc, norm, float((rxc * ryc).sum() / norm)))
 
@@ -85,11 +82,7 @@ def permutation_pvalue(x, y, n_perm: int, seed: int, with_rho: bool = False):
         idx = np.argsort(words, axis=1)  # distinct words: every sort kind gives one order
         for p, (rxc, ryc, norm, observed) in enumerate(rows):
             counts[p] += int(((ryc[idx] @ rxc) / norm >= observed).sum())
-    pvalues = (1 + counts) / (1 + n_perm)
-    rhos = np.array([observed for *_, observed in rows])
-    if x.ndim == 1:
-        pvalues, rhos = float(pvalues[0]), float(rhos[0])
-    return (pvalues, rhos) if with_rho else pvalues
+    return (1 + counts) / (1 + n_perm), np.array([observed for *_, observed in rows])
 
 
 def _rank_pair(x, y) -> tuple[np.ndarray, np.ndarray]:

@@ -771,7 +771,7 @@ class TestValidation:
         prompt = prompt_pass(model, LAYOUT, SparsityPattern.dense(), 2, embeddings_for(LAYOUT),
                              (4,), SMALL.num_layers)
         monkeypatch.setattr(purekv.stats, "rank", None)
-        for analysis, message in ((SMALL.num_layers - 1, "no layers above"),
+        for analysis, message in ((SMALL.num_layers - 1, "no layers above analysis layer 3 to"),
                                   (SMALL.num_layers, "out of range"), (-1, "out of range")):
             with pytest.raises(ConfigurationError, match=message):
                 validate_cross_layer([prompt], 4, analysis, n_perm=199, seed=0)
@@ -807,7 +807,8 @@ class TestValidation:
         tiny = TokenLayout(0, 1, 3, 0)
         prompt = prompt_pass(model, tiny, SparsityPattern.dense(), 2,
                              embeddings_for(tiny, seed=17), (8,), SMALL.num_layers)
-        with pytest.raises(ConfigurationError, match="l > w"):
+        with pytest.raises(ConfigurationError, match="recent window 8 leaves 0 non-recent keys "
+                                                     "at l = 3; validation needs at least 3"):
             validate_cross_layer([prompt], 8, 1, n_perm=199, seed=0)
 
     def test_rejects_fewer_than_three_nonrecent_keys_before_scoring(self, monkeypatch):
@@ -828,7 +829,8 @@ class TestValidation:
             monkeypatch.setattr(owner, name, lambda *a, real=real, name=name, **k:
                                 calls.append(name) or real(*a, **k))
         for w in windows[:2]:
-            with pytest.raises(ConfigurationError, match=f"l > w \\+ 2, got l={l}, w={w}"):
+            with pytest.raises(ConfigurationError, match=f"recent window {w} leaves {l - w} "
+                                                         f"non-recent keys at l = {l}"):
                 validate_cross_layer([prompt], w, 1, n_perm=100, seed=0)
         assert calls == []
         validate_cross_layer([prompt], l - 3, 1, n_perm=100, seed=0)
@@ -1057,8 +1059,7 @@ class TestPromptPass:
         windows = {purekv.engine.budget_to_wh(b, l, config.recent_window_w)[0]
                    for b in config.budgets + (1.0,)}
         assert len(windows) > 1  # the shared slab serves windows shorter than itself
-        for text in config.patterns:
-            pattern = parse_pattern(text, config.layout)
+        for pattern in config.patterns:
             shared = prompt_pass(model, config.layout, pattern, config.st_layer_index, embeddings,
                                  windows, config.model.num_layers, True, config.tile_size)
             for kind in config.policies:
@@ -1099,13 +1100,13 @@ class TestPromptPass:
                              (4,), 2)
         session = init_session(model, LAYOUT, make_policy(budget=0.5), SparsityPattern.dense())
         built = []
-        real_own = purekv.cache.KvCacheLayer._own
+        real_init = purekv.cache.KvCacheLayer.__init__
 
-        def counting_own(self, *args):  # every cache layer, copied or adopted, is built here
+        def counting_init(self, *args):  # the one constructor: every cache layer is built here
             built.append(1)
-            real_own(self, *args)
+            real_init(self, *args)
 
-        monkeypatch.setattr(purekv.cache.KvCacheLayer, "_own", counting_own)
+        monkeypatch.setattr(purekv.cache.KvCacheLayer, "__init__", counting_init)
         prefill(model, session, shared)
         assert session.prompt is shared and session.cache == [] and built == []
         apply_compression(model, session)

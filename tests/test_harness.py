@@ -74,7 +74,8 @@ class TestWorkload:
     def test_salient_positions_are_video_tokens(self):
         spec = WorkloadSpec(layout=LAYOUT, num_salient=6, salient_gain=2.0, seed=10)
         _, salient = generate_workload(spec, MODEL.d_model)
-        assert all(LAYOUT.is_video(int(p)) for p in salient)
+        video = range(LAYOUT.text_prefix_len, LAYOUT.text_prefix_len + LAYOUT.video_len)
+        assert all(int(p) in video for p in salient)
         assert np.all(np.diff(salient) > 0)
 
     def test_too_many_salient_rejected(self):
@@ -174,6 +175,29 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError, match="greater than"):
             load_config(cfg)
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("experiment", "patterns", ["dense", "bogus"],
+         r"config\.experiment\.patterns\[1\]: unknown pattern 'bogus'"),
+        ("experiment", "patterns", ["atrous:1"],
+         r"config\.experiment\.patterns\[0\]: atrous pattern needs stride >= 2"),
+        ("model", "num_q_heads", 3,
+         r"config\.model: num_q_heads \(3\) must be divisible by num_kv_heads \(2\)"),
+        ("layout", "patches_per_frame", 0,
+         r"config\.layout: layout with frames needs patches_per_frame >= 1"),
+        ("workload", "num_salient", 33,
+         r"config\.workload: num_salient \(33\) exceeds video tokens \(32\)"),
+        ("policy", "st_layer_index", 1,
+         r"config\.policy: st_layer_index \(1\) must be greater than clie_layer_index \(1\)"),
+        ("policy", "st_layer_index", 5,
+         r"config\.policy: st_layer_index \(5\) must be at most num_layers \(4\)"),
+    ], ids=["pattern-kind", "pattern-stride", "model", "layout", "workload", "policy-order",
+            "policy-depth"])
+    def test_errors_raised_past_field_parsing_name_their_path(self, section, key, value, message):
+        cfg = base_config()
+        cfg[section][key] = value
+        with pytest.raises(ConfigurationError, match=message):
+            load_config(cfg)
+
     @pytest.mark.parametrize("value", ["false", [0], 1, None])
     def test_validate_must_be_a_json_boolean(self, value):
         with pytest.raises(ConfigurationError, match=r"config\.experiment\.validate"):
@@ -186,7 +210,7 @@ class TestConfigParsing:
         cfg["policy"]["st_layer_index"] = 4
         monkeypatch.setattr(purekv.engine, "prompt_pass", None)
         with pytest.raises(ConfigurationError, match=r"config\.experiment\.validate: no layers "
-                           r"above config\.policy\.clie_layer_index \(3\)"):
+                           r"above analysis layer 3 to validate"):
             run_experiment(cfg)
         cfg["experiment"]["validate"] = False
         assert load_config(cfg).clie_layer_index == 3
@@ -424,6 +448,25 @@ class TestDecodeSharing:
         assert len(report["cells"]) == 8
         assert len(set(caches)) == len(caches) == 9
         assert len(decoded) == 9 * 2
+
+
+def test_every_cell_reports_the_rows_its_cache_commits(monkeypatch):
+    """retained_per_head is w + h; every layer and KV head of the cell's cache
+    commits exactly that many rows right after compression."""
+    committed = []
+    real_compress = purekv.engine.apply_compression
+
+    def apply_compression(model, session):
+        real_compress(model, session)
+        committed.append({kv.rows(g) for kv in session.cache for g in range(kv.num_heads)})
+        return session
+
+    monkeypatch.setattr(purekv.engine, "apply_compression", apply_compression)
+    report = run_experiment(str(ROOT / "configs" / "example.json"))
+    assert len(committed) == 1 + len(report["cells"])  # the reference comes first
+    assert committed[0] == {report["cells"][0]["sequence_len"]}
+    assert committed[1:] == [{c["retained_per_head"]} for c in report["cells"]]
+    assert len({c["retained_per_head"] for c in report["cells"]}) > 2
 
 
 @pytest.fixture(scope="module")

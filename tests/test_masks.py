@@ -27,18 +27,19 @@ ALL_PATTERNS = (
 
 def oracle_allowed(layout: TokenLayout, pattern: SparsityPattern, q: int, k: int) -> bool:
     """Scalar restatement of the mask semantics, evaluated pair by pair."""
+    video = range(layout.text_prefix_len, layout.text_prefix_len + layout.video_len)
     if k > q:
         return False
     if k == q:
         return True
-    if not layout.is_video(q):
+    if q not in video:
         return True
     if k < layout.text_prefix_len:
         return True
-    if not layout.is_video(k):
+    if k not in video:
         return False
-    fq, fk = layout.frame_of(q), layout.frame_of(k)
-    pq, pk = layout.patch_of(q), layout.patch_of(k)
+    fq, pq = divmod(q - layout.text_prefix_len, layout.patches_per_frame)
+    fk, pk = divmod(k - layout.text_prefix_len, layout.patches_per_frame)
     if pattern.kind == "dense":
         return True
     if pattern.kind == "local":
@@ -64,16 +65,6 @@ def oracle_mask(layout: TokenLayout, pattern: SparsityPattern) -> np.ndarray:
 
 
 class TestLayout:
-    def test_frame_and_patch_indexing(self):
-        layout = TokenLayout(2, 3, 4, 1)
-        assert layout.total_len == 15
-        assert layout.frame_of(2) == 0 and layout.patch_of(2) == 0
-        assert layout.frame_of(9) == 1 and layout.patch_of(9) == 3
-        with pytest.raises(ValueError):
-            layout.frame_of(0)  # text prefix
-        with pytest.raises(ValueError):
-            layout.patch_of(14)  # text suffix
-
     def test_invalid_layouts_rejected(self):
         with pytest.raises(ConfigurationError):
             TokenLayout(-1, 2, 2, 0)

@@ -15,19 +15,24 @@ from purekv.numerics import (
 )
 
 
+def keep_all(m):
+    """An all-True mask for matrix m: row_softmax always takes one."""
+    return np.ones(np.shape(m)[-2:], dtype=bool)
+
+
 class TestRowSoftmax:
     def test_uniform_on_equal_logits(self):
-        out = row_softmax([[0.0, 0.0, 0.0]])
+        out = row_softmax([[0.0, 0.0, 0.0]], keep_all([[0.0, 0.0, 0.0]]))
         np.testing.assert_allclose(out, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-12)
 
     def test_large_logits_stay_finite(self):
-        out = row_softmax([[1000.0, 1000.1]])
+        out = row_softmax([[1000.0, 1000.1]], keep_all([[1000.0, 1000.1]]))
         assert np.isfinite(out).all()
         assert out.sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_closed_form_quarter_three_quarters(self):
         # softmax(0, ln 3) = (1, 3) / 4
-        out = row_softmax([[0.0, math.log(3.0)]])
+        out = row_softmax([[0.0, math.log(3.0)]], keep_all([[0.0, 0.0]]))
         np.testing.assert_allclose(out, [[0.25, 0.75]], atol=1e-12)
 
     def test_masked_entries_exactly_zero(self):
@@ -45,14 +50,15 @@ class TestRowSoftmax:
         rng = np.random.default_rng(1)
         for _ in range(20):
             m = rng.standard_normal((6, 9)) * rng.uniform(0.1, 50)
-            sums = row_softmax(m).sum(axis=1)
+            sums = row_softmax(m, keep_all(m)).sum(axis=1)
             np.testing.assert_allclose(sums, np.ones(6), atol=1e-6)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(2)
         m = rng.standard_normal((4, 7))
         shifted = m + rng.uniform(-100, 100)
-        np.testing.assert_allclose(row_softmax(m), row_softmax(shifted), atol=1e-6)
+        np.testing.assert_allclose(row_softmax(m, keep_all(m)), row_softmax(shifted, keep_all(m)),
+                                   atol=1e-6)
 
 
 class TestL2NormRows:

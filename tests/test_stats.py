@@ -154,16 +154,22 @@ class TestSpearmanRho:
             spearman_rho([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
 
+def lone_pvalue(x, y, n_perm, seed):
+    """The p-value of one pair of vectors: a one-row table's."""
+    ps, _ = permutation_pvalue(np.asarray(x)[None], np.asarray(y)[None], n_perm, seed)
+    return float(ps[0])
+
+
 class TestPermutationPvalue:
     def test_identical_vectors_are_significant(self):
         x = seeded_gaussian(1, 10, seed=42)[0]
-        assert permutation_pvalue(x, x, n_perm=999, seed=0) <= 0.01
+        assert lone_pvalue(x, x, n_perm=999, seed=0) <= 0.01
 
     def test_independent_vectors_fixed_seed_regression(self):
         # Seeded draw verified non-significant on the first oracle run.
         x = seeded_gaussian(1, 12, seed=100)[0]
         y = seeded_gaussian(1, 12, seed=200)[0]
-        p = permutation_pvalue(x, y, n_perm=999, seed=50)
+        p = lone_pvalue(x, y, n_perm=999, seed=50)
         assert p > 0.01
         assert p == pytest.approx(0.964, abs=1e-12)
 
@@ -180,7 +186,7 @@ class TestPermutationPvalue:
             words = random_u64(seed, _PERM_TAG, n_perm * n).reshape(n_perm, n)
             idx = np.argsort(words, axis=1, kind="stable")
             count = int(((ryc[idx] @ rxc) / norm >= observed).sum())
-            assert permutation_pvalue(x, y, n_perm, seed) == (1 + count) / (1 + n_perm)
+            assert lone_pvalue(x, y, n_perm, seed) == (1 + count) / (1 + n_perm)
 
     def test_the_words_of_one_draw_are_distinct_so_the_sort_has_no_ties(self):
         """Counters map to (c + 1) * GOLDEN + seed, a bijection mod 2**64 for odd
@@ -217,30 +223,30 @@ class TestPermutationPvalue:
 
         x = np.array([row(f"x{p}") for p in range(rows)], dtype=np.float64)
         y = np.array([row(f"y{p}") for p in range(rows)], dtype=np.float64)
-        ps, rhos = permutation_pvalue(x, y, n_perm, seed, with_rho=True)
+        ps, rhos = permutation_pvalue(x, y, n_perm, seed)
         want_ps, want_rhos = tie_checked_permutation_pvalue(x, y, n_perm, seed)
         assert ps.tolist() == want_ps.tolist() and rhos.tolist() == want_rhos.tolist()
 
     def test_add_one_floor(self):
         x = seeded_gaussian(1, 10, seed=42)[0]
-        p = permutation_pvalue(x, x, n_perm=100, seed=0)
+        p = lone_pvalue(x, x, n_perm=100, seed=0)
         assert p >= 1 / 101
 
     def test_deterministic_given_seed(self):
         x = seeded_gaussian(1, 15, seed=7)[0]
         y = seeded_gaussian(1, 15, seed=8)[0]
-        a = permutation_pvalue(x, y, n_perm=500, seed=9)
-        b = permutation_pvalue(x, y, n_perm=500, seed=9)
+        a = lone_pvalue(x, y, n_perm=500, seed=9)
+        b = lone_pvalue(x, y, n_perm=500, seed=9)
         assert a == b
-        c = permutation_pvalue(x, y, n_perm=500, seed=10)
+        c = lone_pvalue(x, y, n_perm=500, seed=10)
         assert a != c  # different permutation stream
 
     def test_preconditions(self):
-        x = np.array([1.0, 2.0, 3.0])
+        x = np.array([[1.0, 2.0, 3.0]])
         with pytest.raises(ConfigurationError):
             permutation_pvalue(x, x, n_perm=99, seed=0)
         with pytest.raises(ConfigurationError):
-            permutation_pvalue(x[:2], x[:2], n_perm=100, seed=0)
+            permutation_pvalue(x[:, :2], x[:, :2], n_perm=100, seed=0)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), rows=st.integers(1, 4), n=st.integers(3, 40),
@@ -248,8 +254,8 @@ class TestPermutationPvalue:
                                    4 * _PERM_BLOCK]),
            seed=st.integers(0, 2**32))
     def test_a_batch_equals_one_call_per_row(self, data, rows, n, n_perm, seed):
-        """Row p of a (P, n) call is bit-identical to a lone call on row p,
-        for partial last blocks; with_rho adds each row's spearman_rho, bit for bit."""
+        """Row p of a (P, n) call is bit-identical to a one-row call on row p,
+        for partial last blocks, and its rho is row p's spearman_rho, bit for bit."""
         def row(label):
             values = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n), label=label)
             assume(len(set(values)) > 1)  # a constant ranking has no correlation
@@ -257,25 +263,22 @@ class TestPermutationPvalue:
 
         x = np.array([row(f"x{p}") for p in range(rows)], dtype=np.float64)
         y = np.array([row(f"y{p}") for p in range(rows)], dtype=np.float64)
-        batch = permutation_pvalue(x, y, n_perm, seed)
-        lone = [permutation_pvalue(x[p], y[p], n_perm, seed) for p in range(rows)]
-        with_rho = permutation_pvalue(x, y, n_perm, seed, with_rho=True)
-        lone_with_rho = permutation_pvalue(x[0], y[0], n_perm, seed, with_rho=True)
-        assert isinstance(batch, np.ndarray) and batch.shape == (rows,)
-        assert all(isinstance(p, float) for p in lone)
-        assert batch.tolist() == lone
-        rhos = [spearman_rho(x[p], y[p]) for p in range(rows)]
-        assert with_rho[0].tolist() == lone and with_rho[1].tolist() == rhos
-        assert lone_with_rho == (lone[0], rhos[0]) and isinstance(lone_with_rho[1], float)
+        ps, rhos = permutation_pvalue(x, y, n_perm, seed)
+        lone = [permutation_pvalue(x[p:p + 1], y[p:p + 1], n_perm, seed) for p in range(rows)]
+        assert ps.shape == rhos.shape == (rows,)
+        assert all(p.shape == rho.shape == (1,) for p, rho in lone)
+        assert ps.tolist() == [p[0] for p, _ in lone]
+        assert rhos.tolist() == [rho[0] for _, rho in lone]
+        assert rhos.tolist() == [spearman_rho(x[p], y[p]) for p in range(rows)]
 
     def test_batch_preconditions(self):
         x = np.array([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]])
-        for bad_x, bad_y in ((x, x[:1]), (x[:0], x[:0]), (x[None], x[None]), (x[0], x)):
+        for bad_x, bad_y in ((x, x[:1]), (x[:0], x[:0]), (x[None], x[None]), (x[0], x),
+                             (x[0], x[0])):  # an (n,) vector is not a table
             with pytest.raises(ConfigurationError, match="equal-shape"):
                 permutation_pvalue(bad_x, bad_y, n_perm=100, seed=0)
         with pytest.raises(ConfigurationError, match="n >= 3"):
             permutation_pvalue(x[:, :2], x[:, :2], n_perm=100, seed=0)
         constant = np.array([x[0], [2.0, 2.0, 2.0]])
-        for with_rho in (False, True):
-            with pytest.raises(ValueError, match="undefined"):
-                permutation_pvalue(constant, x, n_perm=100, seed=0, with_rho=with_rho)
+        with pytest.raises(ValueError, match="undefined"):
+            permutation_pvalue(constant, x, n_perm=100, seed=0)
