@@ -14,16 +14,16 @@ index. Both work along the last axis, on one head's vector or on a layer's
 ("heavy hitter") scoring and sink-plus-window retention.
 
 Storage: KvCacheLayer holds one layer's rows in head-stacked buffers,
-(Hkv, capacity, d) for keys and values and (Hkv, capacity) for positions,
-with a committed row count per head. It has one constructor, which copies
-what it is given, so no cache aliases a caller's array. evict gathers an
-(Hkv, m) table of retained rows of a prompt pass's (Hkv, l, d) keys and
-values and builds the cache from them, so its heads start equal and no
-dropped row is ever copied. Appending writes in place and doubles the
-capacity when the buffers are full, so a decode step copies nothing but its
-new rows; truncate(n) rolls every head back to n rows, which makes a failed
-decode step undoable. Readers see only committed rows, through per-head
-views or the stacked views of stacked()."""
+(Hkv, capacity, d) for keys and values and (Hkv, capacity) for positions.
+It has one constructor, which copies what it is given, so no cache aliases
+a caller's array. evict gathers an (Hkv, m) table of retained rows of a
+prompt pass's (Hkv, l, d) keys and values and builds the cache from them, so
+its heads start equal and no dropped row is ever copied. Appending writes
+one head's row in place and doubles the capacity when the buffers are full,
+so a decode step copies nothing but its new rows; truncate(n) rolls every
+head back to n rows, which makes a failed decode step undoable. keys, values
+and positions are (Hkv, n, ·) views of the n rows every head holds; a row
+that only some heads have appended stays staged, unseen."""
 
 from __future__ import annotations
 
@@ -43,12 +43,12 @@ class KvCacheLayer:
     """One layer's KV rows in preallocated, head-stacked buffers.
 
     The buffers are keys (Hkv, capacity, d_k), values (Hkv, capacity, d_v)
-    and positions (Hkv, capacity); head g has committed the first rows(g)
-    rows of its slot. keys[g], values[g] and positions[g] are views of
-    exactly those rows, so nothing past the committed length is ever seen.
-    append writes one row past a head's committed length and commits it,
-    doubling the capacity when the buffers are full; truncate rolls every
-    head back to one earlier count. The one constructor copies its arguments.
+    and positions (Hkv, capacity); head g has appended rows(g) rows of its
+    slot. keys, values and positions are (Hkv, n, ·) views of the first
+    n = min(rows(g)) rows, which every head holds; a row that only some
+    heads have appended stays staged, unseen. append writes one row past a
+    head's count, doubling the capacity when full; truncate rolls every head
+    back to one earlier count. The one constructor copies its arguments.
     """
 
     def __init__(self, keys, values, positions):
@@ -77,26 +77,16 @@ class KvCacheLayer:
         return self._lengths[head]
 
     @property
-    def keys(self) -> list[np.ndarray]:
-        return [self._keys[h, :n] for h, n in enumerate(self._lengths)]
+    def keys(self) -> np.ndarray:
+        return self._keys[:, : min(self._lengths)]
 
     @property
-    def values(self) -> list[np.ndarray]:
-        return [self._values[h, :n] for h, n in enumerate(self._lengths)]
+    def values(self) -> np.ndarray:
+        return self._values[:, : min(self._lengths)]
 
     @property
-    def positions(self) -> list[np.ndarray]:
-        return [self._positions[h, :n] for h, n in enumerate(self._lengths)]
-
-    def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every head's committed (keys, values, positions) as (Hkv, n, ·) views.
-
-        Needs every head to hold the same n rows, as they do in a session.
-        """
-        n = self._lengths[0]
-        if any(m != n for m in self._lengths):
-            raise ConfigurationError(f"heads hold different row counts {self._lengths}")
-        return self._keys[:, :n], self._values[:, :n], self._positions[:, :n]
+    def positions(self) -> np.ndarray:
+        return self._positions[:, : min(self._lengths)]
 
     def append(self, head: int, key_row: np.ndarray, value_row: np.ndarray, position: int):
         n = self._lengths[head]
@@ -159,6 +149,9 @@ class PolicyConfig:
             raise ConfigurationError(
                 f"budget_fraction must be in (0, 1], got {self.budget_fraction}"
             )
+        if self.policy_kind == "full" and self.budget_fraction != 1.0:
+            raise ConfigurationError(f"the full policy keeps every row, so its "
+                                     f"budget_fraction must be 1.0, got {self.budget_fraction}")
         if self.recent_window_w < 1:
             raise ConfigurationError("recent_window_w must be >= 1")
         if self.sink_len < 0:

@@ -84,7 +84,7 @@ def _cmd_validate(args) -> int:
                                 (w,), config.model.num_layers, tile_size=config.tile_size)
     [report] = engine.validate_cross_layer([prompt], w, config.clie_layer_index, config.n_perm,
                                            config.stats_seed)
-    sys.stdout.write(json.dumps(harness._round6(report), indent=2) + "\n")
+    sys.stdout.write(harness.render_report(report, "json"))
     return 0
 
 

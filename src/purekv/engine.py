@@ -36,19 +36,20 @@ own accumulator (layers at or below e) or layer e's (above) by the layer's
 value-row norms, select_retained turns those (Hkv, l - w) scores into an
 (Hkv, w + h) table of positions, and evict gathers those rows of the pass's
 K/V into the cache, where cache[layer].positions[g] holds the original
-positions KV head g kept. The full policy, and any budget that keeps every
-row, retains all l positions through the same evict.
+positions KV head g kept. Any budget that keeps every row, such as the full
+policy's 1.0, retains all l positions through the same evict.
 
 session.phase is "new", then "prefilled", then "compressed"; every session
 entry point checks it first and raises before changing anything.
 
 Decode projects and finishes each layer as the prompt pass does. At each
 layer it appends the new token's key and value row to every KV head, past
-the committed rows of the layer's preallocated (Hkv, capacity, d) buffers,
-and makes one attention.decode call: the (Hkv, group_size, d_k) query
-against the (Hkv, n, d) stacked views, no mask and no key tiles. A step is
-all or nothing: if any layer raises, every layer is truncated back to the
-one row count its heads held before the step, and step_count is unchanged.
+the rows of the layer's preallocated (Hkv, capacity, d) buffers, and makes
+one attention.decode call: the (Hkv, group_size, d_k) query against the
+cache's (Hkv, n, d) keys and values, which show the new row once every head
+holds it, with no mask and no key tiles. A step is all or nothing: if any
+layer raises, every layer is truncated back to the one row count its heads
+held before the step, and step_count is unchanged.
 Decode never calls masked, and its one softmax row per query head lives only
 inside the kernel, so decode stays streaming-compatible: no caller can read
 its attention weights. Decode reads only the cache's rows, with no mask and
@@ -347,7 +348,7 @@ def apply_compression(model: Model, session: SessionState) -> SessionState:
     policy, kind, prompt = session.policy, session.policy.policy_kind, session.prompt
     l, w, h_count = session.prefill_len, session.w, session.h
     sink = min(policy.sink_len, w + h_count)
-    keep = (np.arange(l) if kind == "full" or w + h_count >= l else
+    keep = (np.arange(l) if w + h_count >= l else
             baseline_streaming(l, sink, w + h_count - sink) if kind == "streaming_like" else None)
     cache = []
     for layer, (keys, values) in enumerate(zip(prompt.keys, prompt.values)):
@@ -377,14 +378,13 @@ def decode_step(model: Model, session: SessionState, token_embedding) -> np.ndar
     _require_finite(x, "token embedding")
 
     position = session.prefill_len + session.step_count
-    committed = [kv.rows(0) for kv in session.cache]
+    committed = [kv.positions.shape[1] for kv in session.cache]
     try:
         for kv, weights in zip(session.cache, model.layers):
             q, k, v = _project_heads(_rmsnorm(x), weights, c)
             for g in range(c.num_kv_heads):
                 kv.append(g, k[g, 0], v[g, 0], position)
-            keys, values, _ = kv.stacked()
-            x = _block(x, weights, attention.decode(q[:, :, 0], keys, values)[:, :, None])
+            x = _block(x, weights, attention.decode(q[:, :, 0], kv.keys, kv.values)[:, :, None])
     except BaseException:
         # All or nothing: the rows this step appended are dropped again.
         for kv, n in zip(session.cache, committed):

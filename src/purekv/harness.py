@@ -345,7 +345,7 @@ def run_experiment(source) -> dict:
     decoded: dict[tuple, list[np.ndarray]] = {}
 
     def decode(session, pattern):
-        key = (pattern, *(kv.stacked()[2].tobytes() for kv in session.cache))
+        key = (pattern, *(kv.positions.tobytes() for kv in session.cache))
         if key not in decoded:
             decoded[key] = [engine.decode_step(model, session, row) for row in decode_rows]
         return decoded[key]
@@ -367,7 +367,7 @@ def run_experiment(source) -> dict:
 
         recall = None
         if salient.size:
-            table = np.concatenate([kv.stacked()[2] for kv in session.cache])
+            table = np.concatenate([kv.positions for kv in session.cache])
             recall = float(np.mean(salient_recall(table, salient)))
 
         decode_macs = estimate_macs(config.layout, pattern, config.model, "decode",

@@ -57,25 +57,28 @@ class TokenLayout:
         return self.text_prefix_len + self.video_len + self.text_suffix_len
 
 
+# The kinds that take a parameter: its name and its smallest value.
+_PARAMS = {"local": ("window", 1), "atrous": ("stride", 2)}
+
+
 @dataclass(frozen=True)
 class SparsityPattern:
-    """Declarative sparsity pattern; window/stride only apply to local/atrous."""
+    """Declarative sparsity pattern; param is local's window or atrous's stride, else None."""
 
     kind: str
-    window: int | None = None
-    stride: int | None = None
+    param: int | None = None
 
     def __post_init__(self):
         if self.kind not in PATTERN_KINDS:
             raise ConfigurationError(
                 f"unknown pattern kind {self.kind!r}, expected one of {PATTERN_KINDS}"
             )
-        if self.kind == "local":
-            if self.window is None or self.window < 1:
-                raise ConfigurationError("local pattern needs window >= 1")
-        elif self.kind == "atrous":
-            if self.stride is None or self.stride < 2:
-                raise ConfigurationError("atrous pattern needs stride >= 2")
+        if self.kind in _PARAMS:
+            name, low = _PARAMS[self.kind]
+            if self.param is None or self.param < low:
+                raise ConfigurationError(f"{self.kind} pattern needs {name} >= {low}")
+        elif self.param is not None:
+            raise ConfigurationError(f"{self.kind} pattern takes no parameter, got {self.param}")
 
     @classmethod
     def dense(cls) -> "SparsityPattern":
@@ -83,11 +86,11 @@ class SparsityPattern:
 
     @classmethod
     def local(cls, window: int) -> "SparsityPattern":
-        return cls("local", window=window)
+        return cls("local", window)
 
     @classmethod
     def atrous(cls, stride: int) -> "SparsityPattern":
-        return cls("atrous", stride=stride)
+        return cls("atrous", stride)
 
     @classmethod
     def spatial(cls) -> "SparsityPattern":
@@ -102,11 +105,7 @@ class SparsityPattern:
         return cls("spatial_temporal")
 
     def describe(self) -> str:
-        if self.kind == "local":
-            return f"local:{self.window}"
-        if self.kind == "atrous":
-            return f"atrous:{self.stride}"
-        return self.kind
+        return self.kind if self.param is None else f"{self.kind}:{self.param}"
 
 
 def parse_pattern(text: str, layout: TokenLayout | None = None) -> SparsityPattern:
@@ -121,20 +120,14 @@ def parse_pattern(text: str, layout: TokenLayout | None = None) -> SparsityPatte
         raise ConfigurationError(
             f"unknown pattern {text!r}, expected one of {PATTERN_KINDS}"
         )
-    if name == "local":
-        if param:
-            window = _parse_param(text, param)
-        elif layout is not None and layout.patches_per_frame > 0:
-            window = layout.patches_per_frame
-        else:
+    value = _parse_param(text, param) if param else None
+    if value is None and name == "atrous":
+        value = 2
+    elif value is None and name == "local":
+        if layout is None or layout.patches_per_frame < 1:
             raise ConfigurationError(f"pattern {text!r} needs an explicit window")
-        return SparsityPattern.local(window)
-    if name == "atrous":
-        stride = _parse_param(text, param) if param else 2
-        return SparsityPattern.atrous(stride)
-    if param:
-        raise ConfigurationError(f"pattern {name!r} takes no parameter, got {text!r}")
-    return SparsityPattern(name)
+        value = layout.patches_per_frame
+    return SparsityPattern(name, value)
 
 
 def _parse_param(text: str, param: str) -> int:
@@ -148,9 +141,9 @@ def _video_rule(pattern: SparsityPattern, n: int, P: int) -> np.ndarray:
     """(n, n) bool over video indices: the keys each query may see, causality aside."""
     q, k = np.arange(n)[:, None], np.arange(n)[None, :]
     if pattern.kind == "local":
-        return (q - k) < pattern.window
+        return (q - k) < pattern.param
     if pattern.kind == "atrous":
-        return ((q - k) % pattern.stride) == 0
+        return ((q - k) % pattern.param) == 0
     # spatial_temporal is the union of the spatial and temporal rules.
     allowed = np.zeros((n, n), dtype=bool)
     allowed[:, :P] = True  # the first frame

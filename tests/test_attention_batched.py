@@ -348,7 +348,7 @@ class TestDecodeKernel:
         for position in range(held, n):
             for g in range(hkv):
                 cache.append(g, k[g, position], v[g, position], position)
-        keys, values, _ = cache.stacked()
+        keys, values = cache.keys, cache.values
         np.testing.assert_array_equal(keys, k)
         np.testing.assert_array_equal(decode(q, keys, values), decode_attention(q, keys, values))
 

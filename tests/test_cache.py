@@ -215,7 +215,7 @@ class TestEvict:
         built = [evict(keys, values, table), evict(keys, values, keep_all),
                  KvCacheLayer(keys, values, keep_all)]
         for out in built:
-            for mine in out.stacked():
+            for mine in (out.keys, out.values, out.positions):
                 assert not any(np.shares_memory(mine, given)
                                for given in (keys, values, table, keep_all))
             out.append(0, np.ones(3), np.ones(3), position=6)
@@ -231,9 +231,10 @@ class TestEvict:
 
     def test_append_after_eviction_extends_positions(self):
         out = evict(*self.make_pass(rows=4), [np.array([0, 3])] * 2)
-        out.append(0, np.zeros(3), np.zeros(3), position=4)
-        assert out.positions[0].tolist() == [0, 3, 4]
-        with pytest.raises(ConfigurationError):
+        for g in range(2):
+            out.append(g, np.zeros(3), np.zeros(3), position=4)
+        assert out.positions.tolist() == [[0, 3, 4], [0, 3, 4]]
+        with pytest.raises(ConfigurationError, match="does not extend head 0"):
             out.append(0, np.zeros(3), np.zeros(3), position=2)
 
     def test_one_set_per_head_required(self):
@@ -264,9 +265,11 @@ class TestEvict:
             np.testing.assert_array_equal(out.keys[g], keys[g][table[g]])
             np.testing.assert_array_equal(out.values[g], values[g][table[g]])
             np.testing.assert_array_equal(out.positions[g], table[g])
-            end = rows if m == 0 else int(table[g, -1]) + 1
-            out.append(g, np.ones(3), np.ones(d_v), position=end)
-            assert out.positions[g].tolist() == table[g].tolist() + [end]
+        ends = [rows if m == 0 else int(table[g, -1]) + 1 for g in range(heads)]
+        for g in range(heads):
+            out.append(g, np.ones(3), np.ones(d_v), position=ends[g])
+        for g in range(heads):
+            assert out.positions[g].tolist() == table[g].tolist() + [ends[g]]
         out.check_invariants()
 
         g = data.draw(st.integers(0, heads - 1), label="bad head")
@@ -287,6 +290,15 @@ class TestEvict:
             if bad.shape != table.shape:
                 with pytest.raises(ConfigurationError, match="retained table"):
                     evict(keys, values, bad)
+
+
+def assert_views_equal(layer, keys, values, positions):
+    """The layer's views are the per-head oracle lists cut to their smallest count."""
+    n = min(p.size for p in positions)
+    for view, oracle in ((layer.keys, keys), (layer.values, values), (layer.positions, positions)):
+        want = np.stack([rows[:n] for rows in oracle])
+        # Comparing shapes first: no row past the smallest count shows.
+        assert view.shape == want.shape and np.array_equal(view, want)
 
 
 class TestStackedBuffers:
@@ -324,17 +336,7 @@ class TestStackedBuffers:
             assert layer.num_heads == heads
             for h in range(heads):
                 assert layer.rows(h) == positions[h].size <= layer.capacity
-                # array_equal also compares shapes: no row past the committed length shows.
-                assert np.array_equal(layer.keys[h], keys[h])
-                assert np.array_equal(layer.values[h], values[h])
-                assert np.array_equal(layer.positions[h], positions[h])
-            if len({p.size for p in positions}) == 1:
-                stacked = layer.stacked()
-                for got, want in zip(stacked, (keys, values, positions)):
-                    assert np.array_equal(got, np.stack(want))
-            else:
-                with pytest.raises(ConfigurationError, match="different row counts"):
-                    layer.stacked()
+            assert_views_equal(layer, keys, values, positions)
 
         ops = data.draw(st.lists(st.sampled_from(["head", "step", "evict", "truncate"]),
                                  max_size=40), label="ops")
@@ -367,6 +369,44 @@ class TestStackedBuffers:
             for h in range(heads):
                 append(h)
             check()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), heads=st.integers(1, 4), rows=st.integers(1, 6))
+    def test_views_show_the_rows_every_head_holds(self, data, heads, rows):
+        """An evicted layer takes rounds of one append per head, in a drawn head
+        order, with truncations in between. After every call the views equal the
+        per-head oracle cut to the smallest count, and rows(g) counts head g's rows."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        prompt_keys, prompt_values = rng.standard_normal((2, heads, rows, 3))
+        m = data.draw(st.integers(0, rows), label="rows kept")
+        table = np.array([sorted(data.draw(st.lists(st.integers(0, rows - 1), min_size=m,
+                                                    max_size=m, unique=True), label=f"head {g}"))
+                          for g in range(heads)], dtype=np.int64).reshape(heads, m)
+        layer = evict(prompt_keys, prompt_values, table)
+        keys = [prompt_keys[g][table[g]] for g in range(heads)]
+        values = [prompt_values[g][table[g]] for g in range(heads)]
+        positions = list(table)
+
+        def check():
+            assert [layer.rows(g) for g in range(heads)] == [p.size for p in positions]
+            assert_views_equal(layer, keys, values, positions)
+
+        check()
+        for _ in range(data.draw(st.integers(1, 4), label="rounds")):
+            position = max((int(p[-1]) + 1 for p in positions if p.size), default=rows)
+            new_keys, new_values = rng.standard_normal((2, heads, 3))
+            for g in data.draw(st.permutations(range(heads)), label="head order"):
+                layer.append(g, new_keys[g], new_values[g], position)
+                keys[g] = np.concatenate([keys[g], new_keys[g][None]])
+                values[g] = np.concatenate([values[g], new_values[g][None]])
+                positions[g] = np.append(positions[g], position)
+                check()
+                if data.draw(st.booleans(), label="truncate"):
+                    cut = data.draw(st.integers(0, layer.positions.shape[1]), label="cut")
+                    layer.truncate(cut)
+                    keys, values, positions = ([a[:cut] for a in oracle]
+                                               for oracle in (keys, values, positions))
+                    check()
 
     def test_truncate_only_rolls_back(self):
         layer = KvCacheLayer(np.ones((2, 2, 3)), np.ones((2, 2, 3)), [[0, 1], [0, 1]])
@@ -471,6 +511,10 @@ class TestPolicyConfig:
             PolicyConfig("pure_kv", 0.0, 8, 4, 2, 4)
         with pytest.raises(ConfigurationError):
             PolicyConfig("pure_kv", 1.2, 8, 4, 2, 4)
+        # Below 1.0, a full session's w + h would not count its cache's rows.
+        for budget in (0.5, 0.999):
+            with pytest.raises(ConfigurationError, match="full policy keeps every row"):
+                PolicyConfig("full", budget, 8, 4, 2, 4)
 
     def test_unknown_policy(self):
         with pytest.raises(ConfigurationError):

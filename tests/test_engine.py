@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import purekv.attention
 import purekv.engine
 from _oracles import brute_force_select, causal_masks, normalize_rows, reference_forward
-from purekv.cache import PolicyConfig, baseline_streaming
+from purekv.cache import POLICY_KINDS, PolicyConfig, baseline_streaming
 from purekv.engine import (
     ModelConfig,
     apply_compression,
@@ -32,6 +32,8 @@ SMALL = ModelConfig(num_layers=4, d_model=32, num_q_heads=4, num_kv_heads=2,
                     d_k=8, d_v=8, vocab_size=40, seed=3)
 LAYOUT = TokenLayout(text_prefix_len=2, num_frames=3, patches_per_frame=4, text_suffix_len=2)
 PATTERNS = ["dense", "local:3", "atrous:2", "spatial", "temporal", "spatial_temporal"]
+# Every policy kind at budget 0.5, but full, which keeps every row, at 1.0.
+KIND_BUDGETS = (("pure_kv", 0.5), ("h2o_like", 0.5), ("streaming_like", 0.5), ("full", 1.0))
 
 
 def make_policy(kind="pure_kv", budget=1.0, w=4, sink=2, clie=1, st=2):
@@ -213,6 +215,23 @@ class TestCompression:
         session = init_session(model, LAYOUT, make_policy(budget=1.0), SparsityPattern.dense())
         prefill(model, session, embeddings_for(LAYOUT))
         assert_compression_keeps_every_row(session, session.prompt)
+
+    def test_w_plus_h_counts_the_rows_of_every_layer(self):
+        """For every policy the constructor accepts, each cache layer holds
+        w + h rows on every head; full accepts no budget below 1.0."""
+        model = init_model(SMALL)
+        for kind in POLICY_KINDS:
+            for budget in (1.0, 0.5, 0.2):
+                if kind == "full" and budget < 1.0:
+                    with pytest.raises(ConfigurationError, match="full policy keeps every row"):
+                        make_policy(kind=kind, budget=budget)
+                    continue
+                session = init_session(model, LAYOUT, make_policy(kind=kind, budget=budget),
+                                       SparsityPattern.spatial())
+                prefill(model, session, embeddings_for(LAYOUT))
+                apply_compression(model, session)
+                for kv in session.cache:
+                    assert kv.positions.shape == (SMALL.num_kv_heads, session.w + session.h)
 
     def test_budget_exactness_at_l_200(self):
         layout = TokenLayout(4, 12, 16, 4)
@@ -418,7 +437,7 @@ def assert_compression_keeps_every_row(session, prompt):
     apply_compression(prompt.model, session)
     assert len(session.cache) == len(prompt.keys)
     for layer, kv in enumerate(session.cache):
-        keys, values, positions = kv.stacked()
+        keys, values, positions = kv.keys, kv.values, kv.positions
         np.testing.assert_array_equal(keys, prompt.keys[layer])
         np.testing.assert_array_equal(values, prompt.values[layer])
         np.testing.assert_array_equal(positions,
@@ -548,10 +567,9 @@ class TestFiniteOrRaise:
         layout = TokenLayout(draw(st.integers(0, 3)), frames, draw(st.integers(int(frames > 0), 3)),
                              draw(st.integers(int(frames == 0), 3)))
         clie = draw(st.integers(0, num_layers - 2))
-        policy = PolicyConfig(draw(st.sampled_from(["full", "pure_kv", "h2o_like",
-                                                    "streaming_like"])),
-                              draw(st.sampled_from([1.0, 0.5, 0.2])), draw(st.integers(1, 4)),
-                              draw(st.integers(0, 2)), clie,
+        kind = draw(st.sampled_from(["full", "pure_kv", "h2o_like", "streaming_like"]))
+        budget = 1.0 if kind == "full" else draw(st.sampled_from([1.0, 0.5, 0.2]))
+        policy = PolicyConfig(kind, budget, draw(st.integers(1, 4)), draw(st.integers(0, 2)), clie,
                               draw(st.integers(clie + 1, num_layers)))
         pattern = parse_pattern(draw(st.sampled_from(PATTERNS)), layout)
         model = init_model(config)
@@ -577,7 +595,7 @@ class TestFiniteOrRaise:
             assert np.isfinite(array).all()
         assert call(apply_compression) is session
         for kv in session.cache:
-            assert all(np.isfinite(a).all() for a in kv.stacked())
+            assert all(np.isfinite(a).all() for a in (kv.keys, kv.values, kv.positions))
         for row in seeded_gaussian(3, config.d_model, 6):
             step = call(decode_step, row * draw(scale))
             assert step is None or np.isfinite(step).all()
@@ -1036,7 +1054,8 @@ class TestStreamingCompatibilityContract:
 
 def adopted_state(session, logits):
     """Everything prefill and compression leave in a session, with the cache's committed buffers."""
-    cache = [tuple(a.copy() for a in layer.stacked()) for layer in session.cache]
+    cache = [(layer.keys.copy(), layer.values.copy(), layer.positions.copy())
+             for layer in session.cache]
     return [session.phase, session.w, session.h, session.prefill_len, logits, cache,
             session.prompt is None]
 
@@ -1168,8 +1187,8 @@ class TestPromptPass:
             return passes[-1]
 
         monkeypatch.setattr(purekv.engine, "prompt_pass", spy)
-        for kind in ("pure_kv", "h2o_like", "streaming_like", "full"):
-            session = init_session(model, LAYOUT, make_policy(kind=kind, budget=0.5, clie=1, st=2),
+        for kind, budget in KIND_BUDGETS:
+            session = init_session(model, LAYOUT, make_policy(kind, budget, clie=1, st=2),
                                    SparsityPattern.spatial())
             prefill(model, session, embeddings_for(LAYOUT))
             made = passes[-1]
@@ -1193,8 +1212,8 @@ class TestPromptPass:
 
         monkeypatch.setattr(purekv.engine, "prompt_pass", spy)
         model = init_model(SMALL)
-        for kind in ("pure_kv", "h2o_like", "streaming_like", "full"):
-            session = init_session(model, LAYOUT, make_policy(kind=kind, budget=0.5),
+        for kind, budget in KIND_BUDGETS:
+            session = init_session(model, LAYOUT, make_policy(kind=kind, budget=budget),
                                    SparsityPattern.spatial())
             prefill(model, session, embeddings_for(LAYOUT))
             assert refs[-1]() is session.prompt
@@ -1261,8 +1280,7 @@ class TestPromptPass:
         for session in (b, own):
             apply_compression(model, session)
         for layer in range(config.model.num_layers):
-            np.testing.assert_array_equal(b.cache[layer].stacked()[2],
-                                          own.cache[layer].stacked()[2])
+            np.testing.assert_array_equal(b.cache[layer].positions, own.cache[layer].positions)
 
 
 class TestValidationWindows:

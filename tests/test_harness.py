@@ -437,7 +437,7 @@ class TestDecodeSharing:
         def apply_compression(model, session):
             real_compress(model, session)
             caches.append((session.pattern.describe(),
-                           *(kv.stacked()[2].tobytes() for kv in session.cache)))
+                           *(kv.positions.tobytes() for kv in session.cache)))
             return session
 
         monkeypatch.setattr(purekv.engine, "apply_compression", apply_compression)

@@ -43,9 +43,9 @@ def oracle_allowed(layout: TokenLayout, pattern: SparsityPattern, q: int, k: int
     if pattern.kind == "dense":
         return True
     if pattern.kind == "local":
-        return q - k < pattern.window
+        return q - k < pattern.param
     if pattern.kind == "atrous":
-        return (q - k) % pattern.stride == 0
+        return (q - k) % pattern.param == 0
     spatial = fk == 0 or fk == fq
     temporal = fk == 0 or (fk == fq - 1 and pk == pq)
     if pattern.kind == "spatial":
@@ -83,12 +83,30 @@ class TestPatternParsing:
         with pytest.raises(ConfigurationError):
             SparsityPattern("bogus")
 
+    def test_a_kind_takes_only_its_own_parameter(self):
+        # A parameter its kind ignores would make a pattern that describes
+        # itself as dense compare unequal to SparsityPattern.dense().
+        for kind in ("dense", "spatial", "temporal", "spatial_temporal"):
+            with pytest.raises(ConfigurationError, match=f"^{kind} pattern takes no parameter"):
+                SparsityPattern(kind, 3)
+            with pytest.raises(ConfigurationError, match="takes no parameter"):
+                parse_pattern(f"{kind}:3")
+        with pytest.raises(ConfigurationError, match="local pattern needs window >= 1"):
+            SparsityPattern("local")
+        with pytest.raises(ConfigurationError, match="atrous pattern needs stride >= 2"):
+            SparsityPattern("atrous", 1)
+        with pytest.raises(TypeError):
+            SparsityPattern("local", window=3, stride=5)  # one parameter field, not two
+        assert SparsityPattern("local", 3) == SparsityPattern.local(3) == parse_pattern("local:3")
+        assert SparsityPattern.atrous(3).describe() == "atrous:3"
+        assert SparsityPattern("dense") == SparsityPattern.dense() == parse_pattern("dense")
+
     def test_parse_defaults(self):
         layout = TokenLayout(0, 3, 5, 0)
-        assert parse_pattern("local", layout).window == 5  # one frame
-        assert parse_pattern("atrous", layout).stride == 2
-        assert parse_pattern("local:7", layout).window == 7
-        assert parse_pattern("atrous:3", layout).stride == 3
+        assert parse_pattern("local", layout).param == 5  # one frame
+        assert parse_pattern("atrous", layout).param == 2
+        assert parse_pattern("local:7", layout).param == 7
+        assert parse_pattern("atrous:3", layout).param == 3
         assert parse_pattern("spatial_temporal", layout).kind == "spatial_temporal"
         with pytest.raises(ConfigurationError):
             parse_pattern("dense:4", layout)
