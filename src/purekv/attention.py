@@ -20,11 +20,25 @@ plan's building. The tile loop scores that one block, adds a 0/-inf bias
 only from that column, and normalizes each row exactly with its own max
 subtracted. Every row sees all of its keys in its tile's block, so one
 softmax per block is exact and its column sums are final, and at most one
-block of scores per head is held at a time (query chunking, Rabe & Staats,
+block of scores is held at a time per worker (query chunking, Rabe & Staats,
 arXiv 2112.05682).
+
+A tiled call whose plan scores at least PARALLEL_KEYS_PER_ROW keys per query
+row on average runs its KV heads, each with its G query heads, on parallel
+threads, one chunk of heads per usable CPU, as FlashAttention-2 splits work
+across heads (arXiv 2307.08691). numpy releases the GIL inside matmul, ufunc
+and reduction loops, so the threads overlap, but each handoff between numpy
+calls costs about the same however long the call is: the rule counts keys
+per row because that sets the work in each call, and short calls lose more
+to handoffs than a second CPU wins. Threads share no output and each head
+runs the same numpy calls on the same rows as it does alone, so the bits do
+not change. Every worker is joined before the call returns.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -32,6 +46,14 @@ from .errors import ConfigurationError
 from .numerics import row_softmax
 
 DEFAULT_TILE = 16
+# Below this many scored keys per query row, one numpy call in the tile loop
+# is too short to pay for handing the GIL between threads. On a 2-CPU VM with
+# one BLAS thread (BENCH_parallel_heads.json), splitting the heads of every
+# call made a spatial_temporal layer at l = 2060 (230 keys per row) 31% slower
+# and a dense one at l = 524 (270) 23% slower, while a dense one at l = 2060
+# (1,038) ran in 69 ms instead of 116.
+PARALLEL_KEYS_PER_ROW = 512
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _check_inputs(q, k, v, mask_shape=None):
@@ -150,24 +172,73 @@ def column_mass(q, k, v, plan: TilePlan) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _query_tiles(q, k, v, plan: TilePlan, mass: bool):
-    """The tile loop behind streaming_masked and column_mass; mass is None unless asked."""
+    """The tile loop behind streaming_masked and column_mass; mass is None unless asked.
+
+    A plan that scores at least PARALLEL_KEYS_PER_ROW keys per query row on
+    average (the work in each numpy call, which must outweigh handing the
+    GIL between threads) splits the first leading axis, the KV heads, into
+    one chunk per usable CPU, at most one per head. This thread runs the
+    first chunk and a worker thread each other one, all through _tile_loop.
+    Each writes only its own heads' rows of out and colsums; every worker is
+    joined before the call returns, and a worker's exception is raised here.
+    A head's arithmetic is the same numpy calls on the same rows either way,
+    so the bits do not depend on how the heads are split.
+    """
     q, k, v, lead = _check_inputs(q, k, v, plan.shape)
-    scale = 1.0 / np.sqrt(q.shape[-1])
     out = np.empty(lead + (q.shape[-2], v.shape[-1]))
     colsums = np.zeros(lead + (k.shape[-2],)) if mass else None
+    chunks = 1
+    if lead and plan.shape[0] and plan.pairs_scored >= PARALLEL_KEYS_PER_ROW * plan.shape[0]:
+        chunks = min(lead[0], _CPUS)
+    if chunks < 2:  # zero heads too
+        _tile_loop(plan, q, k, v, out, colsums)
+        return out, colsums
+    bounds = [lead[0] * i // chunks for i in range(chunks + 1)]
+    # An input without the heads axis, or with it as 1, broadcasts: every chunk reads it whole.
+    parts = [[a[lo:hi] if a.ndim - 2 == len(lead) and a.shape[0] > 1 else a for a in (q, k, v)]
+             + [out[lo:hi], None if colsums is None else colsums[lo:hi]]
+             for lo, hi in zip(bounds, bounds[1:])]
+    errors, workers = [], []
+
+    def work(part):
+        try:
+            _tile_loop(plan, *part)
+        except BaseException as exc:  # raised in the calling thread once all are joined
+            errors.append(exc)
+
+    try:
+        for part in parts[1:]:
+            worker = threading.Thread(target=work, args=(part,))
+            worker.start()
+            workers.append(worker)
+        _tile_loop(plan, *parts[0])
+    finally:
+        for worker in workers:
+            worker.join()
+    if errors:
+        raise errors[0]
+    return out, colsums
+
+
+def _tile_loop(plan: TilePlan, q, k, v, out, colsums):
+    """Write every tile's rows of out, and add to colsums unless it is None.
+
+    Only numpy runs here, since this may run on a worker thread and the
+    benchmark's tracer (perfbench/spans.py) keeps one span stack that is
+    not thread-safe: no function it wraps may be called from here."""
+    scale, k_t = 1.0 / np.sqrt(q.shape[-1]), np.swapaxes(k, -1, -2)
     for rows, keys, first, block in plan.schedule:
-        scores = q[..., rows, :] @ np.swapaxes(k[..., keys, :], -1, -2)
+        scores = q[..., rows, :] @ k_t[..., keys]
         scores *= scale
         if block is not None:
             scores[..., first:] += np.where(block, 0.0, -np.inf)
-        scores -= scores.max(axis=-1, keepdims=True)
+        scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
         np.exp(scores, out=scores)
-        sums = scores.sum(axis=-1, keepdims=True)
-        out[..., rows, :] = (scores @ v[..., keys, :]) / sums
-        if mass:
+        sums = np.add.reduce(scores, axis=-1, keepdims=True)
+        np.divide(scores @ v[..., keys, :], sums, out=out[..., rows, :])
+        if colsums is not None:
             scores /= sums
             colsums[..., keys] += scores.sum(axis=-2)
-    return out, colsums
 
 
 def decode(q, k, v) -> np.ndarray:

@@ -1,11 +1,15 @@
 """Head-batched attention: property tests against per-head routes."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import decode_attention, query_tiles
+from purekv import attention
 from purekv.attention import TilePlan, column_mass, decode, masked, streaming_masked
 from purekv.cache import KvCacheLayer
 from purekv.errors import ConfigurationError
@@ -291,6 +295,102 @@ class TestTilePlan:
             TilePlan(mask[None], 0)
         with pytest.raises(ConfigurationError, match="tile_size must be >= 1"):
             TilePlan(mask, 0)
+
+
+def tile_loop_threads(monkeypatch, cpus):
+    """Pretend cpus CPUs are usable and record the thread each _tile_loop runs on."""
+    monkeypatch.setattr(attention, "_CPUS", cpus)
+    threads, loop = [], attention._tile_loop
+
+    def spy(*args):
+        threads.append(threading.get_ident())
+        return loop(*args)
+
+    monkeypatch.setattr(attention, "_tile_loop", spy)
+    return threads
+
+
+class TestParallelHeads:
+    """A plan scoring at least PARALLEL_KEYS_PER_ROW keys per query row splits
+    the KV heads over threads, and must give the serial loop's bits."""
+
+    @pytest.mark.parametrize("pattern, threaded", [(SparsityPattern.dense(), True),
+                                                   (SparsityPattern.spatial_temporal(), False)],
+                             ids=["dense", "spatial_temporal"])
+    def test_bit_identical_at_the_long_layout(self, monkeypatch, pattern, threaded):
+        mask = build_mask(TokenLayout(8, 16, 128, 4), pattern)
+        plan = TilePlan(mask, 16)
+        assert (plan.pairs_scored >= attention.PARALLEL_KEYS_PER_ROW * plan.shape[0]) == threaded
+        rng = np.random.default_rng(23)
+        l = mask.shape[0]
+        q = rng.standard_normal((2, 4, l, 8))
+        k, v = rng.standard_normal((2, 1, l, 8)), rng.standard_normal((2, 1, l, 8))
+        threads = tile_loop_threads(monkeypatch, 2)
+        out, mass = column_mass(q, k, v, plan)
+        streamed = streaming_masked(q, k, v, plan)
+        assert len(set(threads)) == (2 if threaded else 1)
+        assert threading.get_ident() in threads
+        expected, expected_mass = query_tiles(q, k, v, mask, 16, mass=True)
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(streamed, expected)
+        np.testing.assert_array_equal(mass, expected_mass)
+
+    @pytest.mark.parametrize("cpus, kv_shape", [(2, (3, 1, 1100, 4)), (3, (3, 1, 1100, 4)),
+                                                (2, (1100, 4)), (2, (1, 1, 1100, 4)),
+                                                (2, (2, 1100, 4))])
+    def test_uneven_chunks_and_shared_inputs_match_the_oracle(self, monkeypatch, cpus, kv_shape):
+        """Three KV heads in two or three chunks; k and v without the heads axis,
+        or with it as 1, are read whole by every chunk."""
+        rng = np.random.default_rng(cpus + len(kv_shape))
+        mask = np.tril(np.ones((1100, 1100), dtype=bool))
+        q = rng.standard_normal((3, 2, 1100, 4))
+        k, v = rng.standard_normal(kv_shape), rng.standard_normal(kv_shape)
+        threads = tile_loop_threads(monkeypatch, cpus)
+        out, mass = column_mass(q, k, v, TilePlan(mask, 16))
+        assert len(set(threads)) == cpus
+        expected, expected_mass = query_tiles(q, k, v, mask, 16, mass=True)
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(mass, expected_mass)
+
+    def test_more_workers_than_cores_under_short_switch_intervals(self, monkeypatch):
+        """Five chunks of one KV head each, the GIL handed over every microsecond:
+        a worker that wrote another's heads of out or colsums would change bits."""
+        rng = np.random.default_rng(5)
+        l = 1100
+        mask = np.tril(np.ones((l, l), dtype=bool))
+        q, k, v = (rng.standard_normal((5, 1, l, 2)) for _ in range(3))
+        threads = tile_loop_threads(monkeypatch, 5)
+        before, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out, mass = column_mass(q, k, v, TilePlan(mask, 16))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(set(threads)) == 5
+        assert threading.active_count() == before
+        expected, expected_mass = query_tiles(q, k, v, mask, 16, mass=True)
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(mass, expected_mass)
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_an_exception_is_raised_after_every_worker_is_joined(self, monkeypatch, failing):
+        caller, exp = threading.get_ident(), np.exp
+
+        def failing_exp(*args, **kwargs):
+            if (threading.get_ident() == caller) == (failing == "caller"):
+                raise FloatingPointError(f"exp failed on the {failing}")
+            return exp(*args, **kwargs)
+
+        monkeypatch.setattr(attention, "_CPUS", 2)
+        l = 1100
+        plan = TilePlan(np.tril(np.ones((l, l), dtype=bool)), 16)
+        q, k = np.ones((2, 1, l, 4)), np.ones((2, 1, l, 4))
+        before = threading.active_count()
+        monkeypatch.setattr(np, "exp", failing_exp)
+        with pytest.raises(FloatingPointError, match=f"on the {failing}"):
+            streaming_masked(q, k, k, plan)
+        monkeypatch.undo()
+        assert threading.active_count() == before
 
 
 class TestTileKeys:
