@@ -32,13 +32,12 @@ calls costs about the same however long the call is: the rule counts keys
 per row because that sets the work in each call, and short calls lose more
 to handoffs than a second CPU wins. Threads share no output and each head
 runs the same numpy calls on the same rows as it does alone, so the bits do
-not change. Every worker is joined before the call returns.
+not change.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 
 import numpy as np
 
@@ -46,8 +45,7 @@ from .errors import ConfigurationError
 from .numerics import row_softmax
 
 DEFAULT_TILE = 16
-# Below this many scored keys per query row, one numpy call in the tile loop
-# is too short to pay for handing the GIL between threads. On a 2-CPU VM with
+# The threading rule's bound (see the module docstring). On a 2-CPU VM with
 # one BLAS thread (BENCH_parallel_heads.json), splitting the heads of every
 # call made a spatial_temporal layer at l = 2060 (230 keys per row) 31% slower
 # and a dense one at l = 524 (270) 23% slower, while a dense one at l = 2060
@@ -174,15 +172,11 @@ def column_mass(q, k, v, plan: TilePlan) -> tuple[np.ndarray, np.ndarray]:
 def _query_tiles(q, k, v, plan: TilePlan, mass: bool):
     """The tile loop behind streaming_masked and column_mass; mass is None unless asked.
 
-    A plan that scores at least PARALLEL_KEYS_PER_ROW keys per query row on
-    average (the work in each numpy call, which must outweigh handing the
-    GIL between threads) splits the first leading axis, the KV heads, into
-    one chunk per usable CPU, at most one per head. This thread runs the
-    first chunk and a worker thread each other one, all through _tile_loop.
-    Each writes only its own heads' rows of out and colsums; every worker is
-    joined before the call returns, and a worker's exception is raised here.
-    A head's arithmetic is the same numpy calls on the same rows either way,
-    so the bits do not depend on how the heads are split.
+    A threaded call splits the first leading axis, the KV heads, into chunks:
+    this thread runs the first and a pool worker each other one, all through
+    _tile_loop, each writing only its own heads' rows of out and colsums.
+    Every worker is joined before the call returns, even when this thread's
+    chunk raises, whose exception then wins; otherwise a worker's is raised here.
     """
     q, k, v, lead = _check_inputs(q, k, v, plan.shape)
     out = np.empty(lead + (q.shape[-2], v.shape[-1]))
@@ -193,30 +187,20 @@ def _query_tiles(q, k, v, plan: TilePlan, mass: bool):
     if chunks < 2:  # zero heads too
         _tile_loop(plan, q, k, v, out, colsums)
         return out, colsums
+    # Imported here: at module level, the logging it loads would cost every process
+    # start 7-12 ms (python -X importtime, 2-CPU VM), and most never thread.
+    from concurrent.futures import ThreadPoolExecutor
+
     bounds = [lead[0] * i // chunks for i in range(chunks + 1)]
     # An input without the heads axis, or with it as 1, broadcasts: every chunk reads it whole.
     parts = [[a[lo:hi] if a.ndim - 2 == len(lead) and a.shape[0] > 1 else a for a in (q, k, v)]
              + [out[lo:hi], None if colsums is None else colsums[lo:hi]]
              for lo, hi in zip(bounds, bounds[1:])]
-    errors, workers = [], []
-
-    def work(part):
-        try:
-            _tile_loop(plan, *part)
-        except BaseException as exc:  # raised in the calling thread once all are joined
-            errors.append(exc)
-
-    try:
-        for part in parts[1:]:
-            worker = threading.Thread(target=work, args=(part,))
-            worker.start()
-            workers.append(worker)
+    with ThreadPoolExecutor(chunks - 1) as pool:  # leaving the block joins every worker
+        futures = [pool.submit(_tile_loop, plan, *part) for part in parts[1:]]
         _tile_loop(plan, *parts[0])
-    finally:
-        for worker in workers:
-            worker.join()
-    if errors:
-        raise errors[0]
+    for future in futures:
+        future.result()
     return out, colsums
 
 

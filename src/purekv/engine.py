@@ -271,6 +271,8 @@ def prompt_pass(model: Model, layout: TokenLayout, pattern: SparsityPattern, st_
                 tile_size: int = attention.DEFAULT_TILE) -> PromptPass:
     """Run the prompt once: logits, every layer's K/V and the statistics asked for.
     Layers 0..layers-1 take every window's accumulators from one (max w, l) slab."""
+    if min(windows, default=1) < 1:
+        raise ConfigurationError(f"recent windows must be >= 1, got {sorted(windows)}")
     x = np.asarray(token_embeddings, dtype=np.float64)
     if x.shape != (layout.total_len, model.config.d_model):
         raise ConfigurationError(f"embeddings must be (layout rows, d_model) = "
@@ -320,7 +322,7 @@ def _instrumented_stats(q, k, v, plan):
 
 def prefill(model: Model, session: SessionState, prompt) -> np.ndarray:
     """Adopt a PromptPass that covers the session, or run one of its own from embeddings;
-    returns a copy of its logits. Compression builds the cache from the pass."""
+    returns the pass's read-only logits. Compression builds the cache from the pass."""
     if session.phase != "new":
         raise ConfigurationError("session already prefilled")
     policy, l = session.policy, session.layout.total_len
@@ -336,7 +338,7 @@ def prefill(model: Model, session: SessionState, prompt) -> np.ndarray:
             f"tile_size, window {w}, layers 0..{clie}{' or column sums' if h2o else ''}")
     session.prompt = prompt
     session.w, session.h, session.prefill_len, session.phase = w, h_count, l, "prefilled"
-    return prompt.logits.copy()
+    return prompt.logits
 
 
 def apply_compression(model: Model, session: SessionState) -> SessionState:

@@ -31,7 +31,7 @@ all of them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -144,36 +144,58 @@ def estimate_macs(layout: TokenLayout, pattern: SparsityPattern, model_config: e
 
 # --- config parsing -------------------------------------------------------
 
-def _need(obj: dict, path: str, key: str):
+# Every config field by section: (JSON type, minimum or None[, default]). A
+# field without a default is required; a section or field not listed is rejected.
+CONFIG_FIELDS = {
+    "model": {"num_layers": ("integer", 1), "d_model": ("integer", 1),
+              "num_q_heads": ("integer", 1), "num_kv_heads": ("integer", 1),
+              "d_k": ("integer", 1), "d_v": ("integer", 1), "vocab_size": ("integer", 1),
+              "seed": ("integer", 0)},
+    "layout": {"text_prefix_len": ("integer", 0), "num_frames": ("integer", 0),
+               "patches_per_frame": ("integer", 0), "text_suffix_len": ("integer", 0)},
+    "workload": {"num_salient": ("integer", 0), "salient_gain": ("number", None),
+                 "seed": ("integer", 0)},
+    "policy": {"recent_window_w": ("integer", 1), "sink_len": ("integer", 0),
+               "clie_layer_index": ("integer", 0), "st_layer_index": ("integer", 0)},
+    "experiment": {"policies": ("list", None), "patterns": ("list", None),
+                   "budgets": ("list", None), "decode_steps": ("integer", 0),
+                   "tile_size": ("integer", 1), "validate": ("boolean", None, False),
+                   "n_perm": ("integer", 100, 999), "stats_seed": ("integer", None, 0)},
+}
+# JSON type: its Python types and the message for a value of another type.
+# bool subclasses int, but a JSON true is neither an integer nor a number.
+_JSON_TYPES = {
+    "integer": (int, "expected an integer, got {!r}"),
+    "number": ((int, float), "expected a number, got {!r}"),
+    "boolean": (bool, "expected true or false, got {!r}"),
+    "list": (list, "expected a list"),
+}
+
+
+def _read_fields(obj, path: str, table: dict) -> dict:
+    """obj's fields as table lists them, checked and with defaults filled in; a
+    nested table is a section, read the same way. Numbers come back as floats."""
     if not isinstance(obj, dict):
         raise ConfigurationError(f"{path}: expected an object")
-    if key not in obj:
-        raise ConfigurationError(f"{path}.{key}: missing required field")
-    return obj[key]
-
-
-def _int_field(obj: dict, path: str, key: str, minimum: int | None = None,
-               default: int | None = None) -> int:
-    value = obj.get(key, default) if default is not None else _need(obj, path, key)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{path}.{key}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigurationError(f"{path}.{key}: must be >= {minimum}, got {value}")
-    return value
-
-
-def _float_field(obj: dict, path: str, key: str) -> float:
-    value = _need(obj, path, key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{path}.{key}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _list_field(obj: dict, path: str, key: str) -> list:
-    value = _need(obj, path, key)
-    if not isinstance(value, list):
-        raise ConfigurationError(f"{path}.{key}: expected a list")
-    return value
+    for key in obj:
+        if key not in table:
+            raise ConfigurationError(f"{path}.{key}: unknown field")
+    values = {}
+    for key, spec in table.items():
+        if key not in obj and (isinstance(spec, dict) or len(spec) < 3):
+            raise ConfigurationError(f"{path}.{key}: missing required field")
+        if isinstance(spec, dict):
+            values[key] = _read_fields(obj[key], f"{path}.{key}", spec)
+            continue
+        kind, minimum, *default = spec
+        value = obj.get(key, *default)
+        types, message = _JSON_TYPES[kind]
+        if not isinstance(value, types) or isinstance(value, bool) != (kind == "boolean"):
+            raise ConfigurationError(f"{path}.{key}: {message.format(value)}")
+        if minimum is not None and value < minimum:
+            raise ConfigurationError(f"{path}.{key}: must be >= {minimum}, got {value}")
+        values[key] = float(value) if kind == "number" else value
+    return values
 
 
 def _at(path: str, build, *args, **kwargs):
@@ -226,77 +248,37 @@ def load_config(source) -> ExperimentConfig:
     else:
         raise ConfigurationError(f"config must be a path or dict, got {type(source)}")
 
-    model_obj = _need(raw, "config", "model")
-    model = _at("config.model", engine.ModelConfig, **{
-        f.name: _int_field(model_obj, "config.model", f.name, 0 if f.name == "seed" else 1)
-        for f in fields(engine.ModelConfig)
-    })
-    layout_obj = _need(raw, "config", "layout")
-    layout = _at("config.layout", TokenLayout, **{
-        f.name: _int_field(layout_obj, "config.layout", f.name, 0) for f in fields(TokenLayout)
-    })
-    workload_obj = _need(raw, "config", "workload")
-    workload = _at(
-        "config.workload", WorkloadSpec, layout=layout,
-        num_salient=_int_field(workload_obj, "config.workload", "num_salient", 0),
-        salient_gain=_float_field(workload_obj, "config.workload", "salient_gain"),
-        seed=_int_field(workload_obj, "config.workload", "seed", 0),
-    )
-    policy_obj = _need(raw, "config", "policy")
-    recent_window_w = _int_field(policy_obj, "config.policy", "recent_window_w", 1)
-    sink_len = _int_field(policy_obj, "config.policy", "sink_len", 0)
-    clie = _int_field(policy_obj, "config.policy", "clie_layer_index", 0)
-    st = _int_field(policy_obj, "config.policy", "st_layer_index", 0)
-
-    exp_obj = _need(raw, "config", "experiment")
-    policies = _list_field(exp_obj, "config.experiment", "policies")
-    for i, p in enumerate(policies):
+    sections = _read_fields(raw, "config", CONFIG_FIELDS)
+    model = _at("config.model", engine.ModelConfig, **sections["model"])
+    layout = _at("config.layout", TokenLayout, **sections["layout"])
+    workload = _at("config.workload", WorkloadSpec, layout=layout, **sections["workload"])
+    exp = sections["experiment"]
+    for i, p in enumerate(exp["policies"]):
         if p not in POLICY_KINDS:
             raise ConfigurationError(f"config.experiment.policies[{i}]: unknown policy {p!r}")
     patterns = []  # parsed into a new list: the report echoes raw as it was given
-    for i, p in enumerate(_list_field(exp_obj, "config.experiment", "patterns")):
+    for i, p in enumerate(exp["patterns"]):
         if not isinstance(p, str):
             raise ConfigurationError(f"config.experiment.patterns[{i}]: expected a string")
         patterns.append(_at(f"config.experiment.patterns[{i}]", parse_pattern, p, layout))
-    budgets = _list_field(exp_obj, "config.experiment", "budgets")
-    for i, b in enumerate(budgets):
+    for i, b in enumerate(exp["budgets"]):
         if isinstance(b, bool) or not isinstance(b, (int, float)) or not (0.0 < b <= 1.0):
             raise ConfigurationError(
                 f"config.experiment.budgets[{i}]: expected a fraction in (0, 1], got {b!r}"
             )
-
-    validate = exp_obj.get("validate", False)
-    if not isinstance(validate, bool):
-        raise ConfigurationError(
-            f"config.experiment.validate: expected true or false, got {validate!r}"
-        )
-
-    config = ExperimentConfig(
-        model=model,
-        layout=layout,
-        workload=workload,
-        recent_window_w=recent_window_w,
-        sink_len=sink_len,
-        clie_layer_index=clie,
-        st_layer_index=st,
-        policies=tuple(policies),
-        patterns=tuple(patterns),
-        budgets=tuple(float(b) for b in budgets),
-        decode_steps=_int_field(exp_obj, "config.experiment", "decode_steps", 0),
-        tile_size=_int_field(exp_obj, "config.experiment", "tile_size", 1),
-        validate=validate,
-        n_perm=_int_field(exp_obj, "config.experiment", "n_perm", 100, default=999),
-        stats_seed=_int_field(exp_obj, "config.experiment", "stats_seed", default=0),
-        raw=raw,
-    )
+    exp.update(policies=tuple(exp["policies"]), patterns=tuple(patterns),
+               budgets=tuple(float(b) for b in exp["budgets"]))
+    config = ExperimentConfig(model=model, layout=layout, workload=workload,
+                              **sections["policy"], **exp, raw=raw)
     # Fail fast on incoherent layer indices instead of inside the first cell.
     policy = _at("config.policy", config.policy, "full", 1.0)
     _at("config.policy", engine.check_layer_depth, policy, model.num_layers)
-    if validate:  # the widest validated window, against the estimation layer
+    if config.validate:  # the widest validated window, against the estimation layer
         l = layout.total_len
-        w = max((budget_to_wh(budget, l, recent_window_w)[0]
+        w = max((budget_to_wh(budget, l, config.recent_window_w)[0]
                  for *_, budget in _experiment_cells(config)), default=0)
-        _at("config.experiment.validate", engine.check_validation, l, w, clie, model.num_layers)
+        _at("config.experiment.validate", engine.check_validation, l, w,
+            config.clie_layer_index, model.num_layers)
     return config
 
 

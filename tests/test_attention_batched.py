@@ -310,6 +310,15 @@ def tile_loop_threads(monkeypatch, cpus):
     return threads
 
 
+def assert_ran_in_chunks(threads, chunks):
+    """One _tile_loop call per chunk, exactly one of them on the calling thread.
+    The workers' threads need not be distinct: a pool worker that finishes its
+    chunk before the next is submitted takes that one too, and a thread that
+    has exited may pass its identity on to a later one."""
+    assert len(threads) == chunks
+    assert threads.count(threading.get_ident()) == 1
+
+
 class TestParallelHeads:
     """A plan scoring at least PARALLEL_KEYS_PER_ROW keys per query row splits
     the KV heads over threads, and must give the serial loop's bits."""
@@ -327,9 +336,10 @@ class TestParallelHeads:
         k, v = rng.standard_normal((2, 1, l, 8)), rng.standard_normal((2, 1, l, 8))
         threads = tile_loop_threads(monkeypatch, 2)
         out, mass = column_mass(q, k, v, plan)
+        assert_ran_in_chunks(threads, 2 if threaded else 1)
+        threads.clear()
         streamed = streaming_masked(q, k, v, plan)
-        assert len(set(threads)) == (2 if threaded else 1)
-        assert threading.get_ident() in threads
+        assert_ran_in_chunks(threads, 2 if threaded else 1)
         expected, expected_mass = query_tiles(q, k, v, mask, 16, mass=True)
         np.testing.assert_array_equal(out, expected)
         np.testing.assert_array_equal(streamed, expected)
@@ -347,7 +357,7 @@ class TestParallelHeads:
         k, v = rng.standard_normal(kv_shape), rng.standard_normal(kv_shape)
         threads = tile_loop_threads(monkeypatch, cpus)
         out, mass = column_mass(q, k, v, TilePlan(mask, 16))
-        assert len(set(threads)) == cpus
+        assert_ran_in_chunks(threads, cpus)
         expected, expected_mass = query_tiles(q, k, v, mask, 16, mass=True)
         np.testing.assert_array_equal(out, expected)
         np.testing.assert_array_equal(mass, expected_mass)
@@ -366,19 +376,21 @@ class TestParallelHeads:
             out, mass = column_mass(q, k, v, TilePlan(mask, 16))
         finally:
             sys.setswitchinterval(interval)
-        assert len(set(threads)) == 5
+        assert_ran_in_chunks(threads, 5)
         assert threading.active_count() == before
         expected, expected_mass = query_tiles(q, k, v, mask, 16, mass=True)
         np.testing.assert_array_equal(out, expected)
         np.testing.assert_array_equal(mass, expected_mass)
 
-    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    @pytest.mark.parametrize("failing", ["worker", "caller", "both"])
     def test_an_exception_is_raised_after_every_worker_is_joined(self, monkeypatch, failing):
+        """When both sides raise, the calling thread's exception is the one raised."""
         caller, exp = threading.get_ident(), np.exp
 
         def failing_exp(*args, **kwargs):
-            if (threading.get_ident() == caller) == (failing == "caller"):
-                raise FloatingPointError(f"exp failed on the {failing}")
+            side = "caller" if threading.get_ident() == caller else "worker"
+            if failing in (side, "both"):
+                raise FloatingPointError(f"exp failed on the {side}")
             return exp(*args, **kwargs)
 
         monkeypatch.setattr(attention, "_CPUS", 2)
@@ -387,7 +399,8 @@ class TestParallelHeads:
         q, k = np.ones((2, 1, l, 4)), np.ones((2, 1, l, 4))
         before = threading.active_count()
         monkeypatch.setattr(np, "exp", failing_exp)
-        with pytest.raises(FloatingPointError, match=f"on the {failing}"):
+        with pytest.raises(FloatingPointError,
+                           match="on the " + ("caller" if failing == "both" else failing)):
             streaming_masked(q, k, k, plan)
         monkeypatch.undo()
         assert threading.active_count() == before

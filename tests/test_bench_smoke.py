@@ -1,11 +1,16 @@
-"""Smoke test of the traced benchmark: it must run the program end to end and
-find its outputs correct. The traced run reaches paths the unit tests do not,
-such as the MAC estimate it reads for each prefill span, and long-prefill's
-dense layers take attention's threaded path at l = 2060, where the run checks
-that traced and untraced outputs are bit-identical and that logits match the
-cache-free reference.
+"""Smoke test of the benchmark: it must run the program end to end and find
+its outputs correct.
 
-Each run writes its spans to the repository's gitignored .perfbench-out/.
+The traced run reaches paths the unit tests do not, such as the MAC estimate
+it reads for each prefill span, and long-prefill's dense layers take
+attention's threaded path at l = 2060, where the run checks that traced and
+untraced outputs are bit-identical and that logits match the cache-free
+reference. The untraced run is the one whose metrics are gated: it runs the
+speed probe and the setup probes, reports every end-to-end metric (run.py
+exits 3 when one is missing), and at seed 0 compares example-grid's report
+with perfbench/golden/.
+
+Each traced run writes its spans to the repository's gitignored .perfbench-out/.
 """
 
 import json
@@ -18,11 +23,24 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["example-grid", "long-prefill", "decode-long"])
-def test_traced_run_is_correct(workload):
+def bench(workload, seed, trace):
+    """The last line of perfbench/run.py's output, once it has exited with code 0."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
-         "--seconds", "0.5", "--trace", "1"],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", "0.5", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.strip().splitlines()[-1])["correct"] is True
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("workload", ["example-grid", "long-prefill", "decode-long"])
+def test_traced_run_is_correct(workload):
+    assert bench(workload, 1, 1)["correct"] is True
+
+
+@pytest.mark.parametrize("workload", ["example-grid", "decode-long"])
+def test_untraced_run_is_correct_and_reports_every_gated_metric(workload):
+    result = bench(workload, 0, 0)
+    gate = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert result["correct"] is True and result["failed"] == 0
+    assert set(result["metrics"]) == {metric["name"] for metric in gate["end_to_end"]}

@@ -1099,8 +1099,9 @@ class TestPromptPass:
         sessions = [init_session(model, LAYOUT, make_policy(budget=0.5), SparsityPattern.dense())
                     for _ in range(2)]
         logits = [prefill(model, session, shared) for session in sessions]
-        logits[0][:] = 0.0
-        np.testing.assert_array_equal(logits[1], shared.logits)
+        assert all(got is shared.logits for got in logits)  # the pass's read-only array, not a copy
+        with pytest.raises(ValueError, match="read-only"):
+            logits[0][:] = 0.0
         for session in sessions:
             apply_compression(model, session)
         before = cache_snapshot(sessions[1])
@@ -1255,6 +1256,21 @@ class TestPromptPass:
         full = prompt_pass(model, LAYOUT, SparsityPattern.dense(), 2, emb, (4,), SMALL.num_layers)
         with pytest.raises(ConfigurationError, match="window 3"):
             validate_cross_layer([full], 3, 1, n_perm=199)
+
+    @pytest.mark.parametrize("windows", [(0,), (-3,), (4, 0)], ids=["0", "-3", "4,0"])
+    def test_a_window_below_one_is_rejected_before_any_work(self, monkeypatch, windows):
+        """A window below 1 has no accumulators to hold: prompt_pass raises
+        before it projects a layer, so validation of w = 0 finds no pass with
+        that window and says so."""
+        model = init_model(SMALL)
+        emb = embeddings_for(LAYOUT, seed=28)
+        monkeypatch.setattr(purekv.engine, "_project_heads", None)
+        with pytest.raises(ConfigurationError, match=r"recent windows must be >= 1"):
+            prompt_pass(model, LAYOUT, SparsityPattern.dense(), 2, emb, windows, SMALL.num_layers)
+        monkeypatch.undo()
+        full = prompt_pass(model, LAYOUT, SparsityPattern.dense(), 2, emb, (4,), SMALL.num_layers)
+        with pytest.raises(ConfigurationError, match="window 0"):
+            validate_cross_layer([full], 0, 2, n_perm=100)
 
     def test_a_shared_pass_cannot_be_written_through_a_session(self, example):
         """Writing the pass a session holds raises, and a sibling session still

@@ -12,6 +12,7 @@ import purekv.engine
 from purekv.engine import ModelConfig
 from purekv.errors import ConfigurationError
 from purekv.harness import (
+    CONFIG_FIELDS,
     MacEstimate,
     WorkloadSpec,
     decode_embeddings,
@@ -145,6 +146,10 @@ class TestMacAccounting:
             estimate_macs(LAYOUT, SparsityPattern.dense(), MODEL, "train")
 
 
+REQUIRED_FIELDS = [(section, key) for section, table in CONFIG_FIELDS.items()
+                   for key, spec in table.items() if len(spec) < 3]
+
+
 class TestConfigParsing:
     def test_missing_section_names_path(self):
         cfg = base_config()
@@ -255,6 +260,38 @@ class TestConfigParsing:
     def test_missing_file_is_a_configuration_error(self):
         with pytest.raises(ConfigurationError, match="not found"):
             load_config("/nonexistent/purekv.json")
+
+    @pytest.mark.parametrize("section", [None, *CONFIG_FIELDS])
+    def test_an_unknown_field_names_its_path(self, section):
+        cfg = base_config()
+        (cfg if section is None else cfg[section])["valdiate"] = True
+        path = "config" if section is None else f"config.{section}"
+        with pytest.raises(ConfigurationError, match=rf"^{path}\.valdiate: unknown field$"):
+            load_config(cfg)
+
+    def test_the_first_unknown_field_in_document_order_is_named(self):
+        cfg = base_config()
+        cfg["policy"] = {"sink_length": 2, **cfg["policy"], "n_prem": 200}
+        with pytest.raises(ConfigurationError, match=r"^config\.policy\.sink_length: unknown"):
+            load_config(cfg)
+        cfg = {"modle": {}, **base_config()}
+        with pytest.raises(ConfigurationError, match=r"^config\.modle: unknown field$"):
+            load_config(cfg)
+
+    @pytest.mark.parametrize("section, key", REQUIRED_FIELDS,
+                             ids=[f"{section}.{key}" for section, key in REQUIRED_FIELDS])
+    def test_a_missing_required_field_names_its_path(self, section, key):
+        cfg = base_config()
+        del cfg[section][key]
+        with pytest.raises(ConfigurationError,
+                           match=rf"^config\.{section}\.{key}: missing required field$"):
+            load_config(cfg)
+
+    def test_an_integer_gain_reaches_the_workload_as_a_float(self):
+        cfg = base_config()
+        cfg["workload"]["salient_gain"] = 4
+        gain = load_config(cfg).workload.salient_gain
+        assert type(gain) is float and gain == 4.0
 
 
 class TestRunExperiment:
