@@ -9,21 +9,23 @@ window w:
 
 score_low computes either product. select_retained keeps the recent window
 plus the top-h non-recent entries by score, ties broken toward the smaller
-index. Both work along the last axis, on one head's vector or on a layer's
-(Hkv, l - w) table. Two simplified baselines are provided: column-sum
-("heavy hitter") scoring and sink-plus-window retention.
+index. Both work along the last axis, on one head's vector, a layer's
+(Hkv, l - w) table or a stack of layers' (L, Hkv, l - w). Two simplified
+baselines are provided: column-sum ("heavy hitter") scoring and
+sink-plus-window retention.
 
 Storage: KvCacheLayer holds one layer's rows in head-stacked buffers,
 (Hkv, capacity, d) for keys and values and (Hkv, capacity) for positions.
 It has one constructor, which copies what it is given, so no cache aliases
-a caller's array. evict gathers an (Hkv, m) table of retained rows of a
-prompt pass's (Hkv, l, d) keys and values and builds the cache from them, so
-its heads start equal and no dropped row is ever copied. Appending writes
-one head's row in place and doubles the capacity when the buffers are full,
-so a decode step copies nothing but its new rows; truncate(n) rolls every
-head back to n rows, which makes a failed decode step undoable. keys, values
-and positions are (Hkv, n, ·) views of the n rows every head holds; a row
-that only some heads have appended stays staged, unseen."""
+a caller's array. evict checks an (L, Hkv, m) table of retained rows whole,
+takes them from a prompt pass's (L, Hkv, l, d) keys and values at once and
+builds each layer's cache from its slice, so its heads start equal and no
+dropped row is ever copied. Appending writes one head's row in place and
+doubles the capacity when the buffers are full, so a decode step copies
+nothing but its new rows; truncate(n) rolls every head back to n rows, which
+makes a failed decode step undoable. keys, values and positions are
+(Hkv, n, ·) views of the n rows every head holds; a row that only some heads
+have appended stays staged, unseen."""
 
 from __future__ import annotations
 
@@ -189,17 +191,17 @@ def accumulate_recent_attention(A, w: int) -> np.ndarray:
 
 
 def score_low(C, V_low) -> np.ndarray:
-    """Weight a layer's own accumulator by its V-row norms.
+    """Weight accumulators by the norms of their layer's value rows.
 
-    C is one head's accumulator (m,) with V_low (n, d_v), or a table of them
-    (Hkv, m) with V_low (Hkv, n, d_v); n >= m, and only V_low's first m rows
-    are read.
+    C (..., m) holds accumulators over m keys and V_low (..., n, d_v) the value
+    rows of each, over the same leading axes: one head, a layer's Hkv heads or
+    a stack of layers. n >= m, and V_low's first m rows weigh C.
     """
     C = np.asarray(C, dtype=np.float64)
     V_low = np.asarray(V_low, dtype=np.float64)
-    if C.ndim not in (1, 2) or V_low.ndim != C.ndim + 1 or V_low.shape[:-2] != C.shape[:-1]:
+    if C.ndim < 1 or V_low.ndim != C.ndim + 1 or V_low.shape[:-2] != C.shape[:-1]:
         raise ConfigurationError(
-            f"score_low expects C (m,) with V (n, d) or C (Hkv, m) with V (Hkv, n, d), "
+            f"score_low expects C (..., m) with V (..., n, d) over the same leading axes, "
             f"got {C.shape} and {V_low.shape}"
         )
     m = C.shape[-1]
@@ -207,17 +209,20 @@ def score_low(C, V_low) -> np.ndarray:
         raise ConfigurationError(
             f"V has {V_low.shape[-2]} rows but the accumulator covers {m} keys"
         )
-    rows = V_low[..., :m, :].reshape(-1, V_low.shape[-1])
-    return C * l2_norm_rows(rows).reshape(C.shape)
+    # Every row is normed, so a contiguous stack is read in place instead of
+    # copied down to its first m rows (2 MB at l = 2060).
+    norms = l2_norm_rows(V_low.reshape(-1, V_low.shape[-1])).reshape(V_low.shape[:-1])
+    return C * norms[..., :m]
 
 
 def select_retained(S, w: int, h: int, l: int) -> np.ndarray:
     """Last w positions plus the h top-scoring non-recent positions.
 
     S holds scores over the l - w non-recent positions along its last axis:
-    one head's (l - w,) vector or an (Hkv, l - w) table. Ties break toward
-    the smaller index. Returns sorted original positions along the last
-    axis, exactly min(l, w + h) of them per head.
+    one head's (l - w,) vector, a layer's (Hkv, l - w) table or a stack of
+    layers' (L, Hkv, l - w). Ties break toward the smaller index. Returns
+    sorted original positions along the last axis, exactly min(l, w + h) of
+    them per head.
     """
     S = np.asarray(S, dtype=np.float64)
     if S.shape[-1:] != (l - w,):
@@ -234,32 +239,48 @@ def select_retained(S, w: int, h: int, l: int) -> np.ndarray:
     return np.sort(np.concatenate([top.astype(np.int64), recent], axis=-1), axis=-1)
 
 
-def evict(keys, values, retained) -> KvCacheLayer:
-    """A cache of the rows each KV head g lists in retained[g].
+def evict(keys, values, retained):
+    """Caches of the rows each KV head g lists in retained[..., g, :].
 
-    keys (Hkv, l, d_k) and values (Hkv, l, d_v) hold a prompt's rows, row i
-    at position i; retained is an (Hkv, m) table of rows, strictly
-    increasing along each head's row and inside [0, l).
+    keys (..., Hkv, l, d_k) and values (..., Hkv, l, d_v) hold a prompt's
+    rows, row i at position i; retained (..., Hkv, m) lists rows strictly
+    increasing and inside [0, l), and is checked whole before any cache is
+    built. Returns a KvCacheLayer for one layer's (Hkv, m) table, a list of
+    them for a stack of layers' (L, Hkv, m).
     """
+    keys, values = np.asarray(keys), np.asarray(values)
     want = np.asarray(retained, dtype=np.int64)
-    if want.ndim != 2 or len(want) != len(keys):
+    if want.ndim < 2 or want.shape[:-1] != keys.shape[:-2]:
         raise ConfigurationError(
-            f"expected a ({len(keys)}, m) retained table, got shape {want.shape}"
+            f"expected a ({', '.join(map(str, keys.shape[:-2]))}, m) retained table, "
+            f"got shape {want.shape}"
         )
-    l = keys.shape[1]
-    bad = np.flatnonzero((want < 0).any(axis=1) | (want >= l).any(axis=1)
-                         | (np.diff(want, axis=1) <= 0).any(axis=1))
+    if values.shape[:-1] != keys.shape[:-1]:
+        raise ConfigurationError(f"keys {keys.shape} and values {values.shape} must hold "
+                                 f"the same heads and rows")
+    l = keys.shape[-2]
+    # Rows that increase stay inside [0, l) when their first and last do.
+    bad = np.argwhere((want[..., :1] < 0).any(axis=-1) | (want[..., -1:] >= l).any(axis=-1)
+                      | (np.diff(want, axis=-1) <= 0).any(axis=-1))
     if bad.size:
-        g = int(bad[0])
-        raise ConfigurationError(
-            f"head {g}: retained rows {want[g].tolist()} are not strictly increasing in [0, {l})"
-        )
-    # Head by head, so each gathered copy the constructor copies again is one
-    # head's rows: one (Hkv, m, d) gather per layer left glibc trimming and
-    # regrowing the heap between grid cells (example-grid prefill_tok_per_s
-    # about 15% lower on a 2-CPU VM).
-    return KvCacheLayer([k[rows] for k, rows in zip(keys, want)],
-                        [v[rows] for v, rows in zip(values, want)], want)
+        *layer, g = bad[0].tolist()
+        where = f"layer {', '.join(map(str, layer))} head {g}" if layer else f"head {g}"
+        raise ConfigurationError(f"{where}: retained rows {want[(*layer, g)].tolist()} are "
+                                 f"not strictly increasing in [0, {l})")
+    # One take over the stack's rows, each head's l rows after the last's; each
+    # layer's cache copies its slice again. One (Hkv, m, d) gather per layer once
+    # cut example-grid prefill_tok_per_s about 15% through glibc heap trimming;
+    # this one (L, Hkv, m, d) take read it 2.4% lower than per-head gathers,
+    # inside their spread (10 pairs, 2-CPU VM).
+    rows = want + l * np.arange(math.prod(want.shape[:-1])).reshape(want.shape[:-1] + (1,))
+    return _caches(np.take(keys.reshape(-1, keys.shape[-1]), rows, axis=0),
+                   np.take(values.reshape(-1, values.shape[-1]), rows, axis=0), want)
+
+
+def _caches(keys, values, retained):
+    if retained.ndim == 2:
+        return KvCacheLayer(keys, values, retained)
+    return [_caches(*layer) for layer in zip(keys, values, retained)]
 
 
 def baseline_h2o_score(A) -> np.ndarray:

@@ -30,14 +30,15 @@ layer's value rows from each of a sequence of passes covering every layer
 draw of permutations.
 
 Compression runs once after prefill and builds every layer's cache from
-session.prompt, which it then drops, so a private pass is freed. Each layer
-is scored, selected and evicted as one table: score_low weights the layer's
-own accumulator (layers at or below e) or layer e's (above) by the layer's
-value-row norms, select_retained turns those (Hkv, l - w) scores into an
-(Hkv, w + h) table of positions, and evict gathers those rows of the pass's
-K/V into the cache, where cache[layer].positions[g] holds the original
-positions KV head g kept. Any budget that keeps every row, such as the full
-policy's 1.0, retains all l positions through the same evict.
+session.prompt, which it then drops, so a private pass is freed. The whole
+layer stack is scored, selected and evicted as one table: score_low weights
+layer min(layer, e)'s accumulators by each layer's value-row norms,
+select_retained turns those (L, Hkv, l - w) scores (h2o_like's are its
+stacked column sums) into an (L, Hkv, w + h) table of positions, and evict
+checks the table once and gathers those rows of the pass's stacked K/V into
+the caches, where cache[layer].positions[g] holds the original positions KV
+head g kept. A budget that keeps every row, such as the full policy's 1.0,
+and streaming_like broadcast one position list through the same evict.
 
 session.phase is "new", then "prefilled", then "compressed"; every session
 entry point checks it first and raises before changing anything.
@@ -250,8 +251,8 @@ def _block(x: np.ndarray, weights: LayerWeights, heads: np.ndarray) -> np.ndarra
 class PromptPass:
     """One forward over a prompt, shared by every session it covers; its arrays are read-only.
 
-    wiring is (layout, pattern, st_layer_index, tile_size). keys[layer] and
-    values[layer] are (Hkv, l, d). accumulators[w] lists the (Hkv, l - w)
+    wiring is (layout, pattern, st_layer_index, tile_size). keys and values
+    are (L, Hkv, l, d) stacks. accumulators[w] lists the (Hkv, l - w)
     recent-window accumulators of layers 0..layers-1, or is None when w >= l;
     colsums lists every layer's (Hkv, l) column sums, or is None.
     """
@@ -260,8 +261,8 @@ class PromptPass:
     wiring: tuple[TokenLayout, SparsityPattern, int, int]
     layers: int
     logits: np.ndarray
-    keys: list[np.ndarray]
-    values: list[np.ndarray]
+    keys: np.ndarray
+    values: np.ndarray
     accumulators: dict[int, list[np.ndarray] | None]
     colsums: list[np.ndarray] | None
 
@@ -306,7 +307,10 @@ def prompt_pass(model: Model, layout: TokenLayout, pattern: SparsityPattern, st_
         x = _block(x, weights, heads)
         del q, k, v, heads  # so the next layer projects without this one's arrays
     logits = _rmsnorm(x) @ model.w_vocab
-    for array in [logits, *keys, *values, *colsums,
+    # Stacked once the layers are done: (L, Hkv, l, d) buffers taken before the
+    # first layer raised long-prefill peak_rss_mb by 2.5-2.9 MB (2-CPU VM).
+    keys, values = np.array(keys), np.array(values)
+    for array in [logits, keys, values, *colsums,
                   *(a for table in accumulators.values() for a in table or ())]:
         array.flags.writeable = False
     return PromptPass(model, (layout, pattern, st_layer_index, tile_size), layers, logits,
@@ -342,7 +346,8 @@ def prefill(model: Model, session: SessionState, prompt) -> np.ndarray:
 
 
 def apply_compression(model: Model, session: SessionState) -> SessionState:
-    """Score, select, and evict once at the end of prefill, building the cache from the pass."""
+    """Score, select, and evict the whole layer stack once at the end of prefill,
+    building every layer's cache from the pass; all or nothing."""
     if session.phase == "new":
         raise ConfigurationError("apply_compression requires a completed prefill")
     if session.phase == "compressed":
@@ -352,16 +357,17 @@ def apply_compression(model: Model, session: SessionState) -> SessionState:
     sink = min(policy.sink_len, w + h_count)
     keep = (np.arange(l) if w + h_count >= l else
             baseline_streaming(l, sink, w + h_count - sink) if kind == "streaming_like" else None)
-    cache = []
-    for layer, (keys, values) in enumerate(zip(prompt.keys, prompt.values)):
-        if keep is not None:
-            retained = np.broadcast_to(keep, (len(keys), keep.size))
-        elif kind == "pure_kv":
-            accumulators = prompt.accumulators[w][min(layer, policy.clie_layer_index)]
-            retained = select_retained(score_low(accumulators, values), w, h_count, l)
-        else:
-            retained = select_retained(prompt.colsums[layer][:, : l - w], w, h_count, l)
-        cache.append(evict(keys, values, retained))
+    if keep is not None:
+        retained = np.broadcast_to(keep, prompt.keys.shape[:2] + keep.shape)
+    elif kind == "pure_kv":
+        # Layers above the estimation layer reuse its accumulators.
+        table = prompt.accumulators[w]
+        used = np.stack([table[min(layer, policy.clie_layer_index)]
+                         for layer in range(len(prompt.keys))])
+        retained = select_retained(score_low(used, prompt.values), w, h_count, l)
+    else:
+        retained = select_retained(np.stack(prompt.colsums)[..., : l - w], w, h_count, l)
+    cache = evict(prompt.keys, prompt.values, retained)
     # All or nothing: the session changes only once every layer is evicted.
     session.cache, session.prompt, session.phase = cache, None, "compressed"
     return session
@@ -402,16 +408,16 @@ def validate_cross_layer(prompts, w: int, analysis_layer: int, n_perm: int = 999
     """Rank agreement between reused-accumulator scores and own-layer scores.
 
     For every layer above the analysis layer, score_low weights two
-    (Hkv, l - w) accumulator tables by this layer's value-row norms: the
-    analysis layer's (the estimate) and the layer's own (the ground truth),
-    and each KV head's two rows are correlated. Reads window w's
-    accumulators and every layer's value rows from each of prompts, a
-    sequence of passes over one model and layout (one per pattern, say)
-    that hold them on every layer. A KV head's permutation seed depends only
-    on the layer and head, so one permutation_pvalue call scores that head
-    for every pass. Returns one report validation dict per pass:
-    analysis_layer, median_rho, median_p and per_layer entries (layer,
-    median_rho, median_p, heads).
+    accumulator tables by that layer's value-row norms: the analysis
+    layer's (the estimate) and the layer's own (the ground truth), each
+    built for all those layers at once, and each KV head's two rows are
+    correlated. Reads window w's accumulators and every layer's value rows
+    from each of prompts, a sequence of passes over one model and layout
+    (one per pattern, say) that hold them on every layer. A KV head's
+    permutation seed depends only on the layer and head, so one
+    permutation_pvalue call scores that head for every pass. Returns one
+    report validation dict per pass: analysis_layer, median_rho, median_p
+    and per_layer entries (layer, median_rho, median_p, heads).
     """
     prompts = list(prompts)
     if not prompts:
@@ -428,17 +434,22 @@ def validate_cross_layer(prompts, w: int, analysis_layer: int, n_perm: int = 999
         raise ConfigurationError(f"analysis layer {analysis_layer} out of range")
     check_validation(l, w, analysis_layer, num_layers)
 
+    # (P, layers above, Hkv, l - w) tables: row [i, j, g] is pass i's KV head g
+    # on layer analysis_layer + 1 + j.
+    above = slice(analysis_layer + 1, num_layers)
+    truth, estimate = [], []
+    for prompt in prompts:
+        table, values = prompt.accumulators[w], prompt.values[above]
+        own = np.stack(table[above])
+        truth.append(score_low(own, values))
+        estimate.append(score_low(np.broadcast_to(table[analysis_layer], own.shape), values))
+    truth, estimate = np.stack(truth), np.stack(estimate)
     per_layer = [[] for _ in prompts]
-    for layer in range(analysis_layer + 1, num_layers):
-        # (P, Hkv, l - w) tables: pass i's KV head g is row [i, g].
-        truth = np.stack([score_low(prompt.accumulators[w][layer], prompt.values[layer])
-                          for prompt in prompts])
-        estimate = np.stack([score_low(prompt.accumulators[w][analysis_layer],
-                                       prompt.values[layer]) for prompt in prompts])
+    for index, layer in enumerate(range(num_layers)[above]):
         heads = [[] for _ in prompts]
-        for g in range(truth.shape[1]):
-            ps, rhos = stats.permutation_pvalue(estimate[:, g], truth[:, g], n_perm,
-                                                derive_seed(seed, layer, g))
+        for g in range(truth.shape[2]):
+            ps, rhos = stats.permutation_pvalue(estimate[:, index, g], truth[:, index, g],
+                                                n_perm, derive_seed(seed, layer, g))
             for entries, rho, p in zip(heads, rhos, ps):
                 entries.append({"head": g, "rho": float(rho), "p": float(p)})
         for entries, layer_heads in zip(per_layer, heads):

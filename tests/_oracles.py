@@ -133,3 +133,31 @@ def tie_checked_permutation_pvalue(x, y, n_perm, seed):
         for p, (rxc, ryc, norm, observed) in enumerate(rows):
             counts[p] += int(((ryc[idx] @ rxc) / norm >= observed).sum())
     return (1 + counts) / (1 + n_perm), np.array([observed for *_, observed in rows])
+
+
+def per_layer_compression(prompt, policy, w, h):
+    """apply_compression as it ran layer by layer before it took the whole layer
+    stack: each layer scored, selected and gathered head by head on its own.
+    These are the bits the stacked path must match. Returns one (keys, values,
+    positions) triple of (Hkv, w + h, ·) arrays per layer."""
+    l = prompt.keys[0].shape[-2]
+    sink = min(policy.sink_len, w + h)
+    out = []
+    for layer, (keys, values) in enumerate(zip(prompt.keys, prompt.values)):
+        if w + h >= l:
+            table = [np.arange(l)] * len(keys)
+        elif policy.policy_kind == "streaming_like":
+            kept = np.union1d(np.arange(min(sink, l)), np.arange(max(l - (w + h - sink), 0), l))
+            table = [kept] * len(keys)
+        else:
+            if policy.policy_kind == "pure_kv":
+                accumulators = prompt.accumulators[w][min(layer, policy.clie_layer_index)]
+                rows = values[:, : l - w].reshape(-1, values.shape[-1])
+                scores = accumulators * np.sqrt((rows * rows).sum(axis=1)).reshape(-1, l - w)
+            else:
+                scores = prompt.colsums[layer][:, : l - w]
+            top = np.argsort(-scores, axis=-1, kind="stable")[:, :h]
+            table = [np.sort(np.concatenate([rows, np.arange(l - w, l)])) for rows in top]
+        out.append((np.stack([k[rows] for k, rows in zip(keys, table)]),
+                    np.stack([v[rows] for v, rows in zip(values, table)]), np.stack(table)))
+    return out

@@ -103,6 +103,20 @@ class TestScoring:
         with pytest.raises(ConfigurationError):
             score_low(c, v[0])  # a table needs one V per head
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 12), st.integers(0, 3),
+           st.integers(0, 2**32 - 1))
+    def test_a_stack_of_layers_scores_like_each_layer(self, layers, heads, m, extra, seed):
+        rng = np.random.default_rng(seed)
+        c = rng.uniform(0, 1, size=(layers, heads, m))
+        v = rng.standard_normal((layers, heads, m + extra, 3))
+        stack = score_low(c, v)
+        assert stack.shape == (layers, heads, m)
+        for layer in range(layers):
+            assert stack[layer].tobytes() == score_low(c[layer], v[layer]).tobytes()
+        with pytest.raises(ConfigurationError, match="same leading axes"):
+            score_low(c, v[0])
+
     def test_scale_covariance_in_v(self):
         rng = np.random.default_rng(6)
         c = rng.uniform(0, 1, size=10)
@@ -223,6 +237,30 @@ class TestEvict:
         table[:] = 4
         assert built[0].positions[0].tolist() == [0, 2, 5, 6]
         np.testing.assert_array_equal(built[2].keys[1][:6], keys[1])
+
+    def test_a_stack_of_layers_evicts_like_each_layer(self):
+        """A (L, Hkv, m) table gives one cache per layer, each equal to that
+        layer's own eviction; the table is checked whole first, and a bad row
+        names its layer and head."""
+        passes = [self.make_pass(rows=6) for _ in range(3)]
+        keys, values = np.stack([k for k, _ in passes]), np.stack([v for _, v in passes])
+        table = np.array([[[0, 2, 5], [1, 2, 3]], [[3, 4, 5]] * 2, [[0, 1, 2], [0, 4, 5]]])
+        built = evict(keys, values, table)
+        assert len(built) == 3
+        for layer, out in enumerate(built):
+            alone = evict(keys[layer], values[layer], table[layer])
+            for mine, want in ((out.keys, alone.keys), (out.values, alone.values),
+                               (out.positions, alone.positions)):
+                assert mine.tobytes() == want.tobytes()
+        for layer, g, bad in ((0, 1, [1, 2, 6]), (2, 0, [0, 0, 2]), (1, 1, [-1, 4, 5])):
+            broken = table.copy()
+            broken[layer, g] = bad
+            with pytest.raises(ConfigurationError, match=rf"^layer {layer} head {g}: "):
+                evict(keys, values, broken)
+        with pytest.raises(ConfigurationError, match=r"\(3, 2, m\) retained table"):
+            evict(keys, values, table[:2])
+        with pytest.raises(ConfigurationError, match="same heads and rows"):
+            evict(keys, values[:, :, :5], table)
 
     def test_positions_stay_increasing_after_eviction(self):
         out = evict(*self.make_pass(rows=8), [np.array([1, 4, 6])] * 2)

@@ -9,9 +9,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import purekv.attention
+import purekv.cache
 import purekv.engine
-from _oracles import brute_force_select, causal_masks, normalize_rows, reference_forward
-from purekv.cache import POLICY_KINDS, PolicyConfig, baseline_streaming
+from _oracles import (
+    brute_force_select,
+    causal_masks,
+    normalize_rows,
+    per_layer_compression,
+    reference_forward,
+)
+from purekv.cache import (
+    POLICY_KINDS,
+    KvCacheLayer,
+    PolicyConfig,
+    baseline_streaming,
+    budget_to_wh,
+    evict,
+)
 from purekv.engine import (
     ModelConfig,
     apply_compression,
@@ -304,6 +318,57 @@ class TestCompression:
             for g in range(SMALL.num_kv_heads):
                 assert session.cache[layer].positions[g].tolist() == expected
                 assert len(expected) == n_keep
+
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_stacked_compression_matches_the_per_layer_loop(self, kind, data):
+        """Compressing the whole layer stack at once gives the bits of the
+        per-layer loop, for every policy kind, budget (keep-all and h = 0
+        among them), estimation layer and KV head count, from a pass with or
+        without column sums. A bad retained row names its layer and head."""
+        kv_heads, group, d_k = (data.draw(st.integers(1, 3), label=name)
+                                for name in ("kv heads", "group", "d_k"))
+        config = ModelConfig(num_layers=data.draw(st.integers(1, 4), label="layers"),
+                             d_model=kv_heads * group * d_k, num_q_heads=kv_heads * group,
+                             num_kv_heads=kv_heads, d_k=d_k, d_v=data.draw(st.integers(1, 3)),
+                             vocab_size=5, seed=data.draw(st.integers(0, 99), label="seed"))
+        model = init_model(config)
+        layout = TokenLayout(data.draw(st.integers(0, 4)), data.draw(st.integers(1, 4)),
+                             data.draw(st.integers(1, 6)), data.draw(st.integers(0, 3)))
+        l = layout.total_len
+        budget = 1.0 if kind == "full" else data.draw(
+            st.sampled_from([1.0, 0.5, 0.35, 0.2, 0.1, 0.05]), label="budget")
+        clie = data.draw(st.integers(0, config.num_layers - 1), label="clie")
+        policy = make_policy(kind, budget, w=data.draw(st.integers(1, 4), label="w"),
+                             sink=data.draw(st.integers(0, 3), label="sink"), clie=clie,
+                             st=data.draw(st.integers(clie + 1, config.num_layers), label="st"))
+        pattern = parse_pattern(data.draw(st.sampled_from(PATTERNS), label="pattern"), layout)
+        session = init_session(model, layout, policy, pattern, tile_size=4)
+        w, _ = budget_to_wh(budget, l, policy.recent_window_w)
+        column_sums = kind == "h2o_like" or data.draw(st.booleans(), label="column sums")
+        prefill(model, session, prompt_pass(
+            model, layout, pattern, policy.st_layer_index,
+            seeded_gaussian(l, config.d_model, data.draw(st.integers(0, 99), label="prompt")),
+            (w,), data.draw(st.integers(clie + 1, config.num_layers), label="pass layers"),
+            column_sums, tile_size=4))
+        prompt = session.prompt
+        expected = per_layer_compression(prompt, policy, session.w, session.h)
+        apply_compression(model, session)
+        assert len(session.cache) == len(expected)
+        for kv, triple in zip(session.cache, expected):
+            for got, want in zip((kv.keys, kv.values, kv.positions), triple):
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+        table = np.stack([positions for *_, positions in expected])
+        layer = data.draw(st.integers(0, config.num_layers - 1), label="bad layer")
+        g = data.draw(st.integers(0, kv_heads - 1), label="bad head")
+        repeat = [table[layer, g, 0]] if table.shape[-1] > 1 else []
+        table[layer, g, -1] = data.draw(st.sampled_from([l, l + 3, -1] + repeat), label="bad row")
+        with pytest.raises(ConfigurationError,
+                           match=rf"^layer {layer} head {g}: .* not strictly increasing"):
+            evict(prompt.keys, prompt.values, table)
 
     def test_double_compression_rejected(self):
         model = init_model(SMALL)
@@ -721,18 +786,22 @@ class TestSessionPhase:
         model = init_model(SMALL)
         session, clean = session_in(model, "prefilled"), session_in(model, "prefilled")
         before = session_snapshot(session)
-        real_evict, calls = purekv.engine.evict, []
+        built = []
 
-        def evict_until_layer_2(keys, values, retained):
-            calls.append(1)
-            if len(calls) == 3:
-                raise RuntimeError("injected")
-            return real_evict(keys, values, retained)
+        class FailsOnLayer2(KvCacheLayer):
+            """evict builds layers 0 and 1's caches, then layer 2's raises."""
 
-        monkeypatch.setattr(purekv.engine, "evict", evict_until_layer_2)
+            def __init__(self, *args):
+                if len(built) == 2:
+                    raise RuntimeError("injected")
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(purekv.cache, "KvCacheLayer", FailsOnLayer2)
         with pytest.raises(RuntimeError, match="injected"):
             apply_compression(model, session)
         monkeypatch.undo()
+        assert len(built) == 2
         np.testing.assert_equal(session_snapshot(session), before)
         apply_compression(model, session)
         apply_compression(model, clean)
