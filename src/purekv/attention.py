@@ -5,8 +5,9 @@ streaming_masked walks the queries in tiles of rows and returns the output
 only: callers above it structurally cannot read attention weights.
 column_mass runs the same tile loop and also returns each key's column sum
 of weights, all the h2o_like baseline needs, so no (l, l) matrix is built.
-decode is the unmasked, untiled case for one new token: one score buffer,
-scaled, shifted and exponentiated in place, holds every query head's softmax row.
+decode is the unmasked, untiled case for one new token: it checks its inputs,
+then runs _decode, which the engine calls unchecked; one score buffer, scaled,
+shifted and exponentiated in place, holds every query head's softmax row.
 
 All four broadcast over leading dimensions, so one call runs every query
 head of a layer: q of shape (Hkv, G, l_q, d_k) against k and v of shape
@@ -237,7 +238,12 @@ def decode(q, k, v) -> np.ndarray:
     q, k, v, _ = _check_inputs(q, k, v)
     if k.shape[-2] == 0:
         raise ValueError("decode attention needs at least one key")
-    scores = q @ np.swapaxes(k, -1, -2)
+    return _decode(q, k, v)
+
+
+def _decode(q, k, v) -> np.ndarray:
+    """decode's arithmetic without its checks, for float64 arrays decode would accept."""
+    scores = q @ k.swapaxes(-1, -2)
     scores *= 1.0 / np.sqrt(q.shape[-1])
     scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
     np.exp(scores, out=scores)

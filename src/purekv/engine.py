@@ -7,11 +7,11 @@ and sparsity start s = st_layer_index (config requires s > e):
     layers 0..s-1    dense causal mask
     layers s..L-1    the configured sparsity pattern's mask
 
-Head layout: _project_heads gives q as (Hkv, G, n, d_k), k and v as
-(Hkv, n, d), where query head g * G + j is q[g, j] and reads KV head g;
-every attention call takes that layout, and _block turns the
-(Hkv, G, n, d_v) head outputs back into (n, Hq * d_v). No other code
-reshapes or transposes head axes.
+Head layout: q is (Hkv, G, n, d_k), k and v are (Hkv, n, d), where query
+head g * G + j is q[g, j] and reads KV head g. _project_heads builds it for
+a prompt and decode_step for its one row; every attention call takes it, and
+_block turns the (Hkv, G, n, d_v) head outputs back into (n, Hq * d_v). No
+other code reshapes or transposes head axes.
 
 prompt_pass and decode_step each run one loop over the layers. prompt_pass
 builds each distinct mask once, not per layer, makes its attention.TilePlan,
@@ -43,10 +43,11 @@ and streaming_like broadcast one position list through the same evict.
 session.phase is "new", then "prefilled", then "compressed"; every session
 entry point checks it first and raises before changing anything.
 
-Decode projects and finishes each layer as the prompt pass does. At each
-layer it appends the new token's key and value row to every KV head, past
-the rows of the layer's preallocated (Hkv, capacity, d) buffers, and makes
-one attention.decode call: the (Hkv, group_size, d_k) query against the
+Decode runs each layer through the prompt pass's _block, but projects with
+one product, the row's RMSNorm times wqkv, and reshapes its slices into q
+and k, v. It appends the key and value row to every KV head, past the rows
+of the layer's preallocated (Hkv, capacity, d) buffers, and makes one
+unchecked attention._decode call, decode's kernel: the query against the
 cache's (Hkv, n, d) keys and values, which show the new row once every head
 holds it, with no mask and no key tiles. A step is all or nothing: if any
 layer raises, every layer is truncated back to the one row count its heads
@@ -69,6 +70,7 @@ pre-norm with a two-layer ReLU MLP.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,6 +132,7 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class LayerWeights:
+    wqkv: np.ndarray  # wq, wk and wv side by side; those three are column views of it
     wq: np.ndarray
     wk: np.ndarray
     wv: np.ndarray
@@ -157,11 +160,12 @@ def init_model(config: ModelConfig) -> Model:
         return seeded_gaussian(rows, cols, derive_seed(c.seed, _WEIGHT_TAG, *tags)) * scale
 
     layers = []
+    q_end, k_end = c.d_model, c.d_model + c.num_kv_heads * c.d_k  # d_model = Hq * d_k
     for layer in range(c.num_layers):
+        wqkv = np.hstack([draw(c.d_model, cols, layer, tag) for tag, cols in
+                          enumerate((q_end, k_end - q_end, c.num_kv_heads * c.d_v))])
         layers.append(LayerWeights(
-            wq=draw(c.d_model, c.num_q_heads * c.d_k, layer, 0),
-            wk=draw(c.d_model, c.num_kv_heads * c.d_k, layer, 1),
-            wv=draw(c.d_model, c.num_kv_heads * c.d_v, layer, 2),
+            wqkv=wqkv, wq=wqkv[:, :q_end], wk=wqkv[:, q_end:k_end], wv=wqkv[:, k_end:],
             wo=draw(c.num_q_heads * c.d_v, c.d_model, layer, 3),
             w_up=draw(c.d_model, d_ff, layer, 4),
             w_down=draw(d_ff, c.d_model, layer, 5),
@@ -228,6 +232,8 @@ def _require_finite(x: np.ndarray, what: str):
 
 
 def _rmsnorm(x: np.ndarray) -> np.ndarray:
+    if len(x) == 1:  # decode's one row: the same correctly rounded steps on a Python float
+        return x / math.sqrt(float(np.add.reduce(x * x, axis=None)) / x.shape[1] + _NORM_EPS)
     return x / np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True) / x.shape[1] + _NORM_EPS)
 
 
@@ -387,12 +393,15 @@ def decode_step(model: Model, session: SessionState, token_embedding) -> np.ndar
 
     position = session.prefill_len + session.step_count
     committed = [kv.positions.shape[1] for kv in session.cache]
+    hkv, q_end, k_end = c.num_kv_heads, c.d_model, c.d_model + c.num_kv_heads * c.d_k
     try:
         for kv, weights in zip(session.cache, model.layers):
-            q, k, v = _project_heads(_rmsnorm(x), weights, c)
-            for g in range(c.num_kv_heads):
-                kv.append(g, k[g, 0], v[g, 0], position)
-            x = _block(x, weights, attention.decode(q[:, :, 0], kv.keys, kv.values)[:, :, None])
+            qkv = (_rmsnorm(x) @ weights.wqkv)[0]
+            k, v = qkv[q_end:k_end].reshape(hkv, -1), qkv[k_end:].reshape(hkv, -1)
+            for g in range(hkv):
+                kv.append(g, k[g], v[g], position)
+            q = qkv[:q_end].reshape(hkv, c.group_size, -1)
+            x = _block(x, weights, attention._decode(q, kv.keys, kv.values)[:, :, None])
     except BaseException:
         # All or nothing: the rows this step appended are dropped again.
         for kv, n in zip(session.cache, committed):

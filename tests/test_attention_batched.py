@@ -468,3 +468,36 @@ class TestDecodeKernel:
     def test_needs_a_key(self):
         with pytest.raises(ValueError, match="at least one key"):
             decode(np.ones((2, 1, 3)), np.ones((2, 0, 3)), np.ones((2, 0, 4)))
+
+    def test_public_decode_rejects_bad_inputs_before_the_kernel(self, monkeypatch):
+        # The engine calls the unchecked kernel on its own arrays; every
+        # other caller goes through decode's checks, which must run first.
+        def kernel(*args):
+            raise AssertionError("the kernel ran on inputs decode rejects")
+
+        monkeypatch.setattr(attention, "_decode", kernel)
+        rng = np.random.default_rng(5)
+        q, k, v = (rng.standard_normal(shape) for shape in ((2, 3, 4), (2, 5, 4), (2, 5, 6)))
+        for args, error, match in (
+            ((q[..., :3], k, v), ConfigurationError, "query dim 3 does not match key dim 4"),
+            ((q, k, v[:, :4]), ConfigurationError, "key rows 5 do not match value rows 4"),
+            ((q, np.concatenate([k] * 2), v), ConfigurationError, "do not broadcast"),
+            ((q[0, 0], k, v), ConfigurationError, "matrices"),
+            ((q, k[:, :0], v[:, :0]), ValueError, "at least one key"),
+        ):
+            with pytest.raises(error, match=match):
+                decode(*args)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_public_decode_returns_the_kernels_bits(self, data):
+        hkv, group = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        n, d_k, d_v = (data.draw(st.integers(1, 16)) for _ in range(3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        q = rng.standard_normal((hkv, group, d_k))
+        k, v = rng.standard_normal((hkv, n, d_k)), rng.standard_normal((hkv, n, d_v))
+        np.testing.assert_array_equal(decode(q, k, v), attention._decode(q, k, v))
+        # decode takes what converts to float64, here lists and float32 keys.
+        k32 = k.astype(np.float32)
+        np.testing.assert_array_equal(decode(q.tolist(), k32, v.tolist()),
+                                      attention._decode(q, k32.astype(np.float64), v))

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import purekv.attention
@@ -14,6 +14,7 @@ import purekv.engine
 from _oracles import (
     brute_force_select,
     causal_masks,
+    decode_attention,
     normalize_rows,
     per_layer_compression,
     reference_forward,
@@ -38,7 +39,7 @@ from purekv.engine import (
 )
 from purekv.errors import ConfigurationError
 from purekv.masks import SparsityPattern, TokenLayout, build_mask, parse_pattern
-from purekv.numerics import seeded_gaussian
+from purekv.numerics import derive_seed, seeded_gaussian
 from purekv.stats import spearman_rho
 
 
@@ -48,6 +49,11 @@ LAYOUT = TokenLayout(text_prefix_len=2, num_frames=3, patches_per_frame=4, text_
 PATTERNS = ["dense", "local:3", "atrous:2", "spatial", "temporal", "spatial_temporal"]
 # Every policy kind at budget 0.5, but full, which keeps every row, at 1.0.
 KIND_BUDGETS = (("pure_kv", 0.5), ("h2o_like", 0.5), ("streaming_like", 0.5), ("full", 1.0))
+
+
+def example_config():
+    from purekv.harness import load_config
+    return load_config(str(Path(__file__).resolve().parents[1] / "configs" / "example.json"))
 
 
 def make_policy(kind="pure_kv", budget=1.0, w=4, sink=2, clie=1, st=2):
@@ -115,6 +121,44 @@ class TestModelInit:
                 np.testing.assert_array_equal(q[g, j], (h @ weights.wq)[:, 8 * head: 8 * head + 8])
             np.testing.assert_array_equal(k[g], (h @ weights.wk)[:, 8 * g: 8 * g + 8])
             np.testing.assert_array_equal(v[g], (h @ weights.wv)[:, 6 * g: 6 * g + 6])
+
+    @pytest.mark.parametrize("name", ["example", "small", "d_v_below_d_k"])
+    def test_wq_wk_wv_are_column_views_of_one_fused_weight(self, name):
+        # The prompt pass projects with the three views and decode with wqkv:
+        # both must give the bits of the three weights drawn on their own.
+        c = {"example": example_config().model, "small": SMALL,
+             "d_v_below_d_k": ModelConfig(2, 48, 6, 2, 8, 4, 20, 21)}[name]
+        model = init_model(c)
+        widths = (c.num_q_heads * c.d_k, c.num_kv_heads * c.d_k, c.num_kv_heads * c.d_v)
+        for layer, weights in enumerate(model.layers):
+            views = (weights.wq, weights.wk, weights.wv)
+            assert weights.wqkv.shape == (c.d_model, sum(widths))
+            for tag, (view, width) in enumerate(zip(views, widths)):
+                assert view.shape == (c.d_model, width) and np.shares_memory(view, weights.wqkv)
+                seed = derive_seed(c.seed, purekv.engine._WEIGHT_TAG, layer, tag)
+                np.testing.assert_array_equal(
+                    view, seeded_gaussian(c.d_model, width, seed) * (1.0 / np.sqrt(c.d_model)))
+        for rows in (1, 7, 140, 524, 2060):
+            h = seeded_gaussian(rows, c.d_model, rows)
+            separate = [h @ view for view in views]
+            np.testing.assert_array_equal(h @ weights.wqkv, np.hstack(separate))
+            for product, view in zip(separate, views):  # the unfused layout's products
+                np.testing.assert_array_equal(product, h @ np.ascontiguousarray(view))
+
+    def test_odd_widths_keep_the_prompt_bits_and_move_a_fused_row_by_rounding_only(self):
+        # BLAS computes a product's columns in blocks, so where d_k = 5 puts a
+        # column of wq at a different place in its block than in wqkv, one row's
+        # fused product may differ from the separate ones in the last bits. The
+        # prompt pass's views keep the unfused layout's bits from two rows up.
+        weights = init_model(ModelConfig(2, 30, 6, 2, 5, 4, 20, 21)).layers[0]
+        views = (weights.wq, weights.wk, weights.wv)
+        for rows in (1, 7, 140):
+            h = seeded_gaussian(rows, 30, rows)
+            separate = np.hstack([h @ view for view in views])
+            np.testing.assert_allclose(h @ weights.wqkv, separate, rtol=0, atol=1e-13)
+            if rows > 1:
+                for view in views:
+                    np.testing.assert_array_equal(h @ view, h @ np.ascontiguousarray(view))
 
     def test_head_divisibility_enforced(self):
         with pytest.raises(ConfigurationError, match="divisible"):
@@ -396,6 +440,35 @@ class TestDecode:
             )
             np.testing.assert_allclose(logits, expected[-1], atol=1e-9)
 
+    def test_decode_long_logits_match_the_separate_projection_oracle_bit_for_bit(self):
+        # decode-long's shapes: the example model at l = 524, spatial_temporal,
+        # pure_kv at 0.1. The oracle projects with wq, wk and wv apart and
+        # normalizes with the mean expression; decode's fused product and
+        # one-row RMSNorm must give its bits at every step.
+        config = example_config()
+        c, model, layout = config.model, init_model(config.model), TokenLayout(8, 16, 32, 4)
+        session = init_session(model, layout, config.policy("pure_kv", 0.1),
+                               SparsityPattern.spatial_temporal(), config.tile_size)
+        prefill(model, session, seeded_gaussian(layout.total_len, c.d_model, 41))
+        apply_compression(model, session)
+        keys = [kv.keys.copy() for kv in session.cache]
+        values = [kv.values.copy() for kv in session.cache]
+        for row in seeded_gaussian(200, c.d_model, 42):
+            x = row[None, :]
+            for layer, weights in enumerate(model.layers):
+                h = normalize_rows(x)
+                q = (h @ weights.wq).reshape(c.num_kv_heads, c.group_size, c.d_k)
+                k = (h @ weights.wk).reshape(c.num_kv_heads, 1, c.d_k)
+                keys[layer] = np.concatenate([keys[layer], k], axis=1)
+                v = (h @ weights.wv).reshape(c.num_kv_heads, 1, c.d_v)
+                values[layer] = np.concatenate([values[layer], v], axis=1)
+                heads = decode_attention(q, keys[layer], values[layer])
+                x = x + heads.reshape(1, -1) @ weights.wo
+                x = x + np.maximum(normalize_rows(x) @ weights.w_up, 0.0) @ weights.w_down
+            np.testing.assert_array_equal(decode_step(model, session, row),
+                                          (normalize_rows(x) @ model.w_vocab)[0])
+        assert session.step_count == 200
+
     def test_cache_grows_by_one_per_step(self):
         model = init_model(SMALL)
         session = init_session(model, LAYOUT, make_policy(budget=0.5), SparsityPattern.dense())
@@ -604,6 +677,10 @@ class TestRmsnormBits:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 8), st.integers(1, 96), st.integers(-150, 150),
            st.integers(0, 2**32 - 1))
+    @example(rows=1, width=1, exponent=150, seed=0)  # one row takes the Python-float branch
+    @example(rows=1, width=1, exponent=-150, seed=1)
+    @example(rows=1, width=64, exponent=150, seed=2)
+    @example(rows=1, width=64, exponent=-150, seed=3)
     def test_matches_the_mean_expression_bit_for_bit(self, rows, width, exponent, seed):
         # The example report's bytes rest on _rmsnorm's exact arithmetic.
         x = np.random.default_rng(seed).standard_normal((rows, width)) * 10.0 ** exponent
@@ -668,17 +745,22 @@ class TestFiniteOrRaise:
 
 def fail_at_layer_3(monkeypatch):
     """Let layers 0..2 run, then raise at layer 3's streaming_masked call in a
-    prompt pass, or its decode call, which comes after its rows are appended."""
-    for name in ("streaming_masked", "decode"):
+    prompt pass, or its call of the decode kernel, attention._decode, which
+    comes after its rows are appended. Returns the key rows that failing
+    kernel call was given, one count per failure."""
+    failed_with = []
+    for name in ("streaming_masked", "_decode"):
         real, layers_run = getattr(purekv.attention, name), []
 
         def failing_at_layer_3(*args, real=real, layers_run=layers_run):
             if len(layers_run) == 3:
+                failed_with.append(args[1].shape[-2])
                 raise RuntimeError("injected failure at layer 3")
             layers_run.append(True)
             return real(*args)
 
         monkeypatch.setattr(purekv.attention, name, failing_at_layer_3)
+    return failed_with
 
 
 class TestAllOrNothingDecode:
@@ -698,11 +780,13 @@ class TestAllOrNothingDecode:
         decode_step(model, session, extra[0])
         decode_step(model, clean, extra[0])
         before = cache_snapshot(session)
+        rows = session.cache[3].keys.shape[1]
 
-        fail_at_layer_3(monkeypatch)
+        failed_with = fail_at_layer_3(monkeypatch)
         with pytest.raises(RuntimeError, match="injected"):
             decode_step(model, session, extra[1])
         monkeypatch.undo()
+        assert failed_with == [rows + 1]  # layer 3's kernel saw the row it had appended
         assert session.step_count == 1
         assert_same_cache(before, cache_snapshot(session))
 
@@ -1081,7 +1165,7 @@ class TestStreamingCompatibilityContract:
         def forbidden(*args, **kwargs):
             raise AssertionError("validation ran attention or a forward")
 
-        for name in ("masked", "streaming_masked", "column_mass", "decode"):
+        for name in ("masked", "streaming_masked", "column_mass", "decode", "_decode"):
             monkeypatch.setattr(purekv.attention, name, forbidden)
         monkeypatch.setattr(purekv.engine, "prompt_pass", forbidden)
         for w in windows:
@@ -1132,8 +1216,8 @@ def adopted_state(session, logits):
 class TestPromptPass:
     @pytest.fixture(scope="class")
     def example(self):
-        from purekv.harness import generate_workload, load_config
-        config = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "example.json"))
+        from purekv.harness import generate_workload
+        config = example_config()
         model = init_model(config.model)
         embeddings, _ = generate_workload(config.workload, config.model.d_model)
         return config, model, embeddings
