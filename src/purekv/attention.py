@@ -96,8 +96,9 @@ def masked(q, k, v, mask) -> tuple[np.ndarray, np.ndarray]:
     """
     mask = np.asarray(mask, dtype=bool)
     q, k, v, _ = _check_inputs(q, k, v, mask.shape)
-    scale = 1.0 / np.sqrt(q.shape[-1])
-    weights = row_softmax(q @ np.swapaxes(k, -1, -2) * scale, mask)
+    scores = q @ np.swapaxes(k, -1, -2)
+    scores *= 1.0 / np.sqrt(q.shape[-1])
+    weights = row_softmax(scores, mask)
     return weights @ v, weights
 
 

@@ -16,19 +16,19 @@ sink-plus-window retention.
 
 Storage: KvCacheLayer holds one layer's rows in head-stacked buffers,
 (Hkv, capacity, d) for keys and values and (Hkv, capacity) for positions.
-It has one constructor, which copies what it is given, so no cache aliases
-a caller's array. evict checks an (L, Hkv, m) table of retained rows whole,
-takes them from a prompt pass's (L, Hkv, l, d) keys and values at once and
-builds each layer's cache from its slice, so its heads start equal and no
-dropped row is ever copied. Appending writes one head's row in place and
-doubles the capacity when the buffers are full, so a decode step copies
-nothing but its new rows; truncate(n) rolls every head back to n rows, which
-makes a failed decode step undoable. keys, values and positions are
-(Hkv, n, ·) views of the n rows every head holds; a row that only some heads
-have appended stays staged, unseen."""
+Its public constructor copies what it is given. evict checks an (L, Hkv, m)
+table of retained rows whole and writes each of a prompt pass's retained rows
+once, into fresh buffers of capacity 2m that each layer's cache takes over
+privately: no dropped row is copied, and the first m appends grow nothing.
+Appending writes one head's row in place and doubles the capacity when the
+buffers are full; truncate(n) rolls every head back to n rows, which makes a
+failed decode step undoable. keys, values and positions are (Hkv, n, ·)
+views of the n rows every head holds; a row that only some heads have
+appended stays staged, unseen."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,7 +50,7 @@ class KvCacheLayer:
     n = min(rows(g)) rows, which every head holds; a row that only some
     heads have appended stays staged, unseen. append writes one row past a
     head's count, doubling the capacity when full; truncate rolls every head
-    back to one earlier count. The one constructor copies its arguments.
+    back to one earlier count. The constructor copies; evict's _adopt does not.
     """
 
     def __init__(self, keys, values, positions):
@@ -66,6 +66,14 @@ class KvCacheLayer:
                 f"for the same Hkv >= 1 heads and n rows, got shapes {shapes}"
             )
         self._lengths = [self._positions.shape[1]] * len(self._positions)
+
+    @classmethod
+    def _adopt(cls, keys, values, positions, rows: int):
+        """evict's layer over fresh buffers only it writes, every head holding rows rows."""
+        layer = cls.__new__(cls)
+        layer._keys, layer._values, layer._positions = keys, values, positions
+        layer._lengths = [rows] * len(positions)
+        return layer
 
     @property
     def num_heads(self) -> int:
@@ -93,9 +101,7 @@ class KvCacheLayer:
     def append(self, head: int, key_row: np.ndarray, value_row: np.ndarray, position: int):
         n = self._lengths[head]
         if n and position <= self._positions[head, n - 1]:
-            raise ConfigurationError(
-                f"appended position {position} does not extend head {head}"
-            )
+            raise ConfigurationError(f"appended position {position} does not extend head {head}")
         if n == self.capacity:
             self._grow()
         self._keys[head, n] = key_row
@@ -182,9 +188,7 @@ def accumulate_recent_attention(A, w: int) -> np.ndarray:
     if w < 1:
         raise ConfigurationError(f"recent window must be >= 1, got {w}")
     if w >= l:
-        raise ConfigurationError(
-            f"recent window w={w} leaves no non-recent segment for l={l}"
-        )
+        raise ConfigurationError(f"recent window w={w} leaves no non-recent segment for l={l}")
     if A.shape[-2] < w:
         raise ConfigurationError(f"need the last {w} query rows, got {A.shape[-2]}")
     return A[..., -w:, : l - w].sum(axis=-2)
@@ -226,9 +230,7 @@ def select_retained(S, w: int, h: int, l: int) -> np.ndarray:
     """
     S = np.asarray(S, dtype=np.float64)
     if S.shape[-1:] != (l - w,):
-        raise ConfigurationError(
-            f"score shape {S.shape} does not end in l - w = {l - w}"
-        )
+        raise ConfigurationError(f"score shape {S.shape} does not end in l - w = {l - w}")
     if h > l - w:
         raise ConfigurationError(f"h={h} exceeds the non-recent segment length {l - w}")
     if h < 0:
@@ -246,15 +248,17 @@ def evict(keys, values, retained):
     rows, row i at position i; retained (..., Hkv, m) lists rows strictly
     increasing and inside [0, l), and is checked whole before any cache is
     built. Returns a KvCacheLayer for one layer's (Hkv, m) table, a list of
-    them for a stack of layers' (L, Hkv, m).
+    them for a stack of layers' (L, Hkv, m); each holds capacity 2m.
     """
-    keys, values = np.asarray(keys), np.asarray(values)
+    keys, values = np.asarray(keys, dtype=np.float64), np.asarray(values, dtype=np.float64)
     want = np.asarray(retained, dtype=np.int64)
     if want.ndim < 2 or want.shape[:-1] != keys.shape[:-2]:
         raise ConfigurationError(
             f"expected a ({', '.join(map(str, keys.shape[:-2]))}, m) retained table, "
             f"got shape {want.shape}"
         )
+    if not want.shape[-2]:
+        raise ConfigurationError("a cache needs Hkv >= 1 heads")
     if values.shape[:-1] != keys.shape[:-1]:
         raise ConfigurationError(f"keys {keys.shape} and values {values.shape} must hold "
                                  f"the same heads and rows")
@@ -267,20 +271,26 @@ def evict(keys, values, retained):
         where = f"layer {', '.join(map(str, layer))} head {g}" if layer else f"head {g}"
         raise ConfigurationError(f"{where}: retained rows {want[(*layer, g)].tolist()} are "
                                  f"not strictly increasing in [0, {l})")
-    # One take over the stack's rows, each head's l rows after the last's; each
-    # layer's cache copies its slice again. One (Hkv, m, d) gather per layer once
-    # cut example-grid prefill_tok_per_s about 15% through glibc heap trimming;
-    # this one (L, Hkv, m, d) take read it 2.4% lower than per-head gathers,
-    # inside their spread (10 pairs, 2-CPU VM).
-    rows = want + l * np.arange(math.prod(want.shape[:-1])).reshape(want.shape[:-1] + (1,))
-    return _caches(np.take(keys.reshape(-1, keys.shape[-1]), rows, axis=0),
-                   np.take(values.reshape(-1, values.shape[-1]), rows, axis=0), want)
+    # One take per stack writes each row once into (2m, ..., Hkv, d) buffers, rows
+    # outermost, whose first m rows are one contiguous block that np.take fills with
+    # no temporary (mode "raise" would use one); a layer's buffer is a strided view.
+    lead, m = want.shape[:-1], want.shape[-1]
+    rows = (want + l * np.arange(math.prod(lead)).reshape(lead + (1,))).transpose(
+        -1, *range(len(lead)))
+    buffers = []
+    for source in (keys, values):
+        buffer = np.empty((2 * m,) + lead + source.shape[-1:])
+        np.take(source.reshape(-1, source.shape[-1]), rows, axis=0, out=buffer[:m], mode="clip")
+        buffers.append(buffer.transpose(*range(1, len(lead) + 1), 0, len(lead) + 1))
+    positions = np.empty(lead + (2 * m,), dtype=np.int64)
+    positions[..., :m] = want
+    return _caches(*buffers, positions, m)
 
 
-def _caches(keys, values, retained):
-    if retained.ndim == 2:
-        return KvCacheLayer(keys, values, retained)
-    return [_caches(*layer) for layer in zip(keys, values, retained)]
+def _caches(keys, values, positions, rows):
+    if positions.ndim == 2:
+        return KvCacheLayer._adopt(keys, values, positions, rows)
+    return [_caches(*layer, rows) for layer in zip(keys, values, positions)]
 
 
 def baseline_h2o_score(A) -> np.ndarray:
@@ -306,16 +316,16 @@ def baseline_streaming(l: int, sink: int, window: int) -> np.ndarray:
     return np.union1d(head, tail)
 
 
+@functools.lru_cache(maxsize=1024)
 def budget_keep_count(budget_fraction: float, l: int) -> int:
     """ceil(budget * l), with the budget read as the shortest decimal that prints it.
 
     Decimal budgets are not exact doubles: in floating point 0.35 * 40 lands
-    epsilon above 14, and ceil would overshoot the budget by one row.
+    epsilon above 14, and ceil would overshoot the budget by one row. The parse
+    is most of an adopting prefill, so it is cached; a rejection is not.
     """
     if not (0.0 < budget_fraction <= 1.0):
-        raise ConfigurationError(
-            f"budget_fraction must be in (0, 1], got {budget_fraction}"
-        )
+        raise ConfigurationError(f"budget_fraction must be in (0, 1], got {budget_fraction}")
     if l < 1:
         raise ConfigurationError("l must be >= 1")
     return max(1, min(l, math.ceil(Fraction(repr(float(budget_fraction))) * l)))

@@ -35,10 +35,10 @@ layer stack is scored, selected and evicted as one table: score_low weights
 layer min(layer, e)'s accumulators by each layer's value-row norms,
 select_retained turns those (L, Hkv, l - w) scores (h2o_like's are its
 stacked column sums) into an (L, Hkv, w + h) table of positions, and evict
-checks the table once and gathers those rows of the pass's stacked K/V into
-the caches, where cache[layer].positions[g] holds the original positions KV
-head g kept. A budget that keeps every row, such as the full policy's 1.0,
-and streaming_like broadcast one position list through the same evict.
+writes those rows of the pass's stacked K/V once, into caches with room for
+as many again; cache[layer].positions[g] holds the positions KV head g kept.
+Keep-all budgets, streaming_like, and pure_kv or h2o_like at h = 0 (the
+window alone) broadcast one position list through evict and score nothing.
 
 session.phase is "new", then "prefilled", then "compressed"; every session
 entry point checks it first and raises before changing anything.
@@ -46,7 +46,8 @@ entry point checks it first and raises before changing anything.
 Decode runs each layer through the prompt pass's _block, but projects with
 one product, the row's RMSNorm times wqkv, and reshapes its slices into q
 and k, v. It appends the key and value row to every KV head, past the rows
-of the layer's preallocated (Hkv, capacity, d) buffers, and makes one
+of the layer's (Hkv, capacity, d) buffers, where compression left room for
+m steps, and makes one
 unchecked attention._decode call, decode's kernel: the query against the
 cache's (Hkv, n, d) keys and values, which show the new row once every head
 holds it, with no mask and no key tiles. A step is all or nothing: if any
@@ -221,12 +222,13 @@ def init_session(model: Model, layout: TokenLayout, policy: PolicyConfig,
 
 def _require_finite(x: np.ndarray, what: str):
     """Reject NaN or inf input, and rows whose squares _rmsnorm could not sum
-    (about 1e154 and up), before they reach any session state."""
-    if not np.isfinite(x).all():
-        raise ValueError(f"{what} must be finite")
+    (about 1e154 and up), before they reach any session state: one check of
+    the sums, which a NaN or inf also makes non-finite, finds both."""
     with np.errstate(over="ignore"):
-        sums = (x * x).sum(axis=1)
+        sums = np.add.reduce(x * x, axis=1)
     if not np.isfinite(sums).all():
+        if not np.isfinite(x).all():
+            raise ValueError(f"{what} must be finite")
         raise ValueError(f"{what} must be small enough that RMSNorm's sum of squares stays "
                          f"finite, got max |x| = {np.abs(x).max():.3g}")
 
@@ -362,7 +364,8 @@ def apply_compression(model: Model, session: SessionState) -> SessionState:
     l, w, h_count = session.prefill_len, session.w, session.h
     sink = min(policy.sink_len, w + h_count)
     keep = (np.arange(l) if w + h_count >= l else
-            baseline_streaming(l, sink, w + h_count - sink) if kind == "streaming_like" else None)
+            baseline_streaming(l, sink, w + h_count - sink) if kind == "streaming_like" else
+            np.arange(l - w, l) if h_count == 0 else None)  # h = 0: no row to score for
     if keep is not None:
         retained = np.broadcast_to(keep, prompt.keys.shape[:2] + keep.shape)
     elif kind == "pure_kv":

@@ -90,9 +90,10 @@ def row_softmax(m, mask) -> np.ndarray:
         row = int(np.flatnonzero(empty)[0])
         raise ValueError(f"row_softmax: row {row} is fully masked")
     scores = np.where(mask, m, -np.inf)
-    row_max = scores.max(axis=-1, keepdims=True)
-    weights = np.exp(scores - row_max)
-    return weights / weights.sum(axis=-1, keepdims=True)
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
 
 
 def l2_norm_rows(v) -> np.ndarray:

@@ -20,7 +20,7 @@ from .errors import ConfigurationError
 from .numerics import random_u64
 
 _PERM_TAG = 0x5045524D  # stream offset so permutations never reuse other draws
-_PERM_BLOCK = 64  # permutations drawn, sorted and scored together
+_PERM_BLOCK = 128  # drawn and sorted together; at 256 the grid's block arrays map fresh pages
 
 
 def rank(values) -> np.ndarray:
@@ -30,10 +30,13 @@ def rank(values) -> np.ndarray:
         raise ConfigurationError("rank expects a non-empty 1-D vector")
     if np.isnan(values).any():
         raise ValueError("rank is undefined for NaN inputs")
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    # Equal values fill sorted positions stop-count..stop-1: ranks stop-count+1..stop.
-    stops = np.cumsum(counts)
-    return ((stops - counts + stops + 1) / 2.0)[inverse]
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    stops = np.r_[starts[1:], len(values)]  # equal values fill sorted positions start..stop-1
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((starts + stops + 1) / 2.0, stops - starts)  # start+1..stop
+    return ranks
 
 
 def spearman_rho(x, y) -> float:
@@ -72,17 +75,26 @@ def permutation_pvalue(x, y, n_perm: int, seed: int) -> tuple[np.ndarray, np.nda
     # Ranks of a permuted vector are the permuted ranks, so permute ryc
     # directly. Permutation i is the argsort of counter words
     # [i * n, (i + 1) * n), so a block needs no other block's words, and
-    # every row is scored against one draw and one sort of them. The words
-    # of one random_u64 call are pairwise distinct (numerics says why), so
-    # the sort has no ties and needs no stable kind.
+    # every row is scored against one draw and one sort of them.
     counts = np.zeros(len(rows), dtype=np.int64)
     for first in range(0, n_perm, _PERM_BLOCK):
         block = min(_PERM_BLOCK, n_perm - first)
-        words = random_u64(seed, _PERM_TAG + first * n, block * n).reshape(block, n)
-        idx = np.argsort(words, axis=1)  # distinct words: every sort kind gives one order
+        idx = _argsort_rows(random_u64(seed, _PERM_TAG + first * n, block * n).reshape(block, n))
         for p, (rxc, ryc, norm, observed) in enumerate(rows):
             counts[p] += int(((ryc[idx] @ rxc) / norm >= observed).sum())
     return (1 + counts) / (1 + n_perm), np.array([observed for *_, observed in rows])
+
+
+def _argsort_rows(words: np.ndarray) -> np.ndarray:
+    """np.argsort(words, axis=1) for rows of distinct uint64 words, as random_u64's are:
+    each word's high bits, with its column in the low bits, sort as one key, cheaper
+    than an argsort; a table where two of a row's words share high bits is argsorted."""
+    low = np.uint64((1 << max(1, (words.shape[1] - 1).bit_length())) - 1)
+    keys = (words & ~low) | np.arange(words.shape[1], dtype=np.uint64)
+    keys.sort(axis=1)
+    if ((keys[:, 1:] ^ keys[:, :-1]) <= low).any():
+        return np.argsort(words, axis=1)
+    return (keys & low).astype(np.intp)
 
 
 def _rank_pair(x, y) -> tuple[np.ndarray, np.ndarray]:

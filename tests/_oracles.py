@@ -28,6 +28,29 @@ def plain_softmax(scores, mask):
     return weights / weights.sum(axis=1, keepdims=True)
 
 
+def out_of_place_softmax(m, mask):
+    """numerics.row_softmax as it ran with a new array for each step: the bits
+    its in-place steps must match."""
+    scores = np.where(mask, np.asarray(m, dtype=np.float64), -np.inf)
+    row_max = scores.max(axis=-1, keepdims=True)
+    weights = np.exp(scores - row_max)
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
+def out_of_place_masked(q, k, v, mask):
+    """attention.masked as it ran with the scale applied out of place: (out, weights)."""
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    weights = out_of_place_softmax(q @ np.swapaxes(k, -1, -2) * scale, mask)
+    return weights @ v, weights
+
+
+def unique_rank(values):
+    """stats.rank as it ran through np.unique: ascending 1-based average ranks."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    stops = np.cumsum(counts)
+    return ((stops - counts + stops + 1) / 2.0)[inverse]
+
+
 def reference_forward(model, embeddings, layer_masks, collect_attention=False):
     """Cache-free forward pass with materialized attention at every layer.
 
@@ -111,14 +134,15 @@ def query_tiles(q, k, v, mask, tile_size, mass=False):
 
 def tie_checked_permutation_pvalue(x, y, n_perm, seed):
     """stats.permutation_pvalue on (P, n) tables as it ran with a tie check:
-    each block's sort fell back to the stable kind when two words were equal.
-    Returns (p-values, rhos), the bits the function without the check must match."""
+    each block's words were argsorted, and sorted again with the stable kind
+    when two words were equal; ranks came from np.unique. Returns (p-values,
+    rhos), the bits the function without the check must match."""
     from purekv.numerics import random_u64
-    from purekv.stats import _PERM_BLOCK, _PERM_TAG, rank
+    from purekv.stats import _PERM_BLOCK, _PERM_TAG
 
     rows = []
     for row_x, row_y in zip(np.atleast_2d(x), np.atleast_2d(y)):
-        rx, ry = rank(row_x), rank(row_y)
+        rx, ry = unique_rank(row_x), unique_rank(row_y)
         rxc, ryc = rx - rx.mean(), ry - ry.mean()
         norm = np.sqrt((rxc * rxc).sum() * (ryc * ryc).sum())
         rows.append((rxc, ryc, norm, float((rxc * ryc).sum() / norm)))

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import out_of_place_masked
 from purekv.attention import TilePlan, masked, streaming_masked
 from purekv.errors import ConfigurationError
 from purekv.masks import SparsityPattern, TokenLayout, build_mask
@@ -89,6 +92,19 @@ class TestMasked:
         # queries in frame 2 (rows 4, 5) place zero weight on frame-1 keys
         assert weights[4, 2] == 0.0 and weights[4, 3] == 0.0
         assert weights[5, 2] == 0.0 and weights[5, 3] == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), heads=st.integers(1, 3), group=st.integers(1, 3),
+           l_q=st.integers(1, 7), l_k=st.integers(1, 9), d=st.integers(1, 5))
+    def test_bit_identical_to_the_out_of_place_oracle(self, data, heads, group, l_q, l_k, d):
+        """Scaling the scores in place gives the out-of-place output and weights bit for bit."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        q = rng.standard_normal((heads, group, l_q, d))
+        k, v = rng.standard_normal((2, heads, 1, l_k, d))
+        mask = rng.random((l_q, l_k)) < 0.6
+        mask[np.arange(l_q), rng.integers(0, l_k, l_q)] = True  # no row fully masked
+        for got, want in zip(masked(q, k, v, mask), out_of_place_masked(q, k, v, mask)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_empty_row_mask_raises(self):
         rng = np.random.default_rng(24)

@@ -286,6 +286,8 @@ class TestEvict:
             evict(keys, values, [[0, 0], [1, 2]])
         with pytest.raises(ConfigurationError, match="strictly increasing"):
             evict(keys, values, [[0, 1], [2, 1]])
+        with pytest.raises(ConfigurationError, match="Hkv >= 1"):
+            evict(keys[:0], values[:0], np.zeros((0, 2)))
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), heads=st.integers(1, 4), rows=st.integers(1, 24),
@@ -506,6 +508,17 @@ class TestBudget:
                                      (0.1, 1, 10), (0.05, 1, 20)):
                 exact = -(-num * l // den)  # ceil of the exact rational
                 assert budget_keep_count(budget, l) == exact
+
+    @pytest.mark.parametrize("budget, l", [(0.0, 10), (1.5, 10), (float("nan"), 10), (0.5, 0)])
+    def test_an_invalid_budget_is_rejected_on_every_call(self, budget, l):
+        """The split is computed once per (budget, l), but a rejection is never
+        remembered as a result: every call raises, before and after valid ones."""
+        for _ in range(3):
+            with pytest.raises(ConfigurationError):
+                budget_keep_count(budget, l)
+            with pytest.raises(ConfigurationError):
+                budget_to_wh(budget, l, 4)
+            assert budget_keep_count(0.5, 10) == 5 and budget_to_wh(0.5, 10, 4) == (4, 1)
 
     def test_small_window_config_caps_w(self):
         w, h = budget_to_wh(0.05, 40, 8)

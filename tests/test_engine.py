@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import purekv.attention
@@ -59,6 +59,38 @@ def example_config():
 def make_policy(kind="pure_kv", budget=1.0, w=4, sink=2, clie=1, st=2):
     return PolicyConfig(policy_kind=kind, budget_fraction=budget, recent_window_w=w,
                         sink_len=sink, clie_layer_index=clie, st_layer_index=st)
+
+
+def draw_prefilled_session(data, kind):
+    """A drawn model and a session of the given policy kind, prefilled from a
+    pass of its own: any budget (keep-all and h = 0 among them), estimation
+    layer, KV head count, pattern and layout, with or without column sums."""
+    kv_heads, group, d_k = (data.draw(st.integers(1, 3), label=name)
+                            for name in ("kv heads", "group", "d_k"))
+    config = ModelConfig(num_layers=data.draw(st.integers(1, 4), label="layers"),
+                         d_model=kv_heads * group * d_k, num_q_heads=kv_heads * group,
+                         num_kv_heads=kv_heads, d_k=d_k, d_v=data.draw(st.integers(1, 3)),
+                         vocab_size=5, seed=data.draw(st.integers(0, 99), label="seed"))
+    model = init_model(config)
+    layout = TokenLayout(data.draw(st.integers(0, 4)), data.draw(st.integers(1, 4)),
+                         data.draw(st.integers(1, 6)), data.draw(st.integers(0, 3)))
+    l = layout.total_len
+    budget = 1.0 if kind == "full" else data.draw(
+        st.sampled_from([1.0, 0.5, 0.35, 0.2, 0.1, 0.05]), label="budget")
+    clie = data.draw(st.integers(0, config.num_layers - 1), label="clie")
+    policy = make_policy(kind, budget, w=data.draw(st.integers(1, 4), label="w"),
+                         sink=data.draw(st.integers(0, 3), label="sink"), clie=clie,
+                         st=data.draw(st.integers(clie + 1, config.num_layers), label="st"))
+    pattern = parse_pattern(data.draw(st.sampled_from(PATTERNS), label="pattern"), layout)
+    session = init_session(model, layout, policy, pattern, tile_size=4)
+    w, _ = budget_to_wh(budget, l, policy.recent_window_w)
+    column_sums = kind == "h2o_like" or data.draw(st.booleans(), label="column sums")
+    prefill(model, session, prompt_pass(
+        model, layout, pattern, policy.st_layer_index,
+        seeded_gaussian(l, config.d_model, data.draw(st.integers(0, 99), label="prompt")),
+        (w,), data.draw(st.integers(clie + 1, config.num_layers), label="pass layers"),
+        column_sums, tile_size=4))
+    return model, session
 
 
 def embeddings_for(layout, seed=77):
@@ -371,33 +403,11 @@ class TestCompression:
         per-layer loop, for every policy kind, budget (keep-all and h = 0
         among them), estimation layer and KV head count, from a pass with or
         without column sums. A bad retained row names its layer and head."""
-        kv_heads, group, d_k = (data.draw(st.integers(1, 3), label=name)
-                                for name in ("kv heads", "group", "d_k"))
-        config = ModelConfig(num_layers=data.draw(st.integers(1, 4), label="layers"),
-                             d_model=kv_heads * group * d_k, num_q_heads=kv_heads * group,
-                             num_kv_heads=kv_heads, d_k=d_k, d_v=data.draw(st.integers(1, 3)),
-                             vocab_size=5, seed=data.draw(st.integers(0, 99), label="seed"))
-        model = init_model(config)
-        layout = TokenLayout(data.draw(st.integers(0, 4)), data.draw(st.integers(1, 4)),
-                             data.draw(st.integers(1, 6)), data.draw(st.integers(0, 3)))
-        l = layout.total_len
-        budget = 1.0 if kind == "full" else data.draw(
-            st.sampled_from([1.0, 0.5, 0.35, 0.2, 0.1, 0.05]), label="budget")
-        clie = data.draw(st.integers(0, config.num_layers - 1), label="clie")
-        policy = make_policy(kind, budget, w=data.draw(st.integers(1, 4), label="w"),
-                             sink=data.draw(st.integers(0, 3), label="sink"), clie=clie,
-                             st=data.draw(st.integers(clie + 1, config.num_layers), label="st"))
-        pattern = parse_pattern(data.draw(st.sampled_from(PATTERNS), label="pattern"), layout)
-        session = init_session(model, layout, policy, pattern, tile_size=4)
-        w, _ = budget_to_wh(budget, l, policy.recent_window_w)
-        column_sums = kind == "h2o_like" or data.draw(st.booleans(), label="column sums")
-        prefill(model, session, prompt_pass(
-            model, layout, pattern, policy.st_layer_index,
-            seeded_gaussian(l, config.d_model, data.draw(st.integers(0, 99), label="prompt")),
-            (w,), data.draw(st.integers(clie + 1, config.num_layers), label="pass layers"),
-            column_sums, tile_size=4))
-        prompt = session.prompt
-        expected = per_layer_compression(prompt, policy, session.w, session.h)
+        model, session = draw_prefilled_session(data, kind)
+        config, l, prompt = model.config, session.prefill_len, session.prompt
+        kv_heads = config.num_kv_heads
+        event("keeps every row" if session.w + session.h >= l else f"h = 0: {session.h == 0}")
+        expected = per_layer_compression(prompt, session.policy, session.w, session.h)
         apply_compression(model, session)
         assert len(session.cache) == len(expected)
         for kv, triple in zip(session.cache, expected):
@@ -413,6 +423,61 @@ class TestCompression:
         with pytest.raises(ConfigurationError,
                            match=rf"^layer {layer} head {g}: .* not strictly increasing"):
             evict(prompt.keys, prompt.values, table)
+
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_compressed_caches_are_ready_to_decode_and_own_their_rows(self, kind, data):
+        """Every layer holds capacity for at least 2m rows after compression, so
+        the first m decode steps append into the same buffers; no cache shares
+        memory with the pass or with a sibling session compressed from it; and
+        the rows and positions are the per-layer loop's."""
+        model, session = draw_prefilled_session(data, kind)
+        prompt = session.prompt
+        sibling = init_session(model, session.layout, session.policy, session.pattern,
+                               session.tile_size)
+        prefill(model, sibling, prompt)
+        expected = per_layer_compression(prompt, session.policy, session.w, session.h)
+        apply_compression(model, session)
+        apply_compression(model, sibling)
+        m = session.w + session.h
+
+        def buffers(kv):
+            return kv._keys, kv._values, kv._positions
+
+        for kv, other, triple in zip(session.cache, sibling.cache, expected):
+            assert kv.capacity >= 2 * m
+            for got, want in zip((kv.keys, kv.values, kv.positions), triple):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            for mine in buffers(kv):
+                assert not any(np.may_share_memory(mine, theirs)
+                               for theirs in (prompt.keys, prompt.values, *buffers(other)))
+        held = [buffers(kv) for kv in session.cache]
+        rows = seeded_gaussian(m, model.config.d_model, data.draw(st.integers(0, 99), label="rows"))
+        for row in rows:
+            decode_step(model, session, row)
+        for kv, before in zip(session.cache, held):
+            assert all(now is then for now, then in zip(buffers(kv), before))
+            assert [kv.rows(g) for g in range(kv.num_heads)] == [2 * m] * kv.num_heads
+
+    @pytest.mark.parametrize("kind", ["pure_kv", "h2o_like"])
+    def test_h_zero_keeps_the_recent_window_without_scoring(self, kind, monkeypatch):
+        """When the window takes the whole budget, no row beyond it can be kept:
+        compression keeps the window and scores and sorts nothing."""
+        model = init_model(SMALL)
+        session = init_session(model, LAYOUT, make_policy(kind, budget=0.1),
+                               SparsityPattern.dense())
+        prefill(model, session, embeddings_for(LAYOUT))
+        l, w = LAYOUT.total_len, session.w
+        assert session.h == 0 and 0 < w < l
+        expected = per_layer_compression(session.prompt, session.policy, w, 0)
+        for name in ("score_low", "select_retained"):
+            monkeypatch.setattr(purekv.engine, name, None)  # calling either would raise
+        apply_compression(model, session)
+        for kv, triple in zip(session.cache, expected):
+            assert kv.positions.tolist() == [list(range(l - w, l))] * SMALL.num_kv_heads
+            for got, want in zip((kv.keys, kv.values, kv.positions), triple):
+                assert got.tobytes() == want.tobytes()
 
     def test_double_compression_rejected(self):
         model = init_model(SMALL)
@@ -873,13 +938,15 @@ class TestSessionPhase:
         built = []
 
         class FailsOnLayer2(KvCacheLayer):
-            """evict builds layers 0 and 1's caches, then layer 2's raises."""
+            """evict builds layers 0 and 1's caches through the private path, then
+            layer 2's raises."""
 
-            def __init__(self, *args):
+            @classmethod
+            def _adopt(cls, *args):
                 if len(built) == 2:
                     raise RuntimeError("injected")
-                super().__init__(*args)
-                built.append(self)
+                built.append(super()._adopt(*args))
+                return built[-1]
 
         monkeypatch.setattr(purekv.cache, "KvCacheLayer", FailsOnLayer2)
         with pytest.raises(RuntimeError, match="injected"):
@@ -1273,17 +1340,23 @@ class TestPromptPass:
                              (4,), 2)
         session = init_session(model, LAYOUT, make_policy(budget=0.5), SparsityPattern.dense())
         built = []
-        real_init = purekv.cache.KvCacheLayer.__init__
+        real_init, real_adopt = KvCacheLayer.__init__, KvCacheLayer._adopt
 
-        def counting_init(self, *args):  # the one constructor: every cache layer is built here
-            built.append(1)
+        # A cache layer is built by the copying constructor or evict's private path.
+        def counting_init(self, *args):
+            built.append("copy")
             real_init(self, *args)
 
-        monkeypatch.setattr(purekv.cache.KvCacheLayer, "__init__", counting_init)
+        def counting_adopt(*args):
+            built.append("adopt")
+            return real_adopt(*args)
+
+        monkeypatch.setattr(KvCacheLayer, "__init__", counting_init)
+        monkeypatch.setattr(KvCacheLayer, "_adopt", counting_adopt)
         prefill(model, session, shared)
         assert session.prompt is shared and session.cache == [] and built == []
         apply_compression(model, session)
-        assert len(built) == len(session.cache) == SMALL.num_layers
+        assert built == ["adopt"] * len(session.cache) and len(session.cache) == SMALL.num_layers
         assert session.prompt is None
 
     @pytest.mark.parametrize("change, kind, message", [

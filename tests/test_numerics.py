@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import out_of_place_softmax
 from purekv.errors import ConfigurationError
 from purekv.numerics import (
     derive_seed,
@@ -59,6 +62,22 @@ class TestRowSoftmax:
         shifted = m + rng.uniform(-100, 100)
         np.testing.assert_allclose(row_softmax(m, keep_all(m)), row_softmax(shifted, keep_all(m)),
                                    atol=1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), lead=st.lists(st.integers(1, 3), max_size=2),
+           rows=st.integers(1, 6), cols=st.integers(1, 9))
+    def test_bit_identical_to_the_out_of_place_oracle(self, data, lead, rows, cols):
+        """One buffer shifted, exponentiated and normalized in place gives the
+        out-of-place steps' bits, for a matrix or a stack, and leaves m as it was."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        m = rng.standard_normal(tuple(lead) + (rows, cols)) * data.draw(
+            st.sampled_from([1e-3, 1.0, 30.0, 700.0]), label="scale")
+        mask = rng.random((rows, cols)) < data.draw(st.floats(0.1, 1.0), label="density")
+        mask[np.arange(rows), rng.integers(0, cols, rows)] = True  # no row fully masked
+        before = m.copy()
+        got = row_softmax(m, mask)
+        assert got.tobytes() == out_of_place_softmax(m, mask).tobytes()
+        assert m.tobytes() == before.tobytes()
 
 
 class TestL2NormRows:

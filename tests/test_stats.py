@@ -9,11 +9,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import purekv.numerics
-from _oracles import tie_checked_permutation_pvalue
+from _oracles import tie_checked_permutation_pvalue, unique_rank
 from purekv.errors import ConfigurationError
 from purekv.numerics import seeded_gaussian
 from purekv.numerics import random_u64
-from purekv.stats import _PERM_BLOCK, _PERM_TAG, permutation_pvalue, rank, spearman_rho
+from purekv.stats import (
+    _PERM_BLOCK,
+    _PERM_TAG,
+    _argsort_rows,
+    permutation_pvalue,
+    rank,
+    spearman_rho,
+)
 
 
 def oracle_rank(values):
@@ -63,6 +70,14 @@ class TestRank:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             rank([1.0, float("nan")])
+
+    @settings(max_examples=80, deadline=None)
+    @given(values=st.lists(st.sampled_from([-2.0, -0.0, 0.0, 0.5, 3.0, 1e300, float("inf")])
+                           | st.floats(-10, 10), min_size=1, max_size=40))
+    def test_bit_identical_to_the_unique_oracle(self, values):
+        """One stable argsort gives np.unique's average ranks bit for bit, with
+        ties, signed zeros and infinities."""
+        assert rank(values).tobytes() == unique_rank(np.array(values)).tobytes()
 
 
 class TestSpearmanRho:
@@ -210,6 +225,30 @@ class TestPermutationPvalue:
             z *= inverse[purekv.numerics._MIX1]
             np.testing.assert_array_equal(unshift(z, 30), words)
             assert np.unique(random_u64(seed, _PERM_TAG, 64 * 301)).size == 64 * 301
+
+    def test_packed_keys_sort_a_draw_as_argsort_does(self):
+        for n in (3, 17, 124, 2044):
+            words = random_u64(n, _PERM_TAG, 8 * n).reshape(8, n)
+            np.testing.assert_array_equal(_argsort_rows(words), np.argsort(words, axis=1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 4), n=st.integers(3, 40))
+    def test_words_that_share_high_bits_fall_back_to_argsort(self, data, rows, n):
+        """Two words of a row that differ only in the low bits, which the packed
+        key gives to the column, sort by column there; the fallback sorts them by
+        value. Crafted so that the two orders differ."""
+        words = random_u64(data.draw(st.integers(0, 99), label="seed"), 0, rows * n)
+        words = words.reshape(rows, n)
+        row = data.draw(st.integers(0, rows - 1), label="row")
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+                         .map(sorted), label="columns")
+        low = (1 << (n - 1).bit_length()) - 1
+        words[row, i] |= np.uint64(low)  # column i now holds the larger word
+        words[row, j] = words[row, i] & ~np.uint64(low)  # and column j the smaller, same high bits
+        packed = np.argsort((words & ~np.uint64(low)) | np.arange(n, dtype=np.uint64), axis=1)
+        want = np.argsort(words, axis=1)
+        assert not np.array_equal(packed, want)  # the packed keys alone would get the row wrong
+        np.testing.assert_array_equal(_argsort_rows(words), want)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), rows=st.integers(1, 3), n=st.integers(3, 40),
