@@ -188,7 +188,7 @@ class TestPermutationPvalue:
         assert p > 0.01
         assert p == pytest.approx(0.964, abs=1e-12)
 
-    @pytest.mark.parametrize("n_perm", [100, 2 * _PERM_BLOCK + 1, 4 * _PERM_BLOCK + 57, 999])
+    @pytest.mark.parametrize("n_perm", [100, 129, 313, 999, 2 * _PERM_BLOCK + 1, 4 * _PERM_BLOCK + 57])
     def test_blocks_match_the_whole_matrix_formula(self, n_perm):
         assert n_perm % _PERM_BLOCK
         for n, seed in ((3, 1), (17, 2), (64, 3), (301, 4)):
