@@ -38,6 +38,7 @@ not change.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -245,7 +246,7 @@ def decode(q, k, v) -> np.ndarray:
 def _decode(q, k, v) -> np.ndarray:
     """decode's arithmetic without its checks, for float64 arrays decode would accept."""
     scores = q @ k.swapaxes(-1, -2)
-    scores *= 1.0 / np.sqrt(q.shape[-1])
+    scores *= 1.0 / math.sqrt(q.shape[-1])
     scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
     np.exp(scores, out=scores)
     out = scores @ v

@@ -8,23 +8,24 @@ window w:
     S^[j] = C_low[j] * ||V row j||      (a high layer reusing a low layer's C)
 
 score_low computes either product. select_retained keeps the recent window
-plus the top-h non-recent entries by score, ties broken toward the smaller
-index. Both work along the last axis, on one head's vector, a layer's
-(Hkv, l - w) table or a stack of layers' (L, Hkv, l - w). Two simplified
-baselines are provided: column-sum ("heavy hitter") scoring and
-sink-plus-window retention.
+plus the top-h non-recent entries: np.partition finds the h-th score, and
+ties at it are kept from the smaller index on; a NaN score is rejected. Both
+work along the last axis, on one head's vector, a layer's (Hkv, l - w) table
+or a stack of layers' (L, Hkv, l - w). Two simplified baselines are
+provided: column-sum ("heavy hitter") scoring and sink-plus-window retention.
 
 Storage: KvCacheLayer holds one layer's rows in head-stacked buffers,
 (Hkv, capacity, d) for keys and values and (Hkv, capacity) for positions.
 Its public constructor copies what it is given. evict checks an (L, Hkv, m)
-table of retained rows whole and writes each of a prompt pass's retained rows
-once, into fresh buffers of capacity 2m that each layer's cache takes over
-privately: no dropped row is copied, and the first m appends grow nothing.
-Appending writes one head's row in place and doubles the capacity when the
-buffers are full; truncate(n) rolls every head back to n rows, which makes a
-failed decode step undoable. keys, values and positions are (Hkv, n, ·)
-views of the n rows every head holds; a row that only some heads have
-appended stays staged, unseen."""
+table of retained rows whole, with one min, one max and one strict-increase
+comparison, looks for the bad layer and head only when that fails, and
+writes each of a prompt pass's retained rows once, into fresh buffers of
+capacity 2m that each layer's cache takes over privately: no dropped row is
+copied, and the first m appends grow nothing. Appending writes one head's
+row in place and doubles the capacity when the buffers are full; truncate(n)
+rolls every head back to n rows, which makes a failed decode step undoable.
+keys, values and positions are (Hkv, n, ·) views of the n rows every head
+holds; a row that only some heads have appended stays staged, unseen."""
 
 from __future__ import annotations
 
@@ -224,9 +225,9 @@ def select_retained(S, w: int, h: int, l: int) -> np.ndarray:
 
     S holds scores over the l - w non-recent positions along its last axis:
     one head's (l - w,) vector, a layer's (Hkv, l - w) table or a stack of
-    layers' (L, Hkv, l - w). Ties break toward the smaller index. Returns
-    sorted original positions along the last axis, exactly min(l, w + h) of
-    them per head.
+    layers' (L, Hkv, l - w). Ties break toward the smaller index, and a NaN
+    score raises ValueError. Returns sorted original positions along the last
+    axis, exactly min(l, w + h) of them per head.
     """
     S = np.asarray(S, dtype=np.float64)
     if S.shape[-1:] != (l - w,):
@@ -235,10 +236,19 @@ def select_retained(S, w: int, h: int, l: int) -> np.ndarray:
         raise ConfigurationError(f"h={h} exceeds the non-recent segment length {l - w}")
     if h < 0:
         raise ConfigurationError("h must be >= 0")
-    # Stable sort on -S keeps the original (ascending-index) order inside ties.
-    top = np.argsort(-S, axis=-1, kind="stable")[..., :h]
-    recent = np.broadcast_to(np.arange(l - w, l, dtype=np.int64), S.shape[:-1] + (w,))
-    return np.sort(np.concatenate([top.astype(np.int64), recent], axis=-1), axis=-1)
+    if np.isnan(S).any():
+        raise ValueError("select_retained needs scores that are not NaN")
+    # Keep every score above the h-th largest, then ties at it from the smallest
+    # index; the recent window follows them, so each row's positions come out sorted.
+    n, keep = l - w, np.ones(S.shape[:-1] + (l,), dtype=bool)
+    if h < n:
+        kept = keep[..., :n]  # a view: the non-recent rows
+        kth = np.partition(S, n - h, axis=-1)[..., n - h, None] if h else np.inf
+        np.greater_equal(S, kth, out=kept)
+        if np.count_nonzero(kept) > h * (S.size // n):  # more ties at the h-th score than fit
+            tie = S == kth
+            kept &= ~tie | (np.cumsum(tie, axis=-1) <= h - (S > kth).sum(axis=-1, keepdims=True))
+    return np.nonzero(keep)[-1].reshape(S.shape[:-1] + (w + h,))
 
 
 def evict(keys, values, retained):
@@ -263,11 +273,12 @@ def evict(keys, values, retained):
         raise ConfigurationError(f"keys {keys.shape} and values {values.shape} must hold "
                                  f"the same heads and rows")
     l = keys.shape[-2]
-    # Rows that increase stay inside [0, l) when their first and last do.
-    bad = np.argwhere((want[..., :1] < 0).any(axis=-1) | (want[..., -1:] >= l).any(axis=-1)
-                      | (np.diff(want, axis=-1) <= 0).any(axis=-1))
-    if bad.size:
-        *layer, g = bad[0].tolist()
+    # Checked whole; the bad layer and head are searched for only when that fails, and
+    # rows that increase stay inside [0, l) when their first and last do.
+    if want.size and (want.min() < 0 or want.max() >= l
+                      or not (want[..., 1:] > want[..., :-1]).all()):
+        *layer, g = np.argwhere((want[..., 0] < 0) | (want[..., -1] >= l)
+                                | (np.diff(want, axis=-1) <= 0).any(axis=-1))[0].tolist()
         where = f"layer {', '.join(map(str, layer))} head {g}" if layer else f"head {g}"
         raise ConfigurationError(f"{where}: retained rows {want[(*layer, g)].tolist()} are "
                                  f"not strictly increasing in [0, {l})")

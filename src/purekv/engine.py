@@ -9,56 +9,59 @@ and sparsity start s = st_layer_index (config requires s > e):
 
 Head layout: q is (Hkv, G, n, d_k), k and v are (Hkv, n, d), where query
 head g * G + j is q[g, j] and reads KV head g. _project_heads builds it for
-a prompt and decode_step for its one row; every attention call takes it, and
-_block turns the (Hkv, G, n, d_v) head outputs back into (n, Hq * d_v). No
-other code reshapes or transposes head axes.
+a prompt and decode_step for its one row; every attention call takes it.
+_block takes the head outputs as (n, Hq * d_v) rows: prompt_pass transposes
+its (Hkv, G, n, d_v) outputs into them, and decode's (Hkv, G, d_v) output is
+already in that order. No other code reshapes or transposes head axes.
 
 prompt_pass and decode_step each run one loop over the layers. prompt_pass
 builds each distinct mask once, not per layer, makes its attention.TilePlan,
 keeps a copy of its last w_max rows and drops the mask, so no (l, l) array
-is held while a layer runs. It makes one
-streaming_masked call per layer for all query heads on the layer's plan
-(column_mass through _instrumented_stats for h2o_like column sums) and, at
-the lowest layers, one masked call on the last w_max query rows against
-those mask rows, whose (w_max, l) slab gives every window's accumulators. Every
-array of the PromptPass it returns is read-only, so a grid runs one per
-pattern. prefill, all or nothing, adopts a pass that covers the session or
-runs one for it alone, and keeps it as session.prompt; it copies nothing.
-Validation needs no session: it reads one window's accumulators and every
-layer's value rows from each of a sequence of passes covering every layer
-(one per pattern, say), and scores a KV head of every pass against one
-draw of permutations.
+is held while a layer runs. It makes one streaming_masked call per layer for
+all query heads on the layer's plan (column_mass through _instrumented_stats
+for h2o_like column sums) and, at the lowest layers, one masked call on the
+last w_max query rows against those mask rows, whose (w_max, l) slab gives
+every window's accumulators. Once its plans are dropped it norms every value
+row in one l2_norm_rows call and stacks the column sums as one (L, Hkv, l)
+array. Every array of the PromptPass it returns is read-only, so a grid runs
+one per pattern, whose statistics every cell reads. prefill, all or nothing,
+adopts a pass that covers the session or runs one for it alone, and keeps it
+as session.prompt; it copies nothing. Validation needs no session: it reads
+one window's accumulators and the value-row norms from each of a sequence of
+passes covering every layer (one per pattern, say), and scores a KV head of
+every pass against one draw of permutations.
 
 Compression runs once after prefill and builds every layer's cache from
 session.prompt, which it then drops, so a private pass is freed. The whole
-layer stack is scored, selected and evicted as one table: score_low weights
-layer min(layer, e)'s accumulators by each layer's value-row norms,
-select_retained turns those (L, Hkv, l - w) scores (h2o_like's are its
-stacked column sums) into an (L, Hkv, w + h) table of positions, and evict
-writes those rows of the pass's stacked K/V once, into caches with room for
-as many again; cache[layer].positions[g] holds the positions KV head g kept.
-Keep-all budgets, streaming_like, and pure_kv or h2o_like at h = 0 (the
-window alone) broadcast one position list through evict and score nothing.
+layer stack is scored, selected and evicted as one table: the accumulators
+of layer min(layer, e) times each layer's value-row norms from the pass
+(score_low's product), or for h2o_like a view of the pass's column sums, are
+(L, Hkv, l - w) scores that select_retained turns into an (L, Hkv, w + h)
+table of positions, and evict writes those rows of the pass's stacked K/V
+once, into caches with room for as many again; cache[layer].positions[g]
+holds the positions KV head g kept. Keep-all budgets, streaming_like, and
+pure_kv or h2o_like at h = 0 (the window alone) broadcast one position list
+through evict and score nothing.
 
 session.phase is "new", then "prefilled", then "compressed"; every session
 entry point checks it first and raises before changing anything.
 
 Decode runs each layer through the prompt pass's _block, but projects with
 one product, the row's RMSNorm times wqkv, and reshapes its slices into q
-and k, v. It appends the key and value row to every KV head, past the rows
-of the layer's (Hkv, capacity, d) buffers, where compression left room for
-m steps, and makes one
-unchecked attention._decode call, decode's kernel: the query against the
-cache's (Hkv, n, d) keys and values, which show the new row once every head
-holds it, with no mask and no key tiles. A step is all or nothing: if any
-layer raises, every layer is truncated back to the one row count its heads
-held before the step, and step_count is unchanged.
-Decode never calls masked, and its one softmax row per query head lives only
-inside the kernel, so decode stays streaming-compatible: no caller can read
-its attention weights. Decode reads only the cache's rows, with no mask and
-no positional encoding, so two sessions whose caches hold the same rows
-decode to bit-identical logits; the harness uses that to decode each
-distinct cache of a grid once.
+and k, v; layer 0's RMSNorm reuses the finite check's sum of squares, as the
+prompt pass's does. It appends the key and value row to every KV head, past
+the rows of the layer's (Hkv, capacity, d) buffers, where compression left
+room for m steps, and makes one unchecked attention._decode call, decode's
+kernel: the query against the cache's (Hkv, n, d) keys and values, which
+show the new row once every head holds it, with no mask and no key tiles. A
+step is all or nothing: if any layer raises, every layer is truncated back
+to the row count its heads held before the step, read from the cache's
+lengths, and step_count is unchanged. Decode never calls masked, and its one
+softmax row per query head lives only inside the kernel, so decode stays
+streaming-compatible: no caller can read its attention weights. Decode reads
+only the cache's rows, with no mask and no positional encoding, so two
+sessions whose caches hold the same rows decode to bit-identical logits; the
+harness uses that to decode each distinct cache of a grid once.
 
 Embeddings that enter prefill or decode must be finite, and small enough
 that RMSNorm's sum of squares of each row stays finite; anything else is
@@ -85,13 +88,11 @@ from .cache import (
     baseline_streaming,
     budget_to_wh,
     evict,
-    score_low,
     select_retained,
 )
 from .errors import ConfigurationError
 from .masks import SparsityPattern, TokenLayout, build_mask
-from .numerics import derive_seed, seeded_gaussian
-from .numerics import l2_norm_rows  # noqa: F401  a traced benchmark site wraps engine.l2_norm_rows
+from .numerics import derive_seed, l2_norm_rows, seeded_gaussian
 
 _FF_MULT = 2
 _NORM_EPS = 1e-12
@@ -220,10 +221,11 @@ def init_session(model: Model, layout: TokenLayout, policy: PolicyConfig,
     return SessionState(layout=layout, policy=policy, pattern=pattern, tile_size=tile_size)
 
 
-def _require_finite(x: np.ndarray, what: str):
+def _require_finite(x: np.ndarray, what: str) -> np.ndarray:
     """Reject NaN or inf input, and rows whose squares _rmsnorm could not sum
     (about 1e154 and up), before they reach any session state: one check of
-    the sums, which a NaN or inf also makes non-finite, finds both."""
+    the sums, which a NaN or inf also makes non-finite, finds both. Returns
+    the row sums of squares, which the first layer's _rmsnorm reuses."""
     with np.errstate(over="ignore"):
         sums = np.add.reduce(x * x, axis=1)
     if not np.isfinite(sums).all():
@@ -231,12 +233,16 @@ def _require_finite(x: np.ndarray, what: str):
             raise ValueError(f"{what} must be finite")
         raise ValueError(f"{what} must be small enough that RMSNorm's sum of squares stays "
                          f"finite, got max |x| = {np.abs(x).max():.3g}")
+    return sums
 
 
-def _rmsnorm(x: np.ndarray) -> np.ndarray:
+def _rmsnorm(x: np.ndarray, sums: np.ndarray | None = None) -> np.ndarray:
+    """x's rows over their root mean square; sums, when given, are their sums of squares."""
+    if sums is None:
+        sums = np.add.reduce(x * x, axis=1)
     if len(x) == 1:  # decode's one row: the same correctly rounded steps on a Python float
-        return x / math.sqrt(float(np.add.reduce(x * x, axis=None)) / x.shape[1] + _NORM_EPS)
-    return x / np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True) / x.shape[1] + _NORM_EPS)
+        return x / math.sqrt(float(sums[0]) / x.shape[1] + _NORM_EPS)
+    return x / np.sqrt(sums[:, None] / x.shape[1] + _NORM_EPS)
 
 
 def _project_heads(h: np.ndarray, weights: LayerWeights, config: ModelConfig):
@@ -250,8 +256,8 @@ def _project_heads(h: np.ndarray, weights: LayerWeights, config: ModelConfig):
 
 
 def _block(x: np.ndarray, weights: LayerWeights, heads: np.ndarray) -> np.ndarray:
-    """Finish one pre-norm layer from its (Hkv, G, n, d_v) head outputs."""
-    x = x + heads.transpose(2, 0, 1, 3).reshape(x.shape[0], -1) @ weights.wo
+    """Finish one pre-norm layer from its head outputs as (n, Hq * d_v) rows."""
+    x = x + heads @ weights.wo
     return x + np.maximum(_rmsnorm(x) @ weights.w_up, 0.0) @ weights.w_down
 
 
@@ -260,9 +266,10 @@ class PromptPass:
     """One forward over a prompt, shared by every session it covers; its arrays are read-only.
 
     wiring is (layout, pattern, st_layer_index, tile_size). keys and values
-    are (L, Hkv, l, d) stacks. accumulators[w] lists the (Hkv, l - w)
-    recent-window accumulators of layers 0..layers-1, or is None when w >= l;
-    colsums lists every layer's (Hkv, l) column sums, or is None.
+    are (L, Hkv, l, d) stacks, and norms (L, Hkv, l) holds each value row's
+    norm. accumulators[w] lists the (Hkv, l - w) recent-window accumulators of
+    layers 0..layers-1, or is None when w >= l; colsums stacks every layer's
+    (Hkv, l) column sums as one (L, Hkv, l) array, or is None.
     """
 
     model: Model
@@ -271,22 +278,23 @@ class PromptPass:
     logits: np.ndarray
     keys: np.ndarray
     values: np.ndarray
+    norms: np.ndarray
     accumulators: dict[int, list[np.ndarray] | None]
-    colsums: list[np.ndarray] | None
+    colsums: np.ndarray | None
 
 
 def prompt_pass(model: Model, layout: TokenLayout, pattern: SparsityPattern, st_layer_index: int,
                 token_embeddings, windows, layers: int, column_sums: bool = False,
                 tile_size: int = attention.DEFAULT_TILE) -> PromptPass:
-    """Run the prompt once: logits, every layer's K/V and the statistics asked for.
-    Layers 0..layers-1 take every window's accumulators from one (max w, l) slab."""
+    """Run the prompt once: logits, every layer's K/V and value-row norms, and the statistics
+    asked for. Layers 0..layers-1 take every window's accumulators from one (max w, l) slab."""
     if min(windows, default=1) < 1:
         raise ConfigurationError(f"recent windows must be >= 1, got {sorted(windows)}")
     x = np.asarray(token_embeddings, dtype=np.float64)
     if x.shape != (layout.total_len, model.config.d_model):
         raise ConfigurationError(f"embeddings must be (layout rows, d_model) = "
                                  f"{(layout.total_len, model.config.d_model)}, got {x.shape}")
-    _require_finite(x, "embeddings")
+    sums = _require_finite(x, "embeddings")
     l = x.shape[0]
     accumulators = {w: [] if w < l else None for w in windows}
     first = l - max((w for w in windows if w < l), default=0)
@@ -298,7 +306,8 @@ def prompt_pass(model: Model, layout: TokenLayout, pattern: SparsityPattern, st_
             plans[kind] = attention.TilePlan(mask, tile_size), mask[first:].copy()
             del mask  # so no (l, l) array outlives the building of its plan
         plan, recent = plans[kind]
-        q, k, v = _project_heads(_rmsnorm(x), weights, model.config)
+        q, k, v = _project_heads(_rmsnorm(x, sums), weights, model.config)
+        sums = None  # only layer 0 normalizes the embeddings the finite check summed
         keys.append(k)
         values.append(v)
         if layer < layers and first < l:
@@ -312,17 +321,20 @@ def prompt_pass(model: Model, layout: TokenLayout, pattern: SparsityPattern, st_
             colsums.append(mass)
         else:
             heads = attention.streaming_masked(q, k[:, None], v[:, None], plan)
+        heads = heads.transpose(2, 0, 1, 3).reshape(l, -1)  # rebound, so one copy is held
         x = _block(x, weights, heads)
         del q, k, v, heads  # so the next layer projects without this one's arrays
+    del plans, plan, recent  # so no tile plan is held while the norms are computed
     logits = _rmsnorm(x) @ model.w_vocab
     # Stacked once the layers are done: (L, Hkv, l, d) buffers taken before the
     # first layer raised long-prefill peak_rss_mb by 2.5-2.9 MB (2-CPU VM).
-    keys, values = np.array(keys), np.array(values)
-    for array in [logits, keys, values, *colsums,
+    keys, values, colsums = np.array(keys), np.array(values), np.array(colsums)
+    norms = l2_norm_rows(values.reshape(-1, values.shape[-1])).reshape(values.shape[:-1])
+    for array in [logits, keys, values, norms, colsums,
                   *(a for table in accumulators.values() for a in table or ())]:
         array.flags.writeable = False
     return PromptPass(model, (layout, pattern, st_layer_index, tile_size), layers, logits,
-                      keys, values, accumulators, colsums if column_sums else None)
+                      keys, values, norms, accumulators, colsums if column_sums else None)
 
 
 def _instrumented_stats(q, k, v, plan):
@@ -373,9 +385,9 @@ def apply_compression(model: Model, session: SessionState) -> SessionState:
         table = prompt.accumulators[w]
         used = np.stack([table[min(layer, policy.clie_layer_index)]
                          for layer in range(len(prompt.keys))])
-        retained = select_retained(score_low(used, prompt.values), w, h_count, l)
+        retained = select_retained(used * prompt.norms[..., : l - w], w, h_count, l)
     else:
-        retained = select_retained(np.stack(prompt.colsums)[..., : l - w], w, h_count, l)
+        retained = select_retained(prompt.colsums[..., : l - w], w, h_count, l)
     cache = evict(prompt.keys, prompt.values, retained)
     # All or nothing: the session changes only once every layer is evicted.
     session.cache, session.prompt, session.phase = cache, None, "compressed"
@@ -392,19 +404,20 @@ def decode_step(model: Model, session: SessionState, token_embedding) -> np.ndar
         raise ConfigurationError(f"token embedding must have length {c.d_model}, "
                                  f"got shape {x.shape}")
     x = x.reshape(1, -1)
-    _require_finite(x, "token embedding")
+    sums = _require_finite(x, "token embedding")
 
     position = session.prefill_len + session.step_count
-    committed = [kv.positions.shape[1] for kv in session.cache]
+    committed = [min(kv._lengths) for kv in session.cache]
     hkv, q_end, k_end = c.num_kv_heads, c.d_model, c.d_model + c.num_kv_heads * c.d_k
     try:
         for kv, weights in zip(session.cache, model.layers):
-            qkv = (_rmsnorm(x) @ weights.wqkv)[0]
+            qkv = (_rmsnorm(x, sums) @ weights.wqkv)[0]
+            sums = None
             k, v = qkv[q_end:k_end].reshape(hkv, -1), qkv[k_end:].reshape(hkv, -1)
             for g in range(hkv):
                 kv.append(g, k[g], v[g], position)
             q = qkv[:q_end].reshape(hkv, c.group_size, -1)
-            x = _block(x, weights, attention._decode(q, kv.keys, kv.values)[:, :, None])
+            x = _block(x, weights, attention._decode(q, kv.keys, kv.values).reshape(1, -1))
     except BaseException:
         # All or nothing: the rows this step appended are dropped again.
         for kv, n in zip(session.cache, committed):
@@ -419,13 +432,13 @@ def validate_cross_layer(prompts, w: int, analysis_layer: int, n_perm: int = 999
                          seed: int = 0) -> list[dict]:
     """Rank agreement between reused-accumulator scores and own-layer scores.
 
-    For every layer above the analysis layer, score_low weights two
-    accumulator tables by that layer's value-row norms: the analysis
-    layer's (the estimate) and the layer's own (the ground truth), each
-    built for all those layers at once, and each KV head's two rows are
-    correlated. Reads window w's accumulators and every layer's value rows
-    from each of prompts, a sequence of passes over one model and layout
-    (one per pattern, say) that hold them on every layer. A KV head's
+    For every layer above the analysis layer, two accumulator tables are
+    weighted by that layer's value-row norms, as score_low does: the
+    analysis layer's (the estimate) and the layer's own (the ground truth),
+    each built for all those layers at once, and each KV head's two rows are
+    correlated. Reads window w's accumulators and value-row norms from each
+    of prompts, a sequence of passes over one model and layout (one per
+    pattern, say) that hold them on every layer. A KV head's
     permutation seed depends only on the layer and head, so one
     permutation_pvalue call scores that head for every pass. Returns one
     report validation dict per pass: analysis_layer, median_rho, median_p
@@ -451,10 +464,9 @@ def validate_cross_layer(prompts, w: int, analysis_layer: int, n_perm: int = 999
     above = slice(analysis_layer + 1, num_layers)
     truth, estimate = [], []
     for prompt in prompts:
-        table, values = prompt.accumulators[w], prompt.values[above]
-        own = np.stack(table[above])
-        truth.append(score_low(own, values))
-        estimate.append(score_low(np.broadcast_to(table[analysis_layer], own.shape), values))
+        table, norms = prompt.accumulators[w], prompt.norms[above, :, : l - w]
+        truth.append(np.stack(table[above]) * norms)
+        estimate.append(table[analysis_layer] * norms)
     truth, estimate = np.stack(truth), np.stack(estimate)
     per_layer = [[] for _ in prompts]
     for index, layer in enumerate(range(num_layers)[above]):

@@ -179,9 +179,49 @@ def per_layer_compression(prompt, policy, w, h):
                 rows = values[:, : l - w].reshape(-1, values.shape[-1])
                 scores = accumulators * np.sqrt((rows * rows).sum(axis=1)).reshape(-1, l - w)
             else:
-                scores = prompt.colsums[layer][:, : l - w]
+                scores = prompt.colsums[layer, :, : l - w]
             top = np.argsort(-scores, axis=-1, kind="stable")[:, :h]
             table = [np.sort(np.concatenate([rows, np.arange(l - w, l)])) for rows in top]
         out.append((np.stack([k[rows] for k, rows in zip(keys, table)]),
                     np.stack([v[rows] for v, rows in zip(values, table)]), np.stack(table)))
     return out
+
+
+def argsort_select(S, w, h, l):
+    """cache.select_retained as it ran with a full stable argsort of -S: the
+    positions the partial selection must match, bit for bit."""
+    S = np.asarray(S, dtype=np.float64)
+    top = np.argsort(-S, axis=-1, kind="stable")[..., :h]
+    recent = np.broadcast_to(np.arange(l - w, l, dtype=np.int64), S.shape[:-1] + (w,))
+    return np.sort(np.concatenate([top.astype(np.int64), recent], axis=-1), axis=-1)
+
+
+def score_low_scores(prompt, policy, w):
+    """The (L, Hkv, l - w) scores apply_compression selected from when it
+    normed the pass's values through cache.score_low (pure_kv) and stacked the
+    per-layer column sums (h2o_like): the bits read from the pass must match."""
+    from purekv.cache import score_low
+
+    l = prompt.keys.shape[-2]
+    if policy.policy_kind == "h2o_like":
+        return np.stack(list(prompt.colsums))[..., : l - w]
+    table = prompt.accumulators[w]
+    used = np.stack([table[min(layer, policy.clie_layer_index)]
+                     for layer in range(len(prompt.keys))])
+    return score_low(used, prompt.values)
+
+
+def score_low_validation(prompts, w, analysis_layer):
+    """validate_cross_layer's (estimate, truth) tables as it built them through
+    cache.score_low: (P, layers above, Hkv, l - w), the bits its permutation
+    tests must receive."""
+    from purekv.cache import score_low
+
+    above = slice(analysis_layer + 1, prompts[0].model.config.num_layers)
+    truth, estimate = [], []
+    for prompt in prompts:
+        table, values = prompt.accumulators[w], prompt.values[above]
+        own = np.stack(table[above])
+        truth.append(score_low(own, values))
+        estimate.append(score_low(np.broadcast_to(table[analysis_layer], own.shape), values))
+    return np.stack(estimate), np.stack(truth)

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import purekv.cache
+from _oracles import argsort_select
 from purekv.cache import (
     KvCacheLayer,
     PolicyConfig,
@@ -173,6 +175,33 @@ class TestSelectRetained:
             np.testing.assert_array_equal(table[g], select_retained(scores[g], w, h, l))
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 40), st.data())
+    def test_partial_selection_matches_the_full_argsort(self, layers, heads, n, data):
+        """Over (L, Hkv, l - w) stacks drawn mostly from a few values, so that
+        ties, -0.0 against 0.0 and infinities are common, the partial
+        selection keeps the full stable argsort's positions bit for bit, at
+        h = 0, 1 and l - w and at any h between."""
+        w = data.draw(st.integers(1, 5), label="w")
+        h = data.draw(st.sampled_from([0, 1, n]) | st.integers(0, n), label="h")
+        few = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, np.inf, -np.inf, 5e-324])
+        scores = np.array(data.draw(st.lists(few | st.floats(allow_nan=False),
+                                             min_size=layers * heads * n,
+                                             max_size=layers * heads * n), label="scores"),
+                          dtype=np.float64).reshape(layers, heads, n)
+        got, want = select_retained(scores, w, h, n + w), argsort_select(scores, w, h, n + w)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("h", [0, 1, 3])
+    def test_a_nan_score_is_rejected_before_selection(self, h):
+        """No engine path scores NaN. A NaN anywhere in the table is rejected,
+        even where it could not be kept or where every row is kept."""
+        scores = np.array([[[0.0, 1.0, 2.0], [1.0, 2.0, np.nan]]])
+        with pytest.raises(ValueError, match="not NaN"):
+            select_retained(scores, 1, h, 4)
+
+
 class TestEvict:
     def make_pass(self, rows=5, heads=2, d_v=3):
         """A prompt pass's stacked (Hkv, rows, 3) keys and (Hkv, rows, d_v) values."""
@@ -238,10 +267,12 @@ class TestEvict:
         assert built[0].positions[0].tolist() == [0, 2, 5, 6]
         np.testing.assert_array_equal(built[2].keys[1][:6], keys[1])
 
-    def test_a_stack_of_layers_evicts_like_each_layer(self):
+    def test_a_stack_of_layers_evicts_like_each_layer(self, monkeypatch):
         """A (L, Hkv, m) table gives one cache per layer, each equal to that
         layer's own eviction; the table is checked whole first, and a bad row
-        names its layer and head."""
+        (negative, at or past l, repeated or decreasing, in the first or only
+        a later layer and head) names its layer, head and rows before any
+        cache is built."""
         passes = [self.make_pass(rows=6) for _ in range(3)]
         keys, values = np.stack([k for k, _ in passes]), np.stack([v for _, v in passes])
         table = np.array([[[0, 2, 5], [1, 2, 3]], [[3, 4, 5]] * 2, [[0, 1, 2], [0, 4, 5]]])
@@ -252,11 +283,19 @@ class TestEvict:
             for mine, want in ((out.keys, alone.keys), (out.values, alone.values),
                                (out.positions, alone.positions)):
                 assert mine.tobytes() == want.tobytes()
-        for layer, g, bad in ((0, 1, [1, 2, 6]), (2, 0, [0, 0, 2]), (1, 1, [-1, 4, 5])):
+        built = []
+        monkeypatch.setattr(purekv.cache, "_caches", lambda *args: built.append(args))
+        for layer, g, bad in ((0, 1, [1, 2, 6]), (2, 0, [0, 0, 2]), (1, 1, [-1, 4, 5]),
+                              (0, 0, [-3, 2, 5]), (1, 0, [3, 4, 9]), (2, 1, [0, 5, 5]),
+                              (2, 1, [0, 5, 4]), (0, 0, [2, 0, 5]), (2, 1, [4, 6, 5])):
             broken = table.copy()
             broken[layer, g] = bad
-            with pytest.raises(ConfigurationError, match=rf"^layer {layer} head {g}: "):
+            rows = ", ".join(map(str, bad))
+            with pytest.raises(ConfigurationError, match=rf"^layer {layer} head {g}: retained "
+                               rf"rows \[{rows}\] are not strictly increasing in \[0, 6\)$"):
                 evict(keys, values, broken)
+        assert built == []
+        monkeypatch.undo()
         with pytest.raises(ConfigurationError, match=r"\(3, 2, m\) retained table"):
             evict(keys, values, table[:2])
         with pytest.raises(ConfigurationError, match="same heads and rows"):

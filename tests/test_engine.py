@@ -12,12 +12,15 @@ import purekv.attention
 import purekv.cache
 import purekv.engine
 from _oracles import (
+    argsort_select,
     brute_force_select,
     causal_masks,
     decode_attention,
     normalize_rows,
     per_layer_compression,
     reference_forward,
+    score_low_scores,
+    score_low_validation,
 )
 from purekv.cache import (
     POLICY_KINDS,
@@ -39,7 +42,7 @@ from purekv.engine import (
 )
 from purekv.errors import ConfigurationError
 from purekv.masks import SparsityPattern, TokenLayout, build_mask, parse_pattern
-from purekv.numerics import derive_seed, seeded_gaussian
+from purekv.numerics import derive_seed, l2_norm_rows, seeded_gaussian
 from purekv.stats import spearman_rho
 
 
@@ -471,8 +474,9 @@ class TestCompression:
         l, w = LAYOUT.total_len, session.w
         assert session.h == 0 and 0 < w < l
         expected = per_layer_compression(session.prompt, session.policy, w, 0)
-        for name in ("score_low", "select_retained"):
-            monkeypatch.setattr(purekv.engine, name, None)  # calling either would raise
+        monkeypatch.setattr(purekv.engine, "select_retained", None)  # calling it would raise
+        for name in ("norms", "colsums"):  # and so would scoring from the pass's statistics
+            object.__setattr__(session.prompt, name, None)
         apply_compression(model, session)
         for kv, triple in zip(session.cache, expected):
             assert kv.positions.tolist() == [list(range(l - w, l))] * SMALL.num_kv_heads
@@ -797,7 +801,8 @@ class TestFiniteOrRaise:
             logits = call(prefill, embeddings)
         assert logits is not None and np.isfinite(logits).all()
         prompt = session.prompt
-        for array in [*prompt.keys, *prompt.values, *(prompt.colsums or ()),
+        for array in [prompt.keys, prompt.values, prompt.norms,
+                      *(() if prompt.colsums is None else (prompt.colsums,)),
                       *(a for table in prompt.accumulators.values() for a in table or ())]:
             assert np.isfinite(array).all()
         assert call(apply_compression) is session
@@ -1051,28 +1056,31 @@ class TestValidation:
 
     def test_rejects_fewer_than_three_nonrecent_keys_before_scoring(self, monkeypatch):
         """At l - w of 1 or 2 the permutation test is undefined; validation
-        raises before it scores a layer or computes a statistic. The rank
-        spy stands where a spearman_rho spy stood: the observed rho now
-        comes from the permutation test's own ranks, so validation ranks
-        each (estimate, truth) pair once, two rank calls per KV head."""
+        raises before it scores a layer or computes a statistic. Scoring
+        reads the pass's value-row norms, which are taken away until the
+        rejections are done. The rank spy stands where a spearman_rho spy
+        stood: the observed rho now comes from the permutation test's own
+        ranks, so validation ranks each (estimate, truth) pair once, two rank
+        calls per KV head."""
         model = init_model(SMALL)
         l = LAYOUT.total_len
         windows = (l - 1, l - 2, l - 3)
         prompt = prompt_pass(model, LAYOUT, SparsityPattern.dense(), 2, embeddings_for(LAYOUT),
                              windows, SMALL.num_layers)
-        calls = []
-        for owner, name in ((purekv.engine, "score_low"), (purekv.stats, "rank"),
-                            (purekv.stats, "permutation_pvalue")):
+        calls, norms = [], prompt.norms
+        for owner, name in ((purekv.stats, "rank"), (purekv.stats, "permutation_pvalue")):
             real = getattr(owner, name)
             monkeypatch.setattr(owner, name, lambda *a, real=real, name=name, **k:
                                 calls.append(name) or real(*a, **k))
+        object.__setattr__(prompt, "norms", None)  # scoring would raise a TypeError
         for w in windows[:2]:
             with pytest.raises(ConfigurationError, match=f"recent window {w} leaves {l - w} "
                                                          f"non-recent keys at l = {l}"):
                 validate_cross_layer([prompt], w, 1, n_perm=100, seed=0)
         assert calls == []
+        object.__setattr__(prompt, "norms", norms)
         validate_cross_layer([prompt], l - 3, 1, n_perm=100, seed=0)
-        assert {"score_low", "rank", "permutation_pvalue"} <= set(calls)
+        assert {"rank", "permutation_pvalue"} <= set(calls)
         assert calls.count("rank") == 2 * (SMALL.num_layers - 2) * SMALL.num_kv_heads
 
 
@@ -1515,7 +1523,7 @@ class TestPromptPass:
             prefill(model, sessions[-1], source)
         a, b, own = sessions
         assert a.prompt is shared and embeddings.flags.writeable
-        for array in (shared.colsums[5], shared.keys[5], shared.values[5], shared.logits,
+        for array in (shared.colsums, shared.norms, shared.keys, shared.values, shared.logits,
                       shared.accumulators[a.w][0]):
             with pytest.raises(ValueError, match="read-only"):
                 array[:] = 0
@@ -1523,6 +1531,106 @@ class TestPromptPass:
             apply_compression(model, session)
         for layer in range(config.model.num_layers):
             np.testing.assert_array_equal(b.cache[layer].positions, own.cache[layer].positions)
+
+
+class TestPassStatistics:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(POLICY_KINDS))
+    def test_norms_are_each_layers_value_row_norms_and_read_only(self, data, kind):
+        """A pass holds l2_norm_rows of each layer's value rows, bit for bit,
+        and neither its norms nor its stacked column sums can be written."""
+        _, session = draw_prefilled_session(data, kind)
+        prompt = session.prompt
+        assert prompt.norms.shape == prompt.values.shape[:-1]
+        for layer, values in enumerate(prompt.values):
+            want = l2_norm_rows(values.reshape(-1, values.shape[-1])).reshape(values.shape[:-1])
+            assert prompt.norms[layer].tobytes() == want.tobytes()
+        for array in (prompt.norms, prompt.colsums):
+            if array is not None:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["pure_kv", "h2o_like"]))
+    def test_compression_scores_equal_the_score_low_path(self, data, kind):
+        """pure_kv and h2o_like compression select from the bits that norming
+        the pass's values through score_low, or stacking its column sums,
+        gave; an h2o_like selection reads a view of the pass's stacked sums.
+        The retained rows are the full argsort's."""
+        model, session = draw_prefilled_session(data, kind)
+        prompt, w, h, l = session.prompt, session.w, session.h, session.prefill_len
+        scores = []
+        real = purekv.engine.select_retained
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(purekv.engine, "select_retained",
+                          lambda S, *args: scores.append(S) or real(S, *args))
+            apply_compression(model, session)
+        if w + h >= l or h == 0:
+            assert scores == []
+            return
+        [got] = scores
+        want = score_low_scores(prompt, session.policy, w)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert (kind == "h2o_like") == np.shares_memory(got, prompt.colsums)
+        table = argsort_select(want, w, h, l)
+        for layer, kv in enumerate(session.cache):
+            assert kv.positions.tobytes() == table[layer].tobytes()
+
+    @pytest.mark.parametrize("w, analysis", [(4, 0), (4, 1), (3, 2), (11, 1)])
+    def test_validation_equals_the_score_low_path(self, monkeypatch, w, analysis):
+        """Every permutation test of a validation over two passes gets the
+        (estimate, truth) rows that score_low gave, bit for bit."""
+        model = init_model(SMALL)
+        emb = embeddings_for(LAYOUT, seed=31)
+        prompts = [prompt_pass(model, LAYOUT, pattern, 2, emb, (w,), SMALL.num_layers)
+                   for pattern in (SparsityPattern.dense(), SparsityPattern.spatial_temporal())]
+        calls = []
+        real = purekv.stats.permutation_pvalue
+        monkeypatch.setattr(purekv.stats, "permutation_pvalue",
+                            lambda x, y, *rest: calls.append((x, y)) or real(x, y, *rest))
+        validate_cross_layer(prompts, w, analysis, n_perm=100, seed=2)
+        estimate, truth = score_low_validation(prompts, w, analysis)
+        assert len(calls) == estimate.shape[1] * SMALL.num_kv_heads
+        for index, (x, y) in enumerate(calls):
+            layer, g = divmod(index, SMALL.num_kv_heads)
+            assert x.tobytes() == estimate[:, layer, g].tobytes()
+            assert y.tobytes() == truth[:, layer, g].tobytes()
+
+    def test_a_grid_norms_each_pass_once_and_stacks_no_column_sums(self, monkeypatch):
+        """run_experiment on the example config norms each pattern pass's value
+        stack in one l2_norm_rows call, through the engine or score_low, and
+        every h2o_like cell that scores selects from a view of its pass's
+        stacked column sums."""
+        from purekv.harness import run_experiment
+
+        passes, norm_calls, scores = [], [], []
+
+        def spy(real, calls):
+            def call(*args, **kwargs):
+                calls.append((args, real(*args, **kwargs)))
+                return calls[-1][1]
+            return call
+
+        for owner, name, calls in ((purekv.engine, "prompt_pass", passes),
+                                   (purekv.engine, "l2_norm_rows", norm_calls),
+                                   (purekv.cache, "l2_norm_rows", norm_calls),
+                                   (purekv.engine, "select_retained", scores)):
+            monkeypatch.setattr(owner, name, spy(getattr(owner, name), calls))
+        report = run_experiment(example_config())
+        made = [prompt for _, prompt in passes]
+        assert len(made) == 2 and len(norm_calls) == len(made)
+        for ((values,), norms), prompt in zip(norm_calls, made):
+            assert np.shares_memory(values, prompt.values) and values.size == prompt.values.size
+            assert np.shares_memory(norms, prompt.norms)
+
+        def scored(kind):  # cells of this kind that select top-h rows
+            return sum(cell["policy"] == kind and 0 < cell["top_h"]
+                       < cell["sequence_len"] - cell["recent_window"] for cell in report["cells"])
+
+        from_sums = [S for (S, *_), _ in scores
+                     if any(np.shares_memory(S, prompt.colsums) for prompt in made)]
+        assert scored("h2o_like") > 0 and len(from_sums) == scored("h2o_like")
+        assert len(scores) == scored("h2o_like") + scored("pure_kv")
 
 
 class TestValidationWindows:
