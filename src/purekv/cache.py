@@ -25,7 +25,9 @@ copied, and the first m appends grow nothing. Appending writes one head's
 row in place and doubles the capacity when the buffers are full; truncate(n)
 rolls every head back to n rows, which makes a failed decode step undoable.
 keys, values and positions are (Hkv, n, ·) views of the n rows every head
-holds; a row that only some heads have appended stays staged, unseen."""
+holds; a row that only some heads have appended stays staged, unseen.
+extends(other) tells whether a layer holds other's committed rows, bit for
+bit, and one more: what a decode step checks before borrowing a twin's rows."""
 
 from __future__ import annotations
 
@@ -124,6 +126,15 @@ class KvCacheLayer:
         if not 0 <= n <= min(self._lengths):
             raise ConfigurationError(f"cannot truncate committed lengths {self._lengths} to {n}")
         self._lengths = [n] * self.num_heads
+
+    def extends(self, other: KvCacheLayer) -> bool:
+        """Whether this layer commits exactly one row more than other and its first
+        rows are other's committed positions, keys and values, bit for bit."""
+        n = min(other._lengths)
+        return (min(self._lengths) == n + 1
+                and self._positions[:, :n].tobytes() == other._positions[:, :n].tobytes()
+                and self._keys[:, :n].tobytes() == other._keys[:, :n].tobytes()
+                and self._values[:, :n].tobytes() == other._values[:, :n].tobytes())
 
     def check_invariants(self):
         for h, n in enumerate(self._lengths):

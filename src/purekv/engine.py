@@ -14,28 +14,36 @@ _block takes the head outputs as (n, Hq * d_v) rows: prompt_pass transposes
 its (Hkv, G, n, d_v) outputs into them, and decode's (Hkv, G, d_v) output is
 already in that order. No other code reshapes or transposes head axes.
 
-prompt_pass and decode_step each run one loop over the layers. prompt_pass
-builds each distinct mask once, not per layer, makes its attention.TilePlan,
-keeps a copy of its last w_max rows and drops the mask, so no (l, l) array
-is held while a layer runs. It makes one streaming_masked call per layer for
-all query heads on the layer's plan (column_mass through _instrumented_stats
-for h2o_like column sums) and, at the lowest layers, one masked call on the
-last w_max query rows against those mask rows, whose (w_max, l) slab gives
-every window's accumulators. Once its plans are dropped it norms every value
-row in one l2_norm_rows call and stacks the column sums as one (L, Hkv, l)
-array. Every array of the PromptPass it returns is read-only, so a grid runs
-one per pattern, whose statistics every cell reads. prefill, all or nothing,
-adopts a pass that covers the session or runs one for it alone, and keeps it
-as session.prompt; it copies nothing. Validation needs no session: it reads
-one window's accumulators and the value-row norms from each of a sequence of
-passes covering every layer (one per pattern, say), and scores a KV head of
-every pass against one draw of permutations.
+prompt_passes and decode_step each run one loop over the layers. Layers
+below st_layer_index run dense whatever the pattern, so prompt_passes runs
+them once for a list of patterns and continues each pattern from their
+hidden rows, on a copy of their records for every pattern but the last,
+which takes them over; prompt_pass is its one-pattern case, and holds what
+one layer loop holds. It builds each distinct mask once, not per layer,
+makes its attention.TilePlan, keeps a copy of its last w_max rows and drops
+the mask, so no (l, l) array is held while a layer runs. It makes one
+streaming_masked call per layer for all query heads on the layer's plan
+(column_mass through _instrumented_stats for h2o_like column sums) and, at
+the lowest layers, one masked call on the last w_max query rows against
+those mask rows, whose (w_max, l) slab gives every window's accumulators.
+Once its plans are dropped it stacks each pattern's layers: every window's
+accumulators as one (layers, Hkv, l - w) array, the column sums as one
+(L, Hkv, l) array, and the value-row norms from one l2_norm_rows call.
+Every array of the PromptPass it returns is read-only, so a grid makes one
+prompt_passes call for all its patterns, whose statistics every cell reads.
+prefill, all or nothing, adopts a pass that covers the session or runs one
+for it alone, and keeps it as session.prompt; it copies nothing. Validation
+needs no session: it reads one window's accumulators and the value-row
+norms from each of a sequence of passes covering every layer (one per
+pattern, say), and scores a KV head of every pass against one draw of
+permutations.
 
 Compression runs once after prefill and builds every layer's cache from
 session.prompt, which it then drops, so a private pass is freed. The whole
 layer stack is scored, selected and evicted as one table: the accumulators
 of layer min(layer, e) times each layer's value-row norms from the pass
-(score_low's product), or for h2o_like a view of the pass's column sums, are
+(score_low's product, taken as two products into one table, for the layers
+up to e and above it), or for h2o_like a view of the pass's column sums, are
 (L, Hkv, l - w) scores that select_retained turns into an (L, Hkv, w + h)
 table of positions, and evict writes those rows of the pass's stacked K/V
 once, into caches with room for as many again; cache[layer].positions[g]
@@ -63,6 +71,17 @@ only the cache's rows, with no mask and no positional encoding, so two
 sessions whose caches hold the same rows decode to bit-identical logits; the
 harness uses that to decode each distinct cache of a grid once.
 
+The same holds layer by layer: a layer's new row depends only on the rows
+the layers up to it hold and on the token embedding. So decode_step takes a
+base, a twin of the same model, prompt length and st_layer_index that has
+just taken this step on a bit-identical embedding and whose layers below
+st_layer_index hold this session's rows and one more. It checks each of
+those before changing anything, appends the K/V rows base's step kept for
+those layers and runs only the layers from st_layer_index up, from the
+hidden row base kept there. Every step keeps, in session.last_step, what a
+twin would borrow from it: its model, the embedding's bytes, its new rows
+below st_layer_index and that hidden row; only the latest step's.
+
 Embeddings that enter prefill or decode must be finite, and small enough
 that RMSNorm's sum of squares of each row stays finite; anything else is
 rejected with a ValueError before the session changes.
@@ -76,6 +95,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -189,6 +209,18 @@ class SessionState:
     h: int = 0
     phase: str = "new"  # "new", then "prefilled", then "compressed"
     step_count: int = 0
+    last_step: DecodeRecord | None = None  # what a twin's decode_step(..., base) borrows
+
+
+class DecodeRecord(NamedTuple):
+    """A session's latest decode step, as a twin borrows it: the model and the
+    embedding's bytes it took, each layer's fused q, k, v projection row below
+    st_layer_index, and the (1, d_model) hidden row that entered st_layer_index."""
+
+    model: Model
+    embedding: bytes
+    rows: list[np.ndarray]
+    hidden: np.ndarray
 
 
 def check_layer_depth(policy: PolicyConfig, num_layers: int) -> None:
@@ -267,9 +299,11 @@ class PromptPass:
 
     wiring is (layout, pattern, st_layer_index, tile_size). keys and values
     are (L, Hkv, l, d) stacks, and norms (L, Hkv, l) holds each value row's
-    norm. accumulators[w] lists the (Hkv, l - w) recent-window accumulators of
-    layers 0..layers-1, or is None when w >= l; colsums stacks every layer's
-    (Hkv, l) column sums as one (L, Hkv, l) array, or is None.
+    norm. accumulators[w] stacks the (Hkv, l - w) recent-window accumulators
+    of layers 0..layers-1 as one (layers, Hkv, l - w) array, or is None when
+    w >= l; colsums stacks every layer's (Hkv, l) column sums as one
+    (L, Hkv, l) array, or is None. Passes that prompt_passes made together
+    hold the same values in every layer below st_layer_index.
     """
 
     model: Model
@@ -279,15 +313,26 @@ class PromptPass:
     keys: np.ndarray
     values: np.ndarray
     norms: np.ndarray
-    accumulators: dict[int, list[np.ndarray] | None]
+    accumulators: dict[int, np.ndarray | None]
     colsums: np.ndarray | None
 
 
 def prompt_pass(model: Model, layout: TokenLayout, pattern: SparsityPattern, st_layer_index: int,
                 token_embeddings, windows, layers: int, column_sums: bool = False,
                 tile_size: int = attention.DEFAULT_TILE) -> PromptPass:
-    """Run the prompt once: logits, every layer's K/V and value-row norms, and the statistics
-    asked for. Layers 0..layers-1 take every window's accumulators from one (max w, l) slab."""
+    """Run the prompt once for one pattern: prompt_passes with a one-pattern list."""
+    return prompt_passes(model, layout, [pattern], st_layer_index, token_embeddings, windows,
+                         layers, column_sums, tile_size)[0]
+
+
+def prompt_passes(model: Model, layout: TokenLayout, patterns, st_layer_index: int,
+                  token_embeddings, windows, layers: int, column_sums: bool = False,
+                  tile_size: int = attention.DEFAULT_TILE) -> list[PromptPass]:
+    """Run the prompt once for each pattern: logits, every layer's K/V and value-row norms,
+    and the statistics asked for, as one PromptPass per entry of patterns (a repeated
+    pattern gets the same pass). Layers 0..st_layer_index-1 run dense whatever the
+    pattern, so they run once and every pattern continues from their hidden rows.
+    Layers 0..layers-1 take every window's accumulators from one (max w, l) slab."""
     if min(windows, default=1) < 1:
         raise ConfigurationError(f"recent windows must be >= 1, got {sorted(windows)}")
     x = np.asarray(token_embeddings, dtype=np.float64)
@@ -295,46 +340,82 @@ def prompt_pass(model: Model, layout: TokenLayout, pattern: SparsityPattern, st_
         raise ConfigurationError(f"embeddings must be (layout rows, d_model) = "
                                  f"{(layout.total_len, model.config.d_model)}, got {x.shape}")
     sums = _require_finite(x, "embeddings")
-    l = x.shape[0]
-    accumulators = {w: [] if w < l else None for w in windows}
+    l, split = x.shape[0], min(st_layer_index, len(model.layers))
     first = l - max((w for w in windows if w < l), default=0)
-    keys, values, colsums, plans = [], [], [], {}
-    for layer, weights in enumerate(model.layers):
-        kind = pattern if layer >= st_layer_index else SparsityPattern.dense()
-        if kind not in plans:  # one TilePlan per distinct mask, not per layer
+    plans = {}
+
+    def run(state, sums, span, kind):
+        """Layers span on kind's mask, from state = [rows, keys, values, accumulator
+        tables by window, column sums]: each layer appends its K/V and statistics to
+        state's lists, and state ends holding the last layer's rows."""
+        x, keys, values, tables, colsums = state
+        state[0] = None  # so the loop's x is the state's only hold on its rows
+        if span and kind not in plans:  # one TilePlan per distinct mask, not per layer
             mask = build_mask(layout, kind)
             plans[kind] = attention.TilePlan(mask, tile_size), mask[first:].copy()
             del mask  # so no (l, l) array outlives the building of its plan
-        plan, recent = plans[kind]
-        q, k, v = _project_heads(_rmsnorm(x, sums), weights, model.config)
-        sums = None  # only layer 0 normalizes the embeddings the finite check summed
-        keys.append(k)
-        values.append(v)
-        if layer < layers and first < l:
-            _, slab = attention.masked(q[:, :, first:], k[:, None], v[:, None], recent)
-            for w, table in accumulators.items():
-                if table is not None:
-                    table.append(accumulate_recent_attention(slab, w).mean(axis=1))
-            del slab  # so two layers' slabs are never held at once
-        if column_sums:
-            heads, mass = _instrumented_stats(q, k, v, plan)
-            colsums.append(mass)
-        else:
-            heads = attention.streaming_masked(q, k[:, None], v[:, None], plan)
-        heads = heads.transpose(2, 0, 1, 3).reshape(l, -1)  # rebound, so one copy is held
-        x = _block(x, weights, heads)
-        del q, k, v, heads  # so the next layer projects without this one's arrays
-    del plans, plan, recent  # so no tile plan is held while the norms are computed
+        for layer in span:
+            weights = model.layers[layer]
+            plan, recent = plans[kind]
+            q, k, v = _project_heads(_rmsnorm(x, sums), weights, model.config)
+            sums = None  # only layer 0 normalizes the embeddings the finite check summed
+            keys.append(k)
+            values.append(v)
+            if layer < layers and first < l:
+                _, slab = attention.masked(q[:, :, first:], k[:, None], v[:, None], recent)
+                for w, table in tables.items():
+                    if table is not None:
+                        table.append(accumulate_recent_attention(slab, w).mean(axis=1))
+                del slab  # so two layers' slabs are never held at once
+            if column_sums:
+                heads, mass = _instrumented_stats(q, k, v, plan)
+                colsums.append(mass)
+            else:
+                heads = attention.streaming_masked(q, k[:, None], v[:, None], plan)
+            heads = heads.transpose(2, 0, 1, 3).reshape(l, -1)  # rebound, so one copy is held
+            x = _block(x, weights, heads)
+            del q, k, v, heads  # so the next layer projects without this one's arrays
+        state[0] = x
+
+    state = [x, [], [], {w: [] if w < l else None for w in windows}, []]
+    del x
+    run(state, sums, range(split), SparsityPattern.dense())
+    sums = None if split else sums  # only layer 0 normalizes the embeddings it summed
+    unique, states = list(dict.fromkeys(patterns)), {}
+    for pattern in unique:
+        # Every pattern but the last continues from a copy of the shared state; the
+        # last takes it over, so a one-pattern pass holds what one layer loop holds.
+        states[pattern] = state if pattern == unique[-1] else _fork(state)
+        run(states[pattern], sums, range(split, len(model.layers)), pattern)
+    del plans  # so no tile plan is held while the passes are stacked and normed
+    passes = {pattern: _finish(model, (layout, pattern, st_layer_index, tile_size), layers,
+                               column_sums, states.pop(pattern)) for pattern in unique}
+    return [passes[pattern] for pattern in patterns]
+
+
+def _fork(state):
+    """A copy of a layer-loop state whose lists later layers extend apart from state's."""
+    x, keys, values, tables, colsums = state
+    return [x, [*keys], [*values],
+            {w: None if table is None else [*table] for w, table in tables.items()}, [*colsums]]
+
+
+def _finish(model, wiring, layers, column_sums, state) -> PromptPass:
+    """The read-only PromptPass of a finished layer loop, from its state: the last
+    rows and the per-layer lists of keys, values, accumulators by window and column sums."""
+    x, keys, values, tables, colsums = state
+    state.clear()  # so each list is freed once it is stacked
     logits = _rmsnorm(x) @ model.w_vocab
     # Stacked once the layers are done: (L, Hkv, l, d) buffers taken before the
     # first layer raised long-prefill peak_rss_mb by 2.5-2.9 MB (2-CPU VM).
     keys, values, colsums = np.array(keys), np.array(values), np.array(colsums)
     norms = l2_norm_rows(values.reshape(-1, values.shape[-1])).reshape(values.shape[:-1])
+    accumulators = {w: None if table is None else np.array(table) for w, table in tables.items()}
     for array in [logits, keys, values, norms, colsums,
-                  *(a for table in accumulators.values() for a in table or ())]:
+                  *(table for table in accumulators.values() if table is not None)]:
         array.flags.writeable = False
-    return PromptPass(model, (layout, pattern, st_layer_index, tile_size), layers, logits,
-                      keys, values, norms, accumulators, colsums if column_sums else None)
+    return PromptPass(model, wiring, layers, logits, keys, values, norms, accumulators,
+                      colsums if column_sums else None)
 
 
 def _instrumented_stats(q, k, v, plan):
@@ -381,11 +462,14 @@ def apply_compression(model: Model, session: SessionState) -> SessionState:
     if keep is not None:
         retained = np.broadcast_to(keep, prompt.keys.shape[:2] + keep.shape)
     elif kind == "pure_kv":
-        # Layers above the estimation layer reuse its accumulators.
-        table = prompt.accumulators[w]
-        used = np.stack([table[min(layer, policy.clie_layer_index)]
-                         for layer in range(len(prompt.keys))])
-        retained = select_retained(used * prompt.norms[..., : l - w], w, h_count, l)
+        # Layers above the estimation layer reuse its accumulators: one product
+        # each for the layers up to it and above it, into one score table.
+        table, clie = prompt.accumulators[w], policy.clie_layer_index
+        norms = prompt.norms[..., : l - w]
+        scores = np.empty(norms.shape)
+        np.multiply(table[: clie + 1], norms[: clie + 1], out=scores[: clie + 1])
+        np.multiply(table[clie], norms[clie + 1:], out=scores[clie + 1:])
+        retained = select_retained(scores, w, h_count, l)
     else:
         retained = select_retained(prompt.colsums[..., : l - w], w, h_count, l)
     cache = evict(prompt.keys, prompt.values, retained)
@@ -394,8 +478,21 @@ def apply_compression(model: Model, session: SessionState) -> SessionState:
     return session
 
 
-def decode_step(model: Model, session: SessionState, token_embedding) -> np.ndarray:
-    """One autoregressive step over the retained cache; returns (vocab,) logits."""
+def decode_step(model: Model, session: SessionState, token_embedding,
+                base: SessionState | None = None) -> np.ndarray:
+    """One autoregressive step over the retained cache; returns (vocab,) logits.
+
+    base, when given, is a twin that has just taken this step: a compressed
+    session of the same model, prompt length and st_layer_index, exactly one
+    step ahead, that took a bit-identical embedding and whose layers below
+    st_layer_index hold this session's positions, keys and values plus that
+    step's row. Those layers would compute the same rows here, so the step
+    appends base's new rows to this session's own layers and runs only the
+    layers from st_layer_index up, from the hidden row base kept there: the
+    logits, rows and positions are a step's without base, bit for bit. It
+    raises ConfigurationError before changing anything when base is not such
+    a twin.
+    """
     if session.phase != "compressed":
         raise ConfigurationError("decode requires apply_compression (or the full policy) first")
     c = model.config
@@ -405,12 +502,24 @@ def decode_step(model: Model, session: SessionState, token_embedding) -> np.ndar
                                  f"got shape {x.shape}")
     x = x.reshape(1, -1)
     sums = _require_finite(x, "token embedding")
+    embedding, split = x.tobytes(), session.policy.st_layer_index
+    if base is not None:
+        _check_twin(model, session, base, embedding)
 
     position = session.prefill_len + session.step_count
     committed = [min(kv._lengths) for kv in session.cache]
     hkv, q_end, k_end = c.num_kv_heads, c.d_model, c.d_model + c.num_kv_heads * c.d_k
+    rows, start = [], 0  # rows: this step's qkv rows below st_layer_index, kept for a twin
     try:
-        for kv, weights in zip(session.cache, model.layers):
+        if base is not None:
+            _, _, rows, x = base.last_step
+            sums, start = None, split
+            for kv, qkv in zip(session.cache, rows):
+                k, v = qkv[q_end:k_end].reshape(hkv, -1), qkv[k_end:].reshape(hkv, -1)
+                for g in range(hkv):
+                    kv.append(g, k[g], v[g], position)
+        hidden = x  # the row entering st_layer_index, once the layers below it have run
+        for kv, weights in zip(session.cache[start:], model.layers[start:]):
             qkv = (_rmsnorm(x, sums) @ weights.wqkv)[0]
             sums = None
             k, v = qkv[q_end:k_end].reshape(hkv, -1), qkv[k_end:].reshape(hkv, -1)
@@ -418,14 +527,38 @@ def decode_step(model: Model, session: SessionState, token_embedding) -> np.ndar
                 kv.append(g, k[g], v[g], position)
             q = qkv[:q_end].reshape(hkv, c.group_size, -1)
             x = _block(x, weights, attention._decode(q, kv.keys, kv.values).reshape(1, -1))
+            if len(rows) < split:
+                rows.append(qkv)
+                hidden = x
     except BaseException:
-        # All or nothing: the rows this step appended are dropped again.
+        # All or nothing: the rows this step appended, borrowed ones too, are dropped again.
         for kv, n in zip(session.cache, committed):
             kv.truncate(n)
         raise
 
     session.step_count += 1
+    session.last_step = DecodeRecord(model, embedding, rows, hidden)
     return (_rmsnorm(x) @ model.w_vocab)[0]
+
+
+def _check_twin(model: Model, session: SessionState, base: SessionState, embedding: bytes):
+    """Raise ConfigurationError unless base is a twin decode_step may borrow from."""
+    split, record = session.policy.st_layer_index, base.last_step
+    if record is None or record.model is not model:
+        raise ConfigurationError("base must be a session that has decoded with this model")
+    if (base.prefill_len, base.policy.st_layer_index) != (session.prefill_len, split):
+        raise ConfigurationError(
+            f"base must share the prompt length {session.prefill_len} and st_layer_index "
+            f"{split}, got {base.prefill_len} and {base.policy.st_layer_index}")
+    if base.step_count != session.step_count + 1:
+        raise ConfigurationError(f"base must be exactly one step ahead: it has taken "
+                                 f"{base.step_count} steps, this session {session.step_count}")
+    if record.embedding != embedding:
+        raise ConfigurationError("base took its latest step on a different token embedding")
+    for layer, (own, twin) in enumerate(zip(session.cache[:split], base.cache)):
+        if not twin.extends(own):
+            raise ConfigurationError(f"base's layer {layer} does not hold this session's "
+                                     f"rows and one more")
 
 
 def validate_cross_layer(prompts, w: int, analysis_layer: int, n_perm: int = 999,
@@ -465,7 +598,7 @@ def validate_cross_layer(prompts, w: int, analysis_layer: int, n_perm: int = 999
     truth, estimate = [], []
     for prompt in prompts:
         table, norms = prompt.accumulators[w], prompt.norms[above, :, : l - w]
-        truth.append(np.stack(table[above]) * norms)
+        truth.append(table[above] * norms)
         estimate.append(table[analysis_layer] * norms)
     truth, estimate = np.stack(truth), np.stack(estimate)
     per_layer = [[] for _ in prompts]

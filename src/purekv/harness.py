@@ -18,14 +18,20 @@ where allowed_pairs counts the pattern's mask entries as if the pattern were
 applied at every layer; it is a pattern-level cost metric, deliberately
 independent of the layer wiring.
 
-The grid reuses work whose result it already holds. It runs one prompt
-pass per pattern, the dense reference's included, and every cell prefills
-from its pattern's pass. It decodes once per distinct cache, keyed by the
-pattern and every layer's retained positions: decode reads only the cache's
-rows, so a later cell with the same key reuses the first one's logits. It
-validates each recent window once, for every pattern's pass in one
-validate_cross_layer call, which draws each block of permutations once for
-all of them.
+The grid reuses work whose result it already holds. One prompt_passes call
+gives every pattern, the dense reference's included, its pass, computing
+the dense layers below st_layer_index once for all of them, and every cell
+prefills from its pattern's pass. It decodes once per distinct cache, keyed
+by the pattern and every layer's retained positions: decode reads only the
+cache's rows, so a later cell with the same key reuses the first one's
+logits. The cells run a (policy, budget) group at a time, the reference
+leading the first group, and a group keeps only the sessions whose cache is
+new, until they have decoded step by step together: a cache whose layers
+below st_layer_index keep the positions of one decoded before it in the
+step passes that one to decode_step as its base and borrows those layers'
+rows. The report lists the cells in grid order. It validates each recent window once, for every pattern's pass in
+one validate_cross_layer call, which draws each block of permutations once
+for all of them.
 """
 
 from __future__ import annotations
@@ -293,12 +299,11 @@ def _experiment_cells(config: ExperimentConfig):
 
 
 def _run_cell(model, config: ExperimentConfig, policy_kind: str, pattern: SparsityPattern,
-              budget: float, prompt: engine.PromptPass):
+              budget: float, prompt: engine.PromptPass) -> engine.SessionState:
     session = engine.init_session(model, config.layout, config.policy(policy_kind, budget),
                                   pattern, config.tile_size)
     engine.prefill(model, session, prompt)
-    engine.apply_compression(model, session)
-    return session, session.w + session.h
+    return engine.apply_compression(model, session)
 
 
 def run_experiment(source) -> dict:
@@ -308,71 +313,103 @@ def run_experiment(source) -> dict:
     embeddings, salient = generate_workload(config.workload, config.model.d_model)
     decode_rows = decode_embeddings(config.workload, config.model.d_model, config.decode_steps)
 
-    # One prompt pass per pattern serves the reference and every cell on it;
-    # the prefill MACs and the mask density are the pattern's too.
+    # One call gives every pattern, the reference's included, its pass, running
+    # the layers below st_layer_index once for all of them; the prefill MACs and
+    # the mask density are the pattern's too.
     windows = {budget_to_wh(b, config.layout.total_len, config.recent_window_w)[0]
                for b in config.budgets + (1.0,)}
     layers = config.model.num_layers if config.validate else config.clie_layer_index + 1
     dense = SparsityPattern.dense()
     patterns = list(dict.fromkeys(config.patterns))
-    per_pattern = {pattern: (
-        engine.prompt_pass(model, config.layout, pattern, config.st_layer_index, embeddings,
-                           windows, layers, "h2o_like" in config.policies, config.tile_size),
-        estimate_macs(config.layout, pattern, config.model, "prefill"),
-        mask_density(build_mask(config.layout, pattern)),
-    ) for pattern in dict.fromkeys([dense] + patterns)}
+    every = list(dict.fromkeys([dense] + patterns))
+    passes = engine.prompt_passes(model, config.layout, every, config.st_layer_index, embeddings,
+                                  windows, layers, "h2o_like" in config.policies,
+                                  config.tile_size)
+    per_pattern = {pattern: (prompt, estimate_macs(config.layout, pattern, config.model, "prefill"),
+                             mask_density(build_mask(config.layout, pattern)))
+                   for pattern, prompt in zip(every, passes)}
 
     # Decode reads only the cache's rows, so two sessions of one pass that keep
     # the same positions in every layer decode to bit-identical logits.
     decoded: dict[tuple, list[np.ndarray]] = {}
 
-    def decode(session, pattern):
-        key = (pattern, *(kv.positions.tobytes() for kv in session.cache))
-        if key not in decoded:
-            decoded[key] = [engine.decode_step(model, session, row) for row in decode_rows]
-        return decoded[key]
+    def cache_key(session):
+        return (session.pattern, *(kv.positions.tobytes() for kv in session.cache))
 
-    reference, _ = _run_cell(model, config, "full", dense, 1.0, per_pattern[dense][0])
-    reference_logits = decode(reference, dense)
+    def decode(runs):
+        """Decode runs, {cache key: session} of caches not decoded before, step by
+        step together into decoded. A session whose layers below st_layer_index keep
+        the positions of one decoded before it in the step borrows those layers'
+        rows from it (decode_step's base)."""
+        lenders, bases = {}, {}
+        for key, session in runs.items():
+            lender = lenders.setdefault(key[1: 1 + config.st_layer_index], session)
+            bases[key] = () if lender is session else (lender,)
+            decoded[key] = []
+        for row in decode_rows:
+            for key, session in runs.items():
+                decoded[key].append(engine.decode_step(model, session, row, *bases[key]))
+
+    # The grid runs a (policy, budget) group at a time, its patterns together, so
+    # twins decode side by side; the reference leads the first group. A group
+    # keeps only the sessions whose cache is new, until they have decoded.
+    reference = _run_cell(model, config, "full", dense, 1.0, per_pattern[dense][0])
+    reference_key = cache_key(reference)
+    runs = {reference_key: reference}
+    del reference
+    groups = {("full", 1.0): []}
+    for policy_kind, pattern, budget in _experiment_cells(config):
+        groups.setdefault((policy_kind, budget), []).append(pattern)
+    measured = {}
+    for (policy_kind, budget), group in groups.items():
+        pending = []
+        for pattern in group:
+            session = _run_cell(model, config, policy_kind, pattern, budget,
+                                per_pattern[pattern][0])
+            key = cache_key(session)
+            if key not in decoded:
+                runs.setdefault(key, session)
+            recall = None  # decode appends no prompt position, so it cannot change recall
+            if salient.size:
+                table = np.concatenate([kv.positions for kv in session.cache])
+                recall = float(np.mean(salient_recall(table, salient)))
+            pending.append((pattern, key, session.prefill_len, session.w, session.h, recall))
+        decode(runs)
+        runs, session = {}, None  # so no session outlives its group
+        for pattern, key, l, w, h, recall in pending:
+            divergence = 0.0
+            for step_logits, ref in zip(decoded[key], decoded[reference_key]):
+                divergence = max(divergence, float(np.max(np.abs(step_logits - ref))))
+            measured[(policy_kind, pattern, budget)] = (l, w, h, divergence, recall)
 
     # Validation reads the pattern and the recent window, never the budget;
     # one call validates a window for every pattern.
     validations: dict[tuple[SparsityPattern, int], dict] = {}
     cells = []
     for policy_kind, pattern, budget in _experiment_cells(config):
-        prompt, prefill_macs, density = per_pattern[pattern]
-        session, retained_count = _run_cell(model, config, policy_kind, pattern, budget, prompt)
-        l = session.prefill_len
-        divergence = 0.0
-        for step_logits, ref in zip(decode(session, pattern), reference_logits):
-            divergence = max(divergence, float(np.max(np.abs(step_logits - ref))))
-
-        recall = None
-        if salient.size:
-            table = np.concatenate([kv.positions for kv in session.cache])
-            recall = float(np.mean(salient_recall(table, salient)))
-
+        _, prefill_macs, density = per_pattern[pattern]
+        l, w, h, divergence, recall = measured[(policy_kind, pattern, budget)]
         decode_macs = estimate_macs(config.layout, pattern, config.model, "decode",
-                                    retained_count=retained_count)
+                                    retained_count=w + h)
 
         validation = None
         if config.validate:
-            if (pattern, session.w) not in validations:
+            if (pattern, w) not in validations:
                 reports = engine.validate_cross_layer(
-                    [per_pattern[p][0] for p in patterns], session.w, config.clie_layer_index,
+                    [per_pattern[p][0] for p in patterns], w, config.clie_layer_index,
                     config.n_perm, config.stats_seed)
-                validations.update({(p, session.w): r for p, r in zip(patterns, reports)})
-            validation = validations[(pattern, session.w)]
+                validations.update({(p, w): r for p, r in zip(patterns, reports)})
+            validation = validations[(pattern, w)]
 
         cells.append({
             "policy": policy_kind,
             "pattern": pattern.describe(),
             "budget_fraction": budget,
             "sequence_len": l,
-            "recent_window": session.w,
-            "top_h": session.h,
-            "retained_per_head": retained_count,
-            "compression_ratio": float(l / retained_count),
+            "recent_window": w,
+            "top_h": h,
+            "retained_per_head": w + h,
+            "compression_ratio": float(l / (w + h)),
             "mask_density": density,
             "prefill_macs_total": prefill_macs.total,
             "prefill_macs_attention": prefill_macs.attention,

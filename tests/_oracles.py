@@ -161,9 +161,11 @@ def tie_checked_permutation_pvalue(x, y, n_perm, seed):
 
 def per_layer_compression(prompt, policy, w, h):
     """apply_compression as it ran layer by layer before it took the whole layer
-    stack: each layer scored, selected and gathered head by head on its own.
-    These are the bits the stacked path must match. Returns one (keys, values,
-    positions) triple of (Hkv, w + h, ·) arrays per layer."""
+    stack: each layer scored, selected and gathered head by head on its own,
+    a pure_kv layer from layer min(layer, clie)'s (Hkv, l - w) row of the
+    pass's stacked (layers, Hkv, l - w) accumulators. These are the bits the
+    stacked path must match. Returns one (keys, values, positions) triple of
+    (Hkv, w + h, ·) arrays per layer."""
     l = prompt.keys[0].shape[-2]
     sink = min(policy.sink_len, w + h)
     out = []
@@ -175,7 +177,9 @@ def per_layer_compression(prompt, policy, w, h):
             table = [kept] * len(keys)
         else:
             if policy.policy_kind == "pure_kv":
-                accumulators = prompt.accumulators[w][min(layer, policy.clie_layer_index)]
+                stacked = prompt.accumulators[w]
+                assert stacked.shape == (min(prompt.layers, len(prompt.keys)), len(keys), l - w)
+                accumulators = stacked[min(layer, policy.clie_layer_index)]
                 rows = values[:, : l - w].reshape(-1, values.shape[-1])
                 scores = accumulators * np.sqrt((rows * rows).sum(axis=1)).reshape(-1, l - w)
             else:
@@ -205,7 +209,7 @@ def score_low_scores(prompt, policy, w):
     l = prompt.keys.shape[-2]
     if policy.policy_kind == "h2o_like":
         return np.stack(list(prompt.colsums))[..., : l - w]
-    table = prompt.accumulators[w]
+    table = prompt.accumulators[w]  # (layers, Hkv, l - w), one row per estimation layer
     used = np.stack([table[min(layer, policy.clie_layer_index)]
                      for layer in range(len(prompt.keys))])
     return score_low(used, prompt.values)

@@ -276,10 +276,9 @@ class TestPrefill:
         prefill(model, session, embeddings_for(LAYOUT))
         assert session.prompt.layers == 2
         assert list(session.prompt.accumulators) == [session.w]
-        assert len(session.prompt.accumulators[session.w]) == 2
-        for accumulators in session.prompt.accumulators[session.w]:
-            assert accumulators.shape == (SMALL.num_kv_heads, LAYOUT.total_len - session.w)
-            assert np.all(accumulators >= 0)
+        accumulators = session.prompt.accumulators[session.w]
+        assert accumulators.shape == (2, SMALL.num_kv_heads, LAYOUT.total_len - session.w)
+        assert np.all(accumulators >= 0)
 
     @pytest.mark.parametrize("pattern", PATTERNS)
     def test_recent_window_slab_matches_instrumented_accumulator(self, pattern):
@@ -803,7 +802,7 @@ class TestFiniteOrRaise:
         prompt = session.prompt
         for array in [prompt.keys, prompt.values, prompt.norms,
                       *(() if prompt.colsums is None else (prompt.colsums,)),
-                      *(a for table in prompt.accumulators.values() for a in table or ())]:
+                      *(table for table in prompt.accumulators.values() if table is not None)]:
             assert np.isfinite(array).all()
         assert call(apply_compression) is session
         for kv in session.cache:
@@ -1429,7 +1428,7 @@ class TestPromptPass:
             made = passes[-1]
             assert (made.colsums is not None) == (kind == "h2o_like")
             assert list(made.accumulators) == [session.w] and made.layers == 2
-            assert len(made.accumulators[session.w]) == 2
+            assert made.accumulators[session.w].shape[0] == 2
             assert session.prompt is made
 
     def test_prefill_from_embeddings_keeps_no_pass(self, monkeypatch):
@@ -1524,7 +1523,7 @@ class TestPromptPass:
         a, b, own = sessions
         assert a.prompt is shared and embeddings.flags.writeable
         for array in (shared.colsums, shared.norms, shared.keys, shared.values, shared.logits,
-                      shared.accumulators[a.w][0]):
+                      shared.accumulators[a.w], shared.accumulators[a.w][0]):
             with pytest.raises(ValueError, match="read-only"):
                 array[:] = 0
         for session in (b, own):
@@ -1597,10 +1596,10 @@ class TestPassStatistics:
             assert y.tobytes() == truth[:, layer, g].tobytes()
 
     def test_a_grid_norms_each_pass_once_and_stacks_no_column_sums(self, monkeypatch):
-        """run_experiment on the example config norms each pattern pass's value
-        stack in one l2_norm_rows call, through the engine or score_low, and
-        every h2o_like cell that scores selects from a view of its pass's
-        stacked column sums."""
+        """run_experiment on the example config makes its two pattern passes in
+        one prompt_passes call, norms each pass's value stack in one
+        l2_norm_rows call, through the engine or score_low, and every h2o_like
+        cell that scores selects from a view of its pass's stacked column sums."""
         from purekv.harness import run_experiment
 
         passes, norm_calls, scores = [], [], []
@@ -1611,13 +1610,14 @@ class TestPassStatistics:
                 return calls[-1][1]
             return call
 
-        for owner, name, calls in ((purekv.engine, "prompt_pass", passes),
+        for owner, name, calls in ((purekv.engine, "prompt_passes", passes),
                                    (purekv.engine, "l2_norm_rows", norm_calls),
                                    (purekv.cache, "l2_norm_rows", norm_calls),
                                    (purekv.engine, "select_retained", scores)):
             monkeypatch.setattr(owner, name, spy(getattr(owner, name), calls))
         report = run_experiment(example_config())
-        made = [prompt for _, prompt in passes]
+        assert len(passes) == 1
+        made = passes[0][1]
         assert len(made) == 2 and len(norm_calls) == len(made)
         for ((values,), norms), prompt in zip(norm_calls, made):
             assert np.shares_memory(values, prompt.values) and values.size == prompt.values.size

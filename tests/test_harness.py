@@ -382,16 +382,23 @@ class TestRunExperiment:
 
 
 def count_forwards(monkeypatch, *entries):
-    """Count engine.prompt_pass calls, in all and inside each named engine entry."""
-    counts = {"all": 0, **{name: 0 for name in entries}}
+    """Count engine.prompt_passes calls, in all and inside each named engine
+    entry, the patterns of each call, and the layers all of them compute (one
+    head projection each)."""
+    counts = {"all": 0, "layers": 0, "patterns": [], **{name: 0 for name in entries}}
     inside = []
-    real_pass = purekv.engine.prompt_pass
+    real_passes, real_project = purekv.engine.prompt_passes, purekv.engine._project_heads
 
-    def forward(*args, **kwargs):
+    def forward(model, layout, patterns, *args, **kwargs):
         counts["all"] += 1
+        counts["patterns"].append([pattern.describe() for pattern in patterns])
         for name in inside:
             counts[name] += 1
-        return real_pass(*args, **kwargs)
+        return real_passes(model, layout, patterns, *args, **kwargs)
+
+    def project(*args):
+        counts["layers"] += 1
+        return real_project(*args)
 
     def spying(name, real):
         def entry(*args, **kwargs):
@@ -402,7 +409,8 @@ def count_forwards(monkeypatch, *entries):
                 inside.pop()
         return entry
 
-    monkeypatch.setattr(purekv.engine, "prompt_pass", forward)
+    monkeypatch.setattr(purekv.engine, "prompt_passes", forward)
+    monkeypatch.setattr(purekv.engine, "_project_heads", project)
     for name in entries:
         monkeypatch.setattr(purekv.engine, name, spying(name, getattr(purekv.engine, name)))
     return counts
@@ -410,19 +418,24 @@ def count_forwards(monkeypatch, *entries):
 
 class TestSharedPromptPass:
     def test_example_grid_runs_one_forward_per_pattern(self, monkeypatch):
-        """Two patterns, 38 cells and the reference: two forwards, none of
-        them inside compression or validation."""
+        """Two patterns, 38 cells and the reference: one prompt_passes call,
+        none of it inside compression or validation, which computes the 4
+        dense layers below st_layer_index once and the 4 above it once per
+        pattern: 12 layers, where a pass per pattern computed 16."""
         counts = count_forwards(monkeypatch, "apply_compression", "validate_cross_layer")
         report = run_experiment(str(ROOT / "configs" / "example.json"))
         assert len(report["cells"]) == 38
         assert {c["pattern"] for c in report["cells"]} == {"dense", "spatial_temporal"}
-        assert counts == {"all": 2, "apply_compression": 0, "validate_cross_layer": 0}
+        assert counts == {"all": 1, "layers": 4 + 2 * 4,
+                          "patterns": [["dense", "spatial_temporal"]],
+                          "apply_compression": 0, "validate_cross_layer": 0}
 
     def test_a_grid_without_the_dense_pattern_adds_the_reference_pass(self, monkeypatch):
         counts = count_forwards(monkeypatch)
         run_experiment(base_config(policies=["pure_kv", "h2o_like"], patterns=["temporal"],
                                    budgets=[0.5, 0.1], validate=True, n_perm=199))
-        assert counts == {"all": 2}
+        # 2 shared layers below st_layer_index, then 2 for each of the two patterns.
+        assert counts == {"all": 1, "layers": 2 + 2 * 2, "patterns": [["dense", "temporal"]]}
 
     def test_masks_are_built_once_per_pattern(self, monkeypatch):
         import purekv.harness
@@ -445,9 +458,9 @@ def count_decodes(monkeypatch):
     decoded = []
     real_decode = purekv.engine.decode_step
 
-    def decode_step(model, session, row):
+    def decode_step(model, session, row, *base):
         decoded.append((session.policy.policy_kind, session.pattern.describe()))
-        return real_decode(model, session, row)
+        return real_decode(model, session, row, *base)
 
     monkeypatch.setattr(purekv.engine, "decode_step", decode_step)
     return decoded
@@ -466,6 +479,36 @@ class TestDecodeSharing:
         # The reference and the first keep-all cell of each pattern are full sessions.
         assert {key for key in decoded if key[0] == "full"} == {("full", "dense"),
                                                               ("full", "spatial_temporal")}
+
+    def test_example_grid_twins_borrow_the_layers_below_the_sparsity_start(self, monkeypatch):
+        """28 distinct caches, 8 steps and 8 layers are 1,792 decode layer
+        steps. The 14 spatial_temporal caches keep, below st_layer_index = 4,
+        the positions of a dense cache of their (policy, budget) group (the
+        full one that of the reference), so each of their steps borrows those
+        4 layers: 1,792 - 14 * 8 * 4 = 1,344 calls of the decode kernel. The
+        report stays the golden copy."""
+        kernel_calls, borrowed = [], []
+        real_kernel, real_decode = purekv.attention._decode, purekv.engine.decode_step
+
+        def kernel(*args):
+            kernel_calls.append(1)
+            return real_kernel(*args)
+
+        def decode_step(model, session, row, *base):
+            if base:
+                borrowed.append((session.policy.policy_kind, session.pattern.describe(),
+                                 base[0].pattern.describe()))
+            return real_decode(model, session, row, *base)
+
+        monkeypatch.setattr(purekv.attention, "_decode", kernel)
+        monkeypatch.setattr(purekv.engine, "decode_step", decode_step)
+        report = run_experiment(str(ROOT / "configs" / "example.json"))
+        golden = (ROOT / "perfbench" / "golden" / "example-grid.report.json").read_text()
+        assert render_report(report, "json") == golden
+        assert len(kernel_calls) == 28 * 8 * 8 - 14 * 8 * 4 == 1344
+        assert len(borrowed) == 14 * 8
+        assert {(twin, lender) for _, twin, lender in borrowed} == {("spatial_temporal", "dense")}
+        assert {kind for kind, *_ in borrowed} == {"full", "pure_kv", "h2o_like", "streaming_like"}
 
     def test_a_grid_of_distinct_caches_decodes_every_cell(self, monkeypatch):
         caches = []
@@ -495,14 +538,20 @@ def test_every_cell_reports_the_rows_its_cache_commits(monkeypatch):
 
     def apply_compression(model, session):
         real_compress(model, session)
-        committed.append({kv.rows(g) for kv in session.cache for g in range(kv.num_heads)})
+        policy = session.policy
+        committed.append(((policy.policy_kind, session.pattern.describe(), policy.budget_fraction),
+                          {kv.rows(g) for kv in session.cache for g in range(kv.num_heads)}))
         return session
 
     monkeypatch.setattr(purekv.engine, "apply_compression", apply_compression)
     report = run_experiment(str(ROOT / "configs" / "example.json"))
-    assert len(committed) == 1 + len(report["cells"])  # the reference comes first
-    assert committed[0] == {report["cells"][0]["sequence_len"]}
-    assert committed[1:] == [{c["retained_per_head"]} for c in report["cells"]]
+    # The reference comes first; the cells follow a (policy, budget) group at a
+    # time, so each is matched to its compression by its grid key.
+    assert len(committed) == 1 + len(report["cells"])
+    assert committed[0] == (("full", "dense", 1.0), {report["cells"][0]["sequence_len"]})
+    cells = {(c["policy"], c["pattern"], c["budget_fraction"]): {c["retained_per_head"]}
+             for c in report["cells"]}
+    assert len(cells) == len(report["cells"]) and dict(committed[1:]) == cells
     assert len({c["retained_per_head"] for c in report["cells"]}) > 2
 
 
