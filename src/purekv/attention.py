@@ -1,28 +1,15 @@
 """Scaled dot-product attention: masked, streaming, column mass and decode.
 
-masked materializes the weight matrix and returns it alongside the output.
-streaming_masked walks the queries in tiles of rows and returns the output
-only: callers above it structurally cannot read attention weights.
-column_mass runs the same tile loop and also returns each key's column sum
-of weights, all the h2o_like baseline needs, so no (l, l) matrix is built.
-decode is the unmasked, untiled case for one new token: it checks its inputs,
-then runs _decode, which the engine calls unchecked; one score buffer, scaled,
-shifted and exponentiated in place, holds every query head's softmax row.
-
+Only masked returns attention weights. streaming_masked and column_mass
+walk the queries in tiles of rows, so callers above them structurally cannot
+read weights, and decode is the unmasked, untiled case for one new token.
 All four broadcast over leading dimensions, so one call runs every query
 head of a layer: q of shape (Hkv, G, l_q, d_k) against k and v of shape
-(Hkv, 1, l_k, d), the masked kernels sharing one (l_q, l_k) mask. The
-tiled kernels take it as a TilePlan, built once per mask and tile size,
-which holds for each tile of query rows the union of keys those rows may
-attend to (a slice when it is contiguous, as under causal and dense masks)
-and its own copy of the allowed pairs from the first column some row may
-not see, and not the mask itself, so no (l_q, l_k) array outlives the
-plan's building. The tile loop scores that one block, adds a 0/-inf bias
-only from that column, and normalizes each row exactly with its own max
-subtracted. Every row sees all of its keys in its tile's block, so one
-softmax per block is exact and its column sums are final, and at most one
-block of scores is held at a time per worker (query chunking, Rabe & Staats,
-arXiv 2112.05682).
+(Hkv, 1, l_k, d). A TilePlan keeps no view of its mask, so no (l_q, l_k)
+array outlives the plan's building. Every row sees all of its keys in its
+tile's block, so one softmax per block is exact and its column sums are
+final, and at most one block of scores is held at a time per worker (query
+chunking, Rabe & Staats, arXiv 2112.05682).
 
 A tiled call whose plan scores at least PARALLEL_KEYS_PER_ROW keys per query
 row on average runs its KV heads, each with its G query heads, on parallel

@@ -7,27 +7,15 @@ window w:
     S[j]  = C[j] * ||V row j||          (a layer scored with its own weights)
     S^[j] = C_low[j] * ||V row j||      (a high layer reusing a low layer's C)
 
-score_low computes either product. select_retained keeps the recent window
-plus the top-h non-recent entries: np.partition finds the h-th score, and
-ties at it are kept from the smaller index on; a NaN score is rejected. Both
-work along the last axis, on one head's vector, a layer's (Hkv, l - w) table
-or a stack of layers' (L, Hkv, l - w). Two simplified baselines are
+score_low computes either product, and select_retained keeps the recent
+window plus the top-h non-recent entries. Two simplified baselines are
 provided: column-sum ("heavy hitter") scoring and sink-plus-window retention.
 
-Storage: KvCacheLayer holds one layer's rows in head-stacked buffers,
-(Hkv, capacity, d) for keys and values and (Hkv, capacity) for positions.
-Its public constructor copies what it is given. evict checks an (L, Hkv, m)
-table of retained rows whole, with one min, one max and one strict-increase
-comparison, looks for the bad layer and head only when that fails, and
-writes each of a prompt pass's retained rows once, into fresh buffers of
-capacity 2m that each layer's cache takes over privately: no dropped row is
-copied, and the first m appends grow nothing. Appending writes one head's
-row in place and doubles the capacity when the buffers are full; truncate(n)
-rolls every head back to n rows, which makes a failed decode step undoable.
-keys, values and positions are (Hkv, n, ·) views of the n rows every head
-holds; a row that only some heads have appended stays staged, unseen.
-extends(other) tells whether a layer holds other's committed rows, bit for
-bit, and one more: what a decode step checks before borrowing a twin's rows."""
+evict writes each retained row of a prompt pass once, into fresh buffers of
+capacity 2m that each layer's KvCacheLayer takes over privately: no dropped
+row is copied, and the first m decode appends grow nothing. truncate makes a
+failed decode step undoable, and extends is what a decode step checks before
+it borrows a twin's rows."""
 
 from __future__ import annotations
 

@@ -14,73 +14,12 @@ _block takes the head outputs as (n, Hq * d_v) rows: prompt_pass transposes
 its (Hkv, G, n, d_v) outputs into them, and decode's (Hkv, G, d_v) output is
 already in that order. No other code reshapes or transposes head axes.
 
-prompt_passes and decode_step each run one loop over the layers. Layers
-below st_layer_index run dense whatever the pattern, so prompt_passes runs
-them once for a list of patterns and continues each pattern from their
-hidden rows, on a copy of their records for every pattern but the last,
-which takes them over; prompt_pass is its one-pattern case, and holds what
-one layer loop holds. It builds each distinct mask once, not per layer,
-makes its attention.TilePlan, keeps a copy of its last w_max rows and drops
-the mask, so no (l, l) array is held while a layer runs. It makes one
-streaming_masked call per layer for all query heads on the layer's plan
-(column_mass through _instrumented_stats for h2o_like column sums) and, at
-the lowest layers, one masked call on the last w_max query rows against
-those mask rows, whose (w_max, l) slab gives every window's accumulators.
-Once its plans are dropped it stacks each pattern's layers: every window's
-accumulators as one (layers, Hkv, l - w) array, the column sums as one
-(L, Hkv, l) array, and the value-row norms from one l2_norm_rows call.
-Every array of the PromptPass it returns is read-only, so a grid makes one
-prompt_passes call for all its patterns, whose statistics every cell reads.
-prefill, all or nothing, adopts a pass that covers the session or runs one
-for it alone, and keeps it as session.prompt; it copies nothing. Validation
-needs no session: it reads one window's accumulators and the value-row
-norms from each of a sequence of passes covering every layer (one per
-pattern, say), and scores a KV head of every pass against one draw of
-permutations.
-
-Compression runs once after prefill and builds every layer's cache from
-session.prompt, which it then drops, so a private pass is freed. The whole
-layer stack is scored, selected and evicted as one table: the accumulators
-of layer min(layer, e) times each layer's value-row norms from the pass
-(score_low's product, taken as two products into one table, for the layers
-up to e and above it), or for h2o_like a view of the pass's column sums, are
-(L, Hkv, l - w) scores that select_retained turns into an (L, Hkv, w + h)
-table of positions, and evict writes those rows of the pass's stacked K/V
-once, into caches with room for as many again; cache[layer].positions[g]
-holds the positions KV head g kept. Keep-all budgets, streaming_like, and
-pure_kv or h2o_like at h = 0 (the window alone) broadcast one position list
-through evict and score nothing.
-
 session.phase is "new", then "prefilled", then "compressed"; every session
 entry point checks it first and raises before changing anything.
 
-Decode runs each layer through the prompt pass's _block, but projects with
-one product, the row's RMSNorm times wqkv, and reshapes its slices into q
-and k, v; layer 0's RMSNorm reuses the finite check's sum of squares, as the
-prompt pass's does. It appends the key and value row to every KV head, past
-the rows of the layer's (Hkv, capacity, d) buffers, where compression left
-room for m steps, and makes one unchecked attention._decode call, decode's
-kernel: the query against the cache's (Hkv, n, d) keys and values, which
-show the new row once every head holds it, with no mask and no key tiles. A
-step is all or nothing: if any layer raises, every layer is truncated back
-to the row count its heads held before the step, read from the cache's
-lengths, and step_count is unchanged. Decode never calls masked, and its one
-softmax row per query head lives only inside the kernel, so decode stays
-streaming-compatible: no caller can read its attention weights. Decode reads
-only the cache's rows, with no mask and no positional encoding, so two
-sessions whose caches hold the same rows decode to bit-identical logits; the
-harness uses that to decode each distinct cache of a grid once.
-
-The same holds layer by layer: a layer's new row depends only on the rows
-the layers up to it hold and on the token embedding. So decode_step takes a
-base, a twin of the same model, prompt length and st_layer_index that has
-just taken this step on a bit-identical embedding and whose layers below
-st_layer_index hold this session's rows and one more. It checks each of
-those before changing anything, appends the K/V rows base's step kept for
-those layers and runs only the layers from st_layer_index up, from the
-hidden row base kept there. Every step keeps, in session.last_step, what a
-twin would borrow from it: its model, the embedding's bytes, its new rows
-below st_layer_index and that hidden row; only the latest step's.
+Decode never calls masked, and its one softmax row per query head lives only
+inside attention._decode, so decode stays streaming-compatible: no caller can
+read its attention weights.
 
 Embeddings that enter prefill or decode must be finite, and small enough
 that RMSNorm's sum of squares of each row stays finite; anything else is
@@ -345,10 +284,10 @@ def prompt_passes(model: Model, layout: TokenLayout, patterns, st_layer_index: i
     plans = {}
 
     def run(state, sums, span, kind):
-        """Layers span on kind's mask, from state = [rows, keys, values, accumulator
-        tables by window, column sums]: each layer appends its K/V and statistics to
-        state's lists, and state ends holding the last layer's rows."""
-        x, keys, values, tables, colsums = state
+        """Layers span on kind's mask, from state = [rows, records]: each layer appends
+        its (keys, values, accumulators by window, column sums) record, and state ends
+        holding the last layer's rows."""
+        x, records = state
         state[0] = None  # so the loop's x is the state's only hold on its rows
         if span and kind not in plans:  # one TilePlan per distinct mask, not per layer
             mask = build_mask(layout, kind)
@@ -359,63 +298,59 @@ def prompt_passes(model: Model, layout: TokenLayout, patterns, st_layer_index: i
             plan, recent = plans[kind]
             q, k, v = _project_heads(_rmsnorm(x, sums), weights, model.config)
             sums = None  # only layer 0 normalizes the embeddings the finite check summed
-            keys.append(k)
-            values.append(v)
+            tables, mass = {}, None
             if layer < layers and first < l:
                 _, slab = attention.masked(q[:, :, first:], k[:, None], v[:, None], recent)
-                for w, table in tables.items():
-                    if table is not None:
-                        table.append(accumulate_recent_attention(slab, w).mean(axis=1))
+                tables = {w: accumulate_recent_attention(slab, w).mean(axis=1)
+                          for w in windows if w < l}
                 del slab  # so two layers' slabs are never held at once
             if column_sums:
                 heads, mass = _instrumented_stats(q, k, v, plan)
-                colsums.append(mass)
             else:
                 heads = attention.streaming_masked(q, k[:, None], v[:, None], plan)
+            records.append((k, v, tables, mass))
             heads = heads.transpose(2, 0, 1, 3).reshape(l, -1)  # rebound, so one copy is held
             x = _block(x, weights, heads)
             del q, k, v, heads  # so the next layer projects without this one's arrays
         state[0] = x
 
-    state = [x, [], [], {w: [] if w < l else None for w in windows}, []]
+    state = [x, []]
     del x
     run(state, sums, range(split), SparsityPattern.dense())
     sums = None if split else sums  # only layer 0 normalizes the embeddings it summed
     unique, states = list(dict.fromkeys(patterns)), {}
     for pattern in unique:
-        # Every pattern but the last continues from a copy of the shared state; the
-        # last takes it over, so a one-pattern pass holds what one layer loop holds.
-        states[pattern] = state if pattern == unique[-1] else _fork(state)
+        # Every pattern but the last continues from a copy of the shared records; the
+        # last takes them over, so a one-pattern pass holds what one layer loop holds.
+        states[pattern] = state if pattern == unique[-1] else [state[0], [*state[1]]]
         run(states[pattern], sums, range(split, len(model.layers)), pattern)
     del plans  # so no tile plan is held while the passes are stacked and normed
     passes = {pattern: _finish(model, (layout, pattern, st_layer_index, tile_size), layers,
-                               column_sums, states.pop(pattern)) for pattern in unique}
+                               windows, states.pop(pattern)) for pattern in unique}
     return [passes[pattern] for pattern in patterns]
 
 
-def _fork(state):
-    """A copy of a layer-loop state whose lists later layers extend apart from state's."""
-    x, keys, values, tables, colsums = state
-    return [x, [*keys], [*values],
-            {w: None if table is None else [*table] for w, table in tables.items()}, [*colsums]]
-
-
-def _finish(model, wiring, layers, column_sums, state) -> PromptPass:
+def _finish(model, wiring, layers, windows, state) -> PromptPass:
     """The read-only PromptPass of a finished layer loop, from its state: the last
-    rows and the per-layer lists of keys, values, accumulators by window and column sums."""
-    x, keys, values, tables, colsums = state
-    state.clear()  # so each list is freed once it is stacked
+    rows and each layer's (keys, values, accumulators by window, column sums)."""
+    x = state[0]
+    keys, values, tables, colsums = zip(*state[1])
+    state.clear()  # so each layer's arrays are freed once they are stacked
     logits = _rmsnorm(x) @ model.w_vocab
     # Stacked once the layers are done: (L, Hkv, l, d) buffers taken before the
-    # first layer raised long-prefill peak_rss_mb by 2.5-2.9 MB (2-CPU VM).
-    keys, values, colsums = np.array(keys), np.array(values), np.array(colsums)
+    # first layer raised long-prefill peak_rss_mb by 2.5-2.9 MB (2-CPU VM), and
+    # freeing the layers' keys before stacking the values read decode-long's
+    # ttft_ms.median 9% slower.
+    keys, values = np.array(keys), np.array(values)
+    colsums = None if colsums[0] is None else np.array(colsums)
     norms = l2_norm_rows(values.reshape(-1, values.shape[-1])).reshape(values.shape[:-1])
-    accumulators = {w: None if table is None else np.array(table) for w, table in tables.items()}
-    for array in [logits, keys, values, norms, colsums,
-                  *(table for table in accumulators.values() if table is not None)]:
-        array.flags.writeable = False
-    return PromptPass(model, wiring, layers, logits, keys, values, norms, accumulators,
-                      colsums if column_sums else None)
+    l = keys.shape[2]
+    accumulators = {w: None if w >= l else np.array([table[w] for table in tables[:layers]])
+                    for w in windows}
+    for array in [logits, keys, values, norms, colsums, *accumulators.values()]:
+        if array is not None:
+            array.flags.writeable = False
+    return PromptPass(model, wiring, layers, logits, keys, values, norms, accumulators, colsums)
 
 
 def _instrumented_stats(q, k, v, plan):

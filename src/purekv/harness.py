@@ -17,21 +17,6 @@ wall-clock. The MAC model (documented in the report under "mac_model"):
 where allowed_pairs counts the pattern's mask entries as if the pattern were
 applied at every layer; it is a pattern-level cost metric, deliberately
 independent of the layer wiring.
-
-The grid reuses work whose result it already holds. One prompt_passes call
-gives every pattern, the dense reference's included, its pass, computing
-the dense layers below st_layer_index once for all of them, and every cell
-prefills from its pattern's pass. It decodes once per distinct cache, keyed
-by the pattern and every layer's retained positions: decode reads only the
-cache's rows, so a later cell with the same key reuses the first one's
-logits. The cells run a (policy, budget) group at a time, the reference
-leading the first group, and a group keeps only the sessions whose cache is
-new, until they have decoded step by step together: a cache whose layers
-below st_layer_index keep the positions of one decoded before it in the
-step passes that one to decode_step as its base and borrows those layers'
-rows. The report lists the cells in grid order. It validates each recent window once, for every pattern's pass in
-one validate_cross_layer call, which draws each block of permutations once
-for all of them.
 """
 
 from __future__ import annotations
@@ -298,14 +283,6 @@ def _experiment_cells(config: ExperimentConfig):
                 yield policy, pattern, budget
 
 
-def _run_cell(model, config: ExperimentConfig, policy_kind: str, pattern: SparsityPattern,
-              budget: float, prompt: engine.PromptPass) -> engine.SessionState:
-    session = engine.init_session(model, config.layout, config.policy(policy_kind, budget),
-                                  pattern, config.tile_size)
-    engine.prefill(model, session, prompt)
-    return engine.apply_compression(model, session)
-
-
 def run_experiment(source) -> dict:
     """Run the whole (policy x pattern x budget) grid; returns the report dict."""
     config = source if isinstance(source, ExperimentConfig) else load_config(source)
@@ -313,9 +290,8 @@ def run_experiment(source) -> dict:
     embeddings, salient = generate_workload(config.workload, config.model.d_model)
     decode_rows = decode_embeddings(config.workload, config.model.d_model, config.decode_steps)
 
-    # One call gives every pattern, the reference's included, its pass, running
-    # the layers below st_layer_index once for all of them; the prefill MACs and
-    # the mask density are the pattern's too.
+    # One call gives every pattern, the reference's included, its pass; the
+    # prefill MACs and the mask density are the pattern's too.
     windows = {budget_to_wh(b, config.layout.total_len, config.recent_window_w)[0]
                for b in config.budgets + (1.0,)}
     layers = config.model.num_layers if config.validate else config.clie_layer_index + 1
@@ -328,59 +304,47 @@ def run_experiment(source) -> dict:
     per_pattern = {pattern: (prompt, estimate_macs(config.layout, pattern, config.model, "prefill"),
                              mask_density(build_mask(config.layout, pattern)))
                    for pattern, prompt in zip(every, passes)}
+    decoded: dict[tuple, list[np.ndarray]] = {}  # logits by cache key
+    below = slice(1, 1 + config.st_layer_index)  # a key's positions below st_layer_index
 
-    # Decode reads only the cache's rows, so two sessions of one pass that keep
-    # the same positions in every layer decode to bit-identical logits.
-    decoded: dict[tuple, list[np.ndarray]] = {}
-
-    def cache_key(session):
-        return (session.pattern, *(kv.positions.tobytes() for kv in session.cache))
-
-    def decode(runs):
-        """Decode runs, {cache key: session} of caches not decoded before, step by
-        step together into decoded. A session whose layers below st_layer_index keep
-        the positions of one decoded before it in the step borrows those layers'
-        rows from it (decode_step's base)."""
-        lenders, bases = {}, {}
-        for key, session in runs.items():
-            lender = lenders.setdefault(key[1: 1 + config.st_layer_index], session)
-            bases[key] = () if lender is session else (lender,)
-            decoded[key] = []
-        for row in decode_rows:
-            for key, session in runs.items():
-                decoded[key].append(engine.decode_step(model, session, row, *bases[key]))
-
-    # The grid runs a (policy, budget) group at a time, its patterns together, so
-    # twins decode side by side; the reference leads the first group. A group
-    # keeps only the sessions whose cache is new, until they have decoded.
-    reference = _run_cell(model, config, "full", dense, 1.0, per_pattern[dense][0])
-    reference_key = cache_key(reference)
-    runs = {reference_key: reference}
-    del reference
-    groups = {("full", 1.0): []}
-    for policy_kind, pattern, budget in _experiment_cells(config):
-        groups.setdefault((policy_kind, budget), []).append(pattern)
-    measured = {}
-    for (policy_kind, budget), group in groups.items():
-        pending = []
-        for pattern in group:
-            session = _run_cell(model, config, policy_kind, pattern, budget,
-                                per_pattern[pattern][0])
-            key = cache_key(session)
+    def run_group(cells):
+        """Compress the cells of one (policy, budget) group, decode their caches
+        not decoded before step by step together, and return each cell's
+        (cache key, l, w, h, recall). Its sessions die with it."""
+        runs, out = {}, []
+        for policy_kind, pattern, budget in cells:
+            session = engine.init_session(model, config.layout, config.policy(policy_kind, budget),
+                                          pattern, config.tile_size)
+            engine.prefill(model, session, per_pattern[pattern][0])
+            engine.apply_compression(model, session)
+            # Decode reads only the cache's rows, so caches of one pattern that keep
+            # the same positions in every layer decode to bit-identical logits.
+            key = (pattern, *(kv.positions.tobytes() for kv in session.cache))
             if key not in decoded:
-                runs.setdefault(key, session)
+                decoded[key] = []
+                # The first cache before it in the step that keeps its positions below
+                # st_layer_index lends it those layers' rows (decode_step's base).
+                runs[key] = session, [twin for other, (twin, _) in runs.items()
+                                      if other[below] == key[below]][:1]
             recall = None  # decode appends no prompt position, so it cannot change recall
             if salient.size:
                 table = np.concatenate([kv.positions for kv in session.cache])
                 recall = float(np.mean(salient_recall(table, salient)))
-            pending.append((pattern, key, session.prefill_len, session.w, session.h, recall))
-        decode(runs)
-        runs, session = {}, None  # so no session outlives its group
-        for pattern, key, l, w, h, recall in pending:
-            divergence = 0.0
-            for step_logits, ref in zip(decoded[key], decoded[reference_key]):
-                divergence = max(divergence, float(np.max(np.abs(step_logits - ref))))
-            measured[(policy_kind, pattern, budget)] = (l, w, h, divergence, recall)
+            out.append((key, session.prefill_len, session.w, session.h, recall))
+        for row in decode_rows:
+            for key, (session, base) in runs.items():
+                decoded[key].append(engine.decode_step(model, session, row, *base))
+        return out
+
+    # The reference leads the ("full", 1.0) group, and the groups run in turn,
+    # so twins decode side by side and only one group's sessions are alive.
+    reference = ("full", dense, 1.0)
+    groups = {("full", 1.0): [reference]}
+    for cell in _experiment_cells(config):
+        groups.setdefault((cell[0], cell[2]), []).append(cell)
+    results = {}
+    for group in groups.values():
+        results.update(zip(group, run_group(group)))
 
     # Validation reads the pattern and the recent window, never the budget;
     # one call validates a window for every pattern.
@@ -388,7 +352,10 @@ def run_experiment(source) -> dict:
     cells = []
     for policy_kind, pattern, budget in _experiment_cells(config):
         _, prefill_macs, density = per_pattern[pattern]
-        l, w, h, divergence, recall = measured[(policy_kind, pattern, budget)]
+        key, l, w, h, recall = results[(policy_kind, pattern, budget)]
+        divergence = 0.0
+        for step_logits, ref in zip(decoded[key], decoded[results[reference][0]]):
+            divergence = max(divergence, float(np.max(np.abs(step_logits - ref))))
         decode_macs = estimate_macs(config.layout, pattern, config.model, "decode",
                                     retained_count=w + h)
 

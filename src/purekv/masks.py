@@ -120,21 +120,19 @@ def parse_pattern(text: str, layout: TokenLayout | None = None) -> SparsityPatte
         raise ConfigurationError(
             f"unknown pattern {text!r}, expected one of {PATTERN_KINDS}"
         )
-    value = _parse_param(text, param) if param else None
-    if value is None and name == "atrous":
+    value = None
+    if param:
+        try:
+            value = int(param)
+        except ValueError:
+            raise ConfigurationError(f"bad pattern parameter in {text!r}") from None
+    elif name == "atrous":
         value = 2
-    elif value is None and name == "local":
+    elif name == "local":
         if layout is None or layout.patches_per_frame < 1:
             raise ConfigurationError(f"pattern {text!r} needs an explicit window")
         value = layout.patches_per_frame
     return SparsityPattern(name, value)
-
-
-def _parse_param(text: str, param: str) -> int:
-    try:
-        return int(param)
-    except ValueError:
-        raise ConfigurationError(f"bad pattern parameter in {text!r}") from None
 
 
 def _video_rule(pattern: SparsityPattern, n: int, P: int) -> np.ndarray:

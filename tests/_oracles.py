@@ -2,7 +2,8 @@
 
 Everything here recomputes results from model weights with plain numpy and
 explicit softmax, touching none of the package's attention or engine code
-paths beyond reading weight matrices and configuration.
+paths beyond reading weight matrices and configuration, except naive_grid,
+which runs the engine's public entry points one cell at a time.
 """
 
 import numpy as np
@@ -229,3 +230,62 @@ def score_low_validation(prompts, w, analysis_layer):
         truth.append(score_low(own, values))
         estimate.append(score_low(np.broadcast_to(table[analysis_layer], own.shape), values))
     return np.stack(estimate), np.stack(truth)
+
+
+def naive_grid(config):
+    """run_experiment's report cells, each cell run alone: its own prompt pass
+    from the embeddings, its own compression, its own decode with no base, and
+    one validate_cross_layer call on a pass of its own pattern. No pass, cache,
+    decode or validation is shared, so these are the bits the grid's reuse
+    must reproduce."""
+    from purekv import engine
+    from purekv.harness import (_experiment_cells, decode_embeddings, estimate_macs,
+                                generate_workload, salient_recall)
+    from purekv.masks import SparsityPattern, build_mask, mask_density
+
+    model = engine.init_model(config.model)
+    embeddings, salient = generate_workload(config.workload, config.model.d_model)
+    rows = decode_embeddings(config.workload, config.model.d_model, config.decode_steps)
+
+    def run(kind, pattern, budget):
+        session = engine.init_session(model, config.layout, config.policy(kind, budget),
+                                      pattern, config.tile_size)
+        engine.prefill(model, session, embeddings)
+        engine.apply_compression(model, session)
+        recall = None
+        if salient.size:
+            table = np.concatenate([kv.positions for kv in session.cache])
+            recall = float(np.mean(salient_recall(table, salient)))
+        return session, recall, [engine.decode_step(model, session, row) for row in rows]
+
+    reference = run("full", SparsityPattern.dense(), 1.0)[2]
+    cells = []
+    for kind, pattern, budget in _experiment_cells(config):
+        session, recall, logits = run(kind, pattern, budget)
+        l, w, h = session.prefill_len, session.w, session.h
+        divergence = 0.0
+        for ours, theirs in zip(logits, reference):
+            divergence = max(divergence, float(np.max(np.abs(ours - theirs))))
+        validation = None
+        if config.validate:
+            prompt = engine.prompt_pass(model, config.layout, pattern, config.st_layer_index,
+                                        embeddings, (w,), config.model.num_layers, False,
+                                        config.tile_size)
+            validation, = engine.validate_cross_layer([prompt], w, config.clie_layer_index,
+                                                      config.n_perm, config.stats_seed)
+        prefill_macs = estimate_macs(config.layout, pattern, config.model, "prefill")
+        decode_macs = estimate_macs(config.layout, pattern, config.model, "decode",
+                                    retained_count=w + h)
+        cells.append({
+            "policy": kind, "pattern": pattern.describe(), "budget_fraction": budget,
+            "sequence_len": l, "recent_window": w, "top_h": h, "retained_per_head": w + h,
+            "compression_ratio": float(l / (w + h)),
+            "mask_density": mask_density(build_mask(config.layout, pattern)),
+            "prefill_macs_total": prefill_macs.total,
+            "prefill_macs_attention": prefill_macs.attention,
+            "decode_macs_total_per_step": decode_macs.total,
+            "decode_macs_attention_per_step": decode_macs.attention,
+            "output_divergence_vs_full": divergence, "salient_recall": recall,
+            "validation": validation,
+        })
+    return cells

@@ -1,13 +1,19 @@
 """Work below st_layer_index done once: prompt passes made together for several
-patterns, and decode steps that borrow a twin's lower layers, each against
-the work done alone, bit for bit."""
+patterns, decode steps that borrow a twin's lower layers, and the whole grid
+that reuses both, each against the work done alone, bit for bit."""
+
+import gc
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from _oracles import naive_grid
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import purekv.attention
+import purekv.engine
 from purekv.cache import PolicyConfig, budget_to_wh
 from purekv.engine import (
     ModelConfig,
@@ -20,6 +26,7 @@ from purekv.engine import (
     prompt_passes,
 )
 from purekv.errors import ConfigurationError
+from purekv.harness import load_config, run_experiment
 from purekv.masks import SparsityPattern, TokenLayout, parse_pattern
 from purekv.numerics import seeded_gaussian
 
@@ -308,3 +315,104 @@ class TestTwinRejection:
         got = decode_step(model, twin, rows[0], base)
         assert got.tobytes() == decode_step(model, alone, rows[0]).tobytes()
         assert committed(twin) == committed(alone)
+
+
+def draw_grid(data):
+    """A small experiment config: every pattern kind, with repeats and perhaps
+    without dense, and drawn depth, layer indices, window, sink, budgets,
+    tile size, decode steps, salient count and validation."""
+    def draw(strategy, label):
+        return data.draw(strategy, label=label)
+
+    def draw_list(options, label, repeat=True):
+        """One to three distinct options, and perhaps one of them again."""
+        size = draw(st.sampled_from([2, 3, 1]), f"{label} count")
+        drawn = draw(st.lists(st.sampled_from(options), min_size=size, max_size=size,
+                              unique=True), label)
+        if repeat and draw(st.booleans(), f"{label} repeat"):
+            drawn.append(draw(st.sampled_from(drawn), f"{label} repeated"))
+        return drawn
+
+    num_layers, validate = draw(st.integers(2, 5), "layers"), draw(st.booleans(), "validate")
+    kv_heads, group, d_k = (draw(st.integers(1, 2), name) for name in ("kv heads", "group", "d_k"))
+    frames, patches = draw(st.integers(1, 3), "frames"), draw(st.integers(2, 5), "patches")
+    layout = {"text_prefix_len": draw(st.integers(2 * validate, 3), "prefix"),
+              "num_frames": frames, "patches_per_frame": patches,
+              "text_suffix_len": draw(st.integers(0, 2), "suffix")}
+    l = layout["text_prefix_len"] + frames * patches + layout["text_suffix_len"]
+    # Validation needs a layer above the estimation layer and three non-recent
+    # keys in every validated window, which never exceeds recent_window_w
+    # (l >= 4 with the two prefix tokens).
+    clie = draw(st.integers(0, num_layers - 1 - validate), "clie")
+    window = draw(st.integers(1, min(4, l - 3) if validate else 4), "w")
+    return load_config({
+        "model": {"num_layers": num_layers, "d_model": kv_heads * group * d_k,
+                  "num_q_heads": kv_heads * group, "num_kv_heads": kv_heads, "d_k": d_k,
+                  "d_v": draw(st.integers(1, 3), "d_v"), "vocab_size": 5,
+                  "seed": draw(st.integers(0, 99), "model seed")},
+        "layout": layout,
+        "workload": {"num_salient": draw(st.integers(0, min(3, frames * patches)), "salient"),
+                     "salient_gain": 4.0, "seed": draw(st.integers(0, 99), "workload seed")},
+        "policy": {"recent_window_w": window, "sink_len": draw(st.integers(0, 3), "sink"),
+                   "clie_layer_index": clie,
+                   "st_layer_index": draw(st.integers(clie + 1, num_layers), "st")},
+        "experiment": {
+            "policies": draw_list(KINDS, "policies", repeat=False),
+            "patterns": draw_list(PATTERNS + ["local", "atrous"], "patterns"),
+            "budgets": draw_list([1.0, 0.5, 0.35, 0.2, 0.1], "budgets"),
+            "decode_steps": draw(st.integers(0, 4), "steps"),
+            "tile_size": draw(st.integers(1, 8), "tile size"),
+            "validate": validate, "n_perm": 100,
+        },
+    })
+
+
+class TestWholeGrid:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_the_grid_equals_every_cell_run_alone(self, data):
+        """run_experiment shares one prompt_passes call, decodes each distinct
+        cache once, lends lower layers between twins and validates every
+        pattern of a window in one call; its cells equal, exactly, those of a
+        grid that runs every cell on its own."""
+        config = draw_grid(data)
+        assert run_experiment(config)["cells"] == naive_grid(config)
+
+
+def test_no_session_outlives_its_policy_budget_group(monkeypatch):
+    """When a session opens, every session of an earlier (policy, budget)
+    group is gone: the grid holds one group's caches at a time."""
+    opened, real_init = [], purekv.engine.init_session
+
+    def init_session(model, layout, policy, *args):
+        group = (policy.policy_kind, policy.budget_fraction)
+        gc.collect()
+        alive = {key for key, ref in opened if ref() is not None}
+        assert alive <= {group}, f"{sorted(alive - {group})} alive when {group} opens"
+        session = real_init(model, layout, policy, *args)
+        opened.append((group, weakref.ref(session)))
+        return session
+
+    monkeypatch.setattr(purekv.engine, "init_session", init_session)
+    report = run_experiment(str(Path(__file__).resolve().parents[1] / "configs" / "example.json"))
+    assert len(opened) == 1 + len(report["cells"])
+
+
+def test_a_prompt_pass_holds_one_layers_hidden_rows_at_a_time(monkeypatch):
+    """When a layer of a one-pattern pass finishes, the rows of every layer
+    before the one it reads are gone, across the sparsity start too."""
+    outputs, real_block = [], purekv.engine._block
+
+    def block(x, weights, heads):
+        gc.collect()
+        alive = [index for index, ref in enumerate(outputs) if ref() is not None]
+        assert alive in ([], [len(outputs) - 1]), f"layers {alive} alive at layer {len(outputs)}"
+        out = real_block(x, weights, heads)
+        outputs.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(purekv.engine, "_block", block)
+    model = init_model(SMALL)
+    prompt_pass(model, LAYOUT, SparsityPattern.spatial_temporal(), 2,
+                seeded_gaussian(LAYOUT.total_len, SMALL.d_model, 9), (4,), 2, True, 4)
+    assert len(outputs) == SMALL.num_layers
