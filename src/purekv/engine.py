@@ -173,11 +173,13 @@ def check_layer_depth(policy: PolicyConfig, num_layers: int) -> None:
                                  f"num_layers ({num_layers})")
 
 
-def check_validation(l: int, w: int, analysis_layer: int, num_layers: int) -> None:
-    """Reject a validation with no layer above the analysis layer, or with
-    fewer than the 3 non-recent keys the permutation test needs."""
+def check_validation(l: int, windows, analysis_layer: int, num_layers: int) -> None:
+    """Reject a validation with no layer above the analysis layer, or whose
+    widest window leaves fewer than the 3 non-recent keys the permutation test
+    needs."""
     if analysis_layer >= num_layers - 1:
         raise ConfigurationError(f"no layers above analysis layer {analysis_layer} to validate")
+    w = max(windows, default=0)
     if l - w < 3:
         raise ConfigurationError(f"recent window {w} leaves {max(l - w, 0)} non-recent keys "
                                  f"at l = {l}; validation needs at least 3")
@@ -496,59 +498,63 @@ def _check_twin(model: Model, session: SessionState, base: SessionState, embeddi
                                      f"rows and one more")
 
 
-def validate_cross_layer(prompts, w: int, analysis_layer: int, n_perm: int = 999,
-                         seed: int = 0) -> list[dict]:
+def validate_cross_layer(prompts, windows, analysis_layer: int, n_perm: int = 999,
+                         seed: int = 0) -> list[list[dict]]:
     """Rank agreement between reused-accumulator scores and own-layer scores.
 
     For every layer above the analysis layer, two accumulator tables are
     weighted by that layer's value-row norms, as score_low does: the
     analysis layer's (the estimate) and the layer's own (the ground truth),
     each built for all those layers at once, and each KV head's two rows are
-    correlated. Reads window w's accumulators and value-row norms from each
-    of prompts, a sequence of passes over one model and layout (one per
-    pattern, say) that hold them on every layer. A KV head's
-    permutation seed depends only on the layer and head, so one
-    permutation_pvalue call scores that head for every pass. Returns one
-    report validation dict per pass: analysis_layer, median_rho, median_p
-    and per_layer entries (layer, median_rho, median_p, heads).
+    correlated. Reads each recent window's accumulators and value-row norms
+    from each of prompts, a sequence of passes over one model and layout
+    (one per pattern, say) that hold them on every layer, and checks every
+    window before any scoring. A KV head's permutation seed depends only on
+    the layer and head, so one permutation_pvalues call scores that head for
+    every window and pass, drawing the stream's words once for all windows.
+    Returns, for each window in windows, one report validation dict per
+    pass: analysis_layer, median_rho, median_p and per_layer entries (layer,
+    median_rho, median_p, heads), each what a call with that window alone
+    would return.
     """
-    prompts = list(prompts)
-    if not prompts:
-        raise ConfigurationError("validation needs at least one prompt pass")
+    prompts, windows = list(prompts), list(windows)
+    if not prompts or not windows:
+        raise ConfigurationError("validation needs at least one prompt pass and one window")
     model, layout = prompts[0].model, prompts[0].wiring[0]
     num_layers, l = model.config.num_layers, layout.total_len
     for prompt in prompts:
         if prompt.model is not model or prompt.wiring[0] != layout:
             raise ConfigurationError("validated prompt passes must share one model and layout")
-        if prompt.layers < num_layers or w not in prompt.accumulators:
-            raise ConfigurationError(f"validation needs a prompt pass with window {w}'s "
-                                     f"accumulators on layers 0..{num_layers - 1}")
+        for w in windows:
+            if prompt.layers < num_layers or w not in prompt.accumulators:
+                raise ConfigurationError(f"validation needs a prompt pass with window {w}'s "
+                                         f"accumulators on layers 0..{num_layers - 1}")
     if not 0 <= analysis_layer < num_layers:
         raise ConfigurationError(f"analysis layer {analysis_layer} out of range")
-    check_validation(l, w, analysis_layer, num_layers)
+    check_validation(l, windows, analysis_layer, num_layers)
 
-    # (P, layers above, Hkv, l - w) tables: row [i, j, g] is pass i's KV head g
-    # on layer analysis_layer + 1 + j.
+    # Per window, (estimate, truth): (P, layers above, Hkv, l - w) tables whose
+    # row [i, j, g] is pass i's KV head g on layer analysis_layer + 1 + j.
     above = slice(analysis_layer + 1, num_layers)
-    truth, estimate = [], []
-    for prompt in prompts:
-        table, norms = prompt.accumulators[w], prompt.norms[above, :, : l - w]
-        truth.append(table[above] * norms)
-        estimate.append(table[analysis_layer] * norms)
-    truth, estimate = np.stack(truth), np.stack(estimate)
-    per_layer = [[] for _ in prompts]
+
+    def weighted(w, rows):  # each pass's accumulator rows times its value-row norms
+        return np.stack([p.accumulators[w][rows] * p.norms[above, :, : l - w] for p in prompts])
+
+    tables = [(weighted(w, analysis_layer), weighted(w, above)) for w in windows]
+    per_layer = [[] for _ in windows for _ in prompts]  # window-major, like the tables' rows
     for index, layer in enumerate(range(num_layers)[above]):
-        heads = [[] for _ in prompts]
-        for g in range(truth.shape[2]):
-            ps, rhos = stats.permutation_pvalue(estimate[:, index, g], truth[:, index, g],
-                                                n_perm, derive_seed(seed, layer, g))
-            for entries, rho, p in zip(heads, rhos, ps):
+        heads = [[] for _ in per_layer]
+        for g in range(model.config.num_kv_heads):
+            tests = [(estimate[:, index, g], truth[:, index, g]) for estimate, truth in tables]
+            scored = stats.permutation_pvalues(tests, n_perm, derive_seed(seed, layer, g))
+            for entries, p, rho in zip(heads, *map(np.concatenate, zip(*scored))):
                 entries.append({"head": g, "rho": float(rho), "p": float(p)})
         for entries, layer_heads in zip(per_layer, heads):
             entries.append({"layer": layer, **_medians(layer_heads), "heads": layer_heads})
-    return [{"analysis_layer": analysis_layer,
-             **_medians([head for entry in entries for head in entry["heads"]]),
-             "per_layer": entries} for entries in per_layer]
+    reports = [{"analysis_layer": analysis_layer,
+                **_medians([head for entry in entries for head in entry["heads"]]),
+                "per_layer": entries} for entries in per_layer]
+    return [reports[i:i + len(prompts)] for i in range(0, len(reports), len(prompts))]
 
 
 def _medians(heads: list[dict]) -> dict:

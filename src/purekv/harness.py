@@ -264,11 +264,10 @@ def load_config(source) -> ExperimentConfig:
     # Fail fast on incoherent layer indices instead of inside the first cell.
     policy = _at("config.policy", config.policy, "full", 1.0)
     _at("config.policy", engine.check_layer_depth, policy, model.num_layers)
-    if config.validate:  # the widest validated window, against the estimation layer
-        l = layout.total_len
-        w = max((budget_to_wh(budget, l, config.recent_window_w)[0]
-                 for *_, budget in _experiment_cells(config)), default=0)
-        _at("config.experiment.validate", engine.check_validation, l, w,
+    if config.validate:  # every validated window, against the estimation layer
+        ws = [budget_to_wh(budget, layout.total_len, config.recent_window_w)[0]
+              for *_, budget in _experiment_cells(config)]
+        _at("config.experiment.validate", engine.check_validation, layout.total_len, ws,
             config.clie_layer_index, model.num_layers)
     return config
 
@@ -346,9 +345,15 @@ def run_experiment(source) -> dict:
     for group in groups.values():
         results.update(zip(group, run_group(group)))
 
-    # Validation reads the pattern and the recent window, never the budget;
-    # one call validates a window for every pattern.
-    validations: dict[tuple[SparsityPattern, int], dict] = {}
+    # Validation reads the pattern and the recent window, never the budget: one
+    # call validates every pattern's pass at every window a cell uses.
+    validations = {}
+    if config.validate:
+        ws = list(dict.fromkeys(results[cell][2] for cell in _experiment_cells(config)))
+        reports = engine.validate_cross_layer([per_pattern[p][0] for p in patterns], ws,
+                                              config.clie_layer_index, config.n_perm,
+                                              config.stats_seed)
+        validations = {(p, w): r for w, rs in zip(ws, reports) for p, r in zip(patterns, rs)}
     cells = []
     for policy_kind, pattern, budget in _experiment_cells(config):
         _, prefill_macs, density = per_pattern[pattern]
@@ -358,16 +363,6 @@ def run_experiment(source) -> dict:
             divergence = max(divergence, float(np.max(np.abs(step_logits - ref))))
         decode_macs = estimate_macs(config.layout, pattern, config.model, "decode",
                                     retained_count=w + h)
-
-        validation = None
-        if config.validate:
-            if (pattern, w) not in validations:
-                reports = engine.validate_cross_layer(
-                    [per_pattern[p][0] for p in patterns], w, config.clie_layer_index,
-                    config.n_perm, config.stats_seed)
-                validations.update({(p, w): r for p, r in zip(patterns, reports)})
-            validation = validations[(pattern, w)]
-
         cells.append({
             "policy": policy_kind,
             "pattern": pattern.describe(),
@@ -384,7 +379,7 @@ def run_experiment(source) -> dict:
             "decode_macs_attention_per_step": decode_macs.attention,
             "output_divergence_vs_full": divergence,
             "salient_recall": recall,
-            "validation": validation,
+            "validation": validations.get((pattern, w)),
         })
 
     return {

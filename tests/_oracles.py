@@ -271,8 +271,8 @@ def naive_grid(config):
             prompt = engine.prompt_pass(model, config.layout, pattern, config.st_layer_index,
                                         embeddings, (w,), config.model.num_layers, False,
                                         config.tile_size)
-            validation, = engine.validate_cross_layer([prompt], w, config.clie_layer_index,
-                                                      config.n_perm, config.stats_seed)
+            [[validation]] = engine.validate_cross_layer([prompt], [w], config.clie_layer_index,
+                                                         config.n_perm, config.stats_seed)
         prefill_macs = estimate_macs(config.layout, pattern, config.model, "prefill")
         decode_macs = estimate_macs(config.layout, pattern, config.model, "decode",
                                     retained_count=w + h)

@@ -352,7 +352,7 @@ def test_criterion_07_cross_layer_validation_regression():
         # st_layer_index 4, recent window 16, every layer, tile 16; analysis layer 2.
         prompt = prompt_pass(model, layout, SparsityPattern.spatial_temporal(), 4, emb, (16,),
                              config.num_layers, tile_size=16)
-        report = validate_cross_layer([prompt], 16, 2, n_perm=999, seed=0)[0]
+        report = validate_cross_layer([prompt], [16], 2, n_perm=999, seed=0)[0][0]
 
         assert [lv["layer"] for lv in report["per_layer"]] == sorted(PINNED_VALIDATION)
         for lv in report["per_layer"]:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import purekv.attention
@@ -976,7 +976,7 @@ class TestValidation:
         _, records = reference_forward(model, emb, masks, collect_attention=True)
         accumulators = oracle_accumulators(records, SMALL, w)
         for analysis in (1, 2):
-            report = validate_cross_layer([prompt], w, analysis, n_perm=199, seed=1)[0]
+            report = validate_cross_layer([prompt], [w], analysis, n_perm=199, seed=1)[0][0]
             assert report["analysis_layer"] == analysis
             assert ([entry["layer"] for entry in report["per_layer"]]
                     == list(range(analysis + 1, SMALL.num_layers)))
@@ -1004,7 +1004,7 @@ class TestValidation:
         model = init_model(config)
         prompt = prompt_pass(model, layout, SparsityPattern.spatial_temporal(), 2, emb, (6,),
                              config.num_layers)
-        report = validate_cross_layer([prompt], 6, 1, n_perm=199, seed=2)[0]
+        report = validate_cross_layer([prompt], [6], 1, n_perm=199, seed=2)[0][0]
         assert report["median_rho"] > 0
 
     def test_rejects_an_analysis_layer_with_no_layer_above(self, monkeypatch):
@@ -1016,15 +1016,15 @@ class TestValidation:
         for analysis, message in ((SMALL.num_layers - 1, "no layers above analysis layer 3 to"),
                                   (SMALL.num_layers, "out of range"), (-1, "out of range")):
             with pytest.raises(ConfigurationError, match=message):
-                validate_cross_layer([prompt], 4, analysis, n_perm=199, seed=0)
+                validate_cross_layer([prompt], [4], analysis, n_perm=199, seed=0)
 
     def test_one_call_for_several_passes_equals_one_call_per_pass(self):
         model = init_model(SMALL)
         emb = embeddings_for(LAYOUT, seed=18)
         passes = [prompt_pass(model, LAYOUT, parse_pattern(text, LAYOUT), 2, emb, (4,),
                               SMALL.num_layers) for text in ("dense", "spatial", "temporal")]
-        together = validate_cross_layer(passes, 4, 1, n_perm=199, seed=5)
-        assert together == [validate_cross_layer([p], 4, 1, n_perm=199, seed=5)[0]
+        [together] = validate_cross_layer(passes, [4], 1, n_perm=199, seed=5)
+        assert together == [validate_cross_layer([p], [4], 1, n_perm=199, seed=5)[0][0]
                             for p in passes]
         assert together[0] != together[1]
 
@@ -1040,9 +1040,9 @@ class TestValidation:
                                    embeddings_for(longer), (4,), SMALL.num_layers)
         for passes in ([prompt, other_model], [prompt, other_layout]):
             with pytest.raises(ConfigurationError, match="one model and layout"):
-                validate_cross_layer(passes, 4, 1, n_perm=199)
+                validate_cross_layer(passes, [4], 1, n_perm=199)
         with pytest.raises(ConfigurationError, match="at least one"):
-            validate_cross_layer([], 4, 1, n_perm=199)
+            validate_cross_layer([], [4], 1, n_perm=199)
 
     def test_requires_nonrecent_segment(self):
         model = init_model(SMALL)
@@ -1051,36 +1051,40 @@ class TestValidation:
                              embeddings_for(tiny, seed=17), (8,), SMALL.num_layers)
         with pytest.raises(ConfigurationError, match="recent window 8 leaves 0 non-recent keys "
                                                      "at l = 3; validation needs at least 3"):
-            validate_cross_layer([prompt], 8, 1, n_perm=199, seed=0)
+            validate_cross_layer([prompt], [8], 1, n_perm=199, seed=0)
 
     def test_rejects_fewer_than_three_nonrecent_keys_before_scoring(self, monkeypatch):
         """At l - w of 1 or 2 the permutation test is undefined; validation
-        raises before it scores a layer or computes a statistic. Scoring
-        reads the pass's value-row norms, which are taken away until the
-        rejections are done. The rank spy stands where a spearman_rho spy
-        stood: the observed rho now comes from the permutation test's own
-        ranks, so validation ranks each (estimate, truth) pair once, two rank
-        calls per KV head."""
+        raises before it scores a layer or computes a statistic, also when
+        the bad window comes after a good one. Scoring reads the pass's
+        value-row norms, which are taken away until the rejections are done.
+        The stats spies are looked up through purekv.stats at call time:
+        one permutation_pvalues call per (layer, KV head) scores every
+        window, and ranks each window's (estimate, truth) tables once, two
+        _rank_rows calls per window."""
         model = init_model(SMALL)
         l = LAYOUT.total_len
-        windows = (l - 1, l - 2, l - 3)
+        windows = (l - 1, l - 2, l - 3, l - 4)
         prompt = prompt_pass(model, LAYOUT, SparsityPattern.dense(), 2, embeddings_for(LAYOUT),
                              windows, SMALL.num_layers)
         calls, norms = [], prompt.norms
-        for owner, name in ((purekv.stats, "rank"), (purekv.stats, "permutation_pvalue")):
-            real = getattr(owner, name)
-            monkeypatch.setattr(owner, name, lambda *a, real=real, name=name, **k:
+        for name in ("rank", "_rank_rows", "permutation_pvalue", "permutation_pvalues"):
+            real = getattr(purekv.stats, name)
+            monkeypatch.setattr(purekv.stats, name, lambda *a, real=real, name=name, **k:
                                 calls.append(name) or real(*a, **k))
         object.__setattr__(prompt, "norms", None)  # scoring would raise a TypeError
         for w in windows[:2]:
-            with pytest.raises(ConfigurationError, match=f"recent window {w} leaves {l - w} "
-                                                         f"non-recent keys at l = {l}"):
-                validate_cross_layer([prompt], w, 1, n_perm=100, seed=0)
+            for bad in ([w], [l - 3, w]):
+                with pytest.raises(ConfigurationError, match=f"recent window {w} leaves {l - w} "
+                                                             f"non-recent keys at l = {l}"):
+                    validate_cross_layer([prompt], bad, 1, n_perm=100, seed=0)
         assert calls == []
         object.__setattr__(prompt, "norms", norms)
-        validate_cross_layer([prompt], l - 3, 1, n_perm=100, seed=0)
-        assert {"rank", "permutation_pvalue"} <= set(calls)
-        assert calls.count("rank") == 2 * (SMALL.num_layers - 2) * SMALL.num_kv_heads
+        validate_cross_layer([prompt], windows[2:], 1, n_perm=100, seed=0)
+        tests = (SMALL.num_layers - 2) * SMALL.num_kv_heads
+        assert calls.count("permutation_pvalues") == tests
+        assert calls.count("_rank_rows") == 2 * len(windows[2:]) * tests
+        assert set(calls) == {"permutation_pvalues", "_rank_rows"}
 
 
 class TestStreamingCompatibilityContract:
@@ -1243,7 +1247,7 @@ class TestStreamingCompatibilityContract:
             monkeypatch.setattr(purekv.attention, name, forbidden)
         monkeypatch.setattr(purekv.engine, "prompt_pass", forbidden)
         for w in windows:
-            validate_cross_layer([prompt], w, 1, n_perm=199, seed=0)
+            validate_cross_layer([prompt], [w], 1, n_perm=199, seed=0)
 
     def test_h2o_at_full_budget_skips_the_instrumented_pass(self, monkeypatch):
         """Audit: with nothing to evict, h2o_like compression materializes no
@@ -1465,7 +1469,7 @@ class TestPromptPass:
             return prompt_pass(model, LAYOUT, SparsityPattern.spatial_temporal(), 2, emb, (4,),
                                SMALL.num_layers, True)
 
-        expected = validate_cross_layer([make_pass()], 4, 1, n_perm=199, seed=3)[0]
+        expected = validate_cross_layer([make_pass()], [4], 1, n_perm=199, seed=3)[0][0]
         shared = make_pass()
         for kind in ("pure_kv", "h2o_like"):
             session = init_session(model, LAYOUT, make_policy(kind=kind, budget=0.5, clie=1, st=2),
@@ -1477,7 +1481,7 @@ class TestPromptPass:
         real_pass = purekv.engine.prompt_pass
         monkeypatch.setattr(purekv.engine, "prompt_pass",
                             lambda *args: forwards.append(1) or real_pass(*args))
-        assert validate_cross_layer([shared], 4, 1, n_perm=199, seed=3)[0] == expected
+        assert validate_cross_layer([shared], [4], 1, n_perm=199, seed=3)[0][0] == expected
         assert forwards == []
 
     def test_validation_rejects_a_pass_it_cannot_read(self):
@@ -1485,10 +1489,10 @@ class TestPromptPass:
         emb = embeddings_for(LAYOUT, seed=27)
         partial = prompt_pass(model, LAYOUT, SparsityPattern.dense(), 2, emb, (4,), 2)
         with pytest.raises(ConfigurationError, match="layers 0..3"):
-            validate_cross_layer([partial], 4, 1, n_perm=199)
+            validate_cross_layer([partial], [4], 1, n_perm=199)
         full = prompt_pass(model, LAYOUT, SparsityPattern.dense(), 2, emb, (4,), SMALL.num_layers)
         with pytest.raises(ConfigurationError, match="window 3"):
-            validate_cross_layer([full], 3, 1, n_perm=199)
+            validate_cross_layer([full], [3], 1, n_perm=199)
 
     @pytest.mark.parametrize("windows", [(0,), (-3,), (4, 0)], ids=["0", "-3", "4,0"])
     def test_a_window_below_one_is_rejected_before_any_work(self, monkeypatch, windows):
@@ -1503,7 +1507,7 @@ class TestPromptPass:
         monkeypatch.undo()
         full = prompt_pass(model, LAYOUT, SparsityPattern.dense(), 2, emb, (4,), SMALL.num_layers)
         with pytest.raises(ConfigurationError, match="window 0"):
-            validate_cross_layer([full], 0, 2, n_perm=100)
+            validate_cross_layer([full], [0], 2, n_perm=100)
 
     def test_a_shared_pass_cannot_be_written_through_a_session(self, example):
         """Writing the pass a session holds raises, and a sibling session still
@@ -1577,23 +1581,27 @@ class TestPassStatistics:
 
     @pytest.mark.parametrize("w, analysis", [(4, 0), (4, 1), (3, 2), (11, 1)])
     def test_validation_equals_the_score_low_path(self, monkeypatch, w, analysis):
-        """Every permutation test of a validation over two passes gets the
-        (estimate, truth) rows that score_low gave, bit for bit."""
+        """Every permutation test of a validation over two passes and two
+        windows gets each window's (estimate, truth) rows that score_low gave,
+        bit for bit."""
         model = init_model(SMALL)
         emb = embeddings_for(LAYOUT, seed=31)
-        prompts = [prompt_pass(model, LAYOUT, pattern, 2, emb, (w,), SMALL.num_layers)
+        windows = (w, 2)
+        prompts = [prompt_pass(model, LAYOUT, pattern, 2, emb, windows, SMALL.num_layers)
                    for pattern in (SparsityPattern.dense(), SparsityPattern.spatial_temporal())]
         calls = []
-        real = purekv.stats.permutation_pvalue
-        monkeypatch.setattr(purekv.stats, "permutation_pvalue",
-                            lambda x, y, *rest: calls.append((x, y)) or real(x, y, *rest))
-        validate_cross_layer(prompts, w, analysis, n_perm=100, seed=2)
-        estimate, truth = score_low_validation(prompts, w, analysis)
-        assert len(calls) == estimate.shape[1] * SMALL.num_kv_heads
-        for index, (x, y) in enumerate(calls):
+        real = purekv.stats.permutation_pvalues
+        monkeypatch.setattr(purekv.stats, "permutation_pvalues",
+                            lambda tables, *rest: calls.append(tables) or real(tables, *rest))
+        validate_cross_layer(prompts, windows, analysis, n_perm=100, seed=2)
+        expected = [score_low_validation(prompts, window, analysis) for window in windows]
+        assert len(calls) == expected[0][0].shape[1] * SMALL.num_kv_heads
+        for index, tables in enumerate(calls):
             layer, g = divmod(index, SMALL.num_kv_heads)
-            assert x.tobytes() == estimate[:, layer, g].tobytes()
-            assert y.tobytes() == truth[:, layer, g].tobytes()
+            assert len(tables) == len(windows)
+            for (x, y), (estimate, truth) in zip(tables, expected):
+                assert x.tobytes() == estimate[:, layer, g].tobytes()
+                assert y.tobytes() == truth[:, layer, g].tobytes()
 
     def test_a_grid_norms_each_pass_once_and_stacks_no_column_sums(self, monkeypatch):
         """run_experiment on the example config makes its two pattern passes in
@@ -1645,6 +1653,36 @@ class TestValidationWindows:
         def validate(windows):
             prompt = prompt_pass(model, LAYOUT, SparsityPattern.spatial_temporal(), 2, emb,
                                  windows, SMALL.num_layers)
-            return validate_cross_layer([prompt], w, analysis, n_perm=100, seed=4)[0]
+            return validate_cross_layer([prompt], [w], analysis, n_perm=100, seed=4)[0][0]
 
         assert validate((w,)) == validate(tuple(others) + (w,))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), prefix=st.integers(0, 3), frames=st.integers(1, 4),
+           patches=st.integers(1, 6), suffix=st.integers(0, 3), n_perm=st.integers(100, 400),
+           seed=st.integers(0, 2**32), analysis=st.integers(0, 2))
+    def test_one_call_for_several_windows_equals_one_call_per_window(
+            self, data, prefix, frames, patches, suffix, n_perm, seed, analysis):
+        """Every window's reports from one call match a call with that window
+        alone, bit for bit, for any window order and repeats: windows share
+        their permutation streams' words, never their permutations."""
+        layout = TokenLayout(prefix, frames, patches, suffix)
+        l = layout.total_len
+        assume(l >= 4)
+        windows = data.draw(st.lists(st.integers(1, l - 3), min_size=1, max_size=4),
+                            label="windows")
+        model = init_model(SMALL)
+        emb = embeddings_for(layout, seed=30)
+        prompts = [prompt_pass(model, layout, pattern, 2, emb, windows, SMALL.num_layers)
+                   for pattern in (SparsityPattern.dense(), SparsityPattern.temporal())]
+        together = validate_cross_layer(prompts, windows, analysis, n_perm, seed)
+        assert len(together) == len(windows)
+        for w, reports in zip(windows, together):
+            assert reports == validate_cross_layer(prompts, [w], analysis, n_perm, seed)[0]
+
+    def test_rejects_an_empty_window_list(self):
+        model = init_model(SMALL)
+        prompt = prompt_pass(model, LAYOUT, SparsityPattern.dense(), 2, embeddings_for(LAYOUT),
+                             (4,), SMALL.num_layers)
+        with pytest.raises(ConfigurationError, match="one window"):
+            validate_cross_layer([prompt], [], 1, n_perm=199)

@@ -351,16 +351,16 @@ class TestRunExperiment:
         layers = [e["layer"] for e in cell["validation"]["per_layer"]]
         assert layers == [2, 3]  # layers above clie_layer_index = 1
 
-    def test_validation_runs_once_per_window_for_every_pattern(self, monkeypatch):
+    def test_validation_runs_once_per_grid_for_every_pattern_and_window(self, monkeypatch):
         """Validation depends on the pattern and w, never on the budget: one
-        call per window validates every pattern's pass, and each (pattern, w)
-        is validated exactly once."""
+        call per grid validates every pattern's pass at every cell window,
+        and each (pattern, w) is validated exactly once."""
         calls = []
         real_validate = purekv.engine.validate_cross_layer
 
-        def spy(prompts, w, *args):
-            calls.append([(prompt.wiring[1].describe(), w) for prompt in prompts])
-            return real_validate(prompts, w, *args)
+        def spy(prompts, windows, *args):
+            calls.append([(prompt.wiring[1].describe(), w) for w in windows for prompt in prompts])
+            return real_validate(prompts, windows, *args)
 
         monkeypatch.setattr(purekv.engine, "validate_cross_layer", spy)
         # l = 36, w_config = 4: budgets 1.0, 0.5 and 0.1 give w = 4, 0.05 gives w = 2.
@@ -372,10 +372,7 @@ class TestRunExperiment:
         for cell in report["cells"]:
             by_key.setdefault((cell["pattern"], cell["recent_window"]), []).append(cell)
         assert len(report["cells"]) == 18
-        assert len(calls) == 2
-        assert all(sorted(pattern for pattern, _ in call) == ["dense", "temporal"]
-                   for call in calls)
-        keys = [key for call in calls for key in call]
+        [keys] = calls
         assert sorted(keys) == sorted(by_key) and len(keys) == 4
         for cells in by_key.values():
             assert all(c["validation"] == cells[0]["validation"] for c in cells)

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import purekv.numerics
+import purekv.stats
 from _oracles import tie_checked_permutation_pvalue, unique_rank
 from purekv.errors import ConfigurationError
 from purekv.numerics import seeded_gaussian
@@ -17,7 +18,9 @@ from purekv.stats import (
     _PERM_BLOCK,
     _PERM_TAG,
     _argsort_rows,
+    _rank_rows,
     permutation_pvalue,
+    permutation_pvalues,
     rank,
     spearman_rho,
 )
@@ -78,6 +81,24 @@ class TestRank:
         """One stable argsort gives np.unique's average ranks bit for bit, with
         ties, signed zeros and infinities."""
         assert rank(values).tobytes() == unique_rank(np.array(values)).tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 5), n=st.integers(1, 30))
+    def test_rows_rank_as_rank_and_rankdata_do(self, data, rows, n):
+        """A table's rows ranked at once equal rank row by row, bit for bit, and
+        scipy's rankdata, with ties, signed zeros and infinities; a NaN in any
+        row is still rejected."""
+        scipy_stats = pytest.importorskip("scipy.stats")
+        values = st.sampled_from([-2.0, -0.0, 0.0, 0.5, 3.0, float("inf")]) | st.floats(-4, 4)
+        table = np.array(data.draw(st.lists(st.lists(values, min_size=n, max_size=n),
+                                            min_size=rows, max_size=rows), label="table"))
+        ranks = _rank_rows(table)
+        assert ranks.tobytes() == np.array([rank(row) for row in table]).tobytes()
+        np.testing.assert_array_equal(ranks, scipy_stats.rankdata(table, axis=1))
+        table[data.draw(st.integers(0, rows - 1), label="row"),
+              data.draw(st.integers(0, n - 1), label="column")] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            _rank_rows(table)
 
 
 class TestSpearmanRho:
@@ -231,6 +252,22 @@ class TestPermutationPvalue:
             words = random_u64(n, _PERM_TAG, 8 * n).reshape(8, n)
             np.testing.assert_array_equal(_argsort_rows(words), np.argsort(words, axis=1))
 
+    def test_a_false_alarm_across_a_row_boundary_still_sorts_each_row(self):
+        """The tie check runs over the flattened block, so one row's largest key
+        and the next row's smallest can share high bits with no tie in either
+        row; the block is then argsorted, which gives the same permutations."""
+        n = 17
+        low = np.uint64((1 << (n - 1).bit_length()) - 1)
+        words = random_u64(3, _PERM_TAG, 2 * n).reshape(2, n) >> np.uint64(2)
+        words[0, np.argmax(words[0])] &= ~low  # row 0's largest word ends in zero bits
+        top = words[0].max()
+        gaps = np.arange(n, dtype=np.uint64)[::-1] * (low + 1) * np.uint64(2)  # no false alarm
+        words[1] = top + np.uint64(1) + gaps  # its smallest word shares top's high bits
+        keys = np.sort((words & ~low) | np.arange(n, dtype=np.uint64), axis=1)
+        assert (np.diff(keys, axis=1) > low).all()  # no row has a tie
+        assert np.diff(keys.ravel()).min() <= low  # but the flattened check alarms
+        np.testing.assert_array_equal(_argsort_rows(words), np.argsort(words, axis=1))
+
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), rows=st.integers(1, 4), n=st.integers(3, 40))
     def test_words_that_share_high_bits_fall_back_to_argsort(self, data, rows, n):
@@ -321,3 +358,88 @@ class TestPermutationPvalue:
         constant = np.array([x[0], [2.0, 2.0, 2.0]])
         with pytest.raises(ValueError, match="undefined"):
             permutation_pvalue(constant, x, n_perm=100, seed=0)
+
+
+def tables_of(widths, rows, seed):
+    """(x, y) tables of the given widths with heavy ties and no constant row."""
+    rng = np.random.default_rng(seed)
+    tables = []
+    for n, p in zip(widths, rows):
+        x, y = (rng.integers(-3, 4, size=(p, n)).astype(np.float64) for _ in range(2))
+        x[:, :2] = y[:, :2] = (-4.0, 4.0)
+        tables.append((x, y))
+    return tables
+
+
+class TestSeveralTables:
+    @settings(max_examples=40, deadline=None)
+    @given(widths=st.lists(st.integers(3, 40) | st.sampled_from([3, 500]), min_size=1,
+                           max_size=4),
+           data=st.data(), n_perm=st.integers(100, 400), seed=st.integers(0, 2**32))
+    def test_equals_one_call_per_table(self, widths, data, n_perm, seed):
+        """Each table's (p, rho) equals a call on it alone, bit for bit, for
+        equal widths, widths far apart and partial last blocks."""
+        rows = data.draw(st.lists(st.integers(1, 3), min_size=len(widths),
+                                  max_size=len(widths)), label="rows")
+        tables = tables_of(widths, rows, seed)
+        together = permutation_pvalues(tables, n_perm, seed)
+        assert len(together) == len(tables)
+        for (x, y), (ps, rhos) in zip(tables, together):
+            want_ps, want_rhos = permutation_pvalue(x, y, n_perm, seed)
+            assert ps.tolist() == want_ps.tolist() and rhos.tolist() == want_rhos.tolist()
+
+    def test_widths_far_apart(self):
+        tables = tables_of([3, 500, 3, 17], [2, 1, 1, 3], seed=5)
+        together = permutation_pvalues(tables, 999, 6)
+        for (x, y), (ps, rhos) in zip(tables, together):
+            assert ps.tolist() == permutation_pvalue(x, y, 999, 6)[0].tolist()
+            assert ps.tolist() == tie_checked_permutation_pvalue(x, y, 999, 6)[0].tolist()
+            assert rhos.tolist() == [spearman_rho(a, b) for a, b in zip(x, y)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(widths=st.lists(st.integers(3, 300) | st.sampled_from([3, 500]), min_size=1,
+                           max_size=5),
+           n_perm=st.integers(100, 4 * _PERM_BLOCK + 1))
+    def test_no_block_draws_more_words_than_separate_draws(self, widths, n_perm):
+        """Each block sorts every distinct width once, and draws at most
+        block * sum(n) words over its distinct widths n, what one draw per width
+        would; the first block, where every width's range starts at word 0,
+        draws only the widest one's."""
+        events = []
+        real_draw, real_sort = purekv.stats.random_u64, purekv.stats._argsort_rows
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(purekv.stats, "random_u64", lambda seed, start, count:
+                          events.append(count) or real_draw(seed, start, count))
+            patch.setattr(purekv.stats, "_argsort_rows", lambda words:
+                          events.append(None) or real_sort(words))
+            permutation_pvalues(tables_of(widths, [1] * len(widths), 7), n_perm, 8)
+        distinct = set(widths)
+        blocks = []  # words drawn per block; a block ends after its len(distinct) sorts
+        drawn = sorts = 0
+        for count in events:
+            if count is None:
+                sorts += 1
+                if sorts == len(distinct):
+                    blocks.append(drawn)
+                    drawn = sorts = 0
+            else:
+                drawn += count
+        assert drawn == sorts == 0
+        sizes = [min(_PERM_BLOCK, n_perm - first) for first in range(0, n_perm, _PERM_BLOCK)]
+        assert len(blocks) == len(sizes)
+        assert blocks[0] == sizes[0] * max(distinct)
+        for words, block in zip(blocks, sizes):
+            assert words <= block * sum(distinct)
+
+    def test_a_bad_table_among_good_ones_is_rejected_with_its_message(self):
+        good = (np.array([[1.0, 2.0, 3.0]]), np.array([[3.0, 1.0, 2.0]]))
+        with pytest.raises(ConfigurationError, match="n_perm must be >= 100"):
+            permutation_pvalues([good], 99, 0)
+        for bad, error, message in (
+                ((good[0], good[0][:, :2]), ConfigurationError, "equal-shape"),
+                ((good[0][:, :2], good[0][:, :2]), ConfigurationError, "n >= 3"),
+                ((good[0], np.array([[2.0, 2.0, 2.0]])), ValueError, "undefined"),
+                ((good[0], np.array([[2.0, np.nan, 2.0]])), ValueError, "NaN")):
+            with pytest.raises(error, match=message):
+                permutation_pvalues([good, bad], 100, 0)
+        assert permutation_pvalues([], 100, 0) == []
