@@ -11,11 +11,12 @@ score_low computes either product, and select_retained keeps the recent
 window plus the top-h non-recent entries. Two simplified baselines are
 provided: column-sum ("heavy hitter") scoring and sink-plus-window retention.
 
-evict writes each retained row of a prompt pass once, into fresh buffers of
-capacity 2m that each layer's KvCacheLayer takes over privately: no dropped
-row is copied, and the first m decode appends grow nothing. truncate makes a
-failed decode step undoable, and extends is what a decode step checks before
-it borrows a twin's rows."""
+evict is the only way to build a cache. It writes each retained row of a
+session's prompt pass once, into fresh buffers of capacity 2m that each
+layer's KvCacheLayer takes over privately: no dropped row is copied, and the
+first m decode appends grow nothing. truncate makes a failed decode step
+undoable, and extends is what a decode step checks before it borrows a
+twin's rows."""
 
 from __future__ import annotations
 
@@ -41,30 +42,13 @@ class KvCacheLayer:
     n = min(rows(g)) rows, which every head holds; a row that only some
     heads have appended stays staged, unseen. append writes one row past a
     head's count, doubling the capacity when full; truncate rolls every head
-    back to one earlier count. The constructor copies; evict's _adopt does not.
+    back to one earlier count. Only evict builds one.
     """
 
-    def __init__(self, keys, values, positions):
-        """Copy stacked keys (Hkv, n, d_k), values (Hkv, n, d_v) and positions (Hkv, n)."""
-        self._keys = np.array(keys, dtype=np.float64)
-        self._values = np.array(values, dtype=np.float64)
-        self._positions = np.array(positions, dtype=np.int64)
-        shapes = self._keys.shape, self._values.shape, self._positions.shape
-        if (self._keys.ndim != 3 or self._values.ndim != 3 or not self._keys.shape[0]
-                or not self._keys.shape[:2] == self._values.shape[:2] == self._positions.shape):
-            raise ConfigurationError(
-                f"need keys (Hkv, n, d_k), values (Hkv, n, d_v) and positions (Hkv, n) "
-                f"for the same Hkv >= 1 heads and n rows, got shapes {shapes}"
-            )
-        self._lengths = [self._positions.shape[1]] * len(self._positions)
-
-    @classmethod
-    def _adopt(cls, keys, values, positions, rows: int):
-        """evict's layer over fresh buffers only it writes, every head holding rows rows."""
-        layer = cls.__new__(cls)
-        layer._keys, layer._values, layer._positions = keys, values, positions
-        layer._lengths = [rows] * len(positions)
-        return layer
+    def __init__(self, keys, values, positions, rows: int):
+        """Take over buffers that no one else writes, every head holding its first rows rows."""
+        self._keys, self._values, self._positions = keys, values, positions
+        self._lengths = [rows] * len(positions)
 
     @property
     def num_heads(self) -> int:
@@ -250,57 +234,46 @@ def select_retained(S, w: int, h: int, l: int) -> np.ndarray:
     return np.nonzero(keep)[-1].reshape(S.shape[:-1] + (w + h,))
 
 
-def evict(keys, values, retained):
-    """Caches of the rows each KV head g lists in retained[..., g, :].
+def evict(keys, values, retained) -> list[KvCacheLayer]:
+    """One session's caches: layer i keeps the rows KV head g lists in retained[i, g].
 
-    keys (..., Hkv, l, d_k) and values (..., Hkv, l, d_v) hold a prompt's
-    rows, row i at position i; retained (..., Hkv, m) lists rows strictly
+    keys (L, Hkv, l, d_k) and values (L, Hkv, l, d_v) hold a prompt pass's
+    rows, row i at position i; retained (L, Hkv, m) lists rows strictly
     increasing and inside [0, l), and is checked whole before any cache is
-    built. Returns a KvCacheLayer for one layer's (Hkv, m) table, a list of
-    them for a stack of layers' (L, Hkv, m); each holds capacity 2m.
+    built. Returns one KvCacheLayer per layer, each holding capacity 2m.
     """
     keys, values = np.asarray(keys, dtype=np.float64), np.asarray(values, dtype=np.float64)
     want = np.asarray(retained, dtype=np.int64)
-    if want.ndim < 2 or want.shape[:-1] != keys.shape[:-2]:
-        raise ConfigurationError(
-            f"expected a ({', '.join(map(str, keys.shape[:-2]))}, m) retained table, "
-            f"got shape {want.shape}"
-        )
-    if not want.shape[-2]:
+    if keys.ndim != 4 or values.shape[:-1] != keys.shape[:-1]:
+        raise ConfigurationError(f"keys {keys.shape} and values {values.shape} must be "
+                                 f"(L, Hkv, l, d) stacks of the same heads and rows")
+    if want.ndim != 3 or want.shape[:2] != keys.shape[:2]:
+        raise ConfigurationError(f"expected a ({keys.shape[0]}, {keys.shape[1]}, m) retained "
+                                 f"table, got shape {want.shape}")
+    if not want.shape[1]:
         raise ConfigurationError("a cache needs Hkv >= 1 heads")
-    if values.shape[:-1] != keys.shape[:-1]:
-        raise ConfigurationError(f"keys {keys.shape} and values {values.shape} must hold "
-                                 f"the same heads and rows")
-    l = keys.shape[-2]
+    l = keys.shape[2]
     # Checked whole; the bad layer and head are searched for only when that fails, and
     # rows that increase stay inside [0, l) when their first and last do.
     if want.size and (want.min() < 0 or want.max() >= l
                       or not (want[..., 1:] > want[..., :-1]).all()):
-        *layer, g = np.argwhere((want[..., 0] < 0) | (want[..., -1] >= l)
-                                | (np.diff(want, axis=-1) <= 0).any(axis=-1))[0].tolist()
-        where = f"layer {', '.join(map(str, layer))} head {g}" if layer else f"head {g}"
-        raise ConfigurationError(f"{where}: retained rows {want[(*layer, g)].tolist()} are "
-                                 f"not strictly increasing in [0, {l})")
-    # One take per stack writes each row once into (2m, ..., Hkv, d) buffers, rows
+        layer, g = np.argwhere((want[..., 0] < 0) | (want[..., -1] >= l)
+                               | (np.diff(want, axis=-1) <= 0).any(axis=-1))[0].tolist()
+        raise ConfigurationError(f"layer {layer} head {g}: retained rows {want[layer, g].tolist()} "
+                                 f"are not strictly increasing in [0, {l})")
+    # One take per stack writes each row once into (2m, L, Hkv, d) buffers, rows
     # outermost, whose first m rows are one contiguous block that np.take fills with
     # no temporary (mode "raise" would use one); a layer's buffer is a strided view.
-    lead, m = want.shape[:-1], want.shape[-1]
-    rows = (want + l * np.arange(math.prod(lead)).reshape(lead + (1,))).transpose(
-        -1, *range(len(lead)))
+    num_layers, hkv, m = want.shape
+    rows = (want + l * np.arange(num_layers * hkv).reshape(num_layers, hkv, 1)).transpose(2, 0, 1)
     buffers = []
     for source in (keys, values):
-        buffer = np.empty((2 * m,) + lead + source.shape[-1:])
+        buffer = np.empty((2 * m, num_layers, hkv, source.shape[-1]))
         np.take(source.reshape(-1, source.shape[-1]), rows, axis=0, out=buffer[:m], mode="clip")
-        buffers.append(buffer.transpose(*range(1, len(lead) + 1), 0, len(lead) + 1))
-    positions = np.empty(lead + (2 * m,), dtype=np.int64)
+        buffers.append(buffer.transpose(1, 2, 0, 3))
+    positions = np.empty((num_layers, hkv, 2 * m), dtype=np.int64)
     positions[..., :m] = want
-    return _caches(*buffers, positions, m)
-
-
-def _caches(keys, values, positions, rows):
-    if positions.ndim == 2:
-        return KvCacheLayer._adopt(keys, values, positions, rows)
-    return [_caches(*layer, rows) for layer in zip(keys, values, positions)]
+    return [KvCacheLayer(*layer, m) for layer in zip(*buffers, positions)]
 
 
 def baseline_h2o_score(A) -> np.ndarray:

@@ -33,6 +33,7 @@ pre-norm with a two-layer ReLU MLP.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -558,5 +559,5 @@ def validate_cross_layer(prompts, windows, analysis_layer: int, n_perm: int = 99
 
 
 def _medians(heads: list[dict]) -> dict:
-    return {"median_rho": float(np.median([head["rho"] for head in heads])),
-            "median_p": float(np.median([head["p"] for head in heads]))}
+    return {"median_rho": statistics.median(head["rho"] for head in heads),
+            "median_p": statistics.median(head["p"] for head in heads)}

@@ -304,13 +304,12 @@ def run_experiment(source) -> dict:
                              mask_density(build_mask(config.layout, pattern)))
                    for pattern, prompt in zip(every, passes)}
     decoded: dict[tuple, list[np.ndarray]] = {}  # logits by cache key
-    below = slice(1, 1 + config.st_layer_index)  # a key's positions below st_layer_index
 
     def run_group(cells):
         """Compress the cells of one (policy, budget) group, decode their caches
         not decoded before step by step together, and return each cell's
         (cache key, l, w, h, recall). Its sessions die with it."""
-        runs, out = {}, []
+        runs, out, lender = {}, [], []
         for policy_kind, pattern, budget in cells:
             session = engine.init_session(model, config.layout, config.policy(policy_kind, budget),
                                           pattern, config.tile_size)
@@ -321,10 +320,11 @@ def run_experiment(source) -> dict:
             key = (pattern, *(kv.positions.tobytes() for kv in session.cache))
             if key not in decoded:
                 decoded[key] = []
-                # The first cache before it in the step that keeps its positions below
-                # st_layer_index lends it those layers' rows (decode_step's base).
-                runs[key] = session, [twin for other, (twin, _) in runs.items()
-                                      if other[below] == key[below]][:1]
+                # Below st_layer_index every score comes from the dense layers all patterns
+                # share, so each cache of the group keeps the same positions there: the
+                # first new one lends the others those layers' rows (decode_step's base).
+                runs[key] = session, lender
+                lender = lender or [session]
             recall = None  # decode appends no prompt position, so it cannot change recall
             if salient.size:
                 table = np.concatenate([kv.positions for kv in session.cache])

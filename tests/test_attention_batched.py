@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from _oracles import decode_attention, query_tiles
 from purekv import attention
 from purekv.attention import TilePlan, column_mass, decode, masked, streaming_masked
-from purekv.cache import KvCacheLayer
+from purekv.cache import evict
 from purekv.errors import ConfigurationError
 from purekv.masks import SparsityPattern, TokenLayout, build_mask
 
@@ -457,7 +457,7 @@ class TestDecodeKernel:
         np.testing.assert_array_equal(decode(q, k, v), decode_attention(q, k, v))
 
         held = data.draw(st.integers(0, n - 1))
-        cache = KvCacheLayer(k[:, :held], v[:, :held], np.broadcast_to(np.arange(held), (hkv, held)))
+        cache, = evict(k[None], v[None], np.broadcast_to(np.arange(held), (1, hkv, held)))
         for position in range(held, n):
             for g in range(hkv):
                 cache.append(g, k[g, position], v[g, position], position)

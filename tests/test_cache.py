@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import purekv.cache
 from _oracles import argsort_select
 from purekv.cache import (
-    KvCacheLayer,
     PolicyConfig,
     accumulate_recent_attention,
     baseline_h2o_score,
@@ -202,6 +201,12 @@ class TestSelectRetained:
             select_retained(scores, 1, h, 4)
 
 
+def evict_layer(keys, values, table):
+    """The cache evict builds from one layer's (Hkv, l, d) rows and (Hkv, m) table,
+    as the layer stack of a one-layer session."""
+    return evict(np.asarray(keys)[None], np.asarray(values)[None], np.asarray(table)[None])[0]
+
+
 class TestEvict:
     def make_pass(self, rows=5, heads=2, d_v=3):
         """A prompt pass's stacked (Hkv, rows, 3) keys and (Hkv, rows, d_v) values."""
@@ -211,52 +216,50 @@ class TestEvict:
 
     def test_retain_all_is_identity(self):
         keys, values = self.make_pass()
-        out = evict(keys, values, [np.arange(5)] * 2)
+        out = evict_layer(keys, values, [np.arange(5)] * 2)
         for h in range(2):
             np.testing.assert_array_equal(out.keys[h], keys[h])
             np.testing.assert_array_equal(out.values[h], values[h])
             np.testing.assert_array_equal(out.positions[h], np.arange(5))
 
     def test_window_only_retention(self):
-        out = evict(*self.make_pass(rows=6), [np.array([4, 5])] * 2)
+        out = evict_layer(*self.make_pass(rows=6), [np.array([4, 5])] * 2)
         assert out.rows(0) == 2 and out.rows(1) == 2
 
     def test_rows_survive_bit_identically(self):
         keys, values = self.make_pass()
-        out = evict(keys, values, [np.array([0, 2])] * 2)
+        out = evict_layer(keys, values, [np.array([0, 2])] * 2)
         for h in range(2):
             np.testing.assert_array_equal(out.keys[h], keys[h][[0, 2]])
             np.testing.assert_array_equal(out.values[h], values[h][[0, 2]])
             assert out.positions[h].tolist() == [0, 2]
 
     def test_per_head_retained_sets(self):
-        out = evict(*self.make_pass(), [np.array([0, 1]), np.array([3, 4])])
+        out = evict_layer(*self.make_pass(), [np.array([0, 1]), np.array([3, 4])])
         assert out.positions[0].tolist() == [0, 1]
         assert out.positions[1].tolist() == [3, 4]
 
     def test_unknown_position_raises(self):
         for row in (5, 9, -1):
-            with pytest.raises(ConfigurationError, match=r"head 1: .* in \[0, 5\)"):
-                evict(*self.make_pass(), [np.array([0, 1]), np.array([0, row])])
+            with pytest.raises(ConfigurationError, match=r"^layer 0 head 1: .* in \[0, 5\)"):
+                evict_layer(*self.make_pass(), [np.array([0, 1]), np.array([0, row])])
 
     def test_the_cache_owns_its_rows(self):
         keys, values = self.make_pass()
-        out = evict(keys, values, [np.array([1, 3])] * 2)
+        out = evict_layer(keys, values, [np.array([1, 3])] * 2)
         keys[:], values[:] = 0.0, 0.0
         assert np.all(out.keys[0] != 0.0) and np.all(out.values[1] != 0.0)
 
     def test_the_cache_aliases_no_array_it_was_given(self):
-        """evict adopts its own gathers and copies the table; the public
-        constructor copies all three arrays. Read-only inputs, such as a
-        shared prompt pass's rows or a broadcast table, still give a cache
-        that appends."""
+        """evict's caches hold its own gathers and a copy of the table.
+        Read-only inputs, such as a shared prompt pass's rows or a broadcast
+        table, still give a cache that appends."""
         keys, values = self.make_pass(rows=6)
         table = np.array([[0, 2, 5], [1, 2, 3]])
         keep_all = np.broadcast_to(np.arange(6), (2, 6))
         for array in (keys, values):
             array.flags.writeable = False
-        built = [evict(keys, values, table), evict(keys, values, keep_all),
-                 KvCacheLayer(keys, values, keep_all)]
+        built = [evict_layer(keys, values, table), evict_layer(keys, values, keep_all)]
         for out in built:
             for mine in (out.keys, out.values, out.positions):
                 assert not any(np.shares_memory(mine, given)
@@ -265,7 +268,7 @@ class TestEvict:
             out.append(1, np.ones(3), np.ones(3), position=6)
         table[:] = 4
         assert built[0].positions[0].tolist() == [0, 2, 5, 6]
-        np.testing.assert_array_equal(built[2].keys[1][:6], keys[1])
+        np.testing.assert_array_equal(built[1].keys[1][:6], keys[1])
 
     def test_a_stack_of_layers_evicts_like_each_layer(self, monkeypatch):
         """A (L, Hkv, m) table gives one cache per layer, each equal to that
@@ -279,12 +282,12 @@ class TestEvict:
         built = evict(keys, values, table)
         assert len(built) == 3
         for layer, out in enumerate(built):
-            alone = evict(keys[layer], values[layer], table[layer])
+            alone = evict_layer(keys[layer], values[layer], table[layer])
             for mine, want in ((out.keys, alone.keys), (out.values, alone.values),
                                (out.positions, alone.positions)):
                 assert mine.tobytes() == want.tobytes()
         built = []
-        monkeypatch.setattr(purekv.cache, "_caches", lambda *args: built.append(args))
+        monkeypatch.setattr(purekv.cache, "KvCacheLayer", lambda *args: built.append(args))
         for layer, g, bad in ((0, 1, [1, 2, 6]), (2, 0, [0, 0, 2]), (1, 1, [-1, 4, 5]),
                               (0, 0, [-3, 2, 5]), (1, 0, [3, 4, 9]), (2, 1, [0, 5, 5]),
                               (2, 1, [0, 5, 4]), (0, 0, [2, 0, 5]), (2, 1, [4, 6, 5])):
@@ -302,12 +305,12 @@ class TestEvict:
             evict(keys, values[:, :, :5], table)
 
     def test_positions_stay_increasing_after_eviction(self):
-        out = evict(*self.make_pass(rows=8), [np.array([1, 4, 6])] * 2)
+        out = evict_layer(*self.make_pass(rows=8), [np.array([1, 4, 6])] * 2)
         out.check_invariants()
         assert out.positions[0].tolist() == [1, 4, 6]
 
     def test_append_after_eviction_extends_positions(self):
-        out = evict(*self.make_pass(rows=4), [np.array([0, 3])] * 2)
+        out = evict_layer(*self.make_pass(rows=4), [np.array([0, 3])] * 2)
         for g in range(2):
             out.append(g, np.zeros(3), np.zeros(3), position=4)
         assert out.positions.tolist() == [[0, 3, 4], [0, 3, 4]]
@@ -316,17 +319,21 @@ class TestEvict:
 
     def test_one_set_per_head_required(self):
         keys, values = self.make_pass()
-        with pytest.raises(ConfigurationError, match=r"\(2, m\) retained table, got shape \(1, 2\)"):
-            evict(keys, values, [np.array([0, 1])])
+        with pytest.raises(ConfigurationError,
+                           match=r"\(1, 2, m\) retained table, got shape \(1, 1, 2\)"):
+            evict_layer(keys, values, [np.array([0, 1])])
         # one flat set of two positions is not a table with a row per head
         with pytest.raises(ConfigurationError, match="retained table"):
-            evict(keys, values, np.array([0, 1]))
+            evict_layer(keys, values, np.array([0, 1]))
         with pytest.raises(ConfigurationError, match="strictly increasing"):
-            evict(keys, values, [[0, 0], [1, 2]])
+            evict_layer(keys, values, [[0, 0], [1, 2]])
         with pytest.raises(ConfigurationError, match="strictly increasing"):
-            evict(keys, values, [[0, 1], [2, 1]])
+            evict_layer(keys, values, [[0, 1], [2, 1]])
         with pytest.raises(ConfigurationError, match="Hkv >= 1"):
-            evict(keys[:0], values[:0], np.zeros((0, 2)))
+            evict_layer(keys[:0], values[:0], np.zeros((0, 2)))
+        # one layer's rows are not a session's (L, Hkv, l, d) stack
+        with pytest.raises(ConfigurationError, match=r"\(L, Hkv, l, d\) stacks"):
+            evict(keys, values, [[[0, 1], [2, 3]]])
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), heads=st.integers(1, 4), rows=st.integers(1, 24),
@@ -339,7 +346,7 @@ class TestEvict:
         table = np.array([sorted(data.draw(st.lists(st.integers(0, rows - 1), min_size=m,
                                                     max_size=m, unique=True), label=f"head {g}"))
                           for g in range(heads)], dtype=np.int64).reshape(heads, m)
-        out = evict(keys, values, table)
+        out = evict_layer(keys, values, table)
         for g in range(heads):
             np.testing.assert_array_equal(out.keys[g], keys[g][table[g]])
             np.testing.assert_array_equal(out.values[g], values[g][table[g]])
@@ -364,11 +371,11 @@ class TestEvict:
             bad_tables.append(outside)
         for bad in bad_tables:
             with pytest.raises(ConfigurationError, match="strictly increasing"):
-                evict(keys, values, bad)
+                evict_layer(keys, values, bad)
         for bad in (np.concatenate([table, table[:1]]), table[None], table.ravel()):
             if bad.shape != table.shape:
                 with pytest.raises(ConfigurationError, match="retained table"):
-                    evict(keys, values, bad)
+                    evict_layer(keys, values, bad)
 
 
 def assert_views_equal(layer, keys, values, positions):
@@ -387,11 +394,14 @@ class TestStackedBuffers:
         # Appends (one head or all heads), evictions of equal heads and
         # rollbacks against a per-head concatenate oracle, through at least 3
         # capacity doublings.
+        # The layer starts from an eviction that keeps positions 2i + h of head h.
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        keys = [rng.standard_normal((rows, 3)) for _ in range(heads)]
-        values = [rng.standard_normal((rows, 2)) for _ in range(heads)]
+        prompt_keys = rng.standard_normal((heads, 2 * rows + heads, 3))
+        prompt_values = rng.standard_normal((heads, 2 * rows + heads, 2))
         positions = [np.arange(rows, dtype=np.int64) * 2 + h for h in range(heads)]
-        layer = KvCacheLayer(np.stack(keys), np.stack(values), np.stack(positions))
+        keys = [prompt_keys[h][positions[h]] for h in range(heads)]
+        values = [prompt_values[h][positions[h]] for h in range(heads)]
+        layer = evict_layer(prompt_keys, prompt_values, np.stack(positions))
         doublings = 0
 
         def append(h):
@@ -434,7 +444,7 @@ class TestStackedBuffers:
                                                             min_size=m, max_size=m, unique=True)))
                                   if m else [] for _ in range(heads)],
                                  dtype=np.int64).reshape(heads, m)
-                layer = evict(np.stack(keys), np.stack(values), table)
+                layer = evict_layer(np.stack(keys), np.stack(values), table)
                 for h in range(heads):
                     keep(h, table[h])
                     positions[h] = table[h]
@@ -461,7 +471,7 @@ class TestStackedBuffers:
         table = np.array([sorted(data.draw(st.lists(st.integers(0, rows - 1), min_size=m,
                                                     max_size=m, unique=True), label=f"head {g}"))
                           for g in range(heads)], dtype=np.int64).reshape(heads, m)
-        layer = evict(prompt_keys, prompt_values, table)
+        layer = evict_layer(prompt_keys, prompt_values, table)
         keys = [prompt_keys[g][table[g]] for g in range(heads)]
         values = [prompt_values[g][table[g]] for g in range(heads)]
         positions = list(table)
@@ -488,7 +498,7 @@ class TestStackedBuffers:
                     check()
 
     def test_truncate_only_rolls_back(self):
-        layer = KvCacheLayer(np.ones((2, 2, 3)), np.ones((2, 2, 3)), [[0, 1], [0, 1]])
+        layer = evict_layer(np.ones((2, 2, 3)), np.ones((2, 2, 3)), [[0, 1], [0, 1]])
         layer.append(0, np.ones(3), np.ones(3), position=2)
         with pytest.raises(ConfigurationError, match="cannot truncate"):
             layer.truncate(3)  # head 1 holds only 2 rows
@@ -496,16 +506,6 @@ class TestStackedBuffers:
             layer.truncate(-1)
         layer.truncate(2)
         assert [layer.rows(h) for h in range(2)] == [2, 2]
-
-    def test_heads_need_matching_row_counts(self):
-        with pytest.raises(ConfigurationError, match="got shapes"):
-            KvCacheLayer(np.ones((1, 2, 3)), np.ones((1, 1, 3)), [[0, 1]])
-        with pytest.raises(ConfigurationError, match="got shapes"):
-            KvCacheLayer(np.ones((2, 2, 3)), np.ones((2, 2, 3)), [[0, 1]])
-        with pytest.raises(ConfigurationError, match="got shapes"):
-            KvCacheLayer(np.ones((2, 3)), np.ones((2, 3)), [0, 1])  # one head, not stacked
-        with pytest.raises(ConfigurationError, match="got shapes"):
-            KvCacheLayer(np.ones((0, 2, 3)), np.ones((0, 2, 3)), np.zeros((0, 2)))
 
 
 class TestBaselines:

@@ -942,15 +942,13 @@ class TestSessionPhase:
         built = []
 
         class FailsOnLayer2(KvCacheLayer):
-            """evict builds layers 0 and 1's caches through the private path, then
-            layer 2's raises."""
+            """evict builds layers 0 and 1's caches, then layer 2's raises."""
 
-            @classmethod
-            def _adopt(cls, *args):
+            def __init__(self, *args):
                 if len(built) == 2:
                     raise RuntimeError("injected")
-                built.append(super()._adopt(*args))
-                return built[-1]
+                super().__init__(*args)
+                built.append(self)
 
         monkeypatch.setattr(purekv.cache, "KvCacheLayer", FailsOnLayer2)
         with pytest.raises(RuntimeError, match="injected"):
@@ -1351,23 +1349,17 @@ class TestPromptPass:
                              (4,), 2)
         session = init_session(model, LAYOUT, make_policy(budget=0.5), SparsityPattern.dense())
         built = []
-        real_init, real_adopt = KvCacheLayer.__init__, KvCacheLayer._adopt
+        real_init = KvCacheLayer.__init__
 
-        # A cache layer is built by the copying constructor or evict's private path.
         def counting_init(self, *args):
-            built.append("copy")
+            built.append(self)
             real_init(self, *args)
 
-        def counting_adopt(*args):
-            built.append("adopt")
-            return real_adopt(*args)
-
         monkeypatch.setattr(KvCacheLayer, "__init__", counting_init)
-        monkeypatch.setattr(KvCacheLayer, "_adopt", counting_adopt)
         prefill(model, session, shared)
         assert session.prompt is shared and session.cache == [] and built == []
         apply_compression(model, session)
-        assert built == ["adopt"] * len(session.cache) and len(session.cache) == SMALL.num_layers
+        assert built == session.cache and len(session.cache) == SMALL.num_layers
         assert session.prompt is None
 
     @pytest.mark.parametrize("change, kind, message", [
@@ -1686,3 +1678,19 @@ class TestValidationWindows:
                              (4,), SMALL.num_layers)
         with pytest.raises(ConfigurationError, match="one window"):
             validate_cross_layer([prompt], [], 1, n_perm=199)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_medians_are_numpys_bit_for_bit(self, data):
+        """_medians takes statistics.median, which averages a middle pair as
+        (a + b) / 2, as np.median does, so the two agree on any list with ties.
+        They can differ in the sign of a zero median, so the values are drawn
+        as validation makes them: its rho is never -0.0 (a sum of exact rank
+        products, one of them +0.0 if all are zero) and its p is at least
+        1 / (1 + n_perm)."""
+        pool = data.draw(st.lists(st.floats(-1, 1).map(lambda x: x + 0.0), min_size=1,
+                                  max_size=29, unique=True), label="values")
+        drawn = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=29), label="list")
+        medians = purekv.engine._medians([{"rho": x, "p": -x + 0.0} for x in drawn])
+        assert medians["median_rho"].hex() == float(np.median(drawn)).hex()
+        assert medians["median_p"].hex() == float(np.median([-x + 0.0 for x in drawn])).hex()

@@ -378,6 +378,30 @@ class TestWholeGrid:
         config = draw_grid(data)
         assert run_experiment(config)["cells"] == naive_grid(config)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_a_group_keeps_one_set_of_positions_below_the_sparsity_start(self, data):
+        """The premise of the grid's lender rule: below st_layer_index every
+        score comes from the dense layers all patterns share, so every
+        compressed cache of a (policy, budget) group keeps the same positions
+        in each of those layers. Each drawn grid runs every policy and pattern
+        kind, so every group holds each pattern."""
+        raw = draw_grid(data).raw
+        raw["experiment"].update(policies=KINDS, patterns=PATTERNS)
+        config, kept, real = load_config(raw), {}, purekv.engine.apply_compression
+
+        def apply_compression(model, session):
+            real(model, session)
+            policy = session.policy
+            kept.setdefault((policy.policy_kind, policy.budget_fraction), set()).add(
+                tuple(kv.positions.tobytes() for kv in session.cache[:policy.st_layer_index]))
+            return session
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(purekv.engine, "apply_compression", apply_compression)
+            run_experiment(config)
+        assert kept and all(len(lower) == 1 for lower in kept.values())
+
 
 def test_no_session_outlives_its_policy_budget_group(monkeypatch):
     """When a session opens, every session of an earlier (policy, budget)
