@@ -15,8 +15,8 @@ evict is the only way to build a cache. It writes each retained row of a
 session's prompt pass once, into fresh buffers of capacity 2m that each
 layer's KvCacheLayer takes over privately: no dropped row is copied, and the
 first m decode appends grow nothing. truncate makes a failed decode step
-undoable, and extends is what a decode step checks before it borrows a
-twin's rows."""
+undoable, and same_rows is what compression checks before a session takes
+another's layer in place of its own."""
 
 from __future__ import annotations
 
@@ -99,14 +99,11 @@ class KvCacheLayer:
             raise ConfigurationError(f"cannot truncate committed lengths {self._lengths} to {n}")
         self._lengths = [n] * self.num_heads
 
-    def extends(self, other: KvCacheLayer) -> bool:
-        """Whether this layer commits exactly one row more than other and its first
-        rows are other's committed positions, keys and values, bit for bit."""
-        n = min(other._lengths)
-        return (min(self._lengths) == n + 1
-                and self._positions[:, :n].tobytes() == other._positions[:, :n].tobytes()
-                and self._keys[:, :n].tobytes() == other._keys[:, :n].tobytes()
-                and self._values[:, :n].tobytes() == other._values[:, :n].tobytes())
+    def same_rows(self, other: KvCacheLayer) -> bool:
+        """Whether this layer commits other's positions, keys and values, bit for bit."""
+        return all(mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
+                   for mine, theirs in ((self.positions, other.positions),
+                                        (self.keys, other.keys), (self.values, other.values)))
 
     def check_invariants(self):
         for h, n in enumerate(self._lengths):

@@ -149,17 +149,17 @@ class SessionState:
     h: int = 0
     phase: str = "new"  # "new", then "prefilled", then "compressed"
     step_count: int = 0
-    last_step: DecodeRecord | None = None  # what a twin's decode_step(..., base) borrows
+    lender: SessionState | None = None  # the session whose layers below st_layer_index cache shares
+    last_step: DecodeRecord | None = None  # what a session borrowing this one's layers reads
 
 
 class DecodeRecord(NamedTuple):
-    """A session's latest decode step, as a twin borrows it: the model and the
-    embedding's bytes it took, each layer's fused q, k, v projection row below
-    st_layer_index, and the (1, d_model) hidden row that entered st_layer_index."""
+    """A session's latest decode step, as a borrower follows it: the model and the
+    embedding's bytes it took and the (1, d_model) hidden row that entered
+    st_layer_index."""
 
     model: Model
     embedding: bytes
-    rows: list[np.ndarray]
     hidden: np.ndarray
 
 
@@ -384,9 +384,13 @@ def prefill(model: Model, session: SessionState, prompt) -> np.ndarray:
     return prompt.logits
 
 
-def apply_compression(model: Model, session: SessionState) -> SessionState:
+def apply_compression(model: Model, session: SessionState,
+                      lender: SessionState | None = None) -> SessionState:
     """Score, select, and evict the whole layer stack once at the end of prefill,
-    building every layer's cache from the pass; all or nothing."""
+    building every layer's cache from the pass; all or nothing. A lender is a
+    compressed session, not yet decoded, of the same prompt length and
+    st_layer_index whose layers below st_layer_index hold this session's rows bit
+    for bit; the session keeps those layer objects in place of its own."""
     if session.phase == "new":
         raise ConfigurationError("apply_compression requires a completed prefill")
     if session.phase == "compressed":
@@ -411,26 +415,32 @@ def apply_compression(model: Model, session: SessionState) -> SessionState:
     else:
         retained = select_retained(prompt.colsums[..., : l - w], w, h_count, l)
     cache = evict(prompt.keys, prompt.values, retained)
-    # All or nothing: the session changes only once every layer is evicted.
-    session.cache, session.prompt, session.phase = cache, None, "compressed"
+    if lender is not None:
+        split = policy.st_layer_index
+        if lender.phase != "compressed" or lender.step_count:
+            raise ConfigurationError("lender must be a compressed session that has not decoded")
+        if (lender.prefill_len, lender.policy.st_layer_index) != (l, split):
+            raise ConfigurationError(
+                f"lender must share the prompt length {l} and st_layer_index {split}, "
+                f"got {lender.prefill_len} and {lender.policy.st_layer_index}")
+        for layer, (own, lent) in enumerate(zip(cache[:split], lender.cache)):
+            if not own.same_rows(lent):
+                raise ConfigurationError(f"lender's layer {layer} does not hold this "
+                                         f"session's positions, keys and values")
+        cache[:split] = lender.cache[:split]
+    # All or nothing: the session changes only once every layer is evicted and checked.
+    session.cache, session.prompt, session.lender, session.phase = cache, None, lender, "compressed"
     return session
 
 
-def decode_step(model: Model, session: SessionState, token_embedding,
-                base: SessionState | None = None) -> np.ndarray:
+def decode_step(model: Model, session: SessionState, token_embedding) -> np.ndarray:
     """One autoregressive step over the retained cache; returns (vocab,) logits.
 
-    base, when given, is a twin that has just taken this step: a compressed
-    session of the same model, prompt length and st_layer_index, exactly one
-    step ahead, that took a bit-identical embedding and whose layers below
-    st_layer_index hold this session's positions, keys and values plus that
-    step's row. Those layers would compute the same rows here, so the step
-    appends base's new rows to this session's own layers and runs only the
-    layers from st_layer_index up, from the hidden row base kept there: the
-    logits, rows and positions are a step's without base, bit for bit. It
-    raises ConfigurationError before changing anything when base is not such
-    a twin.
-    """
+    A session with a lender follows the step the lender has just taken, with
+    this model on a bit-identical embedding, into the layers they share: it runs
+    only the layers from st_layer_index up, from the hidden row the lender kept
+    there, and its logits and rows are a lone session's, bit for bit. A failed
+    step rolls back only the layers the session owns."""
     if session.phase != "compressed":
         raise ConfigurationError("decode requires apply_compression (or the full policy) first")
     c = model.config
@@ -440,24 +450,26 @@ def decode_step(model: Model, session: SessionState, token_embedding,
                                  f"got shape {x.shape}")
     x = x.reshape(1, -1)
     sums = _require_finite(x, "token embedding")
-    embedding, split = x.tobytes(), session.policy.st_layer_index
-    if base is not None:
-        _check_twin(model, session, base, embedding)
+    embedding, split, lender = x.tobytes(), session.policy.st_layer_index, session.lender
+    start = 0
+    if lender is not None:
+        if lender.step_count != session.step_count + 1:
+            raise ConfigurationError(
+                f"lender must be exactly one step ahead: it has taken {lender.step_count} "
+                f"steps, this session {session.step_count}")
+        if lender.last_step.model is not model:
+            raise ConfigurationError("lender took its latest step with another model")
+        if lender.last_step.embedding != embedding:
+            raise ConfigurationError("lender took its latest step on a different token embedding")
+        x, sums, start = lender.last_step.hidden, None, split
 
     position = session.prefill_len + session.step_count
-    committed = [min(kv._lengths) for kv in session.cache]
+    own = session.cache[start:]
+    committed = [min(kv._lengths) for kv in own]
     hkv, q_end, k_end = c.num_kv_heads, c.d_model, c.d_model + c.num_kv_heads * c.d_k
-    rows, start = [], 0  # rows: this step's qkv rows below st_layer_index, kept for a twin
+    hidden = x  # the row entering st_layer_index, once the layers below it have run
     try:
-        if base is not None:
-            _, _, rows, x = base.last_step
-            sums, start = None, split
-            for kv, qkv in zip(session.cache, rows):
-                k, v = qkv[q_end:k_end].reshape(hkv, -1), qkv[k_end:].reshape(hkv, -1)
-                for g in range(hkv):
-                    kv.append(g, k[g], v[g], position)
-        hidden = x  # the row entering st_layer_index, once the layers below it have run
-        for kv, weights in zip(session.cache[start:], model.layers[start:]):
+        for layer, (kv, weights) in enumerate(zip(own, model.layers[start:]), start):
             qkv = (_rmsnorm(x, sums) @ weights.wqkv)[0]
             sums = None
             k, v = qkv[q_end:k_end].reshape(hkv, -1), qkv[k_end:].reshape(hkv, -1)
@@ -465,38 +477,17 @@ def decode_step(model: Model, session: SessionState, token_embedding,
                 kv.append(g, k[g], v[g], position)
             q = qkv[:q_end].reshape(hkv, c.group_size, -1)
             x = _block(x, weights, attention._decode(q, kv.keys, kv.values).reshape(1, -1))
-            if len(rows) < split:
-                rows.append(qkv)
+            if layer < split:
                 hidden = x
     except BaseException:
-        # All or nothing: the rows this step appended, borrowed ones too, are dropped again.
-        for kv, n in zip(session.cache, committed):
+        # All or nothing: the rows this step appended to the session's own layers are dropped.
+        for kv, n in zip(own, committed):
             kv.truncate(n)
         raise
 
     session.step_count += 1
-    session.last_step = DecodeRecord(model, embedding, rows, hidden)
+    session.last_step = DecodeRecord(model, embedding, hidden)
     return (_rmsnorm(x) @ model.w_vocab)[0]
-
-
-def _check_twin(model: Model, session: SessionState, base: SessionState, embedding: bytes):
-    """Raise ConfigurationError unless base is a twin decode_step may borrow from."""
-    split, record = session.policy.st_layer_index, base.last_step
-    if record is None or record.model is not model:
-        raise ConfigurationError("base must be a session that has decoded with this model")
-    if (base.prefill_len, base.policy.st_layer_index) != (session.prefill_len, split):
-        raise ConfigurationError(
-            f"base must share the prompt length {session.prefill_len} and st_layer_index "
-            f"{split}, got {base.prefill_len} and {base.policy.st_layer_index}")
-    if base.step_count != session.step_count + 1:
-        raise ConfigurationError(f"base must be exactly one step ahead: it has taken "
-                                 f"{base.step_count} steps, this session {session.step_count}")
-    if record.embedding != embedding:
-        raise ConfigurationError("base took its latest step on a different token embedding")
-    for layer, (own, twin) in enumerate(zip(session.cache[:split], base.cache)):
-        if not twin.extends(own):
-            raise ConfigurationError(f"base's layer {layer} does not hold this session's "
-                                     f"rows and one more")
 
 
 def validate_cross_layer(prompts, windows, analysis_layer: int, n_perm: int = 999,

@@ -314,16 +314,18 @@ def run_experiment(source) -> dict:
             session = engine.init_session(model, config.layout, config.policy(policy_kind, budget),
                                           pattern, config.tile_size)
             engine.prefill(model, session, per_pattern[pattern][0])
-            engine.apply_compression(model, session)
+            # Below st_layer_index every score comes from the dense layers all patterns
+            # share, so each cache of the group keeps the same rows there: the first new
+            # one lends the others those layer objects. Sharing them is safe because the
+            # group compresses every cell before any decodes, and then decodes in
+            # lockstep, the lender first at every step.
+            engine.apply_compression(model, session, *lender)
             # Decode reads only the cache's rows, so caches of one pattern that keep
             # the same positions in every layer decode to bit-identical logits.
             key = (pattern, *(kv.positions.tobytes() for kv in session.cache))
             if key not in decoded:
                 decoded[key] = []
-                # Below st_layer_index every score comes from the dense layers all patterns
-                # share, so each cache of the group keeps the same positions there: the
-                # first new one lends the others those layers' rows (decode_step's base).
-                runs[key] = session, lender
+                runs[key] = session
                 lender = lender or [session]
             recall = None  # decode appends no prompt position, so it cannot change recall
             if salient.size:
@@ -331,12 +333,12 @@ def run_experiment(source) -> dict:
                 recall = float(np.mean(salient_recall(table, salient)))
             out.append((key, session.prefill_len, session.w, session.h, recall))
         for row in decode_rows:
-            for key, (session, base) in runs.items():
-                decoded[key].append(engine.decode_step(model, session, row, *base))
+            for key, session in runs.items():
+                decoded[key].append(engine.decode_step(model, session, row))
         return out
 
     # The reference leads the ("full", 1.0) group, and the groups run in turn,
-    # so twins decode side by side and only one group's sessions are alive.
+    # so only one group's sessions are alive.
     reference = ("full", dense, 1.0)
     groups = {("full", 1.0): [reference]}
     for cell in _experiment_cells(config):

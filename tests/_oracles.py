@@ -234,7 +234,7 @@ def score_low_validation(prompts, w, analysis_layer):
 
 def naive_grid(config):
     """run_experiment's report cells, each cell run alone: its own prompt pass
-    from the embeddings, its own compression, its own decode with no base, and
+    from the embeddings, its own compression with no lender, its own decode, and
     one validate_cross_layer call on a pass of its own pattern. No pass, cache,
     decode or validation is shared, so these are the bits the grid's reuse
     must reproduce."""

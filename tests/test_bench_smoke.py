@@ -11,6 +11,7 @@ exits 3 when one is missing), and at seed 0 compares example-grid's report
 with perfbench/golden/.
 
 Each traced run writes its spans to the repository's gitignored .perfbench-out/.
+The in-process test installs the benchmark's session checks on a grid run.
 """
 
 import json
@@ -44,3 +45,34 @@ def test_untraced_run_is_correct_and_reports_every_gated_metric(workload):
     gate = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert result["correct"] is True and result["failed"] == 0
     assert set(result["metrics"]) == {metric["name"] for metric in gate["end_to_end"]}
+
+
+def test_the_benchmarks_session_checks_pass_on_a_grid_with_lenders(monkeypatch):
+    """perfbench/sessions.py's SessionRecorder, imported as perfbench/tests does,
+    checks every logit and every layer's and head's row count after each
+    compression and decode step. On the example grid, whose borrowers hold
+    their lenders' layers below st_layer_index, it finds no problem on any of
+    the 39 sessions."""
+    for path in (ROOT / "src", ROOT / "perfbench"):
+        monkeypatch.syspath_prepend(str(path))
+    import purekv.engine
+    from purekv.harness import run_experiment
+    from sessions import SessionRecorder
+    from speed import NoProbe
+
+    lenders, real_compress = [], purekv.engine.apply_compression
+
+    def apply_compression(model, session, *args):
+        lenders.extend(args)
+        return real_compress(model, session, *args)
+
+    monkeypatch.setattr(purekv.engine, "apply_compression", apply_compression)
+    recorder = SessionRecorder(NoProbe())
+    recorder.install()
+    try:
+        run_experiment(str(ROOT / "configs" / "example.json"))
+    finally:
+        assert recorder.patches.restore() == []
+    assert len(lenders) == 15 and len(recorder.sessions) == 39
+    assert sum(len(rec.decode) for rec in recorder.sessions) == 28 * 8
+    assert [rec.problems for rec in recorder.sessions if rec.problems] == []

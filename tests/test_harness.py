@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import purekv.engine
+from purekv.cache import KvCacheLayer
 from purekv.engine import ModelConfig
 from purekv.errors import ConfigurationError
 from purekv.harness import (
@@ -455,9 +456,9 @@ def count_decodes(monkeypatch):
     decoded = []
     real_decode = purekv.engine.decode_step
 
-    def decode_step(model, session, row, *base):
+    def decode_step(model, session, *args):
         decoded.append((session.policy.policy_kind, session.pattern.describe()))
-        return real_decode(model, session, row, *base)
+        return real_decode(model, session, *args)
 
     monkeypatch.setattr(purekv.engine, "decode_step", decode_step)
     return decoded
@@ -479,40 +480,58 @@ class TestDecodeSharing:
 
     def test_example_grid_twins_borrow_the_layers_below_the_sparsity_start(self, monkeypatch):
         """28 distinct caches, 8 steps and 8 layers are 1,792 decode layer
-        steps. The 14 spatial_temporal caches keep, below st_layer_index = 4,
-        the positions of a dense cache of their (policy, budget) group (the
-        full one that of the reference), so each of their steps borrows those
-        4 layers: 1,792 - 14 * 8 * 4 = 1,344 calls of the decode kernel. The
+        steps. Below st_layer_index = 4 every cache of a (policy, budget) group
+        keeps the same rows, so each of the 15 sessions compressed after its
+        group's first new cache holds that dense cache's layers there (the full
+        one that of the reference). One is the full dense cell, the reference's
+        cache again, which never decodes. The other 14 are new spatial_temporal
+        caches, whose steps run only the 4 layers above: 1,792 - 14 * 8 * 4 =
+        1,344 calls of the decode kernel, at 2 KV heads an append each. The
         report stays the golden copy."""
-        kernel_calls, borrowed = [], []
-        real_kernel, real_decode = purekv.attention._decode, purekv.engine.decode_step
+        kernel_calls, appends, lent, lent_steps = [], [], [], []
+        real_kernel, real_append = purekv.attention._decode, KvCacheLayer.append
+        real_compress, real_decode = purekv.engine.apply_compression, purekv.engine.decode_step
 
         def kernel(*args):
             kernel_calls.append(1)
             return real_kernel(*args)
 
-        def decode_step(model, session, row, *base):
-            if base:
-                borrowed.append((session.policy.policy_kind, session.pattern.describe(),
-                                 base[0].pattern.describe()))
-            return real_decode(model, session, row, *base)
+        def append(*args):
+            appends.append(1)
+            return real_append(*args)
+
+        def apply_compression(model, session, *args):
+            if args:
+                lent.append((session.policy.policy_kind, session.pattern.describe(),
+                             args[0].pattern.describe()))
+            return real_compress(model, session, *args)
+
+        def decode_step(model, session, *args):
+            if session.lender is not None:
+                lent_steps.append(session.policy.policy_kind)
+            return real_decode(model, session, *args)
 
         monkeypatch.setattr(purekv.attention, "_decode", kernel)
+        monkeypatch.setattr(KvCacheLayer, "append", append)
+        monkeypatch.setattr(purekv.engine, "apply_compression", apply_compression)
         monkeypatch.setattr(purekv.engine, "decode_step", decode_step)
         report = run_experiment(str(ROOT / "configs" / "example.json"))
         golden = (ROOT / "perfbench" / "golden" / "example-grid.report.json").read_text()
         assert render_report(report, "json") == golden
         assert len(kernel_calls) == 28 * 8 * 8 - 14 * 8 * 4 == 1344
-        assert len(borrowed) == 14 * 8
-        assert {(twin, lender) for _, twin, lender in borrowed} == {("spatial_temporal", "dense")}
-        assert {kind for kind, *_ in borrowed} == {"full", "pure_kv", "h2o_like", "streaming_like"}
+        assert len(appends) == 2 * 1344 == 2688
+        assert len(lent) == 15 and lent[0] == ("full", "dense", "dense")
+        assert {(pattern, lender) for _, pattern, lender in lent[1:]} == {
+            ("spatial_temporal", "dense")}
+        assert len(lent_steps) == 14 * 8 == 112
+        assert set(lent_steps) == {"full", "pure_kv", "h2o_like", "streaming_like"}
 
     def test_a_grid_of_distinct_caches_decodes_every_cell(self, monkeypatch):
         caches = []
         real_compress = purekv.engine.apply_compression
 
-        def apply_compression(model, session):
-            real_compress(model, session)
+        def apply_compression(model, session, *args):
+            real_compress(model, session, *args)
             caches.append((session.pattern.describe(),
                            *(kv.positions.tobytes() for kv in session.cache)))
             return session
@@ -533,8 +552,8 @@ def test_every_cell_reports_the_rows_its_cache_commits(monkeypatch):
     committed = []
     real_compress = purekv.engine.apply_compression
 
-    def apply_compression(model, session):
-        real_compress(model, session)
+    def apply_compression(model, session, *args):
+        real_compress(model, session, *args)
         policy = session.policy
         committed.append(((policy.policy_kind, session.pattern.describe(), policy.budget_fraction),
                           {kv.rows(g) for kv in session.cache for g in range(kv.num_heads)}))
