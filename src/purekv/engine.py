@@ -7,23 +7,9 @@ and sparsity start s = st_layer_index (config requires s > e):
     layers 0..s-1    dense causal mask
     layers s..L-1    the configured sparsity pattern's mask
 
-Head layout: q is (Hkv, G, n, d_k), k and v are (Hkv, n, d), where query
-head g * G + j is q[g, j] and reads KV head g. _project_heads builds it for
-a prompt and decode_step for its one row; every attention call takes it.
-_block takes the head outputs as (n, Hq * d_v) rows: prompt_pass transposes
-its (Hkv, G, n, d_v) outputs into them, and decode's (Hkv, G, d_v) output is
-already in that order. No other code reshapes or transposes head axes.
-
-session.phase is "new", then "prefilled", then "compressed"; every session
-entry point checks it first and raises before changing anything.
-
 Decode never calls masked, and its one softmax row per query head lives only
 inside attention._decode, so decode stays streaming-compatible: no caller can
 read its attention weights.
-
-Embeddings that enter prefill or decode must be finite, and small enough
-that RMSNorm's sum of squares of each row stays finite; anything else is
-rejected with a ValueError before the session changes.
 
 Positions enter only through causal masking; there is no rotary or learned
 positional encoding, and embeddings are supplied by the caller. The block is
@@ -147,7 +133,7 @@ class SessionState:
     prefill_len: int = 0
     w: int = 0
     h: int = 0
-    phase: str = "new"  # "new", then "prefilled", then "compressed"
+    phase: str = "new"  # then "prefilled", then "compressed"; entry points check it first
     step_count: int = 0
     lender: SessionState | None = None  # the session whose layers below st_layer_index cache shares
     last_step: DecodeRecord | None = None  # what a session borrowing this one's layers reads
@@ -197,9 +183,10 @@ def init_session(model: Model, layout: TokenLayout, policy: PolicyConfig,
 
 def _require_finite(x: np.ndarray, what: str) -> np.ndarray:
     """Reject NaN or inf input, and rows whose squares _rmsnorm could not sum
-    (about 1e154 and up), before they reach any session state: one check of
-    the sums, which a NaN or inf also makes non-finite, finds both. Returns
-    the row sums of squares, which the first layer's _rmsnorm reuses."""
+    (about 1e154 and up), with a ValueError before they reach any session
+    state: one check of the sums, which a NaN or inf also makes non-finite,
+    finds both. Returns the row sums of squares, which the first layer's
+    _rmsnorm reuses."""
     with np.errstate(over="ignore"):
         sums = np.add.reduce(x * x, axis=1)
     if not np.isfinite(sums).all():
@@ -220,7 +207,8 @@ def _rmsnorm(x: np.ndarray, sums: np.ndarray | None = None) -> np.ndarray:
 
 
 def _project_heads(h: np.ndarray, weights: LayerWeights, config: ModelConfig):
-    """q as (Hkv, G, n, d_k), k and v as (Hkv, n, d): query head g * G + j is q[g, j]."""
+    """q as (Hkv, G, n, d_k), k and v as (Hkv, n, d), the head layout every attention
+    call takes: query head g * G + j is q[g, j] and reads KV head g."""
     c = config
     n = h.shape[0]
     q = (h @ weights.wq).reshape(n, c.num_kv_heads, c.group_size, c.d_k).transpose(1, 2, 0, 3)
@@ -465,7 +453,7 @@ def decode_step(model: Model, session: SessionState, token_embedding) -> np.ndar
 
     position = session.prefill_len + session.step_count
     own = session.cache[start:]
-    committed = [min(kv._lengths) for kv in own]
+    committed = session.w + session.h + session.step_count  # the rows every layer holds
     hkv, q_end, k_end = c.num_kv_heads, c.d_model, c.d_model + c.num_kv_heads * c.d_k
     hidden = x  # the row entering st_layer_index, once the layers below it have run
     try:
@@ -481,8 +469,8 @@ def decode_step(model: Model, session: SessionState, token_embedding) -> np.ndar
                 hidden = x
     except BaseException:
         # All or nothing: the rows this step appended to the session's own layers are dropped.
-        for kv, n in zip(own, committed):
-            kv.truncate(n)
+        for kv in own:
+            kv.truncate(committed)
         raise
 
     session.step_count += 1

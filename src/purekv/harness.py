@@ -337,11 +337,12 @@ def run_experiment(source) -> dict:
                 decoded[key].append(engine.decode_step(model, session, row))
         return out
 
-    # The reference leads the ("full", 1.0) group, and the groups run in turn,
-    # so only one group's sessions are alive.
+    # One session per distinct cell. The reference (the grid's full dense cell, when
+    # it has one) leads the ("full", 1.0) group, and the groups run in turn, so only
+    # one group's sessions are alive.
     reference = ("full", dense, 1.0)
-    groups = {("full", 1.0): [reference]}
-    for cell in _experiment_cells(config):
+    groups = {}
+    for cell in dict.fromkeys([reference, *_experiment_cells(config)]):
         groups.setdefault((cell[0], cell[2]), []).append(cell)
     results = {}
     for group in groups.values():
@@ -350,8 +351,8 @@ def run_experiment(source) -> dict:
     # Validation reads the pattern and the recent window, never the budget: one
     # call validates every pattern's pass at every window a cell uses.
     validations = {}
-    if config.validate:
-        ws = list(dict.fromkeys(results[cell][2] for cell in _experiment_cells(config)))
+    ws = list(dict.fromkeys(results[cell][2] for cell in _experiment_cells(config)))
+    if config.validate and ws:  # an empty grid has no window to validate
         reports = engine.validate_cross_layer([per_pattern[p][0] for p in patterns], ws,
                                               config.clie_layer_index, config.n_perm,
                                               config.stats_seed)

@@ -7,6 +7,7 @@ per criterion (the test names themselves carry the criterion numbers).
 import contextlib
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -43,6 +44,9 @@ from purekv.stats import rank, spearman_rho
 
 REPO = Path(__file__).resolve().parents[1]
 EXAMPLE_CONFIG = REPO / "configs" / "example.json"
+# `python -m purekv` in a subprocess finds the package in this checkout, installed or not.
+CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
 
 SPARSE_PATTERNS = (
     SparsityPattern.local(4),
@@ -430,7 +434,7 @@ def test_criterion_10_cli_determinism():
                 proc = subprocess.run(
                     [sys.executable, "-m", "purekv", "run",
                      "--config", str(EXAMPLE_CONFIG), "--out", str(out)],
-                    capture_output=True, text=True, cwd=REPO,
+                    capture_output=True, text=True, cwd=REPO, env=CLI_ENV,
                 )
                 assert proc.returncode == 0, proc.stderr
                 outputs.append(out.read_bytes())

@@ -52,7 +52,7 @@ def test_the_benchmarks_session_checks_pass_on_a_grid_with_lenders(monkeypatch):
     checks every logit and every layer's and head's row count after each
     compression and decode step. On the example grid, whose borrowers hold
     their lenders' layers below st_layer_index, it finds no problem on any of
-    the 39 sessions."""
+    the 38 sessions, one per cell, of which 14 borrow."""
     for path in (ROOT / "src", ROOT / "perfbench"):
         monkeypatch.syspath_prepend(str(path))
     import purekv.engine
@@ -60,12 +60,18 @@ def test_the_benchmarks_session_checks_pass_on_a_grid_with_lenders(monkeypatch):
     from sessions import SessionRecorder
     from speed import NoProbe
 
-    lenders, real_compress = [], purekv.engine.apply_compression
+    prefilled, lenders = [], []  # one entry per call: the session, the lenders passed
+    real_prefill, real_compress = purekv.engine.prefill, purekv.engine.apply_compression
+
+    def prefill(model, session, *args):
+        prefilled.append(session)
+        return real_prefill(model, session, *args)
 
     def apply_compression(model, session, *args):
-        lenders.extend(args)
+        lenders.append(args)
         return real_compress(model, session, *args)
 
+    monkeypatch.setattr(purekv.engine, "prefill", prefill)
     monkeypatch.setattr(purekv.engine, "apply_compression", apply_compression)
     recorder = SessionRecorder(NoProbe())
     recorder.install()
@@ -73,6 +79,7 @@ def test_the_benchmarks_session_checks_pass_on_a_grid_with_lenders(monkeypatch):
         run_experiment(str(ROOT / "configs" / "example.json"))
     finally:
         assert recorder.patches.restore() == []
-    assert len(lenders) == 15 and len(recorder.sessions) == 39
+    assert len(recorder.sessions) == len(prefilled) == len(lenders) == 38
+    assert sum(map(len, lenders)) == 14
     assert sum(len(rec.decode) for rec in recorder.sessions) == 28 * 8
     assert [rec.problems for rec in recorder.sessions if rec.problems] == []

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, output formats, and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,9 @@ from purekv.masks import SparsityPattern, TokenLayout, build_mask, mask_to_text
 
 REPO = Path(__file__).resolve().parents[1]
 EXAMPLE_CONFIG = REPO / "configs" / "example.json"
+# `python -m purekv` in a subprocess finds the package in this checkout, installed or not.
+CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
 
 
 def small_config(tmp_path, **experiment):
@@ -83,6 +87,16 @@ class TestRunCommand:
         golden = (REPO / "tests" / "golden" / "example.seed5.report.json").read_text()
         assert capsys.readouterr().out == golden
 
+    @pytest.mark.parametrize("empty", [{"policies": []}, {"patterns": []}, {"budgets": []}])
+    def test_an_empty_grid_with_validation_reports_no_cells(self, tmp_path, empty):
+        cfg = small_config(tmp_path, validate=True, **empty)
+        json_out, csv_out = tmp_path / "report.json", tmp_path / "report.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(json_out)]) == 0
+        assert main(["run", "--config", str(cfg), "--format", "csv", "--out", str(csv_out)]) == 0
+        assert json.loads(json_out.read_text())["cells"] == []
+        lines = csv_out.read_text().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("policy,pattern,budget_fraction")
+
     def test_missing_config_exits_one(self, capsys):
         assert main(["run", "--config", "/no/such/config.json"]) == 1
         assert "configuration error" in capsys.readouterr().err
@@ -149,7 +163,7 @@ class TestInstalledEntryPoint:
             proc = subprocess.run(
                 [sys.executable, "-m", "purekv", "run", "--config", str(cfg),
                  "--out", str(out)],
-                capture_output=True, text=True, cwd=REPO,
+                capture_output=True, text=True, cwd=REPO, env=CLI_ENV,
             )
             assert proc.returncode == 0, proc.stderr
         assert out_a.read_bytes() == out_b.read_bytes()

@@ -466,7 +466,7 @@ def count_decodes(monkeypatch):
 
 class TestDecodeSharing:
     def test_example_grid_decodes_each_distinct_cache_once(self, monkeypatch):
-        """39 sessions hold 28 distinct caches: every policy keeps every row at
+        """38 sessions hold 28 distinct caches: every policy keeps every row at
         budget 1.0, and at 0.1 and 0.05 pure_kv and h2o_like keep only the
         recent window. The report stays the golden copy."""
         decoded = count_decodes(monkeypatch)
@@ -481,13 +481,12 @@ class TestDecodeSharing:
     def test_example_grid_twins_borrow_the_layers_below_the_sparsity_start(self, monkeypatch):
         """28 distinct caches, 8 steps and 8 layers are 1,792 decode layer
         steps. Below st_layer_index = 4 every cache of a (policy, budget) group
-        keeps the same rows, so each of the 15 sessions compressed after its
+        keeps the same rows, so each of the 14 sessions compressed after its
         group's first new cache holds that dense cache's layers there (the full
-        one that of the reference). One is the full dense cell, the reference's
-        cache again, which never decodes. The other 14 are new spatial_temporal
-        caches, whose steps run only the 4 layers above: 1,792 - 14 * 8 * 4 =
-        1,344 calls of the decode kernel, at 2 KV heads an append each. The
-        report stays the golden copy."""
+        one that of the reference, which is the full dense cell). All 14 are
+        new spatial_temporal caches, whose steps run only the 4 layers above:
+        1,792 - 14 * 8 * 4 = 1,344 calls of the decode kernel, at 2 KV heads an
+        append each. The report stays the golden copy."""
         kernel_calls, appends, lent, lent_steps = [], [], [], []
         real_kernel, real_append = purekv.attention._decode, KvCacheLayer.append
         real_compress, real_decode = purekv.engine.apply_compression, purekv.engine.decode_step
@@ -520,11 +519,33 @@ class TestDecodeSharing:
         assert render_report(report, "json") == golden
         assert len(kernel_calls) == 28 * 8 * 8 - 14 * 8 * 4 == 1344
         assert len(appends) == 2 * 1344 == 2688
-        assert len(lent) == 15 and lent[0] == ("full", "dense", "dense")
-        assert {(pattern, lender) for _, pattern, lender in lent[1:]} == {
+        assert len(lent) == 14 and lent[0] == ("full", "spatial_temporal", "dense")
+        assert {(pattern, lender) for _, pattern, lender in lent} == {
             ("spatial_temporal", "dense")}
         assert len(lent_steps) == 14 * 8 == 112
         assert set(lent_steps) == {"full", "pure_kv", "h2o_like", "streaming_like"}
+
+    def test_a_cell_listed_twice_opens_one_session_and_is_reported_twice(self, monkeypatch):
+        opened, real_init = [], purekv.engine.init_session
+
+        def init_session(model, layout, policy, pattern, *args):
+            opened.append((policy.policy_kind, pattern.describe(), policy.budget_fraction))
+            return real_init(model, layout, policy, pattern, *args)
+
+        monkeypatch.setattr(purekv.engine, "init_session", init_session)
+        twice = run_experiment(base_config(policies=["pure_kv", "full", "pure_kv"],
+                                           patterns=["temporal", "dense", "temporal"],
+                                           validate=True, n_perm=199))
+        listed = [(c["policy"], c["pattern"], c["budget_fraction"]) for c in twice["cells"]]
+        # Three policies by three patterns, full at budget 1.0 only: 9 cells, 4 distinct,
+        # of which the full dense one is the reference.
+        assert len(listed) == 9 and len(opened) == len(set(opened)) == 4
+        assert set(opened) == set(listed)
+        once = run_experiment(base_config(policies=["pure_kv", "full"],
+                                          patterns=["temporal", "dense"],
+                                          validate=True, n_perm=199))
+        values = {(c["policy"], c["pattern"], c["budget_fraction"]): c for c in once["cells"]}
+        assert twice["cells"] == [values[cell] for cell in listed]
 
     def test_a_grid_of_distinct_caches_decodes_every_cell(self, monkeypatch):
         caches = []
@@ -561,13 +582,14 @@ def test_every_cell_reports_the_rows_its_cache_commits(monkeypatch):
 
     monkeypatch.setattr(purekv.engine, "apply_compression", apply_compression)
     report = run_experiment(str(ROOT / "configs" / "example.json"))
-    # The reference comes first; the cells follow a (policy, budget) group at a
-    # time, so each is matched to its compression by its grid key.
-    assert len(committed) == 1 + len(report["cells"])
-    assert committed[0] == (("full", "dense", 1.0), {report["cells"][0]["sequence_len"]})
+    # One compression per distinct cell, the reference (the full dense cell)
+    # first; the cells follow a (policy, budget) group at a time, so each is
+    # matched to its compression by its grid key.
     cells = {(c["policy"], c["pattern"], c["budget_fraction"]): {c["retained_per_head"]}
              for c in report["cells"]}
-    assert len(cells) == len(report["cells"]) and dict(committed[1:]) == cells
+    assert len(committed) == len(cells) == len(report["cells"])
+    assert committed[0] == (("full", "dense", 1.0), {report["cells"][0]["sequence_len"]})
+    assert dict(committed) == cells
     assert len({c["retained_per_head"] for c in report["cells"]}) > 2
 
 
