@@ -5,11 +5,11 @@ walk the queries in tiles of rows, so callers above them structurally cannot
 read weights, and decode is the unmasked, untiled case for one new token.
 All four broadcast over leading dimensions, so one call runs every query
 head of a layer: q of shape (Hkv, G, l_q, d_k) against k and v of shape
-(Hkv, 1, l_k, d). A TilePlan keeps no view of its mask, so no (l_q, l_k)
-array outlives the plan's building. Every row sees all of its keys in its
-tile's block, so one softmax per block is exact and its column sums are
-final, and at most one block of scores is held at a time per worker (query
-chunking, Rabe & Staats, arXiv 2112.05682).
+(Hkv, 1, l_k, d). A TilePlan reads its mask in row slabs and keeps no view
+of one, so no (l_q, l_k) array need ever exist. Every row sees all of its
+keys in its tile's block, so one softmax per block is exact and its column
+sums are final, and at most one block of scores is held at a time per
+worker (query chunking, Rabe & Staats, arXiv 2112.05682).
 
 A tiled call whose plan scores at least PARALLEL_KEYS_PER_ROW keys per query
 row on average runs its KV heads, each with its G query heads, on parallel
@@ -40,6 +40,12 @@ DEFAULT_TILE = 16
 # and a dense one at l = 524 (270) 23% slower, while a dense one at l = 2060
 # (1,038) ran in 69 ms instead of 116.
 PARALLEL_KEYS_PER_ROW = 512
+# The most rows a long prompt pass holds in any one array besides its layer's
+# inputs and outputs (engine._row_blocks), and the side of the square of cells
+# a TilePlan reads of its mask at once. On a 2-CPU VM, 1,024 kept
+# decode-long's l = 524 in one block and cut long-prefill's (l = 2,060)
+# peak_rss_mb, where 256 read decode-long's ttft_ms.median 8-10% slower.
+ROW_BLOCK = 1024
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
@@ -93,6 +99,12 @@ def masked(q, k, v, mask) -> tuple[np.ndarray, np.ndarray]:
 class TilePlan:
     """One mask's query tiles for one tile size, analysed once for every call under it.
 
+    mask is an (l_q, l_k) bool array, or any object with its shape whose
+    mask[a:b] returns rows a..b-1 of one, such as a prompt pass's mask that
+    builds only the rows asked for. The plan reads it one slab of whole tiles
+    at a time, about ROW_BLOCK² cells (ROW_BLOCK rows of a ROW_BLOCK-key
+    mask), so no more of the mask is held at once.
+
     shape is the mask's (l_q, l_k). schedule has one (rows, keys, first,
     block) per tile of query rows: keys is a slice when contiguous, else a
     read-only index array; block is a read-only copy of the allowed pairs
@@ -103,31 +115,41 @@ class TilePlan:
     """
 
     def __init__(self, mask, tile_size: int = DEFAULT_TILE):
-        mask = np.asarray(mask, dtype=bool)
-        if mask.ndim != 2:
+        if not hasattr(mask, "shape"):
+            mask = np.asarray(mask, dtype=bool)
+        if len(mask.shape) != 2:
             raise ConfigurationError(f"mask must be (l_q, l_k), got shape {mask.shape}")
         if tile_size < 1:
             raise ConfigurationError(f"tile_size must be >= 1, got {tile_size}")
-        empty = ~mask.any(axis=1)
+        self.shape, self.tile_size, self.schedule = tuple(mask.shape), tile_size, []
+        self.pairs_scored = self.pairs_allowed = 0
+        step = tile_size * max(1, ROW_BLOCK * ROW_BLOCK // (tile_size * max(self.shape[1], 1)))
+        for top in range(0, self.shape[0], step):
+            self._add_tiles(np.asarray(mask[top:top + step], dtype=bool), top)
+        self.tiles = len(self.schedule)
+
+    def _add_tiles(self, slab: np.ndarray, top: int):
+        """Schedule and count the tiles of slab, the mask's rows from top on; the
+        slab dies with the call, so two are never held at once."""
+        empty = ~slab.any(axis=1)
         if empty.any():
-            raise ValueError(f"row {int(np.flatnonzero(empty)[0])} is fully masked")
-        self.shape, self.tile_size, self.schedule = mask.shape, tile_size, []
-        self.pairs_scored, self.pairs_allowed = 0, int(np.count_nonzero(mask))
-        for start in range(0, mask.shape[0], tile_size):
-            rows = slice(start, start + tile_size)
-            keys = np.flatnonzero(mask[rows].any(axis=0))  # the keys some row may attend to
+            raise ValueError(f"row {top + int(np.flatnonzero(empty)[0])} is fully masked")
+        self.pairs_allowed += int(np.count_nonzero(slab))
+        for start in range(0, len(slab), self.tile_size):
+            tile = slab[start:start + self.tile_size]
+            keys = np.flatnonzero(tile.any(axis=0))  # the keys some row may attend to
             keys.flags.writeable = False
             if keys[-1] - keys[0] + 1 == keys.size:  # contiguous, as under causal and dense masks
                 keys = slice(int(keys[0]), int(keys[-1]) + 1)
-            allowed = mask[rows, keys]
+            allowed = tile[:, keys]
             first = int(np.argmin(allowed.all(axis=0)))
             block = None
             if not allowed[:, first].all():
-                block = allowed[:, first:].copy()  # its own copy: a view would keep the mask alive
+                block = allowed[:, first:].copy()  # its own copy: a view would keep the slab alive
                 block.flags.writeable = False
+            rows = slice(top + start, top + start + self.tile_size)
             self.schedule.append((rows, keys, first, block))
             self.pairs_scored += allowed.size
-        self.tiles = len(self.schedule)
 
     def __array__(self, dtype=None, copy=None):  # the traced benchmark counts the plan's pairs
         mask = np.zeros(self.shape, dtype=bool)

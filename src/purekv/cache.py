@@ -15,8 +15,7 @@ evict is the only way to build a cache. It writes each retained row of a
 session's prompt pass once, into fresh buffers of capacity 2m that each
 layer's KvCacheLayer takes over privately: no dropped row is copied, and the
 first m decode appends grow nothing. truncate makes a failed decode step
-undoable, and same_rows is what compression checks before a session takes
-another's layer in place of its own."""
+undoable."""
 
 from __future__ import annotations
 
@@ -98,12 +97,6 @@ class KvCacheLayer:
         if not 0 <= n <= min(self._lengths):
             raise ConfigurationError(f"cannot truncate committed lengths {self._lengths} to {n}")
         self._lengths = [n] * self.num_heads
-
-    def same_rows(self, other: KvCacheLayer) -> bool:
-        """Whether this layer commits other's positions, keys and values, bit for bit."""
-        return all(mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
-                   for mine, theirs in ((self.positions, other.positions),
-                                        (self.keys, other.keys), (self.values, other.values)))
 
     def check_invariants(self):
         for h, n in enumerate(self._lengths):

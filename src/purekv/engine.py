@@ -206,19 +206,50 @@ def _rmsnorm(x: np.ndarray, sums: np.ndarray | None = None) -> np.ndarray:
     return x / np.sqrt(sums[:, None] / x.shape[1] + _NORM_EPS)
 
 
-def _project_heads(h: np.ndarray, weights: LayerWeights, config: ModelConfig):
-    """q as (Hkv, G, n, d_k), k and v as (Hkv, n, d), the head layout every attention
-    call takes: query head g * G + j is q[g, j] and reads KV head g."""
+def _by_rows(n: int, rows_of) -> list[np.ndarray]:
+    """The arrays rows_of(rows) returns for all n rows. Up to attention.ROW_BLOCK rows
+    they are rows_of's own for slice(0, n); more run as even blocks of at most
+    ROW_BLOCK rows, each writing its rows into fresh (n, ...) arrays. Every caller's
+    work is row-local, so the blocks give the whole call's bits, as long as no block
+    is the one row that sends numpy's matmul down its matrix-vector path: blocks
+    average more than ROW_BLOCK / 2 rows, and hold two or more for ROW_BLOCK >= 3."""
+    count = -(-n // attention.ROW_BLOCK)
+    if count < 2:
+        return rows_of(slice(0, n))
+    outs = None
+    for i in range(count):
+        rows = slice(n * i // count, n * (i + 1) // count)
+        parts = rows_of(rows)
+        outs = outs or [np.empty((n,) + part.shape[1:]) for part in parts]
+        for out, part in zip(outs, parts):
+            out[rows] = part
+        del parts  # so two blocks' arrays are never held at once
+    return outs
+
+
+def _project_heads(x: np.ndarray, weights: LayerWeights, config: ModelConfig, sums=None):
+    """x's rows RMS-normed (sums, when given, are their sums of squares) and projected,
+    in row blocks: q as (Hkv, G, n, d_k), k and v as (Hkv, n, d), the head layout every
+    attention call takes: query head g * G + j is q[g, j] and reads KV head g."""
     c = config
-    n = h.shape[0]
-    q = (h @ weights.wq).reshape(n, c.num_kv_heads, c.group_size, c.d_k).transpose(1, 2, 0, 3)
-    k = (h @ weights.wk).reshape(n, c.num_kv_heads, c.d_k).transpose(1, 0, 2)
-    v = (h @ weights.wv).reshape(n, c.num_kv_heads, c.d_v).transpose(1, 0, 2)
+    n = x.shape[0]
+
+    def project(rows):
+        h = _rmsnorm(x[rows], None if sums is None else sums[rows])
+        return [h @ weights.wq, h @ weights.wk, h @ weights.wv]
+
+    q, k, v = _by_rows(n, project)
+    q = q.reshape(n, c.num_kv_heads, c.group_size, c.d_k).transpose(1, 2, 0, 3)
+    k = k.reshape(n, c.num_kv_heads, c.d_k).transpose(1, 0, 2)
+    v = v.reshape(n, c.num_kv_heads, c.d_v).transpose(1, 0, 2)
     return q, k, v
 
 
 def _block(x: np.ndarray, weights: LayerWeights, heads: np.ndarray) -> np.ndarray:
-    """Finish one pre-norm layer from its head outputs as (n, Hq * d_v) rows."""
+    """Finish one pre-norm layer from its head outputs as (n, Hq * d_v) rows; more
+    rows than attention.ROW_BLOCK run in row blocks, into one (n, d_model) output."""
+    if len(x) > attention.ROW_BLOCK:
+        return _by_rows(len(x), lambda rows: [_block(x[rows], weights, heads[rows])])[0]
     x = x + heads @ weights.wo
     return x + np.maximum(_rmsnorm(x) @ weights.w_up, 0.0) @ weights.w_down
 
@@ -245,6 +276,21 @@ class PromptPass:
     norms: np.ndarray
     accumulators: dict[int, np.ndarray | None]
     colsums: np.ndarray | None
+
+
+class _MaskRows(NamedTuple):
+    """A pattern's (l, l) mask over a layout as a TilePlan reads it, by row slabs:
+    mask[a:b] builds only rows a..b-1."""
+
+    layout: TokenLayout
+    pattern: SparsityPattern
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.layout.total_len,) * 2
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return build_mask(self.layout, self.pattern, rows)
 
 
 def prompt_pass(model: Model, layout: TokenLayout, pattern: SparsityPattern, st_layer_index: int,
@@ -281,13 +327,12 @@ def prompt_passes(model: Model, layout: TokenLayout, patterns, st_layer_index: i
         x, records = state
         state[0] = None  # so the loop's x is the state's only hold on its rows
         if span and kind not in plans:  # one TilePlan per distinct mask, not per layer
-            mask = build_mask(layout, kind)
-            plans[kind] = attention.TilePlan(mask, tile_size), mask[first:].copy()
-            del mask  # so no (l, l) array outlives the building of its plan
+            mask = _MaskRows(layout, kind)
+            plans[kind] = attention.TilePlan(mask, tile_size), mask[first:]
         for layer in span:
             weights = model.layers[layer]
             plan, recent = plans[kind]
-            q, k, v = _project_heads(_rmsnorm(x, sums), weights, model.config)
+            q, k, v = _project_heads(x, weights, model.config, sums)
             sums = None  # only layer 0 normalizes the embeddings the finite check summed
             tables, mass = {}, None
             if layer < layers and first < l:
@@ -327,11 +372,13 @@ def _finish(model, wiring, layers, windows, state) -> PromptPass:
     x = state[0]
     keys, values, tables, colsums = zip(*state[1])
     state.clear()  # so each layer's arrays are freed once they are stacked
-    logits = _rmsnorm(x) @ model.w_vocab
+    logits, = _by_rows(len(x), lambda rows: [_rmsnorm(x[rows]) @ model.w_vocab])
     # Stacked once the layers are done: (L, Hkv, l, d) buffers taken before the
     # first layer raised long-prefill peak_rss_mb by 2.5-2.9 MB (2-CPU VM), and
     # freeing the layers' keys before stacking the values read decode-long's
-    # ttft_ms.median 9% slower.
+    # ttft_ms.median 9% slower. Stacking holds every layer's keys and values twice,
+    # 5.0 MB above the rest of the pass at l = 2,060 (tools/prefill_peak.py): with
+    # the layers' row work in blocks, about as high as the layer loop's own peaks.
     keys, values = np.array(keys), np.array(values)
     colsums = None if colsums[0] is None else np.array(colsums)
     norms = l2_norm_rows(values.reshape(-1, values.shape[-1])).reshape(values.shape[:-1])
@@ -374,11 +421,12 @@ def prefill(model: Model, session: SessionState, prompt) -> np.ndarray:
 
 def apply_compression(model: Model, session: SessionState,
                       lender: SessionState | None = None) -> SessionState:
-    """Score, select, and evict the whole layer stack once at the end of prefill,
-    building every layer's cache from the pass; all or nothing. A lender is a
-    compressed session, not yet decoded, of the same prompt length and
-    st_layer_index whose layers below st_layer_index hold this session's rows bit
-    for bit; the session keeps those layer objects in place of its own."""
+    """Score and select the whole layer stack once at the end of prefill, and build
+    every layer's cache from the pass; all or nothing. A lender is a compressed
+    session, not yet decoded, of the same prompt length and st_layer_index whose
+    layers below st_layer_index hold the pass's rows at this session's positions,
+    bit for bit; the session keeps those layer objects and evicts only its layers
+    from st_layer_index up."""
     if session.phase == "new":
         raise ConfigurationError("apply_compression requires a completed prefill")
     if session.phase == "compressed":
@@ -402,20 +450,32 @@ def apply_compression(model: Model, session: SessionState,
         retained = select_retained(scores, w, h_count, l)
     else:
         retained = select_retained(prompt.colsums[..., : l - w], w, h_count, l)
-    cache = evict(prompt.keys, prompt.values, retained)
-    if lender is not None:
-        split = policy.st_layer_index
+    # Two stacks of layers, those below st_layer_index, which a lender may hold for
+    # this session, and the rest, so a borrower allocates rows only for the layers it
+    # owns. A layer's row stride is its stack's depth, and numpy's matmul can sum in
+    # another order for another stride: a lone session's upper layers sit in the same
+    # stack as a borrower's, so the two decode to the same bits.
+    split = policy.st_layer_index
+    if lender is None:
+        lower = evict(prompt.keys[:split], prompt.values[:split], retained[:split])
+    else:
         if lender.phase != "compressed" or lender.step_count:
             raise ConfigurationError("lender must be a compressed session that has not decoded")
         if (lender.prefill_len, lender.policy.st_layer_index) != (l, split):
             raise ConfigurationError(
                 f"lender must share the prompt length {l} and st_layer_index {split}, "
                 f"got {lender.prefill_len} and {lender.policy.st_layer_index}")
-        for layer, (own, lent) in enumerate(zip(cache[:split], lender.cache)):
-            if not own.same_rows(lent):
+        # The pass's rows at this session's positions, every lent layer and head at once.
+        rows = retained[:split]
+        at = (np.arange(split)[:, None, None], np.arange(rows.shape[1])[:, None], rows)
+        own = zip(rows, prompt.keys[at], prompt.values[at])
+        for layer, (lent, mine) in enumerate(zip(lender.cache[:split], own)):
+            if not all(a.shape == b.shape and a.tobytes() == b.tobytes()
+                       for a, b in zip(mine, (lent.positions, lent.keys, lent.values))):
                 raise ConfigurationError(f"lender's layer {layer} does not hold this "
                                          f"session's positions, keys and values")
-        cache[:split] = lender.cache[:split]
+        lower = lender.cache[:split]
+    cache = lower + evict(prompt.keys[split:], prompt.values[split:], retained[split:])
     # All or nothing: the session changes only once every layer is evicted and checked.
     session.cache, session.prompt, session.lender, session.phase = cache, None, lender, "compressed"
     return session

@@ -264,9 +264,9 @@ def load_config(source) -> ExperimentConfig:
     # Fail fast on incoherent layer indices instead of inside the first cell.
     policy = _at("config.policy", config.policy, "full", 1.0)
     _at("config.policy", engine.check_layer_depth, policy, model.num_layers)
-    if config.validate:  # every validated window, against the estimation layer
-        ws = [budget_to_wh(budget, layout.total_len, config.recent_window_w)[0]
-              for *_, budget in _experiment_cells(config)]
+    ws = [budget_to_wh(budget, layout.total_len, config.recent_window_w)[0]
+          for *_, budget in _experiment_cells(config)]
+    if config.validate and ws:  # every validated window, against the estimation layer
         _at("config.experiment.validate", engine.check_validation, layout.total_len, ws,
             config.clie_layer_index, model.num_layers)
     return config

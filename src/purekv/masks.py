@@ -135,39 +135,49 @@ def parse_pattern(text: str, layout: TokenLayout | None = None) -> SparsityPatte
     return SparsityPattern(name, value)
 
 
-def _video_rule(pattern: SparsityPattern, n: int, P: int) -> np.ndarray:
-    """(n, n) bool over video indices: the keys each query may see, causality aside."""
-    q, k = np.arange(n)[:, None], np.arange(n)[None, :]
-    if pattern.kind == "local":
-        return (q - k) < pattern.param
-    if pattern.kind == "atrous":
-        return ((q - k) % pattern.param) == 0
-    # spatial_temporal is the union of the spatial and temporal rules.
-    allowed = np.zeros((n, n), dtype=bool)
-    allowed[:, :P] = True  # the first frame
-    if pattern.kind in ("spatial", "spatial_temporal"):
-        for start in range(0, n, P):  # the query's own frame
-            allowed[start:start + P, start:start + P] = True
-    if pattern.kind in ("temporal", "spatial_temporal"):
-        np.fill_diagonal(allowed[P:], True)  # the same patch one frame back: k = q - P
-    return allowed
+def _narrow(block: np.ndarray, pattern: SparsityPattern, lo: int, P: int) -> None:
+    """Narrow block, the causal rows of video queries lo.. against every video
+    key, to the pattern's rule in place, causality aside; the diagonal is the
+    caller's. No array of block's size is made for the frame rules."""
+    hi = lo + len(block)
+    if pattern.kind in ("local", "atrous"):
+        k, q = np.arange(block.shape[1]), np.arange(lo, hi)[:, None]
+        block &= k > q - pattern.param if pattern.kind == "local" else \
+            k % pattern.param == q % pattern.param
+        return
+    # spatial_temporal is the union of the spatial and temporal rules. Every query keeps
+    # the first frame; spatial keeps the query's own frame too, temporal drops it.
+    spatial = pattern.kind != "temporal"
+    for start in range(lo - lo % P, hi, P):  # the frames of the queries
+        block[max(start - lo, 0):start + P - lo, P:start if spatial else None] = False
+    if pattern.kind != "spatial":
+        back = np.arange(max(lo, P), hi)  # the same patch one frame back: k = q - P
+        block[back - lo, back - P] = True
 
 
-def build_mask(layout: TokenLayout, pattern: SparsityPattern) -> np.ndarray:
-    """Realize a pattern over a layout as an (n, n) bool matrix.
+def build_mask(layout: TokenLayout, pattern: SparsityPattern,
+               rows: slice | None = None) -> np.ndarray:
+    """Realize a pattern over a layout as an (n, n) bool matrix, or only its
+    rows: build_mask(layout, pattern, rows) is build_mask(layout, pattern)[rows]
+    for a slice of step 1, built without the other rows.
 
     It starts from the causal triangle, which is the whole dense mask and
     every text row, and narrows the block of video queries against video
     keys in place: video queries keep every text-prefix key and themselves,
     and the text suffix comes after them.
     """
-    allowed = np.tri(layout.total_len, dtype=bool)
-    if pattern.kind == "dense":
+    n = layout.total_len
+    first, stop, step = (rows or slice(None)).indices(n)
+    if step != 1:
+        raise ConfigurationError(f"mask rows must be a slice of step 1, got {rows}")
+    allowed = np.tri(max(stop - first, 0), n, first, dtype=bool)  # key <= query
+    start, v = layout.text_prefix_len, layout.video_len
+    lo, hi = max(first, start) - start, min(stop, start + v) - start  # the video queries in rows
+    if pattern.kind == "dense" or lo >= hi:
         return allowed
-    start, n = layout.text_prefix_len, layout.video_len
-    block = allowed[start:start + n, start:start + n]
-    block &= _video_rule(pattern, n, max(layout.patches_per_frame, 1))
-    np.fill_diagonal(block, True)
+    block = allowed[start + lo - first:start + hi - first, start:start + v]
+    _narrow(block, pattern, lo, max(layout.patches_per_frame, 1))
+    block[np.arange(hi - lo), np.arange(lo, hi)] = True  # the diagonal
     return allowed
 
 

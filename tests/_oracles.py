@@ -133,6 +133,44 @@ def query_tiles(q, k, v, mask, tile_size, mass=False):
     return out, colsums
 
 
+def whole_prompt_pass(model, layout, pattern, st_layer_index, embeddings, windows, layers,
+                      column_sums, tile_size):
+    """engine.prompt_pass over whole matrices: every layer's RMSNorm, projections,
+    output projection and MLP over all l rows at once, its streamed attention from
+    the whole (l, l) mask (query_tiles) and its estimation slab from that mask's last
+    rows (out_of_place_masked). Returns the pass's arrays by name, the bits a pass
+    run in row blocks and mask slabs must match."""
+    from purekv.masks import SparsityPattern, build_mask
+
+    c = model.config
+    x = np.asarray(embeddings, dtype=np.float64)
+    l = x.shape[0]
+    recent = [w for w in windows if w < l]
+    keys, values, tables, colsums = [], [], [], []
+    for layer, weights in enumerate(model.layers):
+        mask = build_mask(layout, SparsityPattern.dense() if layer < st_layer_index else pattern)
+        h = normalize_rows(x)
+        q = (h @ weights.wq).reshape(l, c.num_kv_heads, c.group_size, c.d_k).transpose(1, 2, 0, 3)
+        k = (h @ weights.wk).reshape(l, c.num_kv_heads, c.d_k).transpose(1, 0, 2)
+        v = (h @ weights.wv).reshape(l, c.num_kv_heads, c.d_v).transpose(1, 0, 2)
+        if layer < layers and recent:
+            first = l - max(recent)
+            _, slab = out_of_place_masked(q[:, :, first:], k[:, None], v[:, None], mask[first:])
+            tables.append({w: slab[..., -w:, : l - w].sum(axis=-2).mean(axis=1) for w in recent})
+        heads, mass = query_tiles(q, k[:, None], v[:, None], mask, tile_size, mass=column_sums)
+        keys.append(k), values.append(v)
+        colsums.append(None if mass is None else mass.mean(axis=1))
+        x = x + heads.transpose(2, 0, 1, 3).reshape(l, -1) @ weights.wo
+        x = x + np.maximum(normalize_rows(x) @ weights.w_up, 0.0) @ weights.w_down
+    keys, values = np.array(keys), np.array(values)
+    arrays = {"logits": normalize_rows(x) @ model.w_vocab, "keys": keys, "values": values,
+              "norms": np.sqrt((values * values).sum(axis=-1)),
+              "colsums": np.array(colsums) if column_sums else None}
+    arrays.update({f"accumulators[{w}]": None if w >= l else
+                   np.array([table[w] for table in tables]) for w in windows})
+    return arrays
+
+
 def tie_checked_permutation_pvalue(x, y, n_perm, seed):
     """stats.permutation_pvalue on (P, n) tables as it ran with a tie check:
     each block's words were argsorted, and sorted again with the stable kind

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -295,6 +296,65 @@ class TestTilePlan:
             TilePlan(mask[None], 0)
         with pytest.raises(ConfigurationError, match="tile_size must be >= 1"):
             TilePlan(mask, 0)
+
+
+class RowReads:
+    """A mask that only hands out copies of row slabs, and records the rows asked for."""
+
+    def __init__(self, mask):
+        self.mask, self.shape, self.asked = mask, mask.shape, []
+
+    def __getitem__(self, rows):
+        self.asked.append((rows.start, rows.stop))
+        return self.mask[rows].copy()
+
+
+def assert_same_plan(got, expected):
+    assert (got.shape, got.tile_size, got.tiles) == (expected.shape, expected.tile_size,
+                                                     expected.tiles)
+    assert (got.pairs_scored, got.pairs_allowed) == (expected.pairs_scored,
+                                                     expected.pairs_allowed)
+    for (rows, keys, first, block), want in zip(got.schedule, expected.schedule, strict=True):
+        assert (rows, first) == (want[0], want[2])
+        assert type(keys) is type(want[1])
+        assert keys == want[1] if isinstance(keys, slice) else np.array_equal(keys, want[1])
+        assert (block is None) == (want[3] is None)
+        assert block is None or np.array_equal(block, want[3])
+    np.testing.assert_array_equal(np.asarray(got), np.asarray(expected))
+
+
+class TestPlanSlabs:
+    @settings(max_examples=150, deadline=None)
+    @given(batched_cases(), st.integers(1, 20), st.integers(1, 8))
+    def test_a_plan_read_in_slabs_equals_one_read_whole(self, case, tile, row_block):
+        """However small ROW_BLOCK makes the slabs, and whether the mask is an
+        array or a reader of row slabs, the schedule, both counts and the
+        rebuilt mask are those of a plan that read the whole mask at once."""
+        mask = case["mask"]
+        whole = TilePlan(mask, tile)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(attention, "ROW_BLOCK", row_block)
+            reads = RowReads(mask)
+            for plan in (TilePlan(mask, tile), TilePlan(reads, tile)):
+                assert_same_plan(plan, whole)
+        step = tile * max(1, row_block * row_block // (tile * mask.shape[1]))
+        assert reads.asked == [(top, top + step) for top in range(0, mask.shape[0], step)]
+
+    def test_a_long_spatial_temporal_plan_holds_few_mask_rows_at_once(self):
+        """At l = 8,204 a plan built from a reader of row slabs peaks below
+        l²/8 bytes and below 4 MiB, though the whole mask is 64 MiB."""
+        from purekv.engine import _MaskRows
+
+        layout = TokenLayout(8, 64, 128, 4)
+        l = layout.total_len
+        tracemalloc.start()
+        try:
+            plan = TilePlan(_MaskRows(layout, SparsityPattern.spatial_temporal()), 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < min(l * l / 8, 4 * 2**20), f"{peak} bytes at the peak"
+        assert plan.shape == (l, l) and plan.tiles == -(-l // 16)
 
 
 def tile_loop_threads(monkeypatch, cpus):

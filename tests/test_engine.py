@@ -1,5 +1,6 @@
 """Engine wiring: prefill/compress/decode vs. cache-free reference forwards."""
 
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from _oracles import (
     reference_forward,
     score_low_scores,
     score_low_validation,
+    whole_prompt_pass,
 )
 from purekv.cache import (
     POLICY_KINDS,
@@ -38,6 +40,7 @@ from purekv.engine import (
     init_session,
     prefill,
     prompt_pass,
+    prompt_passes,
     validate_cross_layer,
 )
 from purekv.errors import ConfigurationError
@@ -142,12 +145,16 @@ class TestModelInit:
             logits.append(prefill(model, session, emb))
         np.testing.assert_array_equal(logits[0], logits[1])
 
-    def test_project_heads_groups_four_query_heads_per_kv_head(self):
+    @pytest.mark.parametrize("row_block", [1024, 3])
+    def test_project_heads_groups_four_query_heads_per_kv_head(self, monkeypatch, row_block):
+        """The RMS-normed rows' projections in the head layout, whole or in row blocks."""
+        monkeypatch.setattr(purekv.attention, "ROW_BLOCK", row_block)
         config = ModelConfig(num_layers=1, d_model=64, num_q_heads=8, num_kv_heads=2,
                              d_k=8, d_v=6, vocab_size=10, seed=0)
         weights = init_model(config).layers[0]
-        h = seeded_gaussian(5, config.d_model, 9)
-        q, k, v = purekv.engine._project_heads(h, weights, config)
+        x = seeded_gaussian(5, config.d_model, 9)
+        q, k, v = purekv.engine._project_heads(x, weights, config)
+        h = normalize_rows(x)
         assert config.group_size == 4
         assert (q.shape, k.shape, v.shape) == ((2, 4, 5, 8), (2, 5, 8), (2, 5, 6))
         for g in range(2):
@@ -1155,21 +1162,23 @@ class TestStreamingCompatibilityContract:
                 np.testing.assert_array_equal(np.asarray(plan), build_mask(LAYOUT, kind))
 
     def test_no_mask_outlives_the_building_of_its_plan(self, monkeypatch):
-        """Every (l, l) mask the pass builds is freed before any layer's
-        streamed or column-mass attention runs: plans and slab rows keep
-        copies of what they need, never the mask or a view of it."""
-        refs, alive = [], []
+        """The pass builds its masks only by row ranges, and by the time any
+        layer's streamed or column-mass attention runs, the only rows it still
+        holds are each mask's last w (the estimation slab's): plans keep copies
+        of what they need, never a slab or a view of one."""
+        refs, alive, asked = [], [], []
         real_build = purekv.engine.build_mask
         real_streaming, real_mass = purekv.attention.streaming_masked, purekv.attention.column_mass
 
-        def build_spy(layout, pattern):
-            mask = real_build(layout, pattern)
+        def build_spy(layout, pattern, rows=None):
+            asked.append(rows)
+            mask = real_build(layout, pattern, rows)
             refs.append(weakref.ref(mask))
             return mask
 
         def watch(real):
             def spy(*args):
-                alive.append(sum(ref() is not None for ref in refs))
+                alive.append(sorted(len(ref()) for ref in refs if ref() is not None))
                 return real(*args)
             return spy
 
@@ -1181,10 +1190,13 @@ class TestStreamingCompatibilityContract:
         for pattern, column_sums in ((SparsityPattern.spatial_temporal(), False),
                                      (SparsityPattern.spatial_temporal(), True),
                                      (SparsityPattern.dense(), False)):
-            refs.clear(), alive.clear()
+            refs.clear(), alive.clear(), asked.clear()
             prompt_pass(model, LAYOUT, pattern, 2, emb, (4, 9), SMALL.num_layers, column_sums)
-            assert len(refs) == (1 if pattern == SparsityPattern.dense() else 2)
-            assert alive == [0] * SMALL.num_layers
+            kinds = 1 if pattern == SparsityPattern.dense() else 2
+            # One slab per plan at this length, and the recent rows of each.
+            assert len(refs) == 2 * kinds and all(isinstance(rows, slice) for rows in asked)
+            layers = [[9]] * 2 + [[9, 9]] * (SMALL.num_layers - 2)  # the dense rows, then both
+            assert alive == (layers if kinds == 2 else [[9]] * SMALL.num_layers)
 
     def test_prefill_materializes_only_the_recent_window(self, monkeypatch):
         """Audit: every masked() call prefill makes has at most w query rows;
@@ -1694,3 +1706,124 @@ class TestValidationWindows:
         medians = purekv.engine._medians([{"rho": x, "p": -x + 0.0} for x in drawn])
         assert medians["median_rho"].hex() == float(np.median(drawn)).hex()
         assert medians["median_p"].hex() == float(np.median([-x + 0.0 for x in drawn])).hex()
+
+
+@st.composite
+def row_block_cases(draw):
+    """A row block B, a prompt of B - 1, B, B + 1 or 2B + 5 tokens, a small model
+    and a pass's wiring over it."""
+    block = draw(st.integers(3, 12), label="row block")
+    l = block + draw(st.sampled_from([-1, 0, 1, block + 5]), label="rows past the block")
+    frames = draw(st.integers(1, min(4, l)), label="frames")
+    patches = draw(st.integers(1, min(4, l // frames)), label="patches")
+    prefix = draw(st.integers(0, l - frames * patches), label="prefix")
+    layout = TokenLayout(prefix, frames, patches, l - frames * patches - prefix)
+    kv_heads, group, d_k = (draw(st.integers(1, 2), label=name) for name in ("kv", "group", "d_k"))
+    num_layers = draw(st.integers(1, 3), label="layers")
+    model = init_model(ModelConfig(num_layers=num_layers, d_model=kv_heads * group * d_k,
+                                   num_q_heads=kv_heads * group, num_kv_heads=kv_heads, d_k=d_k,
+                                   d_v=draw(st.integers(1, 3), label="d_v"), vocab_size=5,
+                                   seed=draw(st.integers(0, 99), label="model seed")))
+    return {"block": block, "model": model, "layout": layout,
+            "pattern": parse_pattern(draw(st.sampled_from(PATTERNS), label="pattern"), layout),
+            "st": draw(st.integers(0, num_layers), label="st_layer_index"),
+            "windows": tuple(draw(st.sets(st.integers(1, l + 1), min_size=1, max_size=2))),
+            "layers": draw(st.integers(0, num_layers), label="statistics layers"),
+            "column_sums": draw(st.booleans(), label="column sums"),
+            "tile": draw(st.integers(1, 5), label="tile size"),
+            "seed": draw(st.integers(0, 99), label="embedding seed")}
+
+
+class TestRowBlocks:
+    """A prompt longer than attention.ROW_BLOCK runs its row work in blocks and
+    reads its masks in row slabs, with the bits of the whole-matrix pass."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(row_block_cases())
+    def test_a_pass_in_row_blocks_equals_the_whole_matrix_pass(self, case):
+        """At l = B - 1, B, B + 1 and 2B + 5, every array of a pass, and of the
+        dense pass made beside it, equals the whole-matrix oracle's, bit for bit."""
+        model, layout = case["model"], case["layout"]
+        emb = seeded_gaussian(layout.total_len, model.config.d_model, case["seed"])
+        wiring = (case["st"], emb, case["windows"], case["layers"], case["column_sums"],
+                  case["tile"])
+        patterns = [case["pattern"], SparsityPattern.dense()]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(purekv.attention, "ROW_BLOCK", case["block"])
+            passes = prompt_passes(model, layout, patterns, *wiring)
+        for pattern, prompt in zip(patterns, passes):
+            expected = whole_prompt_pass(model, layout, pattern, *wiring)
+            got = {"logits": prompt.logits, "keys": prompt.keys, "values": prompt.values,
+                   "norms": prompt.norms, "colsums": prompt.colsums,
+                   **{f"accumulators[{w}]": table for w, table in prompt.accumulators.items()}}
+            assert got.keys() == expected.keys()
+            for name, array in expected.items():
+                if array is None:
+                    assert got[name] is None, name
+                else:
+                    assert got[name].shape == array.shape, name
+                    assert got[name].tobytes() == array.tobytes(), name
+
+    def test_block_on_more_rows_than_the_row_block_holds_less_than_its_mlp_rows(self,
+                                                                                monkeypatch):
+        """_block over l = 12 ROW_BLOCK rows peaks, above its inputs, below one
+        (l, 2 d_model) float64 array, where the whole-matrix MLP holds two at
+        once, and gives the whole-matrix call's bits."""
+        config = example_config().model
+        weights = init_model(config).layers[0]
+        l, width = 12 * purekv.attention.ROW_BLOCK, config.num_q_heads * config.d_v
+        x, heads = seeded_gaussian(l, config.d_model, 1), seeded_gaussian(l, width, 2)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            blocked = purekv.engine._block(x, weights, heads)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        bound = l * 2 * config.d_model * 8
+        assert peak < bound, f"{peak} bytes at the peak, bound {bound}"
+        monkeypatch.setattr(purekv.attention, "ROW_BLOCK", l)
+        assert blocked.tobytes() == purekv.engine._block(x, weights, heads).tobytes()
+
+    def test_projections_and_logits_in_row_blocks_equal_the_whole_matrix_products(self):
+        """At the example model's dims and l = 12 ROW_BLOCK rows, the blocked
+        RMSNorm and q, k, v projections, and the blocked logits as _finish runs
+        them, equal the whole-matrix products byte for byte."""
+        model = init_model(example_config().model)
+        l = 12 * purekv.attention.ROW_BLOCK
+        x = seeded_gaussian(l, model.config.d_model, 3)
+
+        def logits(rows):
+            return [purekv.engine._rmsnorm(x[rows]) @ model.w_vocab]
+
+        blocked = (*purekv.engine._project_heads(x, model.layers[0], model.config),
+                   purekv.engine._by_rows(l, logits)[0])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(purekv.attention, "ROW_BLOCK", l)
+            whole = (*purekv.engine._project_heads(x, model.layers[0], model.config),
+                     purekv.engine._by_rows(l, logits)[0])
+        for name, got, expected in zip(("q", "k", "v", "logits"), blocked, whole):
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), name
+
+    def test_the_long_prefill_pass_equals_the_whole_matrix_pass(self):
+        """The example model's prompt passes at l = 2,060 (8 + 16 x 128 + 4), dense
+        and spatial_temporal, in row blocks and mask slabs give the bits of the same
+        passes with a row block of l, which run whole matrices and whole masks."""
+        config = example_config()
+        model, layout = init_model(config.model), TokenLayout(8, 16, 128, 4)
+        l = layout.total_len
+        assert l > purekv.attention.ROW_BLOCK
+        emb = seeded_gaussian(l, config.model.d_model, 0)
+        wiring = ([SparsityPattern.spatial_temporal(), SparsityPattern.dense()],
+                  config.st_layer_index, emb, (208, 412), config.clie_layer_index + 1, True,
+                  config.tile_size)
+        blocked = prompt_passes(model, layout, *wiring)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(purekv.attention, "ROW_BLOCK", l)
+            whole = prompt_passes(model, layout, *wiring)
+        for got, expected in zip(blocked, whole):
+            for name in ("logits", "keys", "values", "norms", "colsums"):
+                assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+            assert got.accumulators.keys() == expected.accumulators.keys()
+            for w, table in expected.accumulators.items():
+                assert got.accumulators[w].tobytes() == table.tobytes(), w

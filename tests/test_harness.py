@@ -624,6 +624,18 @@ class TestReports:
         assert len(lines) == 1
         assert lines[0].startswith("policy,pattern,budget_fraction")
 
+    def test_an_empty_grid_validates_nothing_whatever_the_analysis_layer(self):
+        """With validation on and clie_layer_index on the top layer, a grid with no
+        cell has no window to validate: it loads and reports no cells, as it does
+        with validation off. One cell makes the same config a rejection."""
+        raw = base_config(policies=[], validate=True, n_perm=199)
+        raw["policy"].update(clie_layer_index=3, st_layer_index=4)
+        assert load_config(raw).validate
+        assert run_experiment(raw)["cells"] == []
+        raw["experiment"]["policies"] = ["pure_kv"]
+        with pytest.raises(ConfigurationError, match="no layers above analysis layer 3"):
+            load_config(raw)
+
     def test_json_csv_round_trip_preserves_printed_precision(self):
         report = run_experiment(base_config(validate=True, n_perm=199))
         parsed_json = json.loads(render_report(report, "json"))

@@ -235,3 +235,26 @@ def test_mask_to_text_round_trip():
     text = mask_to_text(mask)
     parsed = np.array([[ch == "1" for ch in line] for line in text.splitlines()])
     np.testing.assert_array_equal(parsed, mask)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 5), st.integers(1, 5), st.integers(0, 3),
+       st.sampled_from(["dense", "local:1", "local:3", "atrous:2", "atrous:3", "spatial",
+                        "temporal", "spatial_temporal"]), st.data())
+def test_a_row_range_is_those_rows_of_the_whole_mask(prefix, frames, patches, suffix, text, data):
+    """build_mask(layout, pattern, rows) equals build_mask(layout, pattern)[rows]
+    for any slice of step 1: bounds inside, past either end, negative or None."""
+    if prefix + frames * patches + suffix == 0:
+        suffix = 1
+    layout = TokenLayout(prefix, frames, patches, suffix)
+    pattern = parse_pattern(text, layout)
+    n = layout.total_len
+    bound = st.none() | st.integers(-n - 2, n + 2)
+    rows = slice(data.draw(bound, label="start"), data.draw(bound, label="stop"))
+    np.testing.assert_array_equal(build_mask(layout, pattern, rows),
+                                  build_mask(layout, pattern)[rows])
+
+
+def test_a_row_range_must_step_by_one():
+    with pytest.raises(ConfigurationError, match="step 1"):
+        build_mask(TokenLayout(1, 2, 2, 1), SparsityPattern.spatial(), slice(0, 4, 2))

@@ -291,6 +291,21 @@ def bad_lender(case, model, lender, session, rows):
     return lender
 
 
+def test_a_borrower_allocates_rows_only_for_the_layers_it_owns(pair):
+    """A borrower evicts only layers st_layer_index..L-1: the buffers behind its
+    own layers hold those layers' rows and no room for the lent ones, as a lone
+    session's upper layers do."""
+    model, embeddings, lender, session, _ = pair
+    apply_compression(model, session, lender)
+    split, alone = POLICY.st_layer_index, alone_on(model, embeddings)
+    assert all(mine is lent for mine, lent in zip(session.cache[:split], lender.cache))
+    for kv, lone in zip(session.cache[split:], alone.cache[split:]):
+        for mine, theirs in ((kv._keys, lone._keys), (kv._values, lone._values)):
+            assert mine.base.shape == theirs.base.shape
+            assert mine.base.shape[1] == SMALL.num_layers - split  # (2m, layers, Hkv, d)
+            assert mine.strides == theirs.strides
+
+
 # Each case breaks one condition on a borrower's step, and the message says which.
 BAD_STEPS = {
     "another model": "with another model",
